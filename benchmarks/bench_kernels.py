@@ -13,7 +13,7 @@ import numpy as np
 
 from casimag import MatsubaraContext, PressureQuery, backend, nickel, \
     pressure
-from casimag import _kernel_py
+from casimag import reflection
 
 try:
     from casimag import _kernel as _kernel_cy
@@ -44,8 +44,7 @@ def bench_pressure(impl):
     backend.lifshitz_summand = impl.lifshitz_summand
     try:
         ctx = MatsubaraContext(temperature=300.0)
-        q = PressureQuery(separation=0.5e-6, temperature=300.0,
-                          model=nickel("nonlocal"))
+        q = PressureQuery(separation=0.5e-6, model=nickel("nonlocal"))
         return time_call(lambda: pressure(q, ctx), repeat=3, loops=3)
     finally:
         backend.lifshitz_summand = saved
@@ -60,12 +59,12 @@ def main():
     print(f"active backend at import: {backend.BACKEND}")
     print(f"{'workload':<34}{'numpy':>12}{'compiled':>12}{'speedup':>9}")
     for n in (15, 240, 4000):
-        t_py = bench_kernel(_kernel_py, n)
+        t_py = bench_kernel(reflection, n)
         t_cy = bench_kernel(_kernel_cy, n)
         print(f"kernel, {n:>5}-point array        "
               f"{t_py * 1e6:>10.1f}us{t_cy * 1e6:>10.1f}us"
               f"{t_py / t_cy:>8.1f}x")
-    t_py = bench_pressure(_kernel_py)
+    t_py = bench_pressure(reflection)
     t_cy = bench_pressure(_kernel_cy)
     print(f"{'pressure point (0.5 um, 300 K)':<34}"
           f"{t_py * 1e3:>10.1f}ms{t_cy * 1e3:>10.1f}ms"

@@ -9,17 +9,16 @@ numerical wavevector integrals that validate them.
 
 from .backend import BACKEND
 from .impedance import ImpedancePair, QuadratureError, WaveNumbers, \
-    impedance_pair, wave_numbers, z_local, z_te_closed, z_te_integral, \
-    z_tm_closed, z_tm_integral
+    impedance_pair, refl_from_impedance, refl_via_impedance, wave_numbers, \
+    z_local, z_te_closed, z_te_integral, z_tm_closed, z_tm_integral
 from .lifshitz import FixedReflection, PressureQuery, PressureResult, \
     SeriesConvergenceError, pressure, pressure_ratio_table, pressure_term
-from .reflection import ReflectionPair, refl_fresnel, refl_from_impedance, \
-    refl_nonlocal_closed, refl_pair, refl_static, refl_via_impedance, \
-    refl_zero_freq, refl_zero_freq_local
+from .reflection import ReflectionPair, eps_drude, eps_longitudinal_nl, \
+    eps_plasma, eps_transverse_nl, refl_fresnel, refl_nonlocal_closed, \
+    refl_pair, refl_static, refl_zero_freq, refl_zero_freq_local
 from .response import DRUDE, NONLOCAL, PLASMA, InterbandTable, \
-    MaterialModel, MatsubaraContext, eps_core_kk, eps_drude, \
-    eps_longitudinal_nl, eps_plasma, eps_transverse_nl, matsubara_xi, \
-    mu_at, nickel
+    MaterialModel, MatsubaraContext, eps_core_kk, matsubara_xi, mu_at, \
+    nickel
 from .sphere_plate import ComparisonRow, ExperimentDataset, GeometryParams, \
     apply_pfa_correction, apply_roughness, compare, gradient_pfa, \
     gradient_theory, roughness_factor

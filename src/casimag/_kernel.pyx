@@ -1,7 +1,7 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled evaluation of the pressure-integrand kernel.
 
-Scalar-loop twin of ``_kernel_py.lifshitz_summand``; same variant codes,
+Scalar-loop twin of ``reflection.lifshitz_summand``; same variant codes,
 same formulas.  Kept free of Python calls inside the loop.
 """
 

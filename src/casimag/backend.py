@@ -2,27 +2,23 @@
 
 The compiled kernel is used when the extension built; setting the
 environment variable ``CASIMAG_PURE_PYTHON=1`` before import forces the
-NumPy fallback (used by the benchmark and the backend-parity tests).
+NumPy kernel of ``casimag.reflection`` (used by the benchmark and the
+backend-parity tests).
 """
 
 import os
 
-from . import _kernel_py
+from . import reflection
 
 if os.environ.get("CASIMAG_PURE_PYTHON"):
-    _impl = _kernel_py
+    _impl = reflection
     BACKEND = "python"
 else:
     try:
         from . import _kernel as _impl
         BACKEND = "compiled"
     except ImportError:
-        _impl = _kernel_py
+        _impl = reflection
         BACKEND = "python"
 
 lifshitz_summand = _impl.lifshitz_summand
-
-VARIANT_DRUDE = _kernel_py.VARIANT_DRUDE
-VARIANT_PLASMA = _kernel_py.VARIANT_PLASMA
-VARIANT_NONLOCAL = _kernel_py.VARIANT_NONLOCAL
-VARIANT_FIXED = _kernel_py.VARIANT_FIXED

@@ -46,9 +46,7 @@ def _cmd_pressure(cfg, args) -> list[list]:
     rows = []
     for a in separation_grid(cfg):
         for name, model in models:
-            res = pressure(PressureQuery(separation=a,
-                                         temperature=cfg.temperature_k,
-                                         model=model,
+            res = pressure(PressureQuery(separation=a, model=model,
                                          quad_tol=cfg.quad_tol,
                                          series_tol=cfg.series_tol), ctx)
             rows.append([a, name, res.pressure, res.terms_used,
@@ -61,8 +59,8 @@ def _cmd_ratio(cfg, args) -> list[list]:
     choice = args.model if args.model else "all"
     models = _model_list(cfg, choice, not args.no_interband)
     ctx = build_context(cfg)
-    table = pressure_ratio_table(separation_grid(cfg), cfg.temperature_k,
-                                 models, ctx, quad_tol=cfg.quad_tol,
+    table = pressure_ratio_table(separation_grid(cfg), models, ctx,
+                                 quad_tol=cfg.quad_tol,
                                  series_tol=cfg.series_tol)
     header = [k for k in table[0] if not k.startswith("terms_")]
     header[0] = "a_m"
@@ -108,7 +106,7 @@ def _cmd_gradient(cfg, args) -> list[list]:
     rows = []
     for a in separation_grid(cfg):
         for name, model in models:
-            grad = gradient_theory(a, cfg.temperature_k, model, geom, ctx,
+            grad = gradient_theory(a, model, geom, ctx,
                                    quad_tol=cfg.quad_tol,
                                    series_tol=cfg.series_tol)
             rows.append([a, name, grad])
@@ -129,7 +127,7 @@ def _cmd_compare(cfg, args) -> tuple[list[list], list[str]]:
         header = ["model"] + header
     rows, summary = [], []
     for name, model in models:
-        comp = compare(data, cfg.temperature_k, model, geom, ctx,
+        comp = compare(data, model, geom, ctx,
                        err_theory_rel=cfg.err_theory_rel,
                        quad_tol=cfg.quad_tol, series_tol=cfg.series_tol)
         inside = sum(1 for c in comp if c.inside_ci)

@@ -1,4 +1,4 @@
-"""Deterministic CSV emission and generic parsing.
+"""Deterministic CSV emission and the one CSV parser.
 
 All floating-point output uses scientific notation with 12 significant
 digits, locale-independent, so identical inputs produce byte-identical
@@ -35,19 +35,46 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(text)
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read (header, rows) from a CSV emitted by this package.
+class CsvRow(list):
+    """The fields of one data row; ``line`` is its line number in the file."""
+
+    def __init__(self, fields: list[str], line: int):
+        super().__init__(fields)
+        self.line = line
+
+
+def read_csv(path: str) -> tuple[list[str], list[CsvRow]]:
+    """Read (header, rows) from a CSV file: the output of this package or
+    one of its input tables.
 
     Skips blank lines and '#' comments; performs no type conversion.
+    Errors name a row by its line number in the file.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    for i, row in enumerate(rows, start=2):
+    header = lines[0][1].split(",")
+    rows = [CsvRow(ln.split(","), n) for n, ln in lines[1:]]
+    for row in rows:
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i}: expected {len(header)} columns")
+            raise ValueError(f"{path}: row {row.line}: expected "
+                             f"{len(header)} columns")
     return header, rows
+
+
+def read_numeric_csv(path: str, header: str) -> list[list[float]]:
+    """Rows of floats from a CSV whose header is ``header`` (spaces in
+    the file's header are ignored)."""
+    names, rows = read_csv(path)
+    if ",".join(names).replace(" ", "") != header:
+        raise ValueError(f"{path}: expected header '{header}'")
+    values = []
+    for row in rows:
+        try:
+            values.append([float(v) for v in row])
+        except ValueError:
+            raise ValueError(f"{path}: row {row.line}: non-numeric "
+                             "value") from None
+    return values

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .response import MaterialModel, MatsubaraContext, eps_core_at, eps_pair, \
+from .constants import C_LIGHT
+from .reflection import ReflectionPair, eps_pair
+from .response import MaterialModel, MatsubaraContext, eps_core_at, \
     matsubara_xi, mu_at
 
 KZ_QUAD_TOL = 1e-10
@@ -66,8 +68,8 @@ def wave_numbers(l: int, k_perp: float, m: MaterialModel,
     xi = matsubara_xi(l, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
     eps_tr, _ = eps_pair(xi, k_perp, m, eps_core_at(xi, m))
-    q = math.sqrt(k_perp**2 + (xi / ctx.c) ** 2)
-    k_mu = math.sqrt(k_perp**2 + mu * eps_tr * (xi / ctx.c) ** 2)
+    q = math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
+    k_mu = math.sqrt(k_perp**2 + mu * eps_tr * (xi / C_LIGHT) ** 2)
     return WaveNumbers(k_perp=k_perp, q_l=q, k_mu_tr=k_mu)
 
 
@@ -92,7 +94,10 @@ def _tan_sub_quad(f, scale: float) -> float:
     """Integrate f over [0, inf) via k_z = scale*tan(theta).
 
     The substitution makes the 1/k_z^2 tails of the impedance integrands
-    exactly resolvable on the finite interval [0, pi/2].
+    exactly resolvable on the finite interval [0, pi/2].  Callers pass
+    scale = max(k_perp, xi/c): the integrands vary on the k_z scale
+    sqrt(k_perp^2 + mu eps xi^2/c^2), and a scale set by k_perp alone
+    crowds them into theta ~ pi/2 when k_perp << xi/c.
     """
     def g(theta):
         t = math.tan(theta)
@@ -118,7 +123,7 @@ def z_te_integral(l: int, k_perp: float, m: MaterialModel,
     _check_positive_args(l, k_perp)
     xi, eps_tr, _ = _model_eps(l, k_perp, m, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
-    c = ctx.c
+    c = C_LIGHT
 
     def f(kz):
         den = mu * eps_tr * xi * xi + c * c * (k_perp * k_perp + kz * kz)
@@ -126,7 +131,7 @@ def z_te_integral(l: int, k_perp: float, m: MaterialModel,
             raise ValueError("nonpositive TE denominator: unphysical eps/mu")
         return 1.0 / den
 
-    scale = k_perp if k_perp > 0.0 else xi / c
+    scale = max(k_perp, xi / c)
     return (c * xi * mu / math.pi) * 2.0 * _tan_sub_quad(f, scale)
 
 
@@ -140,7 +145,7 @@ def z_tm_integral(l: int, k_perp: float, m: MaterialModel,
     _check_positive_args(l, k_perp)
     xi, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
-    c = ctx.c
+    c = C_LIGHT
 
     def f(kz):
         ksq = k_perp * k_perp + kz * kz
@@ -150,7 +155,7 @@ def z_tm_integral(l: int, k_perp: float, m: MaterialModel,
         return (k_perp * k_perp / (mu * xi * xi * eps_l)
                 + kz * kz / den_tr) / ksq
 
-    scale = k_perp if k_perp > 0.0 else xi / c
+    scale = max(k_perp, xi / c)
     return (c * xi * mu / math.pi) * 2.0 * _tan_sub_quad(f, scale)
 
 
@@ -163,7 +168,8 @@ def z_te_closed(l: int, k_perp: float, m: MaterialModel,
     _check_positive_args(l, k_perp)
     xi, eps_tr, _ = _model_eps(l, k_perp, m, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
-    return xi * mu / math.sqrt((ctx.c * k_perp) ** 2 + mu * eps_tr * xi * xi)
+    return xi * mu / math.sqrt((C_LIGHT * k_perp) ** 2
+                               + mu * eps_tr * xi * xi)
 
 
 def z_tm_closed(l: int, k_perp: float, m: MaterialModel,
@@ -176,7 +182,7 @@ def z_tm_closed(l: int, k_perp: float, m: MaterialModel,
     _check_positive_args(l, k_perp)
     xi, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
-    ck = ctx.c * k_perp
+    ck = C_LIGHT * k_perp
     root = math.sqrt(ck * ck + mu * eps_tr * xi * xi)
     return (ck / eps_l + (root - ck) / eps_tr) / xi
 
@@ -192,7 +198,7 @@ def z_local(l: int, k_perp: float, eps_l: float, mu_l: float,
     if eps_l < 1.0:
         raise ValueError("eps_l must be >= 1 on the imaginary axis")
     xi = matsubara_xi(l, ctx)
-    root = math.sqrt((ctx.c * k_perp) ** 2 + mu_l * eps_l * xi * xi)
+    root = math.sqrt((C_LIGHT * k_perp) ** 2 + mu_l * eps_l * xi * xi)
     return ImpedancePair(z_tm=root / (xi * eps_l), z_te=xi * mu_l / root,
                          l=l, k_perp=k_perp)
 
@@ -210,3 +216,30 @@ def impedance_pair(l: int, k_perp: float, m: MaterialModel,
     else:
         raise ValueError(f"unknown method {method!r}")
     return ImpedancePair(z_tm=z_tm, z_te=z_te, l=l, k_perp=k_perp)
+
+
+def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,
+                        ctx: MatsubaraContext) -> ReflectionPair:
+    """Reflection coefficients from surface impedances:
+
+    r_TM = (c q - xi Z_TM)/(c q + xi Z_TM),
+    r_TE = (c q Z_TE - xi)/(c q Z_TE + xi),   q = sqrt(k_perp^2 + xi^2/c^2).
+    """
+    if l < 1:
+        raise ValueError("impedance route requires l >= 1")
+    xi = matsubara_xi(l, ctx)
+    cq = C_LIGHT * math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
+    r_tm = (cq - xi * z.z_tm) / (cq + xi * z.z_tm)
+    r_te = (cq * z.z_te - xi) / (cq * z.z_te + xi)
+    return ReflectionPair(r_tm=r_tm, r_te=r_te, l=l, k_perp=k_perp)
+
+
+def refl_via_impedance(l: int, k_perp: float, m: MaterialModel,
+                       ctx: MatsubaraContext,
+                       mu_l: float | None = None) -> ReflectionPair:
+    """Coefficients through the closed-form impedances (algebraically
+    identical to refl_nonlocal_closed; kept as an independent code path)."""
+    z = ImpedancePair(z_tm=z_tm_closed(l, k_perp, m, ctx, mu_l),
+                      z_te=z_te_closed(l, k_perp, m, ctx, mu_l),
+                      l=l, k_perp=k_perp)
+    return refl_from_impedance(z, l, k_perp, ctx)

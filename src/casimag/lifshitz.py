@@ -8,7 +8,8 @@ The pressure is the Matsubara sum of transverse-wavevector integrals
 the prime halving the l = 0 term.  Substituting y = 2 a q_l turns each
 integral into (1/(8 a^3)) Int y^2 sum_pol x/(1-x) dy with x = r^2 e^(-y),
 which is evaluated by adaptive Gauss-Kronrod quadrature on the kernel
-backend; the bracket is always formed as x/(1-x) with x in [0, 1), so no
+backend (the compiled kernel, or the NumPy kernel of ``reflection.py``);
+the bracket is always formed as x/(1-x) with x in [0, 1), so no
 growing exponential is ever computed.
 
 The static term uses the exact zero-frequency reflection coefficients of
@@ -17,8 +18,10 @@ model carries an interband table, the bound-electron core replaces the
 leading "1" of the permittivities for l >= 1 (the static coefficients
 depend only on the free-electron parameters).
 
-Terms are summed serially in ascending l; results are deterministic for
-identical inputs.
+Every Matsubara frequency is ``matsubara_xi(l, ctx)`` and every prefactor
+uses ``ctx.temperature``: the MatsubaraContext is the one source of the
+temperature.  Terms are summed serially in ascending l; results are
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -29,18 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import adaptive_quad
-from .response import DRUDE, NONLOCAL, PLASMA, MaterialModel, \
-    MatsubaraContext, eps_core_at
+from .reflection import VARIANT_CODE, VARIANT_FIXED
+from .response import MaterialModel, MatsubaraContext, eps_core_at, \
+    matsubara_xi, mu_at
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
 Y_CUT = 45.0
-
-_VARIANT_CODE = {
-    DRUDE: backend.VARIANT_DRUDE,
-    PLASMA: backend.VARIANT_PLASMA,
-    NONLOCAL: backend.VARIANT_NONLOCAL,
-}
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,26 @@ class FixedReflection:
     """Test hook: constant reflection coefficients for every (l, k_perp).
 
     FixedReflection(1.0, -1.0) is the ideal metal; FixedReflection(0, 0)
-    is an empty interface with zero pressure.
+    is an empty interface with zero pressure.  |r| > 1 is rejected.
     """
 
     r_tm: float
     r_te: float
 
+    def __post_init__(self):
+        for name in ("r_tm", "r_te"):
+            if not abs(getattr(self, name)) <= 1.0:
+                raise ValueError(f"|{name}| must not exceed 1")
+
 
 @dataclass(frozen=True)
 class PressureQuery:
-    """One pressure evaluation: geometry, temperature, model, tolerances."""
+    """One pressure evaluation: geometry, model, tolerances.
+
+    The temperature comes from the MatsubaraContext it is evaluated with.
+    """
 
     separation: float
-    temperature: float
     model: MaterialModel | FixedReflection
     quad_tol: float = 1e-9
     series_tol: float = 1e-8
@@ -68,8 +74,6 @@ class PressureQuery:
     def __post_init__(self):
         if self.separation <= 0.0:
             raise ValueError("separation must be > 0")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
         for name in ("quad_tol", "series_tol"):
             tol = getattr(self, name)
             if not 0.0 < tol <= 1e-4:
@@ -98,26 +102,21 @@ class SeriesConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _kernel_args(model, xi: float, mu: float, eps_core: float) -> tuple:
+def _kernel_args(model, l: int, xi: float) -> tuple:
     """(variant, omega_p, gamma, mu, v_t, v_l, eps_core, r_tm, r_te)."""
     if isinstance(model, FixedReflection):
-        return (backend.VARIANT_FIXED, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0,
+        return (VARIANT_FIXED, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0,
                 model.r_tm, model.r_te)
-    return (_VARIANT_CODE[model.variant], model.omega_p, model.gamma, mu,
-            model.v_t, model.v_l, eps_core, 0.0, 0.0)
+    eps_core = eps_core_at(xi, model) if l >= 1 else 1.0
+    return (VARIANT_CODE[model.variant], model.omega_p, model.gamma,
+            mu_at(l, model), model.v_t, model.v_l, eps_core, 0.0, 0.0)
 
 
-def _term_integral(l: int, xi: float, a: float, model, ctx: MatsubaraContext,
+def _term_integral(l: int, xi: float, a: float, model,
                    quad_tol: float) -> tuple[float, float]:
     """(t_l, error estimate) of the y integral for one Matsubara index."""
-    c = ctx.c
-    if isinstance(model, FixedReflection):
-        mu = 1.0
-        eps_core = 1.0
-    else:
-        mu = model.mu0 if l == 0 else 1.0
-        eps_core = eps_core_at(xi, model) if l >= 1 else 1.0
-    args = _kernel_args(model, xi, mu, eps_core)
+    c = C_LIGHT
+    args = _kernel_args(model, l, xi)
 
     if l == 0:
         # substitute y = u^2: resolves the sqrt(k) cusp of the static TE
@@ -139,32 +138,29 @@ def _term_integral(l: int, xi: float, a: float, model, ctx: MatsubaraContext,
     return res.value, res.error
 
 
-def _xi_at(l: int, temperature: float, ctx: MatsubaraContext) -> float:
-    return 2.0 * math.pi * ctx.k_boltzmann * temperature * l / ctx.hbar
+def _prefactor(a: float, ctx: MatsubaraContext) -> float:
+    return -K_BOLTZMANN * ctx.temperature / (8.0 * math.pi * a**3)
 
 
-def _term_cap(a: float, temperature: float, ctx: MatsubaraContext) -> int:
+def _term_cap(a: float, ctx: MatsubaraContext) -> int:
     """Highest Matsubara index the sum may use before giving up."""
     if ctx.l_max_cap is not None:
         return ctx.l_max_cap
-    scale = ctx.c * ctx.hbar / (4.0 * math.pi * a
-                                * ctx.k_boltzmann * temperature)
+    scale = C_LIGHT * HBAR / (4.0 * math.pi * a
+                              * K_BOLTZMANN * ctx.temperature)
     return math.ceil(20.0 * scale) + 100
 
 
-def pressure_term(l: int, a: float, temperature: float, model,
-                  ctx: MatsubaraContext, quad_tol: float = 1e-9) -> float:
+def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
+                  quad_tol: float = 1e-9) -> float:
     """Contribution of a single Matsubara index to the pressure, in Pa.
 
     Includes the 1/2 weight of the l = 0 term.
     """
-    if l < 0:
-        raise ValueError("Matsubara index must be >= 0")
-    xi = _xi_at(l, temperature, ctx)
-    t_l, _ = _term_integral(l, xi, a, model, ctx, quad_tol)
+    xi = matsubara_xi(l, ctx)
+    t_l, _ = _term_integral(l, xi, a, model, quad_tol)
     weight = 0.5 if l == 0 else 1.0
-    pref = -ctx.k_boltzmann * temperature / (8.0 * math.pi * a**3)
-    return pref * weight * t_l
+    return _prefactor(a, ctx) * weight * t_l
 
 
 def pressure(q: PressureQuery, ctx: MatsubaraContext,
@@ -178,10 +174,10 @@ def pressure(q: PressureQuery, ctx: MatsubaraContext,
     number of terms is reached first.
     """
     a = q.separation
-    pref = -ctx.k_boltzmann * q.temperature / (8.0 * math.pi * a**3)
-    cap = _term_cap(a, q.temperature, ctx)
+    pref = _prefactor(a, ctx)
+    cap = _term_cap(a, ctx)
 
-    t0, err0 = _term_integral(0, 0.0, a, q.model, ctx, q.quad_tol)
+    t0, err0 = _term_integral(0, 0.0, a, q.model, q.quad_tol)
     accum = 0.5 * t0
     quad_err = 0.5 * err0
     terms = [(0, pref * 0.5 * t0)] if keep_terms else None
@@ -191,8 +187,8 @@ def pressure(q: PressureQuery, ctx: MatsubaraContext,
     prev_t = None
     l = 1
     while l < cap:  # terms_used (count incl. l = 0) never exceeds the cap
-        xi = _xi_at(l, q.temperature, ctx)
-        t_l, err_l = _term_integral(l, xi, a, q.model, ctx, q.quad_tol)
+        xi = matsubara_xi(l, ctx)
+        t_l, err_l = _term_integral(l, xi, a, q.model, q.quad_tol)
         accum += t_l
         quad_err += err_l
         if keep_terms:
@@ -230,8 +226,8 @@ def pressure(q: PressureQuery, ctx: MatsubaraContext,
         f"Matsubara sum not converged within {cap} terms", partial)
 
 
-def pressure_ratio_table(a_grid, temperature: float, models,
-                         ctx: MatsubaraContext, quad_tol: float = 1e-9,
+def pressure_ratio_table(a_grid, models, ctx: MatsubaraContext,
+                         quad_tol: float = 1e-9,
                          series_tol: float = 1e-8) -> list[dict]:
     """Pressure per model and all pairwise ratios on a separation grid.
 
@@ -248,9 +244,8 @@ def pressure_ratio_table(a_grid, temperature: float, models,
     for a in a_grid:
         row = {"a": float(a)}
         for name, model in models:
-            res = pressure(PressureQuery(separation=float(a),
-                                         temperature=temperature,
-                                         model=model, quad_tol=quad_tol,
+            res = pressure(PressureQuery(separation=float(a), model=model,
+                                         quad_tol=quad_tol,
                                          series_tol=series_tol), ctx)
             row[f"p_{name}"] = res.pressure
             row[f"terms_{name}"] = res.terms_used

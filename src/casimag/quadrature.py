@@ -3,8 +3,8 @@
 The pressure integrand is cheap per point but is evaluated very many times
 across the Matsubara sum, so the driver batches all 15 Kronrod nodes of a
 panel into a single call of a vectorized integrand (an array -> array
-function).  This lets the same driver run on either the compiled or the
-pure-NumPy kernel backend.
+function).  This lets the same driver run on either the compiled kernel
+or the NumPy kernel of ``reflection.py``.
 
 Panels are split worst-error-first until the summed error estimate falls
 below max(abs_tol, rel_tol * |integral|).  The per-panel error estimate is

@@ -1,16 +1,13 @@
-"""Dielectric and magnetic response functions on the imaginary frequency axis.
+"""Material models, the Matsubara context and the interband response.
 
-Implements the free-electron responses (dissipative and dissipationless),
-their spatially dispersive generalizations where the transverse and
-longitudinal permittivities acquire a wavevector dependence through
-characteristic velocities of the order of the Fermi velocity, and the
-interband contribution reconstructed from tabulated absorption data by a
-Kramers-Kronig transform.
-
-All permittivities are evaluated at purely imaginary frequencies
-``omega = i*xi`` with ``xi > 0``, where they are real and >= 1.  The static
-(``xi = 0``) limit is never evaluated here; it is handled analytically by
-the reflection-coefficient layer.
+A MaterialModel holds the free-electron parameters of one response
+variant: dissipative, dissipationless, or wavevector-dependent through
+characteristic velocities of the order of the Fermi velocity (its
+permittivities are in ``reflection.py``).  The interband contribution is
+reconstructed from tabulated absorption data by a Kramers-Kronig
+transform, evaluated at purely imaginary frequencies ``omega = i*xi`` with
+``xi > 0``.  The static (``xi = 0``) limit is handled analytically by the
+reflection layer.
 
 Every function in this module is pure and safe for concurrent use.
 """
@@ -22,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .constants import C_LIGHT, EV_TO_RAD_S, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
+from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
+from .csvio import read_numeric_csv
 
 DRUDE = "drude"
 PLASMA = "plasma"
@@ -80,21 +77,7 @@ class InterbandTable:
         Lines starting with ``#`` are comments.  omega_ev must be strictly
         increasing.
         """
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines or lines[0].replace(" ", "") != "omega_ev,im_eps":
-            raise ValueError(f"{path}: expected header 'omega_ev,im_eps'")
-        for i, ln in enumerate(lines[1:], start=2):
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: row {i}: expected 2 columns")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}: row {i}: non-numeric value") from None
-        return cls.from_rows_ev(rows)
+        return cls.from_rows_ev(read_numeric_csv(path, "omega_ev,im_eps"))
 
 
 @dataclass(frozen=True)
@@ -150,25 +133,20 @@ def nickel(variant: str = NONLOCAL, interband: InterbandTable | None = None,
 
 @dataclass(frozen=True)
 class MatsubaraContext:
-    """Temperature, physical constants and series policy for one run.
+    """Temperature and series policy for one run.
 
-    ``rel_tol`` is the general series tolerance; ``l_max_cap`` optionally
+    ``temperature`` (K) is the one source of the temperature for every
+    Matsubara frequency and pressure prefactor; ``l_max_cap`` optionally
     overrides the separation-derived cap on the number of Matsubara terms
     (None = derive it from the separation at evaluation time).
     """
 
     temperature: float
-    hbar: float = HBAR
-    k_boltzmann: float = K_BOLTZMANN
-    c: float = C_LIGHT
-    rel_tol: float = 1e-6
     l_max_cap: int | None = None
 
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError("temperature must be > 0")
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise ValueError("rel_tol must be in (0, 1e-3]")
         if self.l_max_cap is not None and self.l_max_cap < 10:
             raise ValueError("l_max_cap must be >= 10")
 
@@ -180,54 +158,13 @@ def matsubara_xi(l: int, ctx: MatsubaraContext) -> float:
     """
     if l < 0:
         raise ValueError("Matsubara index must be >= 0")
-    return 2.0 * PI * ctx.k_boltzmann * ctx.temperature * l / ctx.hbar
+    return 2.0 * PI * K_BOLTZMANN * ctx.temperature * l / HBAR
 
 
 def _check_xi(xi: float) -> None:
     if xi <= 0.0:
         raise ValueError("xi must be > 0 (the static term is handled "
                          "analytically by the reflection layer)")
-
-
-def eps_drude(xi: float, m: MaterialModel, core: float = 1.0) -> float:
-    """Dissipative free-electron permittivity core + wp^2/(xi(xi+gamma))."""
-    _check_xi(xi)
-    return core + m.omega_p**2 / (xi * (xi + m.gamma))
-
-
-def eps_plasma(xi: float, m: MaterialModel, core: float = 1.0) -> float:
-    """Dissipationless free-electron permittivity core + wp^2/xi^2."""
-    _check_xi(xi)
-    return core + m.omega_p**2 / xi**2
-
-
-def eps_transverse_nl(xi: float, k_perp: float, m: MaterialModel,
-                      core: float = 1.0) -> float:
-    """Transverse permittivity with wavevector dependence.
-
-    core + [wp^2/(xi(xi+gamma))] * (1 + v_t k_perp / xi).  Reduces to the
-    dissipative local form at k_perp = 0 and always lies at or above it.
-    """
-    _check_xi(xi)
-    if k_perp < 0.0:
-        raise ValueError("k_perp must be >= 0")
-    w = m.omega_p**2 / (xi * (xi + m.gamma))
-    return core + w * (1.0 + m.v_t * k_perp / xi)
-
-
-def eps_longitudinal_nl(xi: float, k_perp: float, m: MaterialModel,
-                        core: float = 1.0) -> float:
-    """Longitudinal permittivity with wavevector dependence.
-
-    core + [wp^2/(xi(xi+gamma))] / (1 + v_l k_perp / xi).  Reduces to the
-    dissipative local form at k_perp = 0 and is screened toward ``core``
-    for large v_l * k_perp / xi.
-    """
-    _check_xi(xi)
-    if k_perp < 0.0:
-        raise ValueError("k_perp must be >= 0")
-    w = m.omega_p**2 / (xi * (xi + m.gamma))
-    return core + w / (1.0 + m.v_l * k_perp / xi)
 
 
 def mu_at(l: int, m: MaterialModel) -> float:
@@ -313,19 +250,6 @@ def _eps_core_cached(xi, table, omega_p, gamma, quad_tol, tail_rel_tol):
             f"{tail / (total + tail):.2e} of the integral "
             f"(limit {tail_rel_tol:.1e})")
     return 1.0 + (2.0 / PI) * (total + tail)
-
-
-def eps_pair(xi: float, k_perp: float, m: MaterialModel,
-             core: float = 1.0) -> tuple[float, float]:
-    """(transverse, longitudinal) permittivity of ``m`` at (i xi, k_perp)."""
-    if m.variant == DRUDE:
-        e = eps_drude(xi, m, core)
-        return e, e
-    if m.variant == PLASMA:
-        e = eps_plasma(xi, m, core)
-        return e, e
-    return (eps_transverse_nl(xi, k_perp, m, core),
-            eps_longitudinal_nl(xi, k_perp, m, core))
 
 
 def eps_core_at(xi: float, m: MaterialModel) -> float:

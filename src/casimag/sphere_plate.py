@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .csvio import read_numeric_csv
 from .lifshitz import PressureQuery, pressure
 from .response import MatsubaraContext
 
@@ -69,7 +70,7 @@ class ExperimentDataset:
     @classmethod
     def from_csv(cls, path) -> "ExperimentDataset":
         """Read a CSV with header ``a_nm,grad_uN_per_m,err_uN_per_m``."""
-        rows = _read_numeric_csv(path, "a_nm,grad_uN_per_m,err_uN_per_m", 3)
+        rows = read_numeric_csv(path, "a_nm,grad_uN_per_m,err_uN_per_m")
         return cls(a=tuple(r[0] * 1e-9 for r in rows),
                    grad_expt=tuple(r[1] * 1e-6 for r in rows),
                    err_expt=tuple(r[2] * 1e-6 for r in rows))
@@ -91,34 +92,16 @@ class ComparisonRow:
     inside_ci: bool
 
 
-def _read_numeric_csv(path, expected_header: str, ncols: int) -> list[list[float]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0].replace(" ", "") != expected_header:
-        raise ValueError(f"{path}: expected header '{expected_header}'")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != ncols:
-            raise ValueError(f"{path}: row {i}: expected {ncols} columns")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}: row {i}: non-numeric value") from None
-    return rows
-
-
 def read_theta_table(path) -> tuple[tuple[float, float], ...]:
     """Read a PFA-correction table CSV with header ``a_nm,theta``."""
-    rows = _read_numeric_csv(path, "a_nm,theta", 2)
+    rows = read_numeric_csv(path, "a_nm,theta")
     return tuple((r[0] * 1e-9, r[1]) for r in rows)
 
 
-def gradient_pfa(a: float, temperature: float, model,
-                 geom: GeometryParams, ctx: MatsubaraContext,
+def gradient_pfa(a: float, model, geom: GeometryParams, ctx: MatsubaraContext,
                  quad_tol: float = 1e-9, series_tol: float = 1e-8) -> float:
-    """Sphere-plate force gradient F' = -2 pi R P(a, T), in N/m.
+    """Sphere-plate force gradient F' = -2 pi R P(a, T), in N/m, at the
+    temperature of ``ctx``.
 
     Positive for an attractive pressure.  Valid only well inside the
     proximity regime; separations above radius/10 are rejected.
@@ -126,8 +109,7 @@ def gradient_pfa(a: float, temperature: float, model,
     if a >= geom.radius / 10.0:
         raise ValueError("separation too large for the proximity-force "
                          f"regime (need a < R/10 = {geom.radius / 10.0:.3e} m)")
-    res = pressure(PressureQuery(separation=a, temperature=temperature,
-                                 model=model, quad_tol=quad_tol,
+    res = pressure(PressureQuery(separation=a, model=model, quad_tol=quad_tol,
                                  series_tol=series_tol), ctx)
     return -2.0 * math.pi * geom.radius * res.pressure
 
@@ -175,19 +157,19 @@ def apply_pfa_correction(grad: float, a: float, geom: GeometryParams) -> float:
     return grad * (1.0 + theta_at(a, geom) * a / geom.radius)
 
 
-def gradient_theory(a: float, temperature: float, model,
-                    geom: GeometryParams, ctx: MatsubaraContext,
+def gradient_theory(a: float, model, geom: GeometryParams,
+                    ctx: MatsubaraContext,
                     quad_tol: float = 1e-9, series_tol: float = 1e-8) -> float:
     """Full theoretical force gradient: PFA, then roughness, then the
     PFA correction, in N/m."""
-    grad = gradient_pfa(a, temperature, model, geom, ctx, quad_tol, series_tol)
+    grad = gradient_pfa(a, model, geom, ctx, quad_tol, series_tol)
     grad = apply_roughness(grad, a, geom)
     return apply_pfa_correction(grad, a, geom)
 
 
-def compare(data: ExperimentDataset, temperature: float, model,
-            geom: GeometryParams, ctx: MatsubaraContext,
-            err_theory_rel: float = 0.0, quad_tol: float = 1e-9,
+def compare(data: ExperimentDataset, model, geom: GeometryParams,
+            ctx: MatsubaraContext, err_theory_rel: float = 0.0,
+            quad_tol: float = 1e-9,
             series_tol: float = 1e-8) -> list[ComparisonRow]:
     """Per-point differences between theory and the measured gradients.
 
@@ -198,8 +180,7 @@ def compare(data: ExperimentDataset, temperature: float, model,
         raise ValueError("err_theory_rel must be >= 0")
     rows = []
     for a, g_expt, e_expt in zip(data.a, data.grad_expt, data.err_expt):
-        g_th = gradient_theory(a, temperature, model, geom, ctx,
-                               quad_tol, series_tol)
+        g_th = gradient_theory(a, model, geom, ctx, quad_tol, series_tol)
         delta = g_th - g_expt
         ci = math.hypot(e_expt, err_theory_rel * g_th)
         rows.append(ComparisonRow(a=a, grad_theory=g_th, delta=delta,

@@ -34,11 +34,10 @@ def check(criterion, ok, detail):
     assert ok, line
 
 
-def _pressure(a, model, series_tol=1e-8, quad_tol=1e-9, temperature=300.0,
-              ctx=CTX):
-    return pressure(PressureQuery(separation=a, temperature=temperature,
-                                  model=model, quad_tol=quad_tol,
-                                  series_tol=series_tol), ctx).pressure
+def _pressure(a, model, series_tol=1e-8, quad_tol=1e-9, ctx=CTX):
+    return pressure(PressureQuery(separation=a, model=model,
+                                  quad_tol=quad_tol, series_tol=series_tol),
+                    ctx).pressure
 
 
 def test_criterion_1_large_separation_ratios(ni_models):
@@ -153,7 +152,7 @@ def test_criterion_4_impedance_equivalence():
 
 def test_criterion_5_ideal_metal_oracle():
     a = 1e-6
-    res = pressure(PressureQuery(separation=a, temperature=1.0,
+    res = pressure(PressureQuery(separation=a,
                                  model=FixedReflection(1.0, -1.0),
                                  series_tol=1e-6),
                    MatsubaraContext(temperature=1.0))

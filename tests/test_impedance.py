@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from casimag import (MaterialModel, MatsubaraContext, impedance_pair,
-                     matsubara_xi, nickel, z_local, z_te_closed,
-                     z_te_integral, z_tm_closed, z_tm_integral)
+from casimag import (ImpedancePair, MaterialModel, MatsubaraContext,
+                     impedance_pair, matsubara_xi, nickel,
+                     refl_from_impedance, refl_nonlocal_closed, z_local,
+                     z_te_closed, z_te_integral, z_tm_closed, z_tm_integral)
+from casimag.constants import C_LIGHT
 
 CTX = MatsubaraContext(temperature=300.0)
 A_REF = 0.5e-6
@@ -17,8 +21,8 @@ VACUUM = MaterialModel(omega_p=1e-3, variant="drude")
 
 def vacuum_impedance_te(l, k_perp):
     xi = matsubara_xi(l, CTX)
-    q = math.sqrt(k_perp**2 + (xi / CTX.c) ** 2)
-    return xi / (CTX.c * q)
+    q = math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
+    return xi / (C_LIGHT * q)
 
 
 def vacuum_impedance_tm(l, k_perp):
@@ -76,6 +80,28 @@ class TestIntegralClosedEquivalence:
             zi = z_tm_integral(1, k_perp, m, ctx, mu_l=110.0)
             assert abs(zi / zc - 1.0) <= 1e-8
 
+    @seed(20261017)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(temperature=st.floats(1.0, 1000.0),
+           l=st.integers(1, 500),
+           k_perp=st.one_of(st.just(0.0),
+                            st.floats(2.0, math.log10(3e9)).map(
+                                lambda e: 10.0**e)),
+           mu=st.floats(1.0, 500.0),
+           variant=st.sampled_from(["drude", "plasma", "nonlocal"]))
+    def test_reflection_sweep(self, temperature, l, k_perp, mu, variant):
+        # k_perp << xi/c is where a k_perp-only tan-substitution scale fails
+        ctx = MatsubaraContext(temperature=temperature)
+        m = nickel(variant)
+        closed = refl_nonlocal_closed(l, k_perp, m, ctx, mu_l=mu)
+        z = ImpedancePair(z_tm=z_tm_integral(l, k_perp, m, ctx, mu_l=mu),
+                          z_te=z_te_integral(l, k_perp, m, ctx, mu_l=mu),
+                          l=l, k_perp=k_perp)
+        via = refl_from_impedance(z, l, k_perp, ctx)
+        assert abs(closed.r_tm) <= 1.0 and abs(closed.r_te) <= 1.0
+        assert abs(via.r_tm - closed.r_tm) <= 1e-9
+        assert abs(via.r_te - closed.r_te) <= 1e-9
+
     @pytest.mark.parametrize("mu", [1.0, 110.0])
     def test_local_oracle_for_tm_integral(self, mu):
         # local medium: Z_TM = sqrt(c^2 k^2 + mu eps xi^2)/(xi eps)
@@ -83,7 +109,7 @@ class TestIntegralClosedEquivalence:
         l, k_perp = 2, 1.0 / A_REF
         xi = matsubara_xi(l, CTX)
         eps = 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
-        expected = math.sqrt((CTX.c * k_perp) ** 2
+        expected = math.sqrt((C_LIGHT * k_perp) ** 2
                              + mu * eps * xi * xi) / (xi * eps)
         assert z_tm_integral(l, k_perp, m, CTX, mu_l=mu) == pytest.approx(
             expected, rel=1e-8)
@@ -146,7 +172,7 @@ class TestProperties:
         l, k_perp = 3, 2e6
         xi = matsubara_xi(l, CTX)
         eps = 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
-        expected = xi / math.sqrt((CTX.c * k_perp) ** 2 + eps * xi * xi)
+        expected = xi / math.sqrt((C_LIGHT * k_perp) ** 2 + eps * xi * xi)
         assert z_te_closed(l, k_perp, m, CTX) == pytest.approx(expected,
                                                                rel=1e-14)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from casimag import MatsubaraContext, backend, matsubara_xi, nickel, refl_pair
-from casimag import _kernel_py
+from casimag import reflection
+from casimag.constants import C_LIGHT
 
 CTX = MatsubaraContext(temperature=300.0)
 A = 0.5e-6
@@ -31,7 +32,7 @@ def reference_summand(y, model, l):
     out = np.empty_like(y)
     for i, yi in enumerate(y):
         q = yi / (2.0 * A)
-        k = math.sqrt(max(q * q - (xi / CTX.c) ** 2, 0.0))
+        k = math.sqrt(max(q * q - (xi / C_LIGHT) ** 2, 0.0))
         r = refl_pair(l, k, model, CTX)
         damp = math.exp(-yi)
         x_tm = r.r_tm**2 * damp
@@ -45,9 +46,9 @@ def reference_summand(y, model, l):
 def test_kernel_matches_reflection_module(variant, l):
     model = nickel(variant)
     xi = matsubara_xi(l, CTX)
-    y_lo = 2.0 * A * xi / CTX.c
+    y_lo = 2.0 * A * xi / C_LIGHT
     y = np.linspace(y_lo + 0.05, y_lo + 30.0, 101)
-    got = backend.lifshitz_summand(y, xi, A, CTX.c, *kernel_args(model, l))
+    got = backend.lifshitz_summand(y, xi, A, C_LIGHT, *kernel_args(model, l))
     expected = reference_summand(y, model, l)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -62,14 +63,14 @@ def test_compiled_and_python_backends_agree(variant_code, xi):
             ni.v_t, ni.v_l, 1.0, 0.7, -0.4)
     if variant_code == 2 and xi == 0.0 and ni.gamma == 0.0:
         pytest.skip("static nonlocal needs dissipation")
-    a = _kernel_cy.lifshitz_summand(y, xi, A, CTX.c, *args)
-    b = _kernel_py.lifshitz_summand(y, xi, A, CTX.c, *args)
+    a = _kernel_cy.lifshitz_summand(y, xi, A, C_LIGHT, *args)
+    b = reflection.lifshitz_summand(y, xi, A, C_LIGHT, *args)
     np.testing.assert_allclose(a, b, rtol=1e-11)  # ulp-level libm differences
 
 
 def test_fixed_reflection_analytic():
     y = np.array([0.5, 2.0, 10.0])
-    got = backend.lifshitz_summand(y, 1e14, A, CTX.c, 3, 1.0, 0.0, 1.0,
+    got = backend.lifshitz_summand(y, 1e14, A, C_LIGHT, 3, 1.0, 0.0, 1.0,
                                    0.0, 0.0, 1.0, 0.5, -0.25)
     x_tm = 0.25 * np.exp(-y)
     x_te = 0.0625 * np.exp(-y)
@@ -79,7 +80,7 @@ def test_fixed_reflection_analytic():
 
 def test_vacuum_hook_is_exactly_zero():
     y = np.linspace(0.1, 40.0, 50)
-    got = backend.lifshitz_summand(y, 0.0, A, CTX.c, 3, 1.0, 0.0, 1.0,
+    got = backend.lifshitz_summand(y, 0.0, A, C_LIGHT, 3, 1.0, 0.0, 1.0,
                                    0.0, 0.0, 1.0, 0.0, 0.0)
     assert np.all(got == 0.0)
 
@@ -87,7 +88,7 @@ def test_vacuum_hook_is_exactly_zero():
 def test_no_overflow_at_extreme_arguments():
     # the bracket is formed as x/(1-x); exp(+y) is never evaluated
     y = np.array([100.0, 400.0, 700.0])
-    got = backend.lifshitz_summand(y, 1e15, A, CTX.c, 3, 1.0, 0.0, 1.0,
+    got = backend.lifshitz_summand(y, 1e15, A, C_LIGHT, 3, 1.0, 0.0, 1.0,
                                    0.0, 0.0, 1.0, 1.0, -1.0)
     assert np.all(np.isfinite(got))
     assert np.all(got >= 0.0)
@@ -98,9 +99,9 @@ def test_interband_core_shifts_permittivity():
     ni = nickel("nonlocal")
     y = np.array([1.0, 3.0, 8.0])
     xi = matsubara_xi(1, CTX)
-    base = backend.lifshitz_summand(y, xi, A, CTX.c, 2, ni.omega_p, ni.gamma,
+    base = backend.lifshitz_summand(y, xi, A, C_LIGHT, 2, ni.omega_p, ni.gamma,
                                     1.0, ni.v_t, ni.v_l, 1.0, 0.0, 0.0)
-    shifted = backend.lifshitz_summand(y, xi, A, CTX.c, 2, ni.omega_p,
+    shifted = backend.lifshitz_summand(y, xi, A, C_LIGHT, 2, ni.omega_p,
                                        ni.gamma, 1.0, ni.v_t, ni.v_l, 50.0,
                                        0.0, 0.0)
     assert np.all(shifted > base)  # larger eps reflects more

@@ -7,6 +7,7 @@ from casimag import (ImpedancePair, MaterialModel, MatsubaraContext,
                      refl_nonlocal_closed, refl_pair, refl_via_impedance,
                      refl_zero_freq, refl_zero_freq_local, z_te_integral,
                      z_tm_integral)
+from casimag.constants import C_LIGHT
 
 CTX = MatsubaraContext(temperature=300.0)
 NI = nickel("nonlocal")
@@ -15,7 +16,7 @@ NI = nickel("nonlocal")
 def test_vacuum_impedances_give_zero_reflection():
     l, k_perp = 1, 2e6
     xi = matsubara_xi(l, CTX)
-    cq = CTX.c * math.sqrt(k_perp**2 + (xi / CTX.c) ** 2)
+    cq = C_LIGHT * math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
     r = refl_from_impedance(ImpedancePair(z_tm=cq / xi, z_te=xi / cq,
                                           l=l, k_perp=k_perp), l, k_perp, CTX)
     assert r.r_tm == pytest.approx(0.0, abs=1e-15)

@@ -140,8 +140,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MatsubaraContext(temperature=0.0)
         with pytest.raises(ValueError):
-            MatsubaraContext(temperature=300.0, rel_tol=1e-2)
-        with pytest.raises(ValueError):
             MatsubaraContext(temperature=300.0, l_max_cap=5)
 
 
@@ -176,6 +174,13 @@ class TestInterbandTable:
         path = tmp_path / "opt.csv"
         path.write_text("omega_ev,im_eps\n0.5,two\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 2"):
+            InterbandTable.from_csv(path)
+
+    def test_csv_error_names_file_line(self, tmp_path):
+        path = tmp_path / "opt.csv"
+        path.write_text("# comment line\n\nomega_ev,im_eps\n0.5,2.0\n"
+                        "1.0,two\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 5: non-numeric"):
             InterbandTable.from_csv(path)
 
 

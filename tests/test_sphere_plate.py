@@ -19,7 +19,7 @@ class TestGradientPfa:
                                 series_tail_bound=0.0, quad_error=0.0)
         monkeypatch.setattr("casimag.sphere_plate.pressure",
                             lambda q, ctx: forced)
-        grad = gradient_pfa(3e-7, 300.0, nickel("drude"), GEOM, CTX)
+        grad = gradient_pfa(3e-7, nickel("drude"), GEOM, CTX)
         # 2 pi R with R = 61.71 um
         assert grad == pytest.approx(3.877353653060523e-4, rel=1e-12)
 
@@ -28,24 +28,23 @@ class TestGradientPfa:
                                 series_tail_bound=0.0, quad_error=0.0)
         monkeypatch.setattr("casimag.sphere_plate.pressure",
                             lambda q, ctx: forced)
-        g1 = gradient_pfa(3e-7, 300.0, nickel("drude"), GEOM, CTX)
+        g1 = gradient_pfa(3e-7, nickel("drude"), GEOM, CTX)
         geom2 = GeometryParams(radius=2 * GEOM.radius)
-        g2 = gradient_pfa(3e-7, 300.0, nickel("drude"), geom2, CTX)
+        g2 = gradient_pfa(3e-7, nickel("drude"), geom2, CTX)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-14)
 
     def test_composes_with_pressure(self):
         a = 3e-7
         model = nickel("nonlocal")
-        grad = gradient_pfa(a, 300.0, model, GEOM, CTX)
-        p = pressure(PressureQuery(separation=a, temperature=300.0,
-                                   model=model), CTX).pressure
+        grad = gradient_pfa(a, model, GEOM, CTX)
+        p = pressure(PressureQuery(separation=a, model=model), CTX).pressure
         assert grad == pytest.approx(-2.0 * math.pi * GEOM.radius * p,
                                      rel=1e-12)
         assert grad > 0.0
 
     def test_proximity_regime_enforced(self):
         with pytest.raises(ValueError, match="proximity"):
-            gradient_pfa(7e-6, 300.0, nickel("drude"), GEOM, CTX)
+            gradient_pfa(7e-6, nickel("drude"), GEOM, CTX)
 
 
 class TestRoughness:
@@ -116,7 +115,7 @@ class TestPfaCorrection:
 
 
 def synthetic_dataset(model, geom, separations, err=1e-8, offset=0.0):
-    grads = [gradient_theory(a, 300.0, model, geom, CTX)
+    grads = [gradient_theory(a, model, geom, CTX)
              for a in separations]
     return ExperimentDataset(a=tuple(separations),
                              grad_expt=tuple(g + offset for g in grads),
@@ -129,7 +128,7 @@ class TestCompare:
     def test_self_consistency(self):
         model = nickel("nonlocal")
         data = synthetic_dataset(model, GEOM, self.SEPARATIONS)
-        rows = compare(data, 300.0, model, GEOM, CTX)
+        rows = compare(data, model, GEOM, CTX)
         for row in rows:
             assert row.delta == pytest.approx(0.0, abs=1e-12 * row.grad_theory)
             assert row.inside_ci
@@ -141,7 +140,7 @@ class TestCompare:
             a=base.a,
             grad_expt=tuple(g + 3.0 * 1e-8 for g in base.grad_expt),
             err_expt=base.err_expt)
-        rows = compare(shifted, 300.0, model, GEOM, CTX)
+        rows = compare(shifted, model, GEOM, CTX)
         assert all(not row.inside_ci for row in rows)
 
     def test_translation_consistency(self):
@@ -152,8 +151,8 @@ class TestCompare:
             a=data.a,
             grad_expt=tuple(g + shift for g in data.grad_expt),
             err_expt=data.err_expt)
-        r1 = compare(data, 300.0, model, GEOM, CTX)
-        r2 = compare(shifted, 300.0, model, GEOM, CTX)
+        r1 = compare(data, model, GEOM, CTX)
+        r2 = compare(shifted, model, GEOM, CTX)
         for a, b in zip(r1, r2):
             assert b.delta == pytest.approx(a.delta - shift, rel=1e-12)
 
@@ -161,13 +160,13 @@ class TestCompare:
         # data generated from the dissipative local theory, compared
         # against the wavevector-dependent one: differences are one-signed
         data = synthetic_dataset(nickel("drude"), GEOM, self.SEPARATIONS)
-        rows = compare(data, 300.0, nickel("nonlocal"), GEOM, CTX)
+        rows = compare(data, nickel("nonlocal"), GEOM, CTX)
         assert all(row.delta < 0.0 for row in rows)
 
     def test_theory_error_enters_ci(self):
         model = nickel("drude")
         data = synthetic_dataset(model, GEOM, self.SEPARATIONS, err=1e-9)
-        rows = compare(data, 300.0, model, GEOM, CTX, err_theory_rel=0.01)
+        rows = compare(data, model, GEOM, CTX, err_theory_rel=0.01)
         for row in rows:
             expected = math.hypot(1e-9, 0.01 * row.grad_theory)
             assert row.ci_halfwidth == pytest.approx(expected, rel=1e-12)
