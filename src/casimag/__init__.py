@@ -7,12 +7,12 @@ and reflection coefficients are available both in closed form and through
 numerical wavevector integrals that validate them.
 """
 
-from .backend import BACKEND
-from .impedance import ImpedancePair, QuadratureError, WaveNumbers, \
-    impedance_pair, refl_from_impedance, refl_via_impedance, wave_numbers, \
-    z_local, z_te_closed, z_te_integral, z_tm_closed, z_tm_integral
+from .impedance import ImpedancePair, impedance_pair, \
+    refl_from_impedance, refl_via_impedance, z_local, z_te_closed, \
+    z_te_integral, z_tm_closed, z_tm_integral
 from .lifshitz import FixedReflection, PressureQuery, PressureResult, \
     SeriesConvergenceError, pressure, pressure_ratio_table, pressure_term
+from .quadrature import QuadratureError
 from .reflection import ReflectionPair, eps_drude, eps_longitudinal_nl, \
     eps_plasma, eps_transverse_nl, refl_fresnel, refl_nonlocal_closed, \
     refl_pair, refl_static, refl_zero_freq, refl_zero_freq_local

@@ -1,24 +1,10 @@
-"""Kernel backend selection: compiled extension with pure-NumPy fallback.
+"""Alias of the one integrand kernel, ``reflection.lifshitz_summand``.
 
-The compiled kernel is used when the extension built; setting the
-environment variable ``CASIMAG_PURE_PYTHON=1`` before import forces the
-NumPy kernel of ``casimag.reflection`` (used by the benchmark and the
-backend-parity tests).
+No module of the package imports this one.  It exists only because the
+per-layer benchmark tracer (``perfbench/tracer.py``) names its ``kernel``
+binding as ``casimag.backend.lifshitz_summand``; the tracer wraps that
+function object wherever it is bound, so the alias keeps the kernel and
+the static/Matsubara split of the trace populated.
 """
 
-import os
-
-from . import reflection
-
-if os.environ.get("CASIMAG_PURE_PYTHON"):
-    _impl = reflection
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel as _impl
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = reflection
-        BACKEND = "python"
-
-lifshitz_summand = _impl.lifshitz_summand
+from .reflection import lifshitz_summand

@@ -14,9 +14,10 @@ import sys
 from .config import ConfigError, build_context, build_geometry, \
     build_material, parse_config, separation_grid
 from .csvio import write_csv
-from .impedance import QuadratureError, impedance_pair
+from .impedance import impedance_pair
 from .lifshitz import PressureQuery, SeriesConvergenceError, pressure, \
     pressure_ratio_table
+from .quadrature import QuadratureError
 from .reflection import refl_pair
 from .response import VARIANTS
 from .sphere_plate import ExperimentDataset, compare, gradient_theory

@@ -88,6 +88,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"line {lineno}: field '{key}': non-numeric value "
                     f"'{value}'") from None
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"line {lineno}: field '{key}': "
+                                  f"non-finite value '{value}'")
         elif key in _INT_KEYS:
             try:
                 values[key] = int(value)

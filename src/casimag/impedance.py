@@ -20,22 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .constants import C_LIGHT
+from .quadrature import QuadratureError
 from .reflection import ReflectionPair, eps_pair
 from .response import MaterialModel, MatsubaraContext, eps_core_at, \
     matsubara_xi, mu_at
 
 KZ_QUAD_TOL = 1e-10
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to reach its tolerance; carries the achieved error."""
-
-    def __init__(self, message: str, achieved_error: float):
-        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
-        self.achieved_error = achieved_error
 
 
 @dataclass(frozen=True)
@@ -46,31 +37,6 @@ class ImpedancePair:
     z_te: float
     l: int
     k_perp: float
-
-
-@dataclass(frozen=True)
-class WaveNumbers:
-    """Vacuum and medium wavenumbers entering the reflection coefficients.
-
-    q_l = sqrt(k_perp^2 + xi_l^2/c^2); k_mu_tr replaces xi_l^2/c^2 by
-    mu_l eps_tr xi_l^2/c^2.
-    """
-
-    k_perp: float
-    q_l: float
-    k_mu_tr: float
-
-
-def wave_numbers(l: int, k_perp: float, m: MaterialModel,
-                 ctx: MatsubaraContext, mu_l: float | None = None) -> WaveNumbers:
-    """Compute q_l and k_mu_tr for the model at (l, k_perp), l >= 1."""
-    _check_positive_args(l, k_perp)
-    xi = matsubara_xi(l, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
-    eps_tr, _ = eps_pair(xi, k_perp, m, eps_core_at(xi, m))
-    q = math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
-    k_mu = math.sqrt(k_perp**2 + mu * eps_tr * (xi / C_LIGHT) ** 2)
-    return WaveNumbers(k_perp=k_perp, q_l=q, k_mu_tr=k_mu)
 
 
 def _check_positive_args(l: int, k_perp: float) -> None:
@@ -99,6 +65,8 @@ def _tan_sub_quad(f, scale: float) -> float:
     sqrt(k_perp^2 + mu eps xi^2/c^2), and a scale set by k_perp alone
     crowds them into theta ~ pi/2 when k_perp << xi/c.
     """
+    from scipy.integrate import quad  # deferred: no CLI path needs scipy
+
     def g(theta):
         t = math.tan(theta)
         kz = scale * t

@@ -7,10 +7,9 @@ The pressure is the Matsubara sum of transverse-wavevector integrals
 
 the prime halving the l = 0 term.  Substituting y = 2 a q_l turns each
 integral into (1/(8 a^3)) Int y^2 sum_pol x/(1-x) dy with x = r^2 e^(-y),
-which is evaluated by adaptive Gauss-Kronrod quadrature on the kernel
-backend (the compiled kernel, or the NumPy kernel of ``reflection.py``);
-the bracket is always formed as x/(1-x) with x in [0, 1), so no
-growing exponential is ever computed.
+which is evaluated by adaptive Gauss-Kronrod quadrature on the NumPy
+kernel ``reflection.lifshitz_summand``; the bracket is always formed as
+x/(1-x) with x in [0, 1), so no growing exponential is ever computed.
 
 The static term uses the exact zero-frequency reflection coefficients of
 the model variant; all terms with l >= 1 use unit permeability.  When the
@@ -31,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import adaptive_quad
-from .reflection import VARIANT_CODE, VARIANT_FIXED
+from .reflection import VARIANT_CODE, VARIANT_FIXED, lifshitz_summand
 from .response import MaterialModel, MatsubaraContext, eps_core_at, \
     matsubara_xi, mu_at
 
@@ -72,8 +70,8 @@ class PressureQuery:
     series_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.separation <= 0.0:
-            raise ValueError("separation must be > 0")
+        if not 0.0 < self.separation < math.inf:
+            raise ValueError("separation must be finite and > 0")
         for name in ("quad_tol", "series_tol"):
             tol = getattr(self, name)
             if not 0.0 < tol <= 1e-4:
@@ -123,7 +121,7 @@ def _term_integral(l: int, xi: float, a: float, model,
         # coefficient at small wavevectors
         def f(u):
             u = np.asarray(u)
-            return 2.0 * u * backend.lifshitz_summand(u * u, 0.0, a, c, *args)
+            return 2.0 * u * lifshitz_summand(u * u, 0.0, a, c, *args)
 
         res = adaptive_quad(f, 0.0, math.sqrt(Y_CUT), rel_tol=quad_tol)
         return res.value, res.error
@@ -131,7 +129,7 @@ def _term_integral(l: int, xi: float, a: float, model,
     y_lo = 2.0 * a * xi / c
 
     def f(y):
-        return backend.lifshitz_summand(y, xi, a, c, *args)
+        return lifshitz_summand(y, xi, a, c, *args)
 
     res = adaptive_quad(f, y_lo, y_lo + Y_CUT, rel_tol=quad_tol,
                         initial_panels=6)

@@ -3,8 +3,7 @@
 The pressure integrand is cheap per point but is evaluated very many times
 across the Matsubara sum, so the driver batches all 15 Kronrod nodes of a
 panel into a single call of a vectorized integrand (an array -> array
-function).  This lets the same driver run on either the compiled kernel
-or the NumPy kernel of ``reflection.py``.
+function), such as the NumPy kernel of ``reflection.py``.
 
 Panels are split worst-error-first until the summed error estimate falls
 below max(abs_tol, rel_tol * |integral|).  The per-panel error estimate is
@@ -19,8 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .impedance import QuadratureError
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
 _XGK = np.array([
@@ -46,6 +43,14 @@ _WG = np.array([
     0.3818300505051189, 0.2797053914892767, 0.1294849661688697,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature failed to reach its tolerance; carries the achieved error."""
+
+    def __init__(self, message: str, achieved_error: float):
+        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
+        self.achieved_error = achieved_error
 
 
 @dataclass

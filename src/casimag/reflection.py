@@ -6,8 +6,7 @@ axis.  The NumPy kernel is ``free_electron_eps`` (the permittivity pair),
 permittivities are singular at xi = 0), ``matsubara_coefficients``
 (l >= 1) and ``lifshitz_summand`` built from them.  These take raw
 parameters, broadcast over arrays or Python floats, and check nothing;
-``casimag.backend`` falls back to ``lifshitz_summand`` when its compiled
-twin in ``_kernel.pyx`` (same variant codes, same formulas) is missing.
+``lifshitz_summand`` is the one integrand of the pressure quadrature.
 The scalar API (``eps_*``, ``refl_*``) validates its inputs and computes
 through the kernel.  On the imaginary axis every coefficient is real with
 |r| <= 1.

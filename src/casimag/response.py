@@ -22,6 +22,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
 from .csvio import read_numeric_csv
+from .quadrature import adaptive_quad
 
 DRUDE = "drude"
 PLASMA = "plasma"
@@ -42,10 +43,10 @@ class InterbandTable:
     """Tabulated imaginary part of the permittivity, Im eps(omega).
 
     ``omega`` is in rad/s, strictly increasing, at least two rows;
-    ``im_eps`` is dimensionless and nonnegative.  The table represents
-    measured absorption of the real metal, including its free-electron
-    part; the Drude background is subtracted downstream when the interband
-    excess is formed.
+    ``im_eps`` is dimensionless and nonnegative; every value is finite.
+    The table represents measured absorption of the real metal, including
+    its free-electron part; the Drude background is subtracted downstream
+    when the interband excess is formed.
     """
 
     omega: tuple[float, ...]
@@ -56,6 +57,8 @@ class InterbandTable:
             raise ValueError("interband table needs at least 2 rows")
         if len(self.omega) != len(self.im_eps):
             raise ValueError("interband table columns differ in length")
+        if not all(map(math.isfinite, (*self.omega, *self.im_eps))):
+            raise ValueError("interband table values must be finite")
         if any(w2 <= w1 for w1, w2 in zip(self.omega, self.omega[1:])):
             raise ValueError("interband table omega must be strictly increasing")
         if self.omega[0] <= 0.0:
@@ -102,12 +105,12 @@ class MaterialModel:
     variant: str = DRUDE
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise ValueError("omega_p must be > 0")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.mu0 < 1.0:
-            raise ValueError("mu0 must be >= 1")
+        if not 0.0 < self.omega_p < math.inf:
+            raise ValueError("omega_p must be finite and > 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        if not 1.0 <= self.mu0 < math.inf:
+            raise ValueError("mu0 must be finite and >= 1")
         for name in ("v_t", "v_l"):
             v = getattr(self, name)
             if not 0.0 <= v < C_LIGHT:
@@ -145,8 +148,8 @@ class MatsubaraContext:
     l_max_cap: int | None = None
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and > 0")
         if self.l_max_cap is not None and self.l_max_cap < 10:
             raise ValueError("l_max_cap must be >= 10")
 
@@ -216,8 +219,6 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel,
 
 @functools.lru_cache(maxsize=4096)
 def _eps_core_cached(xi, table, omega_p, gamma, quad_tol, tail_rel_tol):
-    from .quadrature import adaptive_quad
-
     omega = np.asarray(table.omega)
     im_eps = np.asarray(table.im_eps)
 

@@ -35,17 +35,18 @@ class GeometryParams:
     theta_table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be > 0")
-        if self.delta_s < 0.0 or self.delta_p < 0.0:
-            raise ValueError("roughness must be >= 0")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and > 0")
+        if not (0.0 <= self.delta_s < math.inf
+                and 0.0 <= self.delta_p < math.inf):
+            raise ValueError("roughness must be finite and >= 0")
         if self.theta_table is not None:
             a_prev = 0.0
             for a, theta in self.theta_table:
-                if a <= a_prev:
-                    raise ValueError("theta_table separations must be "
+                if not a_prev < a < math.inf:
+                    raise ValueError("theta_table separations must be finite, "
                                      "strictly increasing and positive")
-                if abs(theta) > 1.0:
+                if not abs(theta) <= 1.0:
                     raise ValueError("|theta| must not exceed 1")
                 a_prev = a
 
@@ -62,6 +63,9 @@ class ExperimentDataset:
         n = len(self.a)
         if n == 0 or len(self.grad_expt) != n or len(self.err_expt) != n:
             raise ValueError("dataset columns empty or of differing length")
+        if not all(map(math.isfinite,
+                       (*self.a, *self.grad_expt, *self.err_expt))):
+            raise ValueError("dataset values must be finite")
         if any(a2 <= a1 for a1, a2 in zip(self.a, self.a[1:])):
             raise ValueError("separations must be strictly increasing")
         if any(e <= 0.0 for e in self.err_expt):

@@ -1,7 +1,12 @@
 """End-to-end command-line tests (in-process via main())."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import casimag
 from casimag.cli import main
 from casimag.csvio import read_csv
 
@@ -217,11 +222,24 @@ class TestExitCodes:
         assert run(["pressure", "--config", str(cfg)]) == 1
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_invalid_value_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("key,value", [
+        ("omega_p_ev", "-4"),
+        ("omega_p_ev", "inf"),
+        ("gamma_ev", "inf"),
+        ("mu0", "inf"),
+        ("a_min_nm", "inf"),
+        ("a_max_nm", "inf"),
+        ("temperature_k", "inf"),
+    ])
+    def test_invalid_value_is_validation_error(self, tmp_path, capsys, key,
+                                               value):
+        lines = [ln for ln in BASE.splitlines()
+                 if not ln.startswith(f"{key} =")]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("omega_p_ev = 4.89", "omega_p_ev = -4"),
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n",
                        encoding="utf-8")
         assert run(["pressure", "--config", str(cfg)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert run(["pressure", "--config", "/no/such/file.cfg"]) == 1
@@ -234,3 +252,14 @@ class TestExitCodes:
                        + "l_max_cap = 10\n", encoding="utf-8")
         assert run(["pressure", "--config", str(cfg)]) == 2
         assert "not converged" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the k_z-integral oracle; a CLI start must not pay
+    # for importing it
+    src = os.path.dirname(os.path.dirname(casimag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, casimag.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
-                     PressureQuery, SeriesConvergenceError, backend,
+                     PressureQuery, SeriesConvergenceError, lifshitz,
                      matsubara_xi, nickel, pressure, pressure_ratio_table,
                      pressure_term, refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
@@ -165,14 +165,14 @@ def test_non_convergence_reports_partial_sum():
 @pytest.mark.parametrize("temperature", [4.0, 300.0])
 def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     ctx = MatsubaraContext(temperature=temperature)
-    kernel = backend.lifshitz_summand
+    kernel = lifshitz.lifshitz_summand
     seen = []
 
     def spy(y, xi, *args):
         seen.append(xi)
         return kernel(y, xi, *args)
 
-    monkeypatch.setattr(backend, "lifshitz_summand", spy)
+    monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
     model = nickel("drude")
     res = pressure(PressureQuery(separation=5e-6, model=model), ctx)
     assert set(seen) == {matsubara_xi(l, ctx) for l in range(res.terms_used)}
@@ -195,6 +195,12 @@ def test_query_validation():
         PressureQuery(separation=1e-6, model=nickel("drude"), quad_tol=1e-3)
     with pytest.raises(ValueError):
         PressureQuery(separation=1e-6, model=nickel("drude"), series_tol=0.0)
+
+
+@pytest.mark.parametrize("separation", [math.nan, math.inf])
+def test_query_rejects_non_finite_separation(separation):
+    with pytest.raises(ValueError, match="separation must be finite"):
+        PressureQuery(separation=separation, model=nickel("drude"))
 
 
 class TestRatioTable:

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimag.impedance import QuadratureError
-from casimag.quadrature import adaptive_quad
+from casimag.quadrature import QuadratureError, adaptive_quad
 
 
 def test_polynomial_single_panel():

@@ -136,11 +136,23 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MaterialModel(omega_p=1.0, variant="lorentz")
 
-    def test_context_bounds(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"temperature": 0.0},
+        {"temperature": 300.0, "l_max_cap": 5},
+        {"temperature": math.nan},
+        {"temperature": math.inf},
+    ], ids=["zero-temperature", "cap-below-10", "nan-temperature",
+            "inf-temperature"])
+    def test_context_bounds(self, kwargs):
         with pytest.raises(ValueError):
-            MatsubaraContext(temperature=0.0)
-        with pytest.raises(ValueError):
-            MatsubaraContext(temperature=300.0, l_max_cap=5)
+            MatsubaraContext(**kwargs)
+
+    @pytest.mark.parametrize("field", ["omega_p", "gamma", "mu0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        kwargs = {"omega_p": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MaterialModel(**kwargs)
 
 
 class TestInterbandTable:
@@ -155,6 +167,16 @@ class TestInterbandTable:
     def test_nonnegative_im(self):
         with pytest.raises(ValueError):
             InterbandTable(omega=(1.0, 2.0), im_eps=(1.0, -0.1))
+
+    @pytest.mark.parametrize("omega,im_eps", [
+        ((1.0, math.nan), (1.0, 1.0)),
+        ((1.0, math.inf), (1.0, 1.0)),
+        ((1.0, 2.0), (math.nan, 1.0)),
+        ((1.0, 2.0), (1.0, math.inf)),
+    ], ids=["omega-nan", "omega-inf", "im_eps-nan", "im_eps-inf"])
+    def test_non_finite_values_rejected(self, omega, im_eps):
+        with pytest.raises(ValueError, match="finite"):
+            InterbandTable(omega=omega, im_eps=im_eps)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "opt.csv"

@@ -102,6 +102,19 @@ class TestPfaCorrection:
         with pytest.raises(ValueError):
             GeometryParams(radius=1e-5, theta_table=((1e-9, -1.5),))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": math.nan},
+        {"radius": math.inf},
+        {"radius": 1e-5, "delta_s": math.nan},
+        {"radius": 1e-5, "delta_p": math.inf},
+        {"radius": 1e-5, "theta_table": ((math.inf, 0.1),)},
+        {"radius": 1e-5, "theta_table": ((1e-9, math.nan),)},
+    ], ids=["radius-nan", "radius-inf", "delta_s-nan", "delta_p-inf",
+            "theta_a-inf", "theta-nan"])
+    def test_non_finite_geometry_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            GeometryParams(**kwargs)
+
     def test_correction_order_is_immaterial_to_second_order(self):
         geom = GeometryParams(radius=61.71e-6, delta_s=1.5e-9, delta_p=1.4e-9,
                               theta_table=((1e-9, -1.0), (1e-3, -1.0)))
@@ -191,6 +204,14 @@ class TestDatasets:
         with pytest.raises(ValueError):
             ExperimentDataset(a=(1e-7, 2e-7), grad_expt=(1.0, 2.0),
                               err_expt=(0.1, 0.0))
+
+    @pytest.mark.parametrize("column", ["a", "grad_expt", "err_expt"])
+    def test_experiment_rejects_non_finite_values(self, column):
+        columns = {"a": (1e-7, 2e-7), "grad_expt": (1.0, 2.0),
+                   "err_expt": (0.1, 0.1)}
+        columns[column] = (columns[column][0], math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentDataset(**columns)
 
     def test_theta_csv(self, tmp_path):
         path = tmp_path / "theta.csv"
