@@ -19,7 +19,6 @@ from .lifshitz import PressureQuery, SeriesConvergenceError, pressure, \
     pressure_ratio_table
 from .quadrature import QuadratureError
 from .reflection import refl_pair
-from .response import VARIANTS
 from .sphere_plate import ExperimentDataset, compare, gradient_theory
 
 _L_GRID = (1, 2, 10, 100)
@@ -35,7 +34,7 @@ def _model_list(cfg, choice: str | None, use_interband: bool):
     if choice in (None, "config"):
         names = [cfg.variant]
     elif choice == "all":
-        names = [n for n in ("nonlocal", "plasma", "drude") if n in VARIANTS]
+        names = ["nonlocal", "plasma", "drude"]
     else:
         names = [choice]
     return [(n, build_material(cfg, n, use_interband)) for n in names]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .constants import ev_to_rad_s
+from .constants import C_LIGHT, ev_to_rad_s
 from .response import VARIANTS, InterbandTable, MaterialModel, \
     MatsubaraContext
 from .sphere_plate import GeometryParams, read_theta_table
@@ -121,9 +121,10 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.omega_p_ev > 0.0, "omega_p_ev", "must be > 0")
     _require(cfg.gamma_ev >= 0.0, "gamma_ev", "must be >= 0")
     _require(cfg.mu0 >= 1.0, "mu0", "must be >= 1")
-    _require(cfg.v_t_over_vf >= 0.0, "v_t_over_vf", "must be >= 0")
-    _require(cfg.v_l_over_vf >= 0.0, "v_l_over_vf", "must be >= 0")
     _require(cfg.v_f_m_s > 0.0, "v_f_m_s", "must be > 0")
+    for name in ("v_t_over_vf", "v_l_over_vf"):
+        _require(0.0 <= getattr(cfg, name) * cfg.v_f_m_s < C_LIGHT, name,
+                 f"must be >= 0 with {name} * v_f_m_s below c")
     _require(cfg.a_min_nm > 0.0, "a_min_nm", "must be > 0")
     _require(cfg.a_max_nm > cfg.a_min_nm, "a_max_nm", "must exceed a_min_nm")
     _require(cfg.points >= 1, "points", "must be >= 1")

@@ -8,7 +8,10 @@ Two routes are provided for the TE and TM impedances at (i xi_l, k_perp):
   which holds for every variant implemented here.
 
 The two routes agreeing to <= 1e-8 relative is the correctness check that
-stands in for the underlying boundary-value derivation.
+stands in for the underlying boundary-value derivation.  Both take the
+permittivities from ``reflection.eps_pair``.  ``refl_from_impedance`` and
+``refl_via_impedance`` turn impedances into reflection coefficients: an
+independent oracle for ``reflection.refl_pair`` at l >= 1.
 
 For xi_l > 0 and eps >= 1, mu >= 1 both impedances are real and positive;
 the k_z integrands have strictly positive denominators, so no pole handling
@@ -206,7 +209,7 @@ def refl_via_impedance(l: int, k_perp: float, m: MaterialModel,
                        ctx: MatsubaraContext,
                        mu_l: float | None = None) -> ReflectionPair:
     """Coefficients through the closed-form impedances (algebraically
-    identical to refl_nonlocal_closed; kept as an independent code path)."""
+    identical to refl_pair at l >= 1; kept as an independent code path)."""
     z = ImpedancePair(z_tm=z_tm_closed(l, k_perp, m, ctx, mu_l),
                       z_te=z_te_closed(l, k_perp, m, ctx, mu_l),
                       l=l, k_perp=k_perp)

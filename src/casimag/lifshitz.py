@@ -10,6 +10,9 @@ integral into (1/(8 a^3)) Int y^2 sum_pol x/(1-x) dy with x = r^2 e^(-y),
 which is evaluated by adaptive Gauss-Kronrod quadrature on the NumPy
 kernel ``reflection.lifshitz_summand``; the bracket is always formed as
 x/(1-x) with x in [0, 1), so no growing exponential is ever computed.
+The kernel takes the model itself: a MaterialModel, or a
+``reflection.FixedReflection`` (re-exported here) with constant
+coefficients.  Its coefficients are those of ``reflection.refl_pair``.
 
 The static term uses the exact zero-frequency reflection coefficients of
 the model variant; all terms with l >= 1 use unit permeability.  When the
@@ -32,29 +35,12 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import adaptive_quad
-from .reflection import VARIANT_CODE, VARIANT_FIXED, lifshitz_summand
+from .reflection import FixedReflection, lifshitz_summand
 from .response import MaterialModel, MatsubaraContext, eps_core_at, \
     matsubara_xi, mu_at
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
 Y_CUT = 45.0
-
-
-@dataclass(frozen=True)
-class FixedReflection:
-    """Test hook: constant reflection coefficients for every (l, k_perp).
-
-    FixedReflection(1.0, -1.0) is the ideal metal; FixedReflection(0, 0)
-    is an empty interface with zero pressure.  |r| > 1 is rejected.
-    """
-
-    r_tm: float
-    r_te: float
-
-    def __post_init__(self):
-        for name in ("r_tm", "r_te"):
-            if not abs(getattr(self, name)) <= 1.0:
-                raise ValueError(f"|{name}| must not exceed 1")
 
 
 @dataclass(frozen=True)
@@ -100,36 +86,29 @@ class SeriesConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _kernel_args(model, l: int, xi: float) -> tuple:
-    """(variant, omega_p, gamma, mu, v_t, v_l, eps_core, r_tm, r_te)."""
-    if isinstance(model, FixedReflection):
-        return (VARIANT_FIXED, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0,
-                model.r_tm, model.r_te)
-    eps_core = eps_core_at(xi, model) if l >= 1 else 1.0
-    return (VARIANT_CODE[model.variant], model.omega_p, model.gamma,
-            mu_at(l, model), model.v_t, model.v_l, eps_core, 0.0, 0.0)
-
-
 def _term_integral(l: int, xi: float, a: float, model,
                    quad_tol: float) -> tuple[float, float]:
     """(t_l, error estimate) of the y integral for one Matsubara index."""
-    c = C_LIGHT
-    args = _kernel_args(model, l, xi)
+    # permeability and interband core once per term, not per kernel call
+    fixed = isinstance(model, FixedReflection)
+    mu = 1.0 if fixed else mu_at(l, model)
+    eps_core = 1.0 if fixed or l == 0 else eps_core_at(xi, model)
 
     if l == 0:
         # substitute y = u^2: resolves the sqrt(k) cusp of the static TE
         # coefficient at small wavevectors
         def f(u):
             u = np.asarray(u)
-            return 2.0 * u * lifshitz_summand(u * u, 0.0, a, c, *args)
+            return 2.0 * u * lifshitz_summand(u * u, 0.0, a, model, mu,
+                                              eps_core)
 
         res = adaptive_quad(f, 0.0, math.sqrt(Y_CUT), rel_tol=quad_tol)
         return res.value, res.error
 
-    y_lo = 2.0 * a * xi / c
+    y_lo = 2.0 * a * xi / C_LIGHT
 
     def f(y):
-        return lifshitz_summand(y, xi, a, c, *args)
+        return lifshitz_summand(y, xi, a, model, mu, eps_core)
 
     res = adaptive_quad(f, y_lo, y_lo + Y_CUT, rel_tol=quad_tol,
                         initial_panels=6)

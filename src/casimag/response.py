@@ -3,7 +3,7 @@
 A MaterialModel holds the free-electron parameters of one response
 variant: dissipative, dissipationless, or wavevector-dependent through
 characteristic velocities of the order of the Fermi velocity (its
-permittivities are in ``reflection.py``).  The interband contribution is
+permittivities are ``reflection.eps_pair``).  The interband contribution is
 reconstructed from tabulated absorption data by a Kramers-Kronig
 transform, evaluated at purely imaginary frequencies ``omega = i*xi`` with
 ``xi > 0``.  The static (``xi = 0``) limit is handled analytically by the
@@ -36,6 +36,11 @@ NI_OMEGA_P_EV = 4.89
 NI_GAMMA_EV = 0.0436
 NI_MU0 = 110.0
 NI_V_FERMI = 1.31e6
+
+# relative tolerance of the KK quadrature, and the largest share of the
+# KK integral the extrapolated tail may carry before a table is rejected
+KK_QUAD_TOL = 1e-9
+KK_TAIL_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -181,21 +186,17 @@ def mu_at(l: int, m: MaterialModel) -> float:
     return m.mu0 if l == 0 else 1.0
 
 
-def drude_im_eps_raw(omega: float, omega_p: float, gamma: float) -> float:
+def drude_im_eps(omega, omega_p: float, gamma: float):
+    """Im eps of the dissipative free-electron response at real omega > 0.
+
+    wp^2 gamma / (omega (omega^2 + gamma^2)), for a float or an array
+    ``omega``; the background subtracted from tabulated absorption data to
+    isolate the interband excess.
+    """
     return omega_p**2 * gamma / (omega * (omega**2 + gamma**2))
 
 
-def drude_im_eps(omega: float, m: MaterialModel) -> float:
-    """Im eps of the dissipative free-electron response at real omega > 0.
-
-    wp^2 gamma / (omega (omega^2 + gamma^2)); the background subtracted
-    from tabulated absorption data to isolate the interband excess.
-    """
-    return drude_im_eps_raw(omega, m.omega_p, m.gamma)
-
-
-def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel,
-                quad_tol: float = 1e-9, tail_rel_tol: float = 1e-3) -> float:
+def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     """Bound-electron core at imaginary frequency from absorption data.
 
     Forms the interband excess eps''_ib(w) = max(0, table(w) - Drude
@@ -207,49 +208,48 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel,
     is already subtracted); above it the excess is extrapolated as
     eps''_ib(w_max) (w_max/w)^3 and that tail is integrated in closed form.
     A table whose extrapolated tail would contribute more than
-    ``tail_rel_tol`` of the integral is rejected as too narrow.
+    ``KK_TAIL_REL_TOL`` of the integral is rejected as too narrow.
 
     The result replaces the leading "1" of the free-electron
     permittivities at the same xi.
     """
     _check_xi(xi)
-    return _eps_core_cached(xi, table, m.omega_p, m.gamma,
-                            quad_tol, tail_rel_tol)
+    return _eps_core_cached(xi, table, m.omega_p, m.gamma)
 
 
 @functools.lru_cache(maxsize=4096)
-def _eps_core_cached(xi, table, omega_p, gamma, quad_tol, tail_rel_tol):
+def _eps_core_cached(xi, table, omega_p, gamma):
     omega = np.asarray(table.omega)
     im_eps = np.asarray(table.im_eps)
 
     def integrand_log(u):
         # log substitution w = e^u flattens the many-decade table range
         w = np.exp(np.asarray(u))
-        drude = omega_p**2 * gamma / (w * (w * w + gamma * gamma))
-        excess = np.maximum(0.0, np.interp(w, omega, im_eps) - drude)
+        excess = np.maximum(0.0, np.interp(w, omega, im_eps)
+                            - drude_im_eps(w, omega_p, gamma))
         return w * w * excess / (w * w + xi * xi)
 
     w_lo, w_hi = float(omega[0]), float(omega[-1])
     decades = max(1, math.ceil(math.log10(w_hi / w_lo)))
     res = adaptive_quad(integrand_log, math.log(w_lo), math.log(w_hi),
-                        rel_tol=quad_tol, initial_panels=8 * decades,
+                        rel_tol=KK_QUAD_TOL, initial_panels=8 * decades,
                         max_panels=20000)
     total = res.value
 
     # Closed-form tail of the (w_max/w)^3 extrapolation: substituting
     # t = w_max/w gives W Int_0^1 t^2/(1 + b^2 t^2) dt with b = xi/w_max.
-    w_tail = max(0.0, float(im_eps[-1]) - drude_im_eps_raw(w_hi, omega_p, gamma))
+    w_tail = max(0.0, float(im_eps[-1]) - drude_im_eps(w_hi, omega_p, gamma))
     b = xi / w_hi
     if b < 1e-6:
         tail = w_tail * (1.0 / 3.0 - b * b / 5.0)
     else:
         tail = w_tail * (1.0 / b**2 - math.atan(b) / b**3)
 
-    if tail > tail_rel_tol * (total + tail):
+    if tail > KK_TAIL_REL_TOL * (total + tail):
         raise ValueError(
             "interband table range too narrow: extrapolated tail is "
             f"{tail / (total + tail):.2e} of the integral "
-            f"(limit {tail_rel_tol:.1e})")
+            f"(limit {KK_TAIL_REL_TOL:.1e})")
     return 1.0 + (2.0 / PI) * (total + tail)
 
 

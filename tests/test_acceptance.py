@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from casimag import (FixedReflection, GeometryParams, MatsubaraContext,
-                     PressureQuery, eps_drude, eps_longitudinal_nl,
-                     eps_transverse_nl, matsubara_xi, nickel, pressure,
+                     PressureQuery, eps_pair, matsubara_xi, nickel, pressure,
                      refl_pair, roughness_factor, z_te_closed, z_te_integral,
                      z_tm_closed, z_tm_integral)
 from casimag.cli import main as cli_main
@@ -200,8 +199,9 @@ def test_criterion_8_property_suites(ni_models, tmp_path):
     for fac in (1.0, 10.0, 100.0):
         for k in (1e5, 1e6, 1e8):
             xi = fac * matsubara_xi(1, CTX)
-            if not (eps_longitudinal_nl(xi, k, ni) <= eps_drude(xi, ni)
-                    <= eps_transverse_nl(xi, k, ni)):
+            e_t, e_l = eps_pair(xi, k, ni)
+            e_d = eps_pair(xi, 0.0, ni_models["drude"])[0]
+            if not e_l <= e_d <= e_t:
                 failures.append(f"eps ordering broken at xi={xi}, k={k}")
 
     # attraction and monotone decay
@@ -215,16 +215,16 @@ def test_criterion_8_property_suites(ni_models, tmp_path):
         failures.append("pressure magnitude not strictly decreasing")
 
     # local-limit convergence of the closed-form coefficients
-    from casimag import MaterialModel, refl_fresnel, refl_nonlocal_closed
+    from casimag import MaterialModel, refl_fresnel
     xi = matsubara_xi(1, CTX)
-    eps = eps_drude(xi, ni)
+    eps = eps_pair(xi, 0.0, ni_models["drude"])[0]
     fres = refl_fresnel(1, 2e6, eps, 1.0, CTX)
     prev = None
     for scale in (1.0, 0.5, 0.25):
         m = MaterialModel(omega_p=ni.omega_p, gamma=ni.gamma, mu0=ni.mu0,
                           v_t=scale * ni.v_t, v_l=scale * ni.v_l,
                           variant="nonlocal")
-        r = refl_nonlocal_closed(1, 2e6, m, CTX)
+        r = refl_pair(1, 2e6, m, CTX)
         dev = max(abs(r.r_tm - fres.r_tm), abs(r.r_te - fres.r_te))
         if prev is not None and not dev < prev:
             failures.append("local-limit deviation not decreasing with v")

@@ -66,6 +66,19 @@ def test_negative_plasma_frequency_names_field():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("key,other", [("v_t_over_vf", "v_l_over_vf"),
+                                       ("v_l_over_vf", "v_t_over_vf")])
+@pytest.mark.parametrize("value,v_f", [("300", "1.31e6"), ("7", "5e7")])
+def test_superluminal_velocity_names_config_key(key, other, value, v_f):
+    # ratio * v_f_m_s >= c is rejected under the config key, not later under
+    # the library field (v_t, v_l) it turns into
+    bad = (MINIMAL.replace(f"{key} = 7", f"{key} = {value}")
+           .replace(f"{other} = 7", f"{other} = 1")
+           + f"v_f_m_s = {v_f}\n")
+    with pytest.raises(ConfigError, match=f"field '{key}'.*below c"):
+        parse_config(bad)
+
+
 def test_sweep_bounds_validated():
     bad = MINIMAL.replace("a_max_nm = 800", "a_max_nm = 50")
     with pytest.raises(ConfigError, match="a_max_nm"):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from casimag import (ImpedancePair, MaterialModel, MatsubaraContext,
                      impedance_pair, matsubara_xi, nickel,
-                     refl_from_impedance, refl_nonlocal_closed, z_local,
+                     refl_from_impedance, refl_pair, z_local,
                      z_te_closed, z_te_integral, z_tm_closed, z_tm_integral)
 from casimag.constants import C_LIGHT
 
@@ -93,7 +93,7 @@ class TestIntegralClosedEquivalence:
         # k_perp << xi/c is where a k_perp-only tan-substitution scale fails
         ctx = MatsubaraContext(temperature=temperature)
         m = nickel(variant)
-        closed = refl_nonlocal_closed(l, k_perp, m, ctx, mu_l=mu)
+        closed = refl_pair(l, k_perp, m, ctx, mu_l=mu)
         z = ImpedancePair(z_tm=z_tm_integral(l, k_perp, m, ctx, mu_l=mu),
                           z_te=z_te_integral(l, k_perp, m, ctx, mu_l=mu),
                           l=l, k_perp=k_perp)
@@ -160,7 +160,8 @@ class TestProperties:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_te_plasma_below_drude(self):
-        # eps_plasma >= eps_drude pointwise, so Z_TE is smaller
+        # the plasma permittivity is >= the Drude one pointwise, so Z_TE
+        # is smaller
         for l in L_GRID:
             for k_perp in K_GRID:
                 assert (z_te_closed(l, k_perp, nickel("plasma"), CTX)

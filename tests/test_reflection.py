@@ -4,8 +4,7 @@ import pytest
 
 from casimag import (ImpedancePair, MaterialModel, MatsubaraContext,
                      matsubara_xi, nickel, refl_fresnel, refl_from_impedance,
-                     refl_nonlocal_closed, refl_pair, refl_via_impedance,
-                     refl_zero_freq, refl_zero_freq_local, z_te_integral,
+                     refl_pair, refl_via_impedance, z_te_integral,
                      z_tm_integral)
 from casimag.constants import C_LIGHT
 
@@ -36,14 +35,14 @@ class TestPathEquivalence:
                                           (20, 2e7)])
     def test_closed_equals_impedance_route(self, variant, l, k_perp):
         m = nickel(variant)
-        direct = refl_nonlocal_closed(l, k_perp, m, CTX)
+        direct = refl_pair(l, k_perp, m, CTX)
         via_z = refl_via_impedance(l, k_perp, m, CTX)
         assert direct.r_tm == pytest.approx(via_z.r_tm, rel=1e-12)
         assert direct.r_te == pytest.approx(via_z.r_te, rel=1e-12)
 
     def test_closed_equals_integral_route(self):
         l, k_perp = 1, 1e6  # k_perp = 1/(2a) at a = 0.5 um
-        direct = refl_nonlocal_closed(l, k_perp, NI, CTX)
+        direct = refl_pair(l, k_perp, NI, CTX)
         z = ImpedancePair(z_tm=z_tm_integral(l, k_perp, NI, CTX),
                           z_te=z_te_integral(l, k_perp, NI, CTX),
                           l=l, k_perp=k_perp)
@@ -59,7 +58,7 @@ class TestLocalLimits:
         for l, k_perp in ((1, 2e6), (3, 5e5)):
             xi = matsubara_xi(l, CTX)
             eps = 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
-            a = refl_nonlocal_closed(l, k_perp, m, CTX)
+            a = refl_pair(l, k_perp, m, CTX)
             b = refl_fresnel(l, k_perp, eps, 1.0, CTX)
             assert a.r_tm == pytest.approx(b.r_tm, rel=1e-14)
             assert a.r_te == pytest.approx(b.r_te, rel=1e-14)
@@ -74,7 +73,7 @@ class TestLocalLimits:
             m = MaterialModel(omega_p=NI.omega_p, gamma=NI.gamma, mu0=110.0,
                               v_t=scale * NI.v_t, v_l=scale * NI.v_l,
                               variant="nonlocal")
-            r = refl_nonlocal_closed(l, k_perp, m, CTX)
+            r = refl_pair(l, k_perp, m, CTX)
             return max(abs(r.r_tm - fres.r_tm), abs(r.r_te - fres.r_te))
 
         d1, d2, d4 = deviation(1.0), deviation(0.5), deviation(0.25)
@@ -106,57 +105,67 @@ class TestStaticCoefficients:
     def test_no_longitudinal_velocity_gives_full_tm(self):
         m = MaterialModel(omega_p=NI.omega_p, gamma=NI.gamma, mu0=110.0,
                           v_t=NI.v_t, v_l=0.0, variant="nonlocal")
-        assert refl_zero_freq(2e6, m, CTX).r_tm == 1.0
+        assert refl_pair(0, 2e6, m, CTX).r_tm == 1.0
 
     def test_nonmagnetic_local_te_vanishes(self):
         m = MaterialModel(omega_p=NI.omega_p, gamma=NI.gamma, mu0=1.0,
                           v_t=0.0, v_l=NI.v_l, variant="nonlocal")
-        assert refl_zero_freq(2e6, m, CTX).r_te == 0.0
+        assert refl_pair(0, 2e6, m, CTX).r_te == 0.0
 
     def test_nickel_values(self):
         # direct arithmetic: B = mu0 wp^2 v_t/(gamma c^2) and the square
         # root form at k = 1/(2a), a = 1 um
-        r = refl_zero_freq(5e5, NI, CTX)
+        r = refl_pair(0, 5e5, NI, CTX)
         assert r.r_tm == pytest.approx(0.9999889947707385, rel=1e-12)
         assert r.r_te == pytest.approx(-0.10845746089626337, rel=1e-12)
 
     def test_te_limit_at_zero_wavevector(self):
-        assert refl_zero_freq(0.0, NI, CTX).r_te == -1.0
+        assert refl_pair(0, 0.0, NI, CTX).r_te == -1.0
+
+    def test_zero_wavevector_without_transverse_velocity(self):
+        # B = 0 at k = 0: the dissipative local pair, not 0/0
+        m = MaterialModel(omega_p=NI.omega_p, gamma=NI.gamma, mu0=110.0,
+                          v_t=0.0, v_l=NI.v_l, variant="nonlocal")
+        r = refl_pair(0, 0.0, m, CTX)
+        assert (r.r_tm, r.r_te) == (1.0, 109.0 / 111.0)
+
+    @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
+    def test_permeability_override(self, variant):
+        m = nickel(variant)
+        assert refl_pair(0, 5e5, m, CTX, mu_l=110.0) == \
+            refl_pair(0, 5e5, m, CTX)
+        # a magnetic surface pushes the static TE coefficient up
+        assert refl_pair(0, 5e5, m, CTX, mu_l=1.0).r_te < \
+            refl_pair(0, 5e5, m, CTX).r_te
 
     def test_tm_independent_of_permeability(self):
         m1 = MaterialModel(omega_p=NI.omega_p, gamma=NI.gamma, mu0=1.0,
                            v_t=NI.v_t, v_l=NI.v_l, variant="nonlocal")
         for k in (1e5, 1e6, 1e7):
-            assert refl_zero_freq(k, m1, CTX).r_tm == \
-                refl_zero_freq(k, NI, CTX).r_tm
+            assert refl_pair(0, k, m1, CTX).r_tm == \
+                refl_pair(0, k, NI, CTX).r_tm
 
     def test_dissipationless_rejected(self):
         m = MaterialModel(omega_p=NI.omega_p, gamma=0.0, mu0=110.0,
                           v_t=NI.v_t, v_l=NI.v_l, variant="nonlocal")
         with pytest.raises(ValueError, match="plasma"):
-            refl_zero_freq(1e6, m, CTX)
-
-    def test_local_model_rejected(self):
-        with pytest.raises(ValueError):
-            refl_zero_freq(1e6, nickel("drude"), CTX)
-        with pytest.raises(ValueError):
-            refl_zero_freq_local(1e6, NI, CTX)
+            refl_pair(0, 1e6, m, CTX)
 
 
 class TestStaticLocalCoefficients:
     def test_dissipative_te(self):
-        r = refl_zero_freq_local(2e6, nickel("drude"), CTX)
+        r = refl_pair(0, 2e6, nickel("drude"), CTX)
         assert r.r_tm == 1.0
         assert r.r_te == pytest.approx(109.0 / 111.0, rel=1e-15)
 
     def test_dissipationless_te_large_wavevector(self):
         m = MaterialModel(omega_p=NI.omega_p, gamma=0.0, mu0=1.0,
                           variant="plasma")
-        assert refl_zero_freq_local(1e12, m, CTX).r_te == pytest.approx(
+        assert refl_pair(0, 1e12, m, CTX).r_te == pytest.approx(
             0.0, abs=1e-6)
 
     def test_dissipationless_te_normal_incidence(self):
-        assert refl_zero_freq_local(0.0, nickel("plasma"), CTX).r_te == -1.0
+        assert refl_pair(0, 0.0, nickel("plasma"), CTX).r_te == -1.0
 
 
 def test_static_continuity_of_closed_form():
@@ -166,11 +175,11 @@ def test_static_continuity_of_closed_form():
     that the limit is taken at fixed mu.
     """
     k = 1e6
-    static = refl_zero_freq(k, NI, CTX)
+    static = refl_pair(0, k, NI, CTX)
     devs = []
     for temp in (1e-1, 1e-3):
         ctx = MatsubaraContext(temperature=temp)
-        r = refl_nonlocal_closed(1, k, NI, ctx, mu_l=110.0)
+        r = refl_pair(1, k, NI, ctx, mu_l=110.0)
         devs.append(max(abs(r.r_tm - static.r_tm),
                         abs(r.r_te - static.r_te)))
     assert devs[1] < devs[0]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from casimag import (InterbandTable, MaterialModel, MatsubaraContext,
-                     eps_core_kk, eps_drude, eps_longitudinal_nl, eps_plasma,
-                     eps_transverse_nl, matsubara_xi, mu_at, nickel)
+                     eps_core_kk, eps_pair, matsubara_xi, mu_at, nickel)
 from casimag.constants import EV_TO_RAD_S
 from casimag.response import drude_im_eps
 
@@ -14,6 +13,7 @@ XI1 = matsubara_xi(1, CTX)
 
 NI = nickel("nonlocal")
 NI_DRUDE = nickel("drude")
+NI_PLASMA = nickel("plasma")
 
 
 class TestMatsubaraXi:
@@ -40,71 +40,75 @@ class TestMatsubaraXi:
 class TestLocalPermittivities:
     def test_drude_unit_parameters(self):
         m = MaterialModel(omega_p=1.0, gamma=0.0)
-        assert eps_drude(1.0, m) == 2.0
+        assert eps_pair(1.0, 0.0, m)[0] == 2.0
 
     def test_drude_high_frequency_limit(self):
-        assert eps_drude(1e6 * NI.omega_p, NI) == pytest.approx(1.0, abs=1e-9)
+        assert eps_pair(1e6 * NI.omega_p, 0.0, NI_DRUDE)[0] == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_drude_nickel_first_matsubara(self):
         # direct scalar arithmetic: 1 + wp^2/(xi1 (xi1 + gamma))
-        assert eps_drude(XI1, NI) == pytest.approx(715.5080395356648,
-                                                   rel=1e-12)
+        assert eps_pair(XI1, 0.0, NI_DRUDE)[0] == pytest.approx(
+            715.5080395356648, rel=1e-12)
 
     def test_plasma_at_wp(self):
         m = MaterialModel(omega_p=2.0, variant="plasma")
-        assert eps_plasma(2.0, m) == 2.0
-        assert eps_plasma(4.0, m) == 1.25
+        assert eps_pair(2.0, 0.0, m)[0] == 2.0
+        assert eps_pair(4.0, 0.0, m)[0] == 1.25
 
     def test_plasma_nickel_first_matsubara(self):
-        assert eps_plasma(XI1, NI) == pytest.approx(907.2952299555375,
-                                                    rel=1e-12)
+        assert eps_pair(XI1, 0.0, NI_PLASMA)[0] == pytest.approx(
+            907.2952299555375, rel=1e-12)
 
     def test_drude_without_dissipation_equals_plasma(self):
         m = MaterialModel(omega_p=NI.omega_p, gamma=0.0)
+        p = MaterialModel(omega_p=NI.omega_p, gamma=0.0, variant="plasma")
         for xi in (0.1 * XI1, XI1, 17.0 * XI1, 1e3 * XI1):
-            assert eps_drude(xi, m) == eps_plasma(xi, m)
+            assert eps_pair(xi, 0.0, m) == eps_pair(xi, 0.0, p)
 
     def test_static_evaluation_rejected(self):
-        for fn in (eps_drude, eps_plasma):
+        for m in (NI_DRUDE, NI_PLASMA):
             with pytest.raises(ValueError):
-                fn(0.0, NI)
+                eps_pair(0.0, 0.0, m)
 
 
 class TestWavevectorDependence:
     def test_transverse_reduces_to_drude_at_zero_k(self):
-        assert eps_transverse_nl(XI1, 0.0, NI) == eps_drude(XI1, NI)
+        assert eps_pair(XI1, 0.0, NI)[0] == eps_pair(XI1, 0.0, NI_DRUDE)[0]
 
     def test_longitudinal_reduces_to_drude_at_zero_k(self):
-        assert eps_longitudinal_nl(XI1, 0.0, NI) == eps_drude(XI1, NI)
+        assert eps_pair(XI1, 0.0, NI)[1] == eps_pair(XI1, 0.0, NI_DRUDE)[0]
 
     def test_transverse_doubles_drude_excess(self):
         k = XI1 / NI.v_t  # v_t k / xi = 1
         expected = 1.0 + 2.0 * NI.omega_p**2 / (XI1 * (XI1 + NI.gamma))
-        assert eps_transverse_nl(XI1, k, NI) == pytest.approx(expected,
-                                                              rel=1e-14)
+        assert eps_pair(XI1, k, NI)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_longitudinal_halves_drude_excess(self):
         k = XI1 / NI.v_l
         expected = 1.0 + 0.5 * NI.omega_p**2 / (XI1 * (XI1 + NI.gamma))
-        assert eps_longitudinal_nl(XI1, k, NI) == pytest.approx(expected,
-                                                                rel=1e-14)
+        assert eps_pair(XI1, k, NI)[1] == pytest.approx(expected, rel=1e-14)
 
     def test_transverse_nickel_value(self):
         # independent arithmetic at k = 1/(2a), a = 1 um
-        assert eps_transverse_nl(XI1, 5e5, NI) == pytest.approx(
+        assert eps_pair(XI1, 5e5, NI)[0] == pytest.approx(
             728.7831521771475, rel=1e-12)
 
     def test_longitudinal_screening_limit(self):
-        assert eps_longitudinal_nl(XI1, 1e18, NI) == pytest.approx(1.0,
-                                                                   abs=1e-7)
+        assert eps_pair(XI1, 1e18, NI)[1] == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
+    def test_negative_wavevector_rejected(self, variant):
+        with pytest.raises(ValueError, match="k_perp"):
+            eps_pair(XI1, -1e6, nickel(variant))
 
     @pytest.mark.parametrize("xi_fac", [0.3, 1.0, 3.0, 10.0, 100.0])
     @pytest.mark.parametrize("k", [0.0, 1e5, 1e6, 1e7, 1e8])
     def test_ordering_longitudinal_drude_transverse(self, xi_fac, k):
         xi = xi_fac * XI1
-        e_l = eps_longitudinal_nl(xi, k, NI)
-        e_d = eps_drude(xi, NI)
-        e_t = eps_transverse_nl(xi, k, NI)
+        e_l = eps_pair(xi, k, NI)[1]
+        e_d = eps_pair(xi, 0.0, NI_DRUDE)[0]
+        e_t = eps_pair(xi, k, NI)[0]
         assert e_l <= e_d <= e_t
         if k > 0.0:
             assert e_l < e_d < e_t
@@ -221,7 +225,8 @@ class TestKramersKronigCore:
         omega = tuple(np.geomspace(0.1 * XI1, 100.0 * XI1, 400))
         table = InterbandTable(
             omega=omega,
-            im_eps=tuple(0.5 * drude_im_eps(w, NI) for w in omega))
+            im_eps=tuple(0.5 * drude_im_eps(w, NI.omega_p, NI.gamma)
+                         for w in omega))
         assert eps_core_kk(XI1, table, NI) == 1.0
 
     def test_narrow_line_weight_over_frequency(self):
