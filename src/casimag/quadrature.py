@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
+# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]); the KK
+# core of response.py uses the same rule on fixed nodes.
 _XGK = np.array([
     -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
     -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,

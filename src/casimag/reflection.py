@@ -73,12 +73,16 @@ def static_coefficients(k, m, mu):
     r_TM = wp^2/(2 v_l gamma k + wp^2),
     r_TE = (mu sqrt(k) - sqrt(k + B))/(mu sqrt(k) + sqrt(k + B)) with
     B = mu wp^2 v_t/(gamma c^2).  Only r_TE feels the permeability.
+    The wavevector-dependent pair requires gamma > 0.
     """
     if m.variant == DRUDE:
         return 1.0, (mu - 1.0) / (mu + 1.0)
     if m.variant == PLASMA:
         root = np.sqrt(k * k + mu * (m.omega_p / C_LIGHT) ** 2)
         return 1.0, (mu * k - root) / (mu * k + root)
+    if m.gamma <= 0.0:
+        raise ValueError("static nonlocal coefficients are singular at "
+                         "gamma = 0; use the plasma variant instead")
     wp2 = m.omega_p * m.omega_p
     b = mu * wp2 * m.v_t / (m.gamma * C_LIGHT * C_LIGHT)
     sk = np.sqrt(k)
@@ -175,15 +179,12 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
     xi = matsubara_xi(l, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
     if l == 0:
-        if m.variant == NONLOCAL:
-            if m.gamma <= 0.0:
-                raise ValueError("static nonlocal coefficients are singular "
-                                 "at gamma = 0; use the plasma variant "
-                                 "instead")
-            if k_perp == 0.0 and m.v_t == 0.0:
-                # B = 0 makes the square-root form 0/0; its k -> 0 limit
-                # is the dissipative local pair
-                m = replace(m, variant=DRUDE)
+        if (m.variant == NONLOCAL and m.gamma > 0.0 and k_perp == 0.0
+                and m.v_t == 0.0):
+            # B = 0 makes the square-root form 0/0; its k -> 0 limit is
+            # the dissipative local pair (gamma = 0 is left to the check
+            # in static_coefficients)
+            m = replace(m, variant=DRUDE)
         r_tm, r_te = static_coefficients(k_perp, m, mu)
     else:
         eps_tr, eps_l = free_electron_eps(xi, k_perp, m, eps_core_at(xi, m))

@@ -15,14 +15,15 @@ Every function in this module is pure and safe for concurrent use.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
 from .csvio import read_numeric_csv
-from .quadrature import adaptive_quad
+from .quadrature import _GAUSS_IDX, _WG, _WGK, _XGK, QuadratureError
 
 DRUDE = "drude"
 PLASMA = "plasma"
@@ -37,10 +38,17 @@ NI_GAMMA_EV = 0.0436
 NI_MU0 = 110.0
 NI_V_FERMI = 1.31e6
 
-# relative tolerance of the KK quadrature, and the largest share of the
-# KK integral the extrapolated tail may carry before a table is rejected
+# relative tolerance of the KK quadrature, the largest share of the KK
+# integral the extrapolated tail may carry before a table is rejected, the
+# widest KK panel in ln w, and the panel-halving rounds allowed per xi
 KK_QUAD_TOL = 1e-9
 KK_TAIL_REL_TOL = 1e-3
+KK_PANEL_WIDTH = 0.5
+KK_MAX_ROUNDS = 6
+
+# Kronrod weights minus the embedded Gauss weights, on the 15 Kronrod nodes
+_WDIFF = _WGK.copy()
+_WDIFF[_GAUSS_IDX] -= _WG
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,7 @@ class InterbandTable:
 
     omega: tuple[float, ...]
     im_eps: tuple[float, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.omega) < 2:
@@ -70,6 +79,11 @@ class InterbandTable:
             raise ValueError("interband table omega must be positive")
         if any(v < 0.0 for v in self.im_eps):
             raise ValueError("interband table im_eps must be nonnegative")
+        # the KK caches key on the table: hash its floats once, not per call
+        object.__setattr__(self, "_hash", hash((self.omega, self.im_eps)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_rows_ev(cls, rows) -> "InterbandTable":
@@ -210,6 +224,16 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     A table whose extrapolated tail would contribute more than
     ``KK_TAIL_REL_TOL`` of the integral is rejected as too narrow.
 
+    Over the table range the integral runs in u = ln w on one GK15 panel
+    per table segment, with breakpoints at the zero crossings of table -
+    Drude (the kinks of the max) and no panel wider than
+    ``KK_PANEL_WIDTH``.  The nodes and the xi-independent weights
+    w^2 eps''_ib(w) du are built once per (table, omega_p, gamma), so each
+    xi costs one weighted sum of 1/(w_n^2 + xi^2).  The summed per-panel
+    |K15 - G7| difference is the error estimate: panels are halved where it
+    misses ``KK_QUAD_TOL`` of the integral, and ``QuadratureError`` is
+    raised after ``KK_MAX_ROUNDS`` rounds.
+
     The result replaces the leading "1" of the free-electron
     permittivities at the same xi.
     """
@@ -217,28 +241,122 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     return _eps_core_cached(xi, table, m.omega_p, m.gamma)
 
 
-@functools.lru_cache(maxsize=4096)
-def _eps_core_cached(xi, table, omega_p, gamma):
+def _bisect(f, lo, hi):
+    """Points where f changes sign between lo and hi (arrays), to machine
+    precision; f(lo) and f(hi) must differ in sign."""
+    lo_neg = f(lo) < 0.0
+    for _ in range(64 if lo.size else 0):
+        mid = 0.5 * (lo + hi)
+        left = (f(mid) < 0.0) == lo_neg
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _excess_zeros(omega, im_eps, omega_p, gamma):
+    """Zero crossings of the interpolated table minus the Drude background
+    inside table segments: the kinks of the KK excess.
+
+    On a segment g = linear interpolant - background is concave (the
+    background is convex in w), so it has at most two zeros: one where its
+    end values differ in sign, two where both are negative but its maximum
+    is positive.
+    """
+    w0, w1 = omega[:-1], omega[1:]
+    slope = np.diff(im_eps) / np.diff(omega)
+    c = omega_p**2 * gamma
+
+    def g(i):
+        v, s, x = im_eps[i], slope[i], w0[i]
+        return lambda w: v + s * (w - x) - drude_im_eps(w, omega_p, gamma)
+
+    def dg(i):
+        s = slope[i]
+        return lambda w: s + c * (3.0 * w * w + gamma**2) / (
+            w * (w * w + gamma**2)) ** 2
+
+    neg0 = im_eps[:-1] < drude_im_eps(w0, omega_p, gamma)
+    neg1 = im_eps[1:] < drude_im_eps(w1, omega_p, gamma)
+    one = np.flatnonzero(neg0 != neg1)
+    zeros = [_bisect(g(one), w0[one], w1[one])]
+    # both ends negative: bracket the maximum where g' falls through 0
+    two = np.flatnonzero(neg0 & neg1)
+    two = two[(dg(two)(w0[two]) > 0.0) & (dg(two)(w1[two]) < 0.0)]
+    peak = _bisect(dg(two), w0[two], w1[two])
+    above = g(two)(peak) > 0.0
+    two, peak = two[above], peak[above]
+    zeros += [_bisect(g(two), w0[two], peak), _bisect(g(two), peak, w1[two])]
+    return np.concatenate(zeros)
+
+
+def _kk_panels(lo, hi, omega, im_eps, omega_p, gamma):
+    """GK15 nodes of the panels [lo, hi] in u = ln w, as (w^2, Kronrod
+    weights, Kronrod - Gauss weights), each of shape (panels, 15), with
+    w^2 eps''_ib(w) and the panel's half-width folded into the weights."""
+    half = 0.5 * (hi - lo)[:, None]
+    w = np.exp(0.5 * (hi + lo)[:, None] + half * _XGK)
+    w2 = w * w
+    excess = np.maximum(0.0, np.interp(w, omega, im_eps)
+                        - drude_im_eps(w, omega_p, gamma))
+    with np.errstate(over="ignore"):  # a non-finite integral raises later
+        f = w2 * excess * half
+    return w2, f * _WGK, f * _WDIFF
+
+
+@functools.lru_cache(maxsize=16)
+def _kk_nodes(table, omega_p, gamma):
+    """Panel edges and GK15 nodes of ``table``'s KK integral in u = ln w:
+    table rows and excess kinks as breakpoints, segments split evenly to
+    at most ``KK_PANEL_WIDTH``, panels without excess dropped."""
     omega = np.asarray(table.omega)
     im_eps = np.asarray(table.im_eps)
+    # Python's sort: NumPy's sort kernels would add ~1 MB of resident code
+    edges = np.array(sorted({*np.log(omega).tolist(), *np.log(
+        _excess_zeros(omega, im_eps, omega_p, gamma)).tolist()}))
+    width = np.diff(edges)
+    n = np.ceil(width / KK_PANEL_WIDTH).astype(int)
+    start = np.repeat(np.cumsum(n) - n, n)
+    lo = (np.repeat(edges[:-1], n)
+          + (np.arange(n.sum()) - start) * np.repeat(width / n, n))
+    hi = np.append(lo[1:], edges[-1])
+    w2, wk, wd = _kk_panels(lo, hi, omega, im_eps, omega_p, gamma)
+    keep = wk.any(axis=1)
+    nodes = lo[keep], hi[keep], w2[keep], wk[keep], wd[keep]
+    for a in nodes:
+        a.setflags(write=False)  # shared by every call through the cache
+    return nodes
 
-    def integrand_log(u):
-        # log substitution w = e^u flattens the many-decade table range
-        w = np.exp(np.asarray(u))
-        excess = np.maximum(0.0, np.interp(w, omega, im_eps)
-                            - drude_im_eps(w, omega_p, gamma))
-        return w * w * excess / (w * w + xi * xi)
 
-    w_lo, w_hi = float(omega[0]), float(omega[-1])
-    decades = max(1, math.ceil(math.log10(w_hi / w_lo)))
-    res = adaptive_quad(integrand_log, math.log(w_lo), math.log(w_hi),
-                        rel_tol=KK_QUAD_TOL, initial_panels=8 * decades,
-                        max_panels=20000)
-    total = res.value
+@functools.lru_cache(maxsize=4096)
+def _eps_core_cached(xi, table, omega_p, gamma):
+    lo, hi, w2, wk, wd = _kk_nodes(table, omega_p, gamma)
+    for rounds in itertools.count():
+        r = 1.0 / (w2 + xi * xi)
+        total = float(np.vdot(wk, r))
+        err = np.abs(np.einsum("pn,pn->p", wd, r))
+        if err.sum() <= KK_QUAD_TOL * total:
+            break
+        if rounds == KK_MAX_ROUNDS or not math.isfinite(total):
+            raise QuadratureError(
+                f"KK quadrature at xi = {xi:.6e} rad/s missed its relative "
+                f"tolerance {KK_QUAD_TOL:.1e} after {rounds} refinement "
+                "rounds", float(err.sum()))
+        # halve the panels whose estimate exceeds their share of the budget
+        bad = ~(err <= KK_QUAD_TOL * total / len(err))
+        mid = 0.5 * (lo[bad] + hi[bad])
+        split_lo = np.concatenate([lo[bad], mid])
+        split_hi = np.concatenate([mid, hi[bad]])
+        split = _kk_panels(split_lo, split_hi, np.asarray(table.omega),
+                           np.asarray(table.im_eps), omega_p, gamma)
+        lo = np.concatenate([lo[~bad], split_lo])
+        hi = np.concatenate([hi[~bad], split_hi])
+        w2, wk, wd = (np.concatenate([a[~bad], b])
+                      for a, b in zip((w2, wk, wd), split))
 
     # Closed-form tail of the (w_max/w)^3 extrapolation: substituting
     # t = w_max/w gives W Int_0^1 t^2/(1 + b^2 t^2) dt with b = xi/w_max.
-    w_tail = max(0.0, float(im_eps[-1]) - drude_im_eps(w_hi, omega_p, gamma))
+    w_hi = table.omega[-1]
+    w_tail = max(0.0, table.im_eps[-1] - drude_im_eps(w_hi, omega_p, gamma))
     b = xi / w_hi
     if b < 1e-6:
         tail = w_tail * (1.0 / 3.0 - b * b / 5.0)

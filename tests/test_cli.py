@@ -241,6 +241,18 @@ class TestExitCodes:
         assert run(["pressure", "--config", str(cfg)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    def test_dissipationless_nonlocal_is_one_line_error(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "g0.cfg"
+        cfg.write_text(BASE.replace("gamma_ev = 0.0436", "gamma_ev = 0")
+                           .replace("points = 2", "points = 1"),
+                       encoding="utf-8")
+        assert run(["pressure", "--config", str(cfg), "--model",
+                    "nonlocal"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "plasma variant" in err
+
     def test_missing_config_file(self):
         assert run(["pressure", "--config", "/no/such/file.cfg"]) == 1
 

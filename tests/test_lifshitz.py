@@ -181,6 +181,16 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     assert seen and set(seen) == {matsubara_xi(3, ctx)}
 
 
+def test_dissipationless_nonlocal_pressure_rejected():
+    # the static nonlocal coefficients divide by gamma; the pressure path
+    # must reject gamma = 0 like the scalar refl_pair does
+    ni = nickel("nonlocal")
+    m = MaterialModel(omega_p=ni.omega_p, gamma=0.0, mu0=ni.mu0, v_t=ni.v_t,
+                      v_l=ni.v_l, variant="nonlocal")
+    with pytest.raises(ValueError, match="plasma variant"):
+        pressure(PressureQuery(separation=1e-6, model=m), CTX)
+
+
 @pytest.mark.parametrize("r_tm,r_te,name", [(1.5, 0.0, "r_tm"),
                                             (0.0, -1.01, "r_te")])
 def test_fixed_reflection_out_of_range_rejected(r_tm, r_te, name):

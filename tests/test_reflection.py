@@ -151,6 +151,13 @@ class TestStaticCoefficients:
         with pytest.raises(ValueError, match="plasma"):
             refl_pair(0, 1e6, m, CTX)
 
+    def test_dissipationless_rejected_at_zero_wavevector(self):
+        # the B = 0 limit at k = 0 does not bypass the gamma check
+        m = MaterialModel(omega_p=NI.omega_p, gamma=0.0, mu0=110.0,
+                          variant="nonlocal")
+        with pytest.raises(ValueError, match="plasma"):
+            refl_pair(0, 0.0, m, CTX)
+
 
 class TestStaticLocalCoefficients:
     def test_dissipative_te(self):

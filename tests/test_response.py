@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from casimag import (InterbandTable, MaterialModel, MatsubaraContext,
-                     eps_core_kk, eps_pair, matsubara_xi, mu_at, nickel)
+                     QuadratureError, eps_core_kk, eps_pair, matsubara_xi,
+                     mu_at, nickel, response)
 from casimag.constants import EV_TO_RAD_S
 from casimag.response import drude_im_eps
 
@@ -210,6 +211,83 @@ class TestInterbandTable:
             InterbandTable.from_csv(path)
 
 
+def _ni_drude(w):
+    return drude_im_eps(w, NI.omega_p, NI.gamma)
+
+
+def _tail(table, xi):
+    """Closed-form KK tail of the (w_max/w)^3 extrapolation."""
+    w_max = table.omega[-1]
+    weight = max(0.0, table.im_eps[-1] - _ni_drude(w_max))
+    b = xi / w_max
+    return weight * (1.0 / b**2 - math.atan(b) / b**3)
+
+
+def _trapezoid_core(table, xi, n=2_000_001):
+    """eps_core from the trapezoid rule on n points uniform in ln w."""
+    u = np.linspace(math.log(table.omega[0]), math.log(table.omega[-1]), n)
+    w = np.exp(u)
+    excess = np.maximum(0.0, np.interp(w, table.omega, table.im_eps)
+                        - _ni_drude(w))
+    integral = np.trapezoid(w * w * excess / (w * w + xi * xi), u)
+    return 1.0 + (2.0 / math.pi) * (float(integral) + _tail(table, xi))
+
+
+def _gauss_legendre_cores(table, xis, sub):
+    """eps_core at each xi from 20-point Gauss-Legendre in ln w on ``sub``
+    equal panels per piece; the pieces run between table rows and the sign
+    changes of table - Drude, found by sampling and bisection."""
+    omega, im_eps = np.asarray(table.omega), np.asarray(table.im_eps)
+
+    def positive(u):
+        w = np.exp(u)
+        return np.interp(w, omega, im_eps) - _ni_drude(w) > 0.0
+
+    def kink(a, b):
+        pos_a = positive(a)
+        for _ in range(100):
+            if positive(0.5 * (a + b)) == pos_a:
+                a = 0.5 * (a + b)
+            else:
+                b = 0.5 * (a + b)
+        return a
+
+    u = np.log(omega)
+    samples = np.linspace(u[:-1], u[1:], 65, axis=1)
+    pos = positive(samples)
+    seg, j = np.nonzero(pos[:, 1:] != pos[:, :-1])
+    kinks = [kink(samples[a, b], samples[a, b + 1]) for a, b in zip(seg, j)]
+    edges = np.union1d(u, kinks)
+    edges = np.concatenate([np.linspace(a, b, sub + 1)[:-1]
+                            for a, b in zip(edges[:-1], edges[1:])]
+                           + [edges[-1:]])
+    x, wgl = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(edges)[:, None]
+    w = np.exp(0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
+    excess = np.maximum(0.0, np.interp(w, omega, im_eps) - _ni_drude(w))
+    weights = (w * w * excess * half * wgl).ravel()
+    w2 = (w * w).ravel()
+    return np.array([1.0 + (2.0 / math.pi)
+                     * (weights @ (1.0 / (w2 + xi * xi)) + _tail(table, xi))
+                     for xi in xis])
+
+
+def _coarse_table():
+    """3 rows over 6 decades, crossing the Drude background once."""
+    return InterbandTable(omega=(0.01 * XI1, 10.0 * XI1, 1e4 * XI1),
+                          im_eps=(0.0, 50.0, 1e-3))
+
+
+@pytest.fixture
+def fresh_kk_caches():
+    """Empty KK caches around a test that patches the KK settings."""
+    response._kk_nodes.cache_clear()
+    response._eps_core_cached.cache_clear()
+    yield
+    response._kk_nodes.cache_clear()
+    response._eps_core_cached.cache_clear()
+
+
 def _tent_table(omega0, half_width, height, floor=None):
     """Triangular absorption line at omega0; excess area = height*half_width."""
     lo = floor if floor is not None else omega0 * 1e-4
@@ -251,7 +329,70 @@ class TestKramersKronigCore:
         oracle = 1.0 + (2.0 / math.pi) * np.trapezoid(
             w * excess / (w * w + xi * xi), w)
         assert eps_core_kk(xi, table, NI) == pytest.approx(float(oracle),
-                                                           rel=1e-6)
+                                                           rel=1e-10)
+
+    def test_matsubara_frequencies_against_dense_reference(self, ni_table):
+        # every xi of the README config (l = 1..120 at 300 K); the
+        # reference is checked against its own 2x refinement first
+        xis = [matsubara_xi(l, CTX) for l in range(1, 121)]
+        ref = _gauss_legendre_cores(ni_table, xis, 4)
+        np.testing.assert_allclose(_gauss_legendre_cores(ni_table, xis, 2),
+                                   ref, rtol=1e-14, atol=0.0)
+        got = [eps_core_kk(xi, ni_table, NI) for xi in xis]
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+    def test_excess_kinks_inside_segments(self):
+        # table - Drude is negative at both ends of the first segment and
+        # positive inside it (two kinks), then crosses zero once inside
+        # each of the next two segments
+        omega = (XI1, 100.0 * XI1, 200.0 * XI1, 2000.0 * XI1)
+        table = InterbandTable(
+            omega=omega,
+            im_eps=(0.5 * _ni_drude(omega[0]), 0.5 * _ni_drude(omega[1]),
+                    2.0 * _ni_drude(omega[2]), 0.0))
+        for xi in (XI1, 30.0 * XI1):
+            assert eps_core_kk(xi, table, NI) == pytest.approx(
+                _trapezoid_core(table, xi), rel=1e-11)
+
+    def test_coarse_table_split_into_panels(self):
+        # the segments are split into panels no wider than KK_PANEL_WIDTH
+        table = _coarse_table()
+        for xi in (XI1, 30.0 * XI1):
+            assert eps_core_kk(xi, table, NI) == pytest.approx(
+                _trapezoid_core(table, xi), rel=1e-11)
+
+    def test_refinement_meets_tolerance(self, monkeypatch, fresh_kk_caches):
+        # one panel per segment misses KK_QUAD_TOL; halving the offending
+        # panels recovers the oracle
+        table = _coarse_table()
+        builds = []
+        kk_panels = response._kk_panels
+
+        def spy(lo, *args):
+            builds.append(len(lo))
+            return kk_panels(lo, *args)
+
+        monkeypatch.setattr(response, "KK_PANEL_WIDTH", 100.0)
+        monkeypatch.setattr(response, "_kk_panels", spy)
+        assert eps_core_kk(XI1, table, NI) == pytest.approx(
+            _trapezoid_core(table, XI1), rel=1e-11)
+        assert len(builds) >= 2  # the node set, then a refinement
+
+    def test_unreachable_tolerance_raises(self, monkeypatch,
+                                          fresh_kk_caches):
+        # below the rounding floor of the embedded estimate no refinement
+        # helps: the core must raise, not return
+        monkeypatch.setattr(response, "KK_QUAD_TOL", 1e-20)
+        table = _tent_table(50.0 * XI1, 5.0 * XI1, 2.0)
+        with pytest.raises(QuadratureError, match="refinement rounds"):
+            eps_core_kk(XI1, table, NI)
+
+    def test_overflowing_table_raises(self):
+        # w^2 eps'' overflows: a non-finite estimate is never returned
+        table = InterbandTable(omega=(XI1, 2.0 * XI1),
+                               im_eps=(1e300, 1e300))
+        with pytest.raises(QuadratureError):
+            eps_core_kk(XI1, table, NI)
 
     def test_vanishes_at_high_frequency(self):
         table = _tent_table(1e4 * XI1, 100.0 * XI1, 1.0)
