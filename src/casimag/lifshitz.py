@@ -10,6 +10,11 @@ integral into (1/(8 a^3)) Int y^2 sum_pol x/(1-x) dy with x = r^2 e^(-y),
 which is evaluated by adaptive Gauss-Kronrod quadrature on the NumPy
 kernel ``reflection.lifshitz_summand``; the bracket is always formed as
 x/(1-x) with x in [0, 1), so no growing exponential is ever computed.
+Every term integrates in s with y = y_lo + s^2 over [0, sqrt(Y_CUT)],
+y_lo = 2 a xi_l / c (zero for the static term): the substitution removes
+the square-root cusp at the lower endpoint, so a term usually converges
+on its first round of panels.  Each refinement round is one kernel call
+with one scalar xi.
 The kernel takes the model itself: a MaterialModel, or a
 ``reflection.FixedReflection`` (re-exported here) with constant
 coefficients.  Its coefficients are those of ``reflection.refl_pair``.
@@ -31,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import adaptive_quad
 from .reflection import FixedReflection, lifshitz_summand
@@ -41,6 +44,8 @@ from .response import MaterialModel, MatsubaraContext, eps_core_at, \
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
 Y_CUT = 45.0
+# panels of the first quadrature round of every term
+INITIAL_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -94,24 +99,17 @@ def _term_integral(l: int, xi: float, a: float, model,
     mu = 1.0 if fixed else mu_at(l, model)
     eps_core = 1.0 if fixed or l == 0 else eps_core_at(xi, model)
 
-    if l == 0:
-        # substitute y = u^2: resolves the sqrt(k) cusp of the static TE
-        # coefficient at small wavevectors
-        def f(u):
-            u = np.asarray(u)
-            return 2.0 * u * lifshitz_summand(u * u, 0.0, a, model, mu,
-                                              eps_core)
-
-        res = adaptive_quad(f, 0.0, math.sqrt(Y_CUT), rel_tol=quad_tol)
-        return res.value, res.error
-
+    # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
+    # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
+    # sqrt(k) cusp of the static TE coefficient at small wavevectors
     y_lo = 2.0 * a * xi / C_LIGHT
 
-    def f(y):
-        return lifshitz_summand(y, xi, a, model, mu, eps_core)
+    def f(s):
+        return 2.0 * s * lifshitz_summand(y_lo + s * s, xi, a, model, mu,
+                                          eps_core)
 
-    res = adaptive_quad(f, y_lo, y_lo + Y_CUT, rel_tol=quad_tol,
-                        initial_panels=6)
+    res = adaptive_quad(f, 0.0, math.sqrt(Y_CUT), rel_tol=quad_tol,
+                        initial_panels=INITIAL_PANELS)
     return res.value, res.error
 
 

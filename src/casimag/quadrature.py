@@ -1,20 +1,22 @@
 """Adaptive Gauss-Kronrod quadrature over vectorized integrands.
 
 The pressure integrand is cheap per point but is evaluated very many times
-across the Matsubara sum, so the driver batches all 15 Kronrod nodes of a
-panel into a single call of a vectorized integrand (an array -> array
-function), such as the NumPy kernel of ``reflection.py``.
+across the Matsubara sum, and a NumPy call costs far more than a node, so
+the driver refines in rounds and makes one call of the vectorized
+integrand (an array -> array function of any shape), such as the NumPy
+kernel of ``reflection.py``, per round: the 15 Kronrod nodes of every
+pending panel go in one (n_panels, 15) array.
 
-Panels are split worst-error-first until the summed error estimate falls
-below max(abs_tol, rel_tol * |integral|).  The per-panel error estimate is
-the plain |K15 - G7| difference, which overestimates the true Kronrod
-error for smooth integrands and is therefore conservative.
+While the summed error estimate exceeds the target
+max(abs_tol, rel_tol * |integral|), every panel whose estimate exceeds its
+share target / n_panels is bisected, and all the children form the next
+round.  The per-panel error estimate is the plain |K15 - G7| difference,
+which overestimates the true Kronrod error for smooth integrands and is
+therefore conservative.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +63,14 @@ class QuadResult:
     panels: int
 
 
-def _panel(f, lo: float, hi: float) -> tuple[float, float]:
-    """(Kronrod value, |K15 - G7| error estimate) on one panel."""
+def _panels(f, lo: np.ndarray, hi: np.ndarray):
+    """(Kronrod values, |K15 - G7| estimates) of all panels, one f call."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = np.asarray(f(mid + half * _XGK), dtype=float)
-    k15 = float(half) * float(_WGK @ fx)
-    g7 = float(half) * float(_WG @ fx[_GAUSS_IDX])
-    return k15, abs(k15 - g7)
+    fx = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=float)
+    k15 = half * (fx @ _WGK)
+    g7 = half * (fx[:, _GAUSS_IDX] @ _WG)
+    return k15, np.abs(k15 - g7)
 
 
 def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
@@ -76,37 +78,36 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
                   max_panels: int = 4000) -> QuadResult:
     """Integrate a vectorized f over [lo, hi] to the requested tolerance.
 
-    Raises QuadratureError if max_panels subdivisions cannot reach
-    max(abs_tol, rel_tol * |integral|); the exception carries the achieved
-    error estimate.
+    ``f`` is called once per refinement round with a (n_panels, 15) array.
+    Raises QuadratureError if reaching max(abs_tol, rel_tol * |integral|)
+    would take more than max_panels panels; the exception carries the
+    achieved error estimate.
     """
     if hi <= lo:
         raise ValueError("empty integration interval")
     edges = np.linspace(lo, hi, initial_panels + 1)
-    counter = itertools.count()
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, a, b)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, next(counter), a, b, val))
-    panels = initial_panels
+    lo_p, hi_p = edges[:-1], edges[1:]
+    val, err = _panels(f, lo_p, hi_p)
+    total, total_err = float(val.sum()), float(err.sum())
+    target = max(abs_tol, rel_tol * abs(total))
 
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if panels >= max_panels:
+    while total_err > target:
+        split = err > target / len(err)
+        if not split.any():  # the shares rounded above every estimate
+            split = err == err.max()
+        if len(err) + np.count_nonzero(split) > max_panels:
             raise QuadratureError("adaptive quadrature panel budget "
                                   "exhausted", total_err)
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        total -= val
-        total_err += neg_err  # neg_err is -err of the removed panel
+        a, b = lo_p[split], hi_p[split]
         mid = 0.5 * (a + b)
-        for lo_i, hi_i in ((a, mid), (mid, b)):
-            v, e = _panel(f, lo_i, hi_i)
-            total += v
-            total_err += e
-            heapq.heappush(heap, (-e, next(counter), lo_i, hi_i, v))
-        panels += 1
+        child_val, child_err = _panels(f, np.concatenate((a, mid)),
+                                       np.concatenate((mid, b)))
+        keep = ~split
+        lo_p = np.concatenate((lo_p[keep], a, mid))
+        hi_p = np.concatenate((hi_p[keep], mid, b))
+        val = np.concatenate((val[keep], child_val))
+        err = np.concatenate((err[keep], child_err))
+        total, total_err = float(val.sum()), float(err.sum())
+        target = max(abs_tol, rel_tol * abs(total))
 
-    return QuadResult(value=total, error=total_err, panels=panels)
+    return QuadResult(value=total, error=total_err, panels=len(val))

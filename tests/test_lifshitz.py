@@ -181,6 +181,40 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     assert seen and set(seen) == {matsubara_xi(3, ctx)}
 
 
+def test_kernel_cost_per_term(monkeypatch, ni_models):
+    # y = y_lo + s^2 removes the lower-endpoint cusp of the nonlocal
+    # integrand, and each quadrature round is one kernel call, so a term
+    # costs about one call and the nonlocal variant no more nodes than
+    # the local ones
+    kernel = lifshitz.lifshitz_summand
+    tally = {}
+
+    def spy(y, xi, *args):
+        tally["calls"] += 1
+        tally["nodes"] += np.size(y)
+        return kernel(y, xi, *args)
+
+    monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+    nodes = {}
+    for variant, model in ni_models.items():
+        tally.update(calls=0, nodes=0)
+        res = pressure(PressureQuery(separation=100e-9, model=model), CTX)
+        assert tally["calls"] <= res.terms_used + 3, variant
+        nodes[variant] = tally["nodes"]
+    assert nodes["nonlocal"] <= 1.1 * nodes["plasma"]
+
+
+@pytest.mark.parametrize("a", [100e-9, 800e-9])
+def test_quad_error_bounds_the_quadrature_error(ni_models, a):
+    for variant, model in ni_models.items():
+        loose, tight = (pressure(PressureQuery(separation=a, model=model,
+                                               quad_tol=tol), CTX)
+                        for tol in (1e-9, 1e-13))
+        assert loose.terms_used == tight.terms_used, variant
+        assert abs(loose.pressure - tight.pressure) <= loose.quad_error, \
+            variant
+
+
 def test_dissipationless_nonlocal_pressure_rejected():
     # the static nonlocal coefficients divide by gamma; the pressure path
     # must reject gamma = 0 like the scalar refl_pair does

@@ -28,6 +28,28 @@ def test_shifted_interval():
     assert res.value == pytest.approx(exact, rel=1e-12)
 
 
+def test_refinement_rounds_batch_every_panel_into_one_call():
+    # a Lorentzian of width 1e-2 at 0.3 needs several refinement rounds
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+    exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
+    res = adaptive_quad(f, 0.0, 1.0, rel_tol=1e-10, initial_panels=4)
+    assert len(calls) >= 3
+    assert all(np.prod(shape) % 15 == 0 for shape in calls)
+    # one call per round: the first holds the initial panels, each later
+    # one both children of every panel bisected in that round
+    rows = [np.prod(shape) // 15 for shape in calls]
+    assert rows[0] == 4
+    assert all(n % 2 == 0 for n in rows[1:])
+    assert res.panels == 4 + sum(rows[1:]) // 2
+    assert res.value == pytest.approx(exact, rel=1e-10)
+    assert res.error <= 1e-10 * abs(res.value)
+
+
 def test_zero_integrand():
     res = adaptive_quad(lambda x: np.zeros_like(x), 0.0, 10.0)
     assert res.value == 0.0
