@@ -15,11 +15,11 @@ from .config import ConfigError, build_context, build_geometry, \
     build_material, parse_config, separation_grid
 from .csvio import write_csv
 from .impedance import impedance_pair
-from .lifshitz import PressureQuery, SeriesConvergenceError, pressure, \
+from .lifshitz import SeriesConvergenceError, pressure_curve, \
     pressure_ratio_table
 from .quadrature import QuadratureError
 from .reflection import refl_pair
-from .sphere_plate import ExperimentDataset, compare, gradient_theory
+from .sphere_plate import ExperimentDataset, compare, gradient_curve
 
 _L_GRID = (1, 2, 10, 100)
 _KFACS = (0.0, 0.1, 1.0, 10.0)
@@ -43,12 +43,13 @@ def _model_list(cfg, choice: str | None, use_interband: bool):
 def _cmd_pressure(cfg, args) -> list[list]:
     models = _model_list(cfg, args.model, not args.no_interband)
     ctx = build_context(cfg)
+    grid = separation_grid(cfg)
+    curves = [pressure_curve(grid, model, ctx, cfg.quad_tol, cfg.series_tol)
+              for _, model in models]
     rows = []
-    for a in separation_grid(cfg):
-        for name, model in models:
-            res = pressure(PressureQuery(separation=a, model=model,
-                                         quad_tol=cfg.quad_tol,
-                                         series_tol=cfg.series_tol), ctx)
+    for i, a in enumerate(grid):  # separation outer, model inner
+        for (name, _), curve in zip(models, curves):
+            res = curve[i]
             rows.append([a, name, res.pressure, res.terms_used,
                          res.series_tail_bound, res.quad_error])
     return [["a_m", "model", "pressure_pa", "terms_used", "tail_bound",
@@ -103,13 +104,13 @@ def _cmd_gradient(cfg, args) -> list[list]:
     models = _model_list(cfg, args.model, not args.no_interband)
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
+    grid = separation_grid(cfg)
+    curves = [gradient_curve(grid, model, geom, ctx, cfg.quad_tol,
+                             cfg.series_tol) for _, model in models]
     rows = []
-    for a in separation_grid(cfg):
-        for name, model in models:
-            grad = gradient_theory(a, model, geom, ctx,
-                                   quad_tol=cfg.quad_tol,
-                                   series_tol=cfg.series_tol)
-            rows.append([a, name, grad])
+    for i, a in enumerate(grid):  # separation outer, model inner
+        for (name, _), curve in zip(models, curves):
+            rows.append([a, name, curve[i]])
     return [["a_m", "model", "grad_n_per_m"]] + rows
 
 

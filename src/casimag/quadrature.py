@@ -7,12 +7,17 @@ integrand (an array -> array function of any shape), such as the NumPy
 kernel of ``reflection.py``, per round: the 15 Kronrod nodes of every
 pending panel go in one (n_panels, 15) array.
 
-While the summed error estimate exceeds the target
-max(abs_tol, rel_tol * |integral|), every panel whose estimate exceeds its
-share target / n_panels is bisected, and all the children form the next
-round.  The per-panel error estimate is the plain |K15 - G7| difference,
-which overestimates the true Kronrod error for smooth integrands and is
-therefore conservative.
+The integrand may be vector-valued: for nodes of shape (n_panels, 15) it
+returns shape (*batch, n_panels, 15), one component per leading index.
+The components share the panels, so one call per round serves all of
+them; the pressure integrates every separation of a curve this way.
+
+While the summed error estimate of any component exceeds its target
+max(abs_tol, rel_tol * |integral|), every panel whose estimate for such a
+component exceeds that component's share target / n_panels is bisected,
+and all the children form the next round.  The per-panel error estimate
+is the plain |K15 - G7| difference, which overestimates the true Kronrod
+error for smooth integrands and is therefore conservative.
 """
 
 from __future__ import annotations
@@ -58,18 +63,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class QuadResult:
-    value: float
-    error: float
+    """Integral and error estimate, floats for a scalar integrand and
+    arrays of the batch shape for a vector-valued one."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
     panels: int
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray):
-    """(Kronrod values, |K15 - G7| estimates) of all panels, one f call."""
+    """(Kronrod values, |K15 - G7| estimates) of all panels, one f call.
+
+    Both have shape (*batch, n_panels).
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     fx = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=float)
     k15 = half * (fx @ _WGK)
-    g7 = half * (fx[:, _GAUSS_IDX] @ _WG)
+    g7 = half * (fx[..., _GAUSS_IDX] @ _WG)
     return k15, np.abs(k15 - g7)
 
 
@@ -78,26 +89,33 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
                   max_panels: int = 4000) -> QuadResult:
     """Integrate a vectorized f over [lo, hi] to the requested tolerance.
 
-    ``f`` is called once per refinement round with a (n_panels, 15) array.
-    Raises QuadratureError if reaching max(abs_tol, rel_tol * |integral|)
-    would take more than max_panels panels; the exception carries the
-    achieved error estimate.
+    ``f`` is called once per refinement round with a (n_panels, 15) array
+    and returns an array of that shape, or of shape (*batch, n_panels, 15)
+    for a vector-valued integrand whose components share the panels.
+    Every component meets its own max(abs_tol, rel_tol * |integral|).
+    Raises QuadratureError if that would take more than max_panels
+    panels; the exception carries the largest achieved error estimate of
+    the components still above their target.
     """
     if hi <= lo:
         raise ValueError("empty integration interval")
     edges = np.linspace(lo, hi, initial_panels + 1)
     lo_p, hi_p = edges[:-1], edges[1:]
     val, err = _panels(f, lo_p, hi_p)
-    total, total_err = float(val.sum()), float(err.sum())
-    target = max(abs_tol, rel_tol * abs(total))
+    batch = val.shape[:-1]
+    # components x panels from here on; a scalar f is one component
+    val, err = val.reshape(-1, len(lo_p)), err.reshape(-1, len(lo_p))
+    total, total_err = val.sum(axis=-1), err.sum(axis=-1)
+    target = np.maximum(abs_tol, rel_tol * np.abs(total))
 
-    while total_err > target:
-        split = err > target / len(err)
+    while (open_ := total_err > target).any():
+        over = err[open_]
+        split = (over > target[open_, None] / err.shape[-1]).any(axis=0)
         if not split.any():  # the shares rounded above every estimate
-            split = err == err.max()
-        if len(err) + np.count_nonzero(split) > max_panels:
+            split = (over == over.max(axis=-1, keepdims=True)).any(axis=0)
+        if err.shape[-1] + np.count_nonzero(split) > max_panels:
             raise QuadratureError("adaptive quadrature panel budget "
-                                  "exhausted", total_err)
+                                  "exhausted", float(total_err[open_].max()))
         a, b = lo_p[split], hi_p[split]
         mid = 0.5 * (a + b)
         child_val, child_err = _panels(f, np.concatenate((a, mid)),
@@ -105,9 +123,15 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
         keep = ~split
         lo_p = np.concatenate((lo_p[keep], a, mid))
         hi_p = np.concatenate((hi_p[keep], mid, b))
-        val = np.concatenate((val[keep], child_val))
-        err = np.concatenate((err[keep], child_err))
-        total, total_err = float(val.sum()), float(err.sum())
-        target = max(abs_tol, rel_tol * abs(total))
+        val = np.concatenate((val[:, keep], child_val.reshape(len(val), -1)),
+                             axis=-1)
+        err = np.concatenate((err[:, keep], child_err.reshape(len(err), -1)),
+                             axis=-1)
+        total, total_err = val.sum(axis=-1), err.sum(axis=-1)
+        target = np.maximum(abs_tol, rel_tol * np.abs(total))
 
-    return QuadResult(value=total, error=total_err, panels=len(val))
+    if not batch:
+        return QuadResult(value=float(total[0]), error=float(total_err[0]),
+                          panels=len(lo_p))
+    return QuadResult(value=total.reshape(batch),
+                      error=total_err.reshape(batch), panels=len(lo_p))

@@ -7,7 +7,9 @@ multiplied by a perturbative surface-roughness factor
 1 + 10 (delta_s^2 + delta_p^2)/a^2 and by the leading PFA correction
 1 + theta(a, T) a / R.  That composition order is canonical; swapping the
 two corrections changes the result only at second order in the small
-corrections.
+corrections.  A gradient curve takes its pressures from one
+``lifshitz.pressure_curve`` and checks every separation before computing
+any of them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 from .csvio import read_numeric_csv
-from .lifshitz import PressureQuery, pressure
+from .lifshitz import PressureQuery, pressure, pressure_curve
 from .response import MatsubaraContext
 
 
@@ -102,6 +104,12 @@ def read_theta_table(path) -> tuple[tuple[float, float], ...]:
     return tuple((r[0] * 1e-9, r[1]) for r in rows)
 
 
+def _check_proximity(a: float, geom: GeometryParams) -> None:
+    if a >= geom.radius / 10.0:
+        raise ValueError("separation too large for the proximity-force "
+                         f"regime (need a < R/10 = {geom.radius / 10.0:.3e} m)")
+
+
 def gradient_pfa(a: float, model, geom: GeometryParams, ctx: MatsubaraContext,
                  quad_tol: float = 1e-9, series_tol: float = 1e-8) -> float:
     """Sphere-plate force gradient F' = -2 pi R P(a, T), in N/m, at the
@@ -110,12 +118,16 @@ def gradient_pfa(a: float, model, geom: GeometryParams, ctx: MatsubaraContext,
     Positive for an attractive pressure.  Valid only well inside the
     proximity regime; separations above radius/10 are rejected.
     """
-    if a >= geom.radius / 10.0:
-        raise ValueError("separation too large for the proximity-force "
-                         f"regime (need a < R/10 = {geom.radius / 10.0:.3e} m)")
+    _check_proximity(a, geom)
     res = pressure(PressureQuery(separation=a, model=model, quad_tol=quad_tol,
                                  series_tol=series_tol), ctx)
     return -2.0 * math.pi * geom.radius * res.pressure
+
+
+def _check_roughness(a: float, geom: GeometryParams) -> None:
+    if a <= 10.0 * max(geom.delta_s, geom.delta_p):
+        raise ValueError("roughness correction is perturbative: need "
+                         "a > 10 max(delta_s, delta_p)")
 
 
 def roughness_factor(a: float, geom: GeometryParams) -> float:
@@ -129,9 +141,7 @@ def apply_roughness(grad: float, a: float, geom: GeometryParams) -> float:
     Valid while the roughnesses stay small against the separation;
     a <= 10 max(delta_s, delta_p) is rejected.
     """
-    if a <= 10.0 * max(geom.delta_s, geom.delta_p):
-        raise ValueError("roughness correction is perturbative: need "
-                         "a > 10 max(delta_s, delta_p)")
+    _check_roughness(a, geom)
     return grad * roughness_factor(a, geom)
 
 
@@ -161,14 +171,34 @@ def apply_pfa_correction(grad: float, a: float, geom: GeometryParams) -> float:
     return grad * (1.0 + theta_at(a, geom) * a / geom.radius)
 
 
+def gradient_curve(separations, model, geom: GeometryParams,
+                   ctx: MatsubaraContext, quad_tol: float = 1e-9,
+                   series_tol: float = 1e-8) -> list[float]:
+    """Full theoretical force gradient at every separation, in N/m: PFA,
+    then roughness, then the PFA correction.
+
+    Every separation is checked against the proximity regime and the
+    roughness before any pressure is computed.
+    """
+    for a in separations:
+        _check_proximity(a, geom)
+        _check_roughness(a, geom)
+    curve = pressure_curve(separations, model, ctx, quad_tol, series_tol)
+    grads = []
+    for a, res in zip(separations, curve):
+        grad = apply_roughness(-2.0 * math.pi * geom.radius * res.pressure,
+                               a, geom)
+        grads.append(apply_pfa_correction(grad, a, geom))
+    return grads
+
+
 def gradient_theory(a: float, model, geom: GeometryParams,
                     ctx: MatsubaraContext,
                     quad_tol: float = 1e-9, series_tol: float = 1e-8) -> float:
-    """Full theoretical force gradient: PFA, then roughness, then the
-    PFA correction, in N/m."""
-    grad = gradient_pfa(a, model, geom, ctx, quad_tol, series_tol)
-    grad = apply_roughness(grad, a, geom)
-    return apply_pfa_correction(grad, a, geom)
+    """Full theoretical force gradient at one separation, in N/m (a
+    one-point ``gradient_curve``)."""
+    grad, = gradient_curve([a], model, geom, ctx, quad_tol, series_tol)
+    return grad
 
 
 def compare(data: ExperimentDataset, model, geom: GeometryParams,
@@ -179,12 +209,14 @@ def compare(data: ExperimentDataset, model, geom: GeometryParams,
 
     ci_halfwidth combines the experimental error with err_theory_rel *
     F'_theor in quadrature; inside_ci flags |delta| <= ci_halfwidth.
+    Every separation is checked before any pressure is computed.
     """
     if err_theory_rel < 0.0:
         raise ValueError("err_theory_rel must be >= 0")
+    grads = gradient_curve(data.a, model, geom, ctx, quad_tol, series_tol)
     rows = []
-    for a, g_expt, e_expt in zip(data.a, data.grad_expt, data.err_expt):
-        g_th = gradient_theory(a, model, geom, ctx, quad_tol, series_tol)
+    for a, g_th, g_expt, e_expt in zip(data.a, grads, data.grad_expt,
+                                       data.err_expt):
         delta = g_th - g_expt
         ci = math.hypot(e_expt, err_theory_rel * g_th)
         rows.append(ComparisonRow(a=a, grad_theory=g_th, delta=delta,

@@ -5,8 +5,8 @@ import pytest
 
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
                      PressureQuery, SeriesConvergenceError, lifshitz,
-                     matsubara_xi, nickel, pressure, pressure_ratio_table,
-                     pressure_term, refl_pair)
+                     matsubara_xi, nickel, pressure, pressure_curve,
+                     pressure_ratio_table, pressure_term, refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -151,15 +151,20 @@ class TestPressureProperties:
         assert total == pytest.approx(res.pressure, rel=1e-12)
 
 
-def test_non_convergence_reports_partial_sum():
+@pytest.mark.parametrize("grid", [[50e-9], [50e-9, 5e-6]])
+def test_non_convergence_reports_partial_sum(grid):
+    # in a curve, the error names the separation that did not converge
     ctx = MatsubaraContext(temperature=300.0, l_max_cap=10)
-    q = PressureQuery(separation=50e-9, model=nickel("drude"))
     with pytest.raises(SeriesConvergenceError) as err:
-        pressure(q, ctx)
+        pressure_curve(grid, nickel("drude"), ctx)
+    assert "separation 5.000000e-08 m" in str(err.value)
     partial = err.value.partial
     assert partial.terms_used == 10
     assert partial.pressure < 0.0
     assert partial.series_tail_bound > 0.0
+    q = PressureQuery(separation=50e-9, model=nickel("drude"))
+    with pytest.raises(SeriesConvergenceError, match="5.000000e-08 m"):
+        pressure(q, ctx)
 
 
 @pytest.mark.parametrize("temperature", [4.0, 300.0])
@@ -202,6 +207,74 @@ def test_kernel_cost_per_term(monkeypatch, ni_models):
         assert tally["calls"] <= res.terms_used + 3, variant
         nodes[variant] = tally["nodes"]
     assert nodes["nonlocal"] <= 1.1 * nodes["plasma"]
+
+
+def _kernel_spy(monkeypatch):
+    kernel = lifshitz.lifshitz_summand
+    tally = {"calls": 0, "xi": []}
+
+    def spy(y, xi, *args):
+        tally["calls"] += 1
+        tally["xi"].append(xi)
+        return kernel(y, xi, *args)
+
+    monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+    return tally
+
+
+class TestPressureCurve:
+    GRID = (100e-9, 180e-9, 420e-9, 800e-9, 2e-6, 5e-6)
+
+    @pytest.mark.parametrize("name", ["drude", "plasma", "nonlocal", "ideal",
+                                      "nonlocal+table"])
+    def test_matches_per_point_pressure(self, name, ni_models, ni_models_ib):
+        model = {"ideal": FixedReflection(1.0, -1.0),
+                 "nonlocal+table": ni_models_ib["nonlocal"],
+                 **ni_models}[name]
+        curve = pressure_curve(self.GRID, model, CTX, keep_terms=True)
+        assert len(curve) == len(self.GRID)
+        for a, res in zip(self.GRID, curve):
+            point = pressure(PressureQuery(separation=a, model=model), CTX,
+                             keep_terms=True)
+            assert res.terms_used == point.terms_used, a
+            assert res.pressure == pytest.approx(point.pressure, rel=1e-12)
+            assert len(res.per_term) == res.terms_used
+            for (l1, t1), (l2, t2) in zip(res.per_term, point.per_term):
+                assert l1 == l2
+                assert t1 == pytest.approx(t2, rel=1e-12, abs=1e-12 * abs(
+                    point.pressure))
+
+    def test_one_kernel_call_per_index_for_the_readme_grid(self, monkeypatch,
+                                                            ni_models):
+        # every separation still summing at index l shares one call per
+        # quadrature round, and nearly every round-one estimate converges
+        grid = np.geomspace(100e-9, 800e-9, 15)
+        tally = _kernel_spy(monkeypatch)
+        for variant, model in ni_models.items():
+            tally["calls"] = 0
+            curve = pressure_curve(grid, model, CTX)
+            assert tally["calls"] <= curve[0].terms_used + 3, variant
+        assert all(type(xi) is float for xi in tally["xi"])
+
+    def test_quad_error_bounds_the_quadrature_error(self, ni_models):
+        # panels refined for one separation are shared by all; each
+        # separation's estimate must still bound its own error
+        grid = (100e-9, 160e-9, 244e-9, 800e-9)
+        for variant, model in ni_models.items():
+            loose, tight = (pressure_curve(grid, model, CTX, quad_tol=tol)
+                            for tol in (1e-9, 1e-13))
+            for lo, ti in zip(loose, tight):
+                assert lo.terms_used == ti.terms_used, variant
+                assert abs(lo.pressure - ti.pressure) <= lo.quad_error, \
+                    variant
+
+    def test_separations_are_validated_before_any_term(self, monkeypatch):
+        tally = _kernel_spy(monkeypatch)
+        with pytest.raises(ValueError, match="separation must be finite"):
+            pressure_curve([1e-6, 0.0], nickel("drude"), CTX)
+        with pytest.raises(ValueError, match="at least one separation"):
+            pressure_curve([], nickel("drude"), CTX)
+        assert tally["calls"] == 0
 
 
 @pytest.mark.parametrize("a", [100e-9, 800e-9])

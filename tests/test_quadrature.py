@@ -50,6 +50,24 @@ def test_refinement_rounds_batch_every_panel_into_one_call():
     assert res.error <= 1e-10 * abs(res.value)
 
 
+def test_vector_valued_components_meet_their_own_tolerance():
+    # a sharp Lorentzian scaled to 1e-20 beside a smooth quartic of order
+    # 1e10: one shared target would leave the small peak unresolved
+    def f(x):
+        return np.stack((1e-20 / (1e-4 + (x - 0.3) ** 2), 1e10 * x**4))
+
+    exact = np.array([1e-18 * (math.atan(70.0) + math.atan(30.0)), 2e9])
+    res = adaptive_quad(f, 0.0, 1.0, rel_tol=1e-10, initial_panels=4)
+    assert res.value.shape == res.error.shape == (2,)
+    assert np.all(res.error <= 1e-10 * np.abs(res.value))
+    assert res.value == pytest.approx(exact, rel=1e-10)
+    lorentzian = adaptive_quad(lambda x: f(x)[0], 0.0, 1.0, rel_tol=1e-10,
+                               initial_panels=4)
+    assert res.panels == lorentzian.panels
+    assert type(lorentzian.value) is float
+    assert type(lorentzian.error) is float
+
+
 def test_zero_integrand():
     res = adaptive_quad(lambda x: np.zeros_like(x), 0.0, 10.0)
     assert res.value == 0.0

@@ -4,8 +4,8 @@ import pytest
 
 from casimag import (ExperimentDataset, GeometryParams, MatsubaraContext,
                      PressureQuery, apply_pfa_correction, apply_roughness,
-                     compare, gradient_pfa, gradient_theory, nickel,
-                     pressure, roughness_factor)
+                     compare, gradient_curve, gradient_pfa, gradient_theory,
+                     lifshitz, nickel, pressure, roughness_factor)
 from casimag.lifshitz import PressureResult
 from casimag.sphere_plate import read_theta_table, theta_at
 
@@ -175,6 +175,34 @@ class TestCompare:
         data = synthetic_dataset(nickel("drude"), GEOM, self.SEPARATIONS)
         rows = compare(data, nickel("nonlocal"), GEOM, CTX)
         assert all(row.delta < 0.0 for row in rows)
+
+    def test_gradient_curve_matches_per_point_gradient(self):
+        model = nickel("nonlocal")
+        curve = gradient_curve(self.SEPARATIONS, model, GEOM, CTX)
+        for a, grad in zip(self.SEPARATIONS, curve):
+            assert grad == pytest.approx(gradient_theory(a, model, GEOM, CTX),
+                                         rel=1e-12)
+
+    @pytest.mark.parametrize("separations,geom,match", [
+        ((223e-9, 300e-9, 7e-6), GEOM, "proximity"),
+        ((223e-9, 300e-9, 420e-9),
+         GeometryParams(radius=61.71e-6, delta_s=25e-9), "perturbative"),
+    ])
+    def test_every_separation_checked_before_any_pressure(
+            self, monkeypatch, separations, geom, match):
+        calls = []
+        kernel = lifshitz.lifshitz_summand
+
+        def spy(y, xi, *args):
+            calls.append(xi)
+            return kernel(y, xi, *args)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        data = ExperimentDataset(a=separations, grad_expt=(1e-4,) * 3,
+                                 err_expt=(1e-6,) * 3)
+        with pytest.raises(ValueError, match=match):
+            compare(data, nickel("drude"), geom, CTX)
+        assert calls == []
 
     def test_theory_error_enters_ci(self):
         model = nickel("drude")
