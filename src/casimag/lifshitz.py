@@ -53,6 +53,8 @@ from .response import MaterialModel, MatsubaraContext, eps_core_at, \
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
 Y_CUT = 45.0
+# upper limit of every term's integral in s, y = y_lo + s^2
+S_CUT = math.sqrt(Y_CUT)
 # panels of the first quadrature round of every term
 INITIAL_PANELS = 8
 
@@ -104,21 +106,24 @@ def _term_integrals(l: int, xi: float, a: np.ndarray, model,
                     quad_tol: float) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral at every separation in a."""
     # permeability and interband core once per term, not per kernel call
-    fixed = isinstance(model, FixedReflection)
-    mu = 1.0 if fixed else mu_at(l, model)
-    eps_core = 1.0 if fixed or l == 0 else eps_core_at(xi, model)
+    if isinstance(model, FixedReflection):
+        mu = eps_core = 1.0
+    else:
+        mu = mu_at(l, model)
+        eps_core = 1.0 if l == 0 else eps_core_at(xi, model)
 
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
     a = a[:, None, None]  # separations x (panels, nodes)
-    y_lo = 2.0 * a * xi / C_LIGHT
+    y_lo = a * (2.0 * xi / C_LIGHT)
 
     def f(s):
-        return 2.0 * s * lifshitz_summand(y_lo + s * s, xi, a, model, mu,
-                                          eps_core)
+        out = lifshitz_summand(y_lo + s * s, xi, a, model, mu, eps_core)
+        out *= 2.0 * s
+        return out
 
-    res = adaptive_quad(f, 0.0, math.sqrt(Y_CUT), rel_tol=quad_tol,
+    res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
                         initial_panels=INITIAL_PANELS)
     return res.value.tolist(), res.error.tolist()
 

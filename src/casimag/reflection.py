@@ -50,12 +50,14 @@ def free_electron_eps(xi, k, m, core):
     Dissipative: core + wp^2/(xi(xi+gamma)) for both; dissipationless:
     core + wp^2/xi^2 for both; wavevector-dependent:
     core + W (1 + v_t k/xi) and core + W/(1 + v_l k/xi) with
-    W = wp^2/(xi(xi+gamma)).  ``core`` replaces the leading unity.
+    W = wp^2/(xi(xi+gamma)).  ``core`` replaces the leading unity.  The
+    local variants return one object twice (``eps_tr is eps_l``).
     """
     if m.variant == NONLOCAL:
         w = m.omega_p * m.omega_p / (xi * (xi + m.gamma))
-        return (core + w * (1.0 + m.v_t * k / xi),
-                core + w / (1.0 + m.v_l * k / xi))
+        # scalar factors first, so an array k costs two and four passes
+        return ((core + w) + (w * m.v_t / xi) * k,
+                core + w / (1.0 + (m.v_l / xi) * k))
     if m.variant == DRUDE:
         w = m.omega_p * m.omega_p / (xi * (xi + m.gamma))
     else:
@@ -91,22 +93,35 @@ def static_coefficients(k, m, mu):
             (mu * sk - skb) / (mu * sk + skb))
 
 
-def matsubara_coefficients(q, k, xi_c2, mu, eps_tr, eps_l):
+def matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr, eps_l):
     """(r_TM, r_TE) at l >= 1 for a k-only response.
 
-    With xi_c2 = xi^2/c^2, q = sqrt(k^2 + xi_c2) and
+    With xi_c2 = xi^2/c^2, q = sqrt(k^2 + xi_c2), k2 = k^2 and
     k_mu = sqrt(k^2 + mu eps_tr xi_c2):
 
     r_TM = (q eps_tr - k_mu - k (eps_tr - eps_l)/eps_l)
          / (q eps_tr + k_mu + k (eps_tr - eps_l)/eps_l),
     r_TE = (q mu - k_mu) / (q mu + k_mu).
 
-    For a local variant (eps_tr = eps_l) this is the Fresnel form.
+    For a local variant (``eps_tr is eps_l``) the cross term is zero and
+    skipped: this is the Fresnel form.
     """
-    k_mu = np.sqrt(k * k + mu * eps_tr * xi_c2)
-    cross = k * (eps_tr - eps_l) / eps_l
-    return ((q * eps_tr - k_mu - cross) / (q * eps_tr + k_mu + cross),
-            (q * mu - k_mu) / (q * mu + k_mu))
+    k_mu = np.sqrt(k2 + (mu * xi_c2) * eps_tr)
+    q_eps = q * eps_tr
+    if eps_tr is not eps_l:
+        k_mu_cross = k_mu + k * (eps_tr - eps_l) / eps_l
+        r_tm = (q_eps - k_mu_cross) / (q_eps + k_mu_cross)
+    else:
+        r_tm = (q_eps - k_mu) / (q_eps + k_mu)
+    q_mu = q * mu
+    return r_tm, (q_mu - k_mu) / (q_mu + k_mu)
+
+
+def _occupation(r, damp):
+    """x/(1 - x) with x = r^2 damp."""
+    x = r * r * damp
+    x /= 1.0 - x
+    return x
 
 
 def lifshitz_summand(y, xi, a, model, mu, eps_core):
@@ -126,14 +141,18 @@ def lifshitz_summand(y, xi, a, model, mu, eps_core):
         r_tm, r_te = static_coefficients(q, model, mu)
     else:
         xi_c2 = (xi / C_LIGHT) ** 2
-        k = np.sqrt(np.maximum(q * q - xi_c2, 0.0))
+        k2 = np.maximum(q * q - xi_c2, 0.0)
+        k = np.sqrt(k2)
         eps_tr, eps_l = free_electron_eps(xi, k, model, eps_core)
-        r_tm, r_te = matsubara_coefficients(q, k, xi_c2, mu, eps_tr, eps_l)
+        r_tm, r_te = matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr,
+                                            eps_l)
 
     damp = np.exp(-y)
-    x_tm = r_tm * r_tm * damp
-    x_te = r_te * r_te * damp
-    return y * y * (x_tm / (1.0 - x_tm) + x_te / (1.0 - x_te))
+    out = _occupation(r_tm, damp)
+    out += _occupation(r_te, damp)
+    out *= y
+    out *= y
+    return out
 
 
 def _check_k(k_perp: float) -> None:
@@ -189,8 +208,9 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
     else:
         eps_tr, eps_l = free_electron_eps(xi, k_perp, m, eps_core_at(xi, m))
         xi_c2 = (xi / C_LIGHT) ** 2
-        r_tm, r_te = matsubara_coefficients(math.sqrt(k_perp**2 + xi_c2),
-                                            k_perp, xi_c2, mu, eps_tr, eps_l)
+        k2 = k_perp * k_perp
+        r_tm, r_te = matsubara_coefficients(math.sqrt(k2 + xi_c2), k_perp,
+                                            k2, xi_c2, mu, eps_tr, eps_l)
     return ReflectionPair(r_tm=float(r_tm), r_te=float(r_te), l=l,
                           k_perp=k_perp)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
 from .csvio import read_numeric_csv
-from .quadrature import _GAUSS_IDX, _WG, _WGK, _XGK, QuadratureError
+from .quadrature import _W, _XGK, QuadratureError
 
 DRUDE = "drude"
 PLASMA = "plasma"
@@ -46,9 +46,9 @@ KK_TAIL_REL_TOL = 1e-3
 KK_PANEL_WIDTH = 0.5
 KK_MAX_ROUNDS = 6
 
-# Kronrod weights minus the embedded Gauss weights, on the 15 Kronrod nodes
-_WDIFF = _WGK.copy()
-_WDIFF[_GAUSS_IDX] -= _WG
+# Kronrod weights, and Kronrod minus the embedded Gauss weights, on the 15
+# Kronrod nodes
+_WGK, _WDIFF = _W.T
 
 
 @dataclass(frozen=True)

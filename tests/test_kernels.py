@@ -5,23 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from casimag import FixedReflection, MatsubaraContext, matsubara_xi, \
-    mu_at, nickel, refl_pair
+from casimag import FixedReflection, MaterialModel, MatsubaraContext, \
+    eps_pair, matsubara_xi, mu_at, nickel, refl_pair
 from casimag import reflection
 from casimag.constants import C_LIGHT
+from casimag.response import eps_core_at
 
 CTX = MatsubaraContext(temperature=300.0)
 A = 0.5e-6
+VARIANTS = ["drude", "plasma", "nonlocal"]
 
 
-def reference_summand(y, model, l):
-    """Brute-force evaluation through the reflection module."""
+def reference_summand(y, model, l, a=A, mu_l=None):
+    """Brute-force evaluation through the reflection module, node by node.
+
+    ``a`` broadcasts against ``y``; ``mu_l`` overrides the permeability.
+    """
     xi = matsubara_xi(l, CTX)
-    out = np.empty_like(y)
-    for i, yi in enumerate(y):
-        q = yi / (2.0 * A)
+    y, a = np.broadcast_arrays(np.asarray(y, dtype=float), a)
+    out = np.empty(y.shape)
+    for i in np.ndindex(y.shape):
+        yi = float(y[i])
+        q = yi / (2.0 * float(a[i]))
         k = math.sqrt(max(q * q - (xi / C_LIGHT) ** 2, 0.0))
-        r = refl_pair(l, k, model, CTX)
+        r = refl_pair(l, k, model, CTX, mu_l=mu_l)
         damp = math.exp(-yi)
         x_tm = r.r_tm**2 * damp
         x_te = r.r_te**2 * damp
@@ -29,7 +36,13 @@ def reference_summand(y, model, l):
     return out
 
 
-@pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
+def nodes_above_cut(l, a):
+    """41 nodes y from just above y_lo = 2 a xi_l / c, broadcast over a."""
+    xi = matsubara_xi(l, CTX)
+    return 2.0 * a * xi / C_LIGHT + np.linspace(0.05, 30.0, 41)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("l", [0, 1, 7])
 def test_kernel_matches_reflection_module(variant, l):
     model = nickel(variant)
@@ -39,6 +52,67 @@ def test_kernel_matches_reflection_module(variant, l):
     got = reflection.lifshitz_summand(y, xi, A, model, mu_at(l, model), 1.0)
     expected = reference_summand(y, model, l)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("l", [0, 1, 7])
+def test_kernel_broadcasts_over_separations(variant, l):
+    # the pressure curve passes separations of shape (n, 1, 1) against
+    # nodes of shape (n, panels, nodes)
+    model = nickel(variant)
+    a = np.array([100e-9, 420e-9, 3e-6])[:, None, None]
+    y = nodes_above_cut(l, a)
+    got = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), a, model,
+                                      mu_at(l, model), 1.0)
+    assert got.shape == y.shape
+    np.testing.assert_allclose(got, reference_summand(y, model, l, a),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("l", [1, 7])
+def test_kernel_permeability_above_the_static_term(variant, l):
+    model = nickel(variant)
+    y = nodes_above_cut(l, A)
+    got = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), A, model,
+                                      110.0, 1.0)
+    np.testing.assert_allclose(got, reference_summand(y, model, l,
+                                                      mu_l=110.0),
+                               rtol=1e-12)
+    unit = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), A, model,
+                                       1.0, 1.0)
+    assert np.all(got != unit)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("l", [1, 7])
+def test_kernel_with_interband_core(variant, l, ni_table):
+    model = nickel(variant, interband=ni_table)
+    xi = matsubara_xi(l, CTX)
+    core = eps_core_at(xi, model)
+    assert core > 1.5
+    y = nodes_above_cut(l, A)
+    got = reflection.lifshitz_summand(y, xi, A, model, mu_at(l, model), core)
+    np.testing.assert_allclose(got, reference_summand(y, model, l),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("core", [1.0, 7.5])
+def test_nonlocal_permittivities_match_their_closed_forms(core):
+    # eps_tr = core + W (1 + v_t k/xi), eps_l = core + W/(1 + v_l k/xi),
+    # with unequal velocities so that a swap shows
+    ni = nickel("nonlocal")
+    m = MaterialModel(omega_p=ni.omega_p, gamma=ni.gamma, v_t=ni.v_t,
+                      v_l=0.3 * ni.v_l, variant="nonlocal")
+    for l in (1, 7, 60):
+        xi = matsubara_xi(l, CTX)
+        w = m.omega_p**2 / (xi * (xi + m.gamma))
+        for k in (0.0, 1e5, 1e7, 1e9):
+            eps_tr, eps_l = eps_pair(xi, k, m, core)
+            assert eps_tr == pytest.approx(core + w * (1 + m.v_t * k / xi),
+                                           rel=1e-14)
+            assert eps_l == pytest.approx(core + w / (1 + m.v_l * k / xi),
+                                          rel=1e-14)
 
 
 def test_fixed_reflection_analytic():

@@ -106,6 +106,14 @@ def test_high_index_terms_exponentially_suppressed():
     assert abs(term) < 1e-17 * abs(res.pressure)
 
 
+@pytest.mark.parametrize("l", [430, 440, 450])
+def test_subnormal_terms_integrate(l):
+    # at 1 um these plasma terms are subnormal floats (l = 450 underflows
+    # to -0.0); a relative quadrature target alone would be unreachable
+    term = pressure_term(l, 1e-6, nickel("plasma"), CTX)
+    assert -1e-300 < term <= 0.0
+
+
 class TestPressureProperties:
     @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
     def test_attraction_and_monotone_decay(self, variant):

@@ -68,6 +68,39 @@ def test_vector_valued_components_meet_their_own_tolerance():
     assert type(lorentzian.error) is float
 
 
+def test_first_round_nodes_are_shared_and_read_only():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return np.exp(-x) * np.sin(3.0 * x)
+
+    first = adaptive_quad(f, 0.0, 2.0, rel_tol=1e-12, initial_panels=8)
+    n_first = len(seen)
+    again = adaptive_quad(f, 0.0, 2.0, rel_tol=1e-12, initial_panels=8)
+    assert seen[n_first] is seen[0]
+    assert (again.value, again.error, again.panels) == \
+        (first.value, first.error, first.panels)
+
+    def scribble(x):
+        x *= 2.0
+        return x
+
+    with pytest.raises(ValueError):
+        adaptive_quad(scribble, 0.0, 2.0, initial_panels=8)
+    after = adaptive_quad(f, 0.0, 2.0, rel_tol=1e-12, initial_panels=8)
+    assert (after.value, after.error) == (first.value, first.error)
+
+
+def test_subnormal_integral_meets_the_floored_target():
+    # rel_tol * |I| underflows below any estimate the rule can reach;
+    # the target is floored at the smallest normal float instead
+    res = adaptive_quad(lambda y: 1e-318 * y * y * np.exp(-y), 0.0, 45.0,
+                        rel_tol=1e-9, initial_panels=8)
+    assert res.value == pytest.approx(2e-318, rel=1e-3)
+    assert res.panels == 8
+
+
 def test_zero_integrand():
     res = adaptive_quad(lambda x: np.zeros_like(x), 0.0, 10.0)
     assert res.value == 0.0
