@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, build_context, build_geometry, \
     build_material, parse_config, separation_grid
@@ -37,7 +38,8 @@ def _model_list(cfg, choice: str | None, use_interband: bool):
         names = ["nonlocal", "plasma", "drude"]
     else:
         names = [choice]
-    return [(n, build_material(cfg, n, use_interband)) for n in names]
+    model = build_material(cfg, use_interband=use_interband)
+    return [(n, replace(model, variant=n)) for n in names]
 
 
 def _cmd_pressure(cfg, args) -> list[list]:

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .constants import C_LIGHT, ev_to_rad_s
-from .response import VARIANTS, InterbandTable, MaterialModel, \
-    MatsubaraContext
+from .response import NI_V_FERMI, VARIANTS, InterbandTable, \
+    MaterialModel, MatsubaraContext
 from .sphere_plate import GeometryParams, read_theta_table
 
 
@@ -31,7 +31,7 @@ class RunConfig:
     mu0: float = 1.0
     v_t_over_vf: float = 0.0
     v_l_over_vf: float = 0.0
-    v_f_m_s: float = 1.31e6
+    v_f_m_s: float = NI_V_FERMI
     optical_data_path: str | None = None
     # sweep
     a_min_nm: float = 100.0
@@ -170,9 +170,9 @@ def separation_grid(cfg: RunConfig) -> list[float]:
     return [a_min + i * step for i in range(cfg.points)]
 
 
-def build_material(cfg: RunConfig, variant: str | None = None,
+def build_material(cfg: RunConfig,
                    use_interband: bool = True) -> MaterialModel:
-    """MaterialModel from the config, optionally overriding the variant."""
+    """MaterialModel of the configured variant."""
     interband = None
     if use_interband and cfg.optical_data_path is not None:
         interband = InterbandTable.from_csv(cfg.optical_data_path)
@@ -183,7 +183,7 @@ def build_material(cfg: RunConfig, variant: str | None = None,
         v_t=cfg.v_t_over_vf * cfg.v_f_m_s,
         v_l=cfg.v_l_over_vf * cfg.v_f_m_s,
         interband=interband,
-        variant=variant if variant is not None else cfg.variant,
+        variant=cfg.variant,
     )
 
 

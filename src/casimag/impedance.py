@@ -51,12 +51,15 @@ def _check_positive_args(l: int, k_perp: float) -> None:
 
 
 def _model_eps(l: int, k_perp: float, m: MaterialModel,
-               ctx: MatsubaraContext) -> tuple[float, float, float]:
-    """(xi_l, eps_tr, eps_l) with the interband core applied for l >= 1."""
+               ctx: MatsubaraContext, mu_l: float | None
+               ) -> tuple[float, float, float, float]:
+    """Validated (xi_l, mu, eps_tr, eps_l), with the interband core applied
+    and ``mu_l`` overriding ``mu_at(l, m)``."""
+    _check_positive_args(l, k_perp)
     xi = matsubara_xi(l, ctx)
-    core = eps_core_at(xi, m)
-    eps_tr, eps_l = eps_pair(xi, k_perp, m, core)
-    return xi, eps_tr, eps_l
+    mu = mu_at(l, m) if mu_l is None else mu_l
+    eps_tr, eps_l = eps_pair(xi, k_perp, m, eps_core_at(xi, m))
+    return xi, mu, eps_tr, eps_l
 
 
 def _tan_sub_quad(f, scale: float) -> float:
@@ -91,9 +94,7 @@ def z_te_integral(l: int, k_perp: float, m: MaterialModel,
     the integral running over the whole real k_z axis (computed as twice
     the half-axis integral by evenness).
     """
-    _check_positive_args(l, k_perp)
-    xi, eps_tr, _ = _model_eps(l, k_perp, m, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
+    xi, mu, eps_tr, _ = _model_eps(l, k_perp, m, ctx, mu_l)
     c = C_LIGHT
 
     def f(kz):
@@ -113,9 +114,7 @@ def z_tm_integral(l: int, k_perp: float, m: MaterialModel,
     Z_TM = (c xi mu / pi) Int dk_z/k^2 [ k_perp^2/(mu xi^2 eps_l)
            + k_z^2/(mu xi^2 eps_tr + c^2 k^2) ],  k^2 = k_perp^2 + k_z^2.
     """
-    _check_positive_args(l, k_perp)
-    xi, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
+    xi, mu, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx, mu_l)
     c = C_LIGHT
 
     def f(kz):
@@ -136,9 +135,7 @@ def z_te_closed(l: int, k_perp: float, m: MaterialModel,
 
     Z_TE = xi mu / sqrt(c^2 k_perp^2 + mu eps_tr xi^2).
     """
-    _check_positive_args(l, k_perp)
-    xi, eps_tr, _ = _model_eps(l, k_perp, m, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
+    xi, mu, eps_tr, _ = _model_eps(l, k_perp, m, ctx, mu_l)
     return xi * mu / math.sqrt((C_LIGHT * k_perp) ** 2
                                + mu * eps_tr * xi * xi)
 
@@ -150,9 +147,7 @@ def z_tm_closed(l: int, k_perp: float, m: MaterialModel,
     Z_TM = (1/xi) [ c k_perp/eps_l
                     + (sqrt(c^2 k_perp^2 + mu eps_tr xi^2) - c k_perp)/eps_tr ].
     """
-    _check_positive_args(l, k_perp)
-    xi, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
+    xi, mu, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx, mu_l)
     ck = C_LIGHT * k_perp
     root = math.sqrt(ck * ck + mu * eps_tr * xi * xi)
     return (ck / eps_l + (root - ck) / eps_tr) / xi

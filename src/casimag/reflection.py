@@ -5,25 +5,24 @@ axis.  The NumPy kernel is ``free_electron_eps`` (the permittivity pair),
 ``static_coefficients`` (exact l = 0 limits per variant, since the
 permittivities are singular at xi = 0), ``matsubara_coefficients``
 (l >= 1) and ``lifshitz_summand`` built from them.  The kernel reads the
-MaterialModel (dispatching on ``m.variant``), broadcasts over arrays or
-Python floats, and checks nothing; ``lifshitz_summand`` is the one
-integrand of the pressure quadrature.  The scalar API validates its
-inputs and computes through the kernel: ``eps_pair`` is the permittivity
-pair and ``refl_pair`` the coefficients at any Matsubara index.
-``FixedReflection`` stands in for a material model with constant
-coefficients.  On the imaginary axis every coefficient is real with
-|r| <= 1.
+MaterialModel, broadcasts over arrays or Python floats, and checks
+nothing; ``lifshitz_summand`` is the one integrand of the pressure
+quadrature.  The scalar API validates its inputs and computes through the
+kernel: ``eps_pair`` is the permittivity pair and ``refl_pair`` the
+coefficients at any Matsubara index.  ``FixedReflection`` stands in for a
+material model with constant coefficients.  On the imaginary axis every
+coefficient is real with |r| <= 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT
-from .response import DRUDE, NONLOCAL, PLASMA, MaterialModel, \
+from .response import DRUDE, PLASMA, MaterialModel, \
     MatsubaraContext, _check_xi, eps_core_at, matsubara_xi, mu_at
 
 
@@ -47,23 +46,19 @@ class FixedReflection:
 def free_electron_eps(xi, k, m, core):
     """(eps_tr, eps_l) of the conduction electrons of ``m`` at (i xi, k).
 
-    Dissipative: core + wp^2/(xi(xi+gamma)) for both; dissipationless:
-    core + wp^2/xi^2 for both; wavevector-dependent:
     core + W (1 + v_t k/xi) and core + W/(1 + v_l k/xi) with
-    W = wp^2/(xi(xi+gamma)).  ``core`` replaces the leading unity.  The
-    local variants return one object twice (``eps_tr is eps_l``).
+    W = wp^2/(xi(xi+gamma)), on the model's effective (gamma, v_t, v_l):
+    drude has zero velocities, plasma zero gamma too.  ``core`` replaces
+    the leading unity.  With v_t = v_l = 0 the pair is local and one
+    object is returned twice (``eps_tr is eps_l``); the shortcut is exact.
     """
-    if m.variant == NONLOCAL:
-        w = m.omega_p * m.omega_p / (xi * (xi + m.gamma))
-        # scalar factors first, so an array k costs two and four passes
-        return ((core + w) + (w * m.v_t / xi) * k,
-                core + w / (1.0 + (m.v_l / xi) * k))
-    if m.variant == DRUDE:
-        w = m.omega_p * m.omega_p / (xi * (xi + m.gamma))
-    else:
-        w = m.omega_p * m.omega_p / (xi * xi)
-    eps = core + w
-    return eps, eps
+    gamma, v_t, v_l = m.effective
+    w = m.omega_p * m.omega_p / (xi * (xi + gamma))
+    if v_t == 0.0 and v_l == 0.0:
+        eps = core + w
+        return eps, eps
+    # scalar factors first, so an array k costs two and four passes
+    return (core + w) + (w * v_t / xi) * k, core + w / (1.0 + (v_l / xi) * k)
 
 
 def static_coefficients(k, m, mu):
@@ -74,8 +69,9 @@ def static_coefficients(k, m, mu):
     / (mu k + sqrt(k^2 + mu wp^2/c^2)).  Wavevector-dependent:
     r_TM = wp^2/(2 v_l gamma k + wp^2),
     r_TE = (mu sqrt(k) - sqrt(k + B))/(mu sqrt(k) + sqrt(k + B)) with
-    B = mu wp^2 v_t/(gamma c^2).  Only r_TE feels the permeability.
-    The wavevector-dependent pair requires gamma > 0.
+    B = mu wp^2 v_t/(gamma c^2), which is the dissipative (mu - 1)/(mu + 1)
+    at B = 0.  Only r_TE feels the permeability.  The wavevector-dependent
+    pair requires gamma > 0.
     """
     if m.variant == DRUDE:
         return 1.0, (mu - 1.0) / (mu + 1.0)
@@ -86,11 +82,13 @@ def static_coefficients(k, m, mu):
         raise ValueError("static nonlocal coefficients are singular at "
                          "gamma = 0; use the plasma variant instead")
     wp2 = m.omega_p * m.omega_p
+    r_tm = wp2 / (2.0 * m.v_l * m.gamma * k + wp2)
     b = mu * wp2 * m.v_t / (m.gamma * C_LIGHT * C_LIGHT)
+    if b == 0.0:  # the square-root form is 0/0 at k = 0
+        return r_tm, (mu - 1.0) / (mu + 1.0)
     sk = np.sqrt(k)
     skb = np.sqrt(k + b)
-    return (wp2 / (2.0 * m.v_l * m.gamma * k + wp2),
-            (mu * sk - skb) / (mu * sk + skb))
+    return r_tm, (mu * sk - skb) / (mu * sk + skb)
 
 
 def matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr, eps_l):
@@ -164,7 +162,7 @@ def eps_pair(xi: float, k_perp: float, m: MaterialModel,
              core: float = 1.0) -> tuple[float, float]:
     """(transverse, longitudinal) permittivity of ``m`` at (i xi, k_perp).
 
-    See ``free_electron_eps``; the local variants give equal entries.
+    See ``free_electron_eps``; zero velocities give equal entries.
     Requires xi > 0 and k_perp >= 0.
     """
     _check_xi(xi)
@@ -198,12 +196,6 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
     xi = matsubara_xi(l, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
     if l == 0:
-        if (m.variant == NONLOCAL and m.gamma > 0.0 and k_perp == 0.0
-                and m.v_t == 0.0):
-            # B = 0 makes the square-root form 0/0; its k -> 0 limit is
-            # the dissipative local pair (gamma = 0 is left to the check
-            # in static_coefficients)
-            m = replace(m, variant=DRUDE)
         r_tm, r_te = static_coefficients(k_perp, m, mu)
     else:
         eps_tr, eps_l = free_electron_eps(xi, k_perp, m, eps_core_at(xi, m))

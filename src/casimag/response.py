@@ -32,7 +32,8 @@ VARIANTS = (DRUDE, PLASMA, NONLOCAL)
 
 # Free-electron parameters of Ni: plasma frequency 4.89 eV, relaxation
 # 0.0436 eV (room temperature), static permeability 110, Fermi velocity
-# 1.31e6 m/s from a spherical Fermi surface.
+# 1.31e6 m/s, not derived from omega_p (a spherical Fermi surface with
+# omega_p = 4.89 eV gives n = 1.73e28 m^-3 and v_F = 9.27e5 m/s).
 NI_OMEGA_P_EV = 4.89
 NI_GAMMA_EV = 0.0436
 NI_MU0 = 110.0
@@ -108,11 +109,15 @@ class MaterialModel:
 
     omega_p, gamma are angular frequencies in rad/s; mu0 is the static
     magnetic permeability; v_t, v_l are the transverse/longitudinal
-    characteristic velocities in m/s of the wavevector-dependent response
-    (ignored by the local variants).  ``interband`` optionally supplies
-    measured absorption data from which the bound-electron core is
-    reconstructed; it replaces the leading "1" of the free-electron
-    permittivities at nonzero Matsubara frequencies.
+    characteristic velocities in m/s of the wavevector-dependent response.
+    ``interband`` optionally supplies measured absorption data from which
+    the bound-electron core is reconstructed; it replaces the leading "1"
+    of the free-electron permittivities at nonzero Matsubara frequencies.
+
+    ``effective`` is derived: the (gamma, v_t, v_l) of the l >= 1
+    permittivities, (gamma, 0, 0) for drude and (0, 0, 0) for plasma, so
+    the variant picks only the static pair.  ``gamma`` stays the physical
+    relaxation rate, with which the interband core subtracts the Drude part.
     """
 
     omega_p: float
@@ -122,6 +127,8 @@ class MaterialModel:
     v_l: float = 0.0
     interband: InterbandTable | None = None
     variant: str = DRUDE
+    effective: tuple[float, float, float] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.omega_p < math.inf:
@@ -136,6 +143,9 @@ class MaterialModel:
                 raise ValueError(f"{name} must be in [0, c)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        effective = {DRUDE: (self.gamma, 0.0, 0.0), PLASMA: (0.0, 0.0, 0.0),
+                     NONLOCAL: (self.gamma, self.v_t, self.v_l)}
+        object.__setattr__(self, "effective", effective[self.variant])
 
 
 def nickel(variant: str = NONLOCAL, interband: InterbandTable | None = None,

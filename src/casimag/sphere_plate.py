@@ -186,8 +186,8 @@ def gradient_curve(separations, model, geom: GeometryParams,
     curve = pressure_curve(separations, model, ctx, quad_tol, series_tol)
     grads = []
     for a, res in zip(separations, curve):
-        grad = apply_roughness(-2.0 * math.pi * geom.radius * res.pressure,
-                               a, geom)
+        grad = (-2.0 * math.pi * geom.radius * res.pressure
+                * roughness_factor(a, geom))  # roughness checked above
         grads.append(apply_pfa_correction(grad, a, geom))
     return grads
 

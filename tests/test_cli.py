@@ -214,6 +214,26 @@ class TestInterbandPlumbing:
         p_fe = float(read_csv(str(out_fe))[1][0][2])
         assert p_ib != p_fe  # the bound-electron core changes the pressure
 
+    def test_optical_table_read_once_for_all_models(self, tmp_path,
+                                                    monkeypatch):
+        opt = tmp_path / "ni.csv"
+        _ni_optical.write_csv(opt, n=80)
+        cfg = tmp_path / "ib.cfg"
+        cfg.write_text(BASE.replace("points = 2", "points = 1")
+                       + f"optical_data_path = {opt}\n", encoding="utf-8")
+        reads = []
+        from_csv = casimag.InterbandTable.from_csv.__func__
+
+        def spy(cls, path):
+            reads.append(path)
+            return from_csv(cls, path)
+
+        monkeypatch.setattr(casimag.InterbandTable, "from_csv",
+                            classmethod(spy))
+        assert run(["ratio", "--config", str(cfg), "--model", "all",
+                    "--output", str(tmp_path / "ratio.csv")]) == 0
+        assert reads == [str(opt)]
+
 
 class TestExitCodes:
     def test_unknown_key_is_validation_error(self, tmp_path, capsys):

@@ -115,6 +115,41 @@ def test_nonlocal_permittivities_match_their_closed_forms(core):
                                           rel=1e-14)
 
 
+README_GRID = np.geomspace(100e-9, 800e-9, 15)[:, None, None]
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+@pytest.mark.parametrize("l", [1, 5, 40])
+def test_local_variants_are_the_nonlocal_formula(l, with_table, ni_table):
+    # at l >= 1 drude is the nonlocal formula with v_t = v_l = 0, and
+    # plasma is that with gamma = 0 as well: bit for bit
+    table = ni_table if with_table else None
+    ni = nickel("nonlocal", interband=table)
+    xi = matsubara_xi(l, CTX)
+    core = eps_core_at(xi, ni)
+    y = nodes_above_cut(l, README_GRID)
+    for variant, gamma in (("drude", ni.gamma), ("plasma", 0.0)):
+        local = nickel(variant, interband=table)
+        formula = MaterialModel(omega_p=ni.omega_p, gamma=gamma, mu0=ni.mu0,
+                                interband=table, variant="nonlocal")
+        got = reflection.lifshitz_summand(y, xi, README_GRID, local, 1.0,
+                                          core)
+        expected = reflection.lifshitz_summand(y, xi, README_GRID, formula,
+                                               1.0, core)
+        assert got.shape == y.shape
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("l", [1, 5, 40])
+def test_interband_core_is_the_same_for_every_variant(l, ni_table):
+    # the core subtracts the Drude background with the physical gamma,
+    # also for the dissipationless variant
+    xi = matsubara_xi(l, CTX)
+    cores = {eps_core_at(xi, nickel(v, interband=ni_table))
+             for v in VARIANTS}
+    assert len(cores) == 1
+
+
 def test_fixed_reflection_analytic():
     y = np.array([0.5, 2.0, 10.0])
     got = reflection.lifshitz_summand(y, 1e14, A, FixedReflection(0.5, -0.25),

@@ -129,6 +129,13 @@ class TestStaticCoefficients:
         r = refl_pair(0, 0.0, m, CTX)
         assert (r.r_tm, r.r_te) == (1.0, 109.0 / 111.0)
 
+    @pytest.mark.parametrize("k_perp", [0.0, 5e5, 1e8])
+    def test_no_transverse_velocity_gives_dissipative_te(self, k_perp):
+        # B = 0: the TE coefficient is (mu - 1)/(mu + 1) at every k
+        m = MaterialModel(omega_p=NI.omega_p, gamma=NI.gamma, mu0=110.0,
+                          v_t=0.0, v_l=NI.v_l, variant="nonlocal")
+        assert refl_pair(0, k_perp, m, CTX).r_te == 109.0 / 111.0
+
     @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
     def test_permeability_override(self, variant):
         m = nickel(variant)

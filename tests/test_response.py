@@ -141,6 +141,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MaterialModel(omega_p=1.0, variant="lorentz")
 
+    def test_effective_parameters_are_derived(self):
+        # the l >= 1 permittivities see (gamma, v_t, v_l) per variant; the
+        # stored gamma stays the physical relaxation rate
+        assert NI.effective == (NI.gamma, NI.v_t, NI.v_l)
+        assert NI_DRUDE.effective == (NI.gamma, 0.0, 0.0)
+        assert NI_PLASMA.effective == (0.0, 0.0, 0.0)
+        assert NI_PLASMA.gamma == 0.0436 * EV_TO_RAD_S
+        with pytest.raises(TypeError):
+            MaterialModel(omega_p=1.0, effective=(0.0, 0.0, 0.0))
+        # not part of equality or hashing
+        assert "effective" not in repr(NI)
+        assert hash(NI_PLASMA) == hash(nickel("plasma"))
+
     @pytest.mark.parametrize("kwargs", [
         {"temperature": 0.0},
         {"temperature": 300.0, "l_max_cap": 5},
