@@ -11,8 +11,8 @@ from .impedance import ImpedancePair, impedance_pair, \
     refl_from_impedance, refl_via_impedance, z_local, z_te_closed, \
     z_te_integral, z_tm_closed, z_tm_integral
 from .lifshitz import PressureQuery, PressureResult, \
-    SeriesConvergenceError, pressure, pressure_curve, pressure_ratio_table, \
-    pressure_term
+    SeriesConvergenceError, pressure, pressure_curve, pressure_curves, \
+    pressure_ratio_table, pressure_term
 from .quadrature import QuadratureError
 from .reflection import FixedReflection, ReflectionPair, eps_pair, \
     refl_fresnel, refl_pair
@@ -20,7 +20,8 @@ from .response import DRUDE, NONLOCAL, PLASMA, InterbandTable, \
     MaterialModel, MatsubaraContext, eps_core_kk, matsubara_xi, mu_at, \
     nickel
 from .sphere_plate import ComparisonRow, ExperimentDataset, GeometryParams, \
-    apply_pfa_correction, apply_roughness, compare, gradient_curve, \
-    gradient_pfa, gradient_theory, roughness_factor
+    apply_pfa_correction, apply_roughness, compare, compare_models, \
+    gradient_curve, gradient_curves, gradient_pfa, gradient_theory, \
+    roughness_factor
 
 __version__ = "0.1.0"

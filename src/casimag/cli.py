@@ -16,11 +16,12 @@ from .config import ConfigError, build_context, build_geometry, \
     build_material, parse_config, separation_grid
 from .csvio import write_csv
 from .impedance import impedance_pair
-from .lifshitz import SeriesConvergenceError, pressure_curve, \
+from .lifshitz import SeriesConvergenceError, pressure_curves, \
     pressure_ratio_table
 from .quadrature import QuadratureError
 from .reflection import refl_pair
-from .sphere_plate import ExperimentDataset, compare, gradient_curve
+from .sphere_plate import ExperimentDataset, compare_models, \
+    gradient_curves
 
 _L_GRID = (1, 2, 10, 100)
 _KFACS = (0.0, 0.1, 1.0, 10.0)
@@ -46,8 +47,8 @@ def _cmd_pressure(cfg, args) -> list[list]:
     models = _model_list(cfg, args.model, not args.no_interband)
     ctx = build_context(cfg)
     grid = separation_grid(cfg)
-    curves = [pressure_curve(grid, model, ctx, cfg.quad_tol, cfg.series_tol)
-              for _, model in models]
+    curves = pressure_curves(grid, [m for _, m in models], ctx,
+                             cfg.quad_tol, cfg.series_tol)
     rows = []
     for i, a in enumerate(grid):  # separation outer, model inner
         for (name, _), curve in zip(models, curves):
@@ -107,8 +108,8 @@ def _cmd_gradient(cfg, args) -> list[list]:
     ctx = build_context(cfg)
     geom = build_geometry(cfg)
     grid = separation_grid(cfg)
-    curves = [gradient_curve(grid, model, geom, ctx, cfg.quad_tol,
-                             cfg.series_tol) for _, model in models]
+    curves = gradient_curves(grid, [m for _, m in models], geom, ctx,
+                             cfg.quad_tol, cfg.series_tol)
     rows = []
     for i, a in enumerate(grid):  # separation outer, model inner
         for (name, _), curve in zip(models, curves):
@@ -129,10 +130,10 @@ def _cmd_compare(cfg, args) -> tuple[list[list], list[str]]:
     if multi:
         header = ["model"] + header
     rows, summary = [], []
-    for name, model in models:
-        comp = compare(data, model, geom, ctx,
-                       err_theory_rel=cfg.err_theory_rel,
-                       quad_tol=cfg.quad_tol, series_tol=cfg.series_tol)
+    comps = compare_models(data, [m for _, m in models], geom, ctx,
+                           err_theory_rel=cfg.err_theory_rel,
+                           quad_tol=cfg.quad_tol, series_tol=cfg.series_tol)
+    for (name, _), comp in zip(models, comps):
         inside = sum(1 for c in comp if c.inside_ci)
         summary.append(f"model={name} inside={inside} "
                        f"outside={len(comp) - inside}")

@@ -31,15 +31,17 @@ class FixedReflection:
     """Test hook: constant reflection coefficients for every (l, k_perp).
 
     FixedReflection(1.0, -1.0) is the ideal metal; FixedReflection(0, 0)
-    is an empty interface with zero pressure.  |r| > 1 is rejected.
+    is an empty interface with zero pressure.  |r| > 1 is rejected.  The
+    coefficients may be arrays that broadcast like the kernel's ``a``,
+    one entry per component of a multi-model pressure loop.
     """
 
-    r_tm: float
-    r_te: float
+    r_tm: float | np.ndarray
+    r_te: float | np.ndarray
 
     def __post_init__(self):
         for name in ("r_tm", "r_te"):
-            if not abs(getattr(self, name)) <= 1.0:
+            if not np.all(np.abs(getattr(self, name)) <= 1.0):
                 raise ValueError(f"|{name}| must not exceed 1")
 
 
@@ -51,10 +53,12 @@ def free_electron_eps(xi, k, m, core):
     drude has zero velocities, plasma zero gamma too.  ``core`` replaces
     the leading unity.  With v_t = v_l = 0 the pair is local and one
     object is returned twice (``eps_tr is eps_l``); the shortcut is exact.
+    Velocity arrays (one entry per component) take the general formula,
+    which gives the same bits for a component with zero velocities.
     """
     gamma, v_t, v_l = m.effective
     w = m.omega_p * m.omega_p / (xi * (xi + gamma))
-    if v_t == 0.0 and v_l == 0.0:
+    if not isinstance(v_t, np.ndarray) and v_t == 0.0 and v_l == 0.0:
         eps = core + w
         return eps, eps
     # scalar factors first, so an array k costs two and four passes
@@ -102,17 +106,27 @@ def matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr, eps_l):
     r_TE = (q mu - k_mu) / (q mu + k_mu).
 
     For a local variant (``eps_tr is eps_l``) the cross term is zero and
-    skipped: this is the Fresnel form.
+    skipped: this is the Fresnel form.  The arrays are updated in place
+    where the operands allow, which keeps fewer temporaries alive and gives
+    the same bits, since IEEE addition and multiplication commute.
     """
     k_mu = np.sqrt(k2 + (mu * xi_c2) * eps_tr)
-    q_eps = q * eps_tr
     if eps_tr is not eps_l:
-        k_mu_cross = k_mu + k * (eps_tr - eps_l) / eps_l
-        r_tm = (q_eps - k_mu_cross) / (q_eps + k_mu_cross)
+        cross = eps_tr - eps_l
+        cross *= k
+        cross /= eps_l
+        cross += k_mu
     else:
-        r_tm = (q_eps - k_mu) / (q_eps + k_mu)
-    q_mu = q * mu
-    return r_tm, (q_mu - k_mu) / (q_mu + k_mu)
+        cross = k_mu
+    sum_ = q * eps_tr
+    r_tm = sum_ - cross
+    sum_ += cross
+    r_tm /= sum_
+    sum_ = q * mu
+    r_te = sum_ - k_mu
+    sum_ += k_mu
+    r_te /= sum_
+    return r_tm, r_te
 
 
 def _occupation(r, damp):
@@ -129,7 +143,11 @@ def lifshitz_summand(y, xi, a, model, mu, eps_core):
     Matsubara frequency (0.0 selects the static-term coefficients);
     ``model`` is a MaterialModel or a FixedReflection; ``mu`` and
     ``eps_core`` are the permeability and the interband core at this l.
-    Returns an array of the same shape.
+    Above the static term, ``model`` may be anything with the ``omega_p``
+    and ``effective`` that ``free_electron_eps`` reads, and those, ``mu``
+    and ``eps_core`` may be arrays that broadcast like ``a``: one entry
+    per component of a multi-model pressure loop.
+    Returns an array of the broadcast shape of ``y`` and ``a``.
     """
     y = np.asarray(y, dtype=float)
     q = y / (2.0 * a)
@@ -139,13 +157,18 @@ def lifshitz_summand(y, xi, a, model, mu, eps_core):
         r_tm, r_te = static_coefficients(q, model, mu)
     else:
         xi_c2 = (xi / C_LIGHT) ** 2
-        k2 = np.maximum(q * q - xi_c2, 0.0)
+        k2 = q * q
+        k2 -= xi_c2
+        np.maximum(k2, 0.0, out=k2)
         k = np.sqrt(k2)
         eps_tr, eps_l = free_electron_eps(xi, k, model, eps_core)
         r_tm, r_te = matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr,
                                             eps_l)
+        del k2, k, eps_tr, eps_l  # fewer live temporaries below
+    del q
 
-    damp = np.exp(-y)
+    damp = np.negative(y)
+    np.exp(damp, out=damp)
     out = _occupation(r_tm, damp)
     out += _occupation(r_te, damp)
     out *= y

@@ -7,9 +7,9 @@ multiplied by a perturbative surface-roughness factor
 1 + 10 (delta_s^2 + delta_p^2)/a^2 and by the leading PFA correction
 1 + theta(a, T) a / R.  That composition order is canonical; swapping the
 two corrections changes the result only at second order in the small
-corrections.  A gradient curve takes its pressures from one
-``lifshitz.pressure_curve`` and checks every separation before computing
-any of them.
+corrections.  The gradient curves of several models take their pressures
+from one ``lifshitz.pressure_curves`` loop, and every separation is
+checked once, for all models, before any pressure is computed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 from .csvio import read_numeric_csv
-from .lifshitz import PressureQuery, pressure, pressure_curve
+from .lifshitz import PressureQuery, pressure, pressure_curves
 from .response import MatsubaraContext
 
 
@@ -171,11 +171,12 @@ def apply_pfa_correction(grad: float, a: float, geom: GeometryParams) -> float:
     return grad * (1.0 + theta_at(a, geom) * a / geom.radius)
 
 
-def gradient_curve(separations, model, geom: GeometryParams,
-                   ctx: MatsubaraContext, quad_tol: float = 1e-9,
-                   series_tol: float = 1e-8) -> list[float]:
-    """Full theoretical force gradient at every separation, in N/m: PFA,
-    then roughness, then the PFA correction.
+def gradient_curves(separations, models, geom: GeometryParams,
+                    ctx: MatsubaraContext, quad_tol: float = 1e-9,
+                    series_tol: float = 1e-8) -> list[list[float]]:
+    """Full theoretical force gradient of every model at every separation,
+    in N/m, one curve per model: PFA, then roughness, then the PFA
+    correction.
 
     Every separation is checked against the proximity regime and the
     roughness before any pressure is computed.
@@ -183,13 +184,25 @@ def gradient_curve(separations, model, geom: GeometryParams,
     for a in separations:
         _check_proximity(a, geom)
         _check_roughness(a, geom)
-    curve = pressure_curve(separations, model, ctx, quad_tol, series_tol)
-    grads = []
-    for a, res in zip(separations, curve):
-        grad = (-2.0 * math.pi * geom.radius * res.pressure
-                * roughness_factor(a, geom))  # roughness checked above
-        grads.append(apply_pfa_correction(grad, a, geom))
-    return grads
+    out = []
+    for curve in pressure_curves(separations, models, ctx, quad_tol,
+                                 series_tol):
+        grads = []
+        for a, res in zip(separations, curve):
+            grad = (-2.0 * math.pi * geom.radius * res.pressure
+                    * roughness_factor(a, geom))  # roughness checked above
+            grads.append(apply_pfa_correction(grad, a, geom))
+        out.append(grads)
+    return out
+
+
+def gradient_curve(separations, model, geom: GeometryParams,
+                   ctx: MatsubaraContext, quad_tol: float = 1e-9,
+                   series_tol: float = 1e-8) -> list[float]:
+    """A one-model ``gradient_curves``."""
+    curve, = gradient_curves(separations, [model], geom, ctx, quad_tol,
+                             series_tol)
+    return curve
 
 
 def gradient_theory(a: float, model, geom: GeometryParams,
@@ -201,11 +214,12 @@ def gradient_theory(a: float, model, geom: GeometryParams,
     return grad
 
 
-def compare(data: ExperimentDataset, model, geom: GeometryParams,
-            ctx: MatsubaraContext, err_theory_rel: float = 0.0,
-            quad_tol: float = 1e-9,
-            series_tol: float = 1e-8) -> list[ComparisonRow]:
-    """Per-point differences between theory and the measured gradients.
+def compare_models(data: ExperimentDataset, models, geom: GeometryParams,
+                   ctx: MatsubaraContext, err_theory_rel: float = 0.0,
+                   quad_tol: float = 1e-9,
+                   series_tol: float = 1e-8) -> list[list[ComparisonRow]]:
+    """Per-point differences between theory and the measured gradients,
+    one list per model, from one ``gradient_curves``.
 
     ci_halfwidth combines the experimental error with err_theory_rel *
     F'_theor in quadrature; inside_ci flags |delta| <= ci_halfwidth.
@@ -213,13 +227,26 @@ def compare(data: ExperimentDataset, model, geom: GeometryParams,
     """
     if err_theory_rel < 0.0:
         raise ValueError("err_theory_rel must be >= 0")
-    grads = gradient_curve(data.a, model, geom, ctx, quad_tol, series_tol)
-    rows = []
-    for a, g_th, g_expt, e_expt in zip(data.a, grads, data.grad_expt,
-                                       data.err_expt):
-        delta = g_th - g_expt
-        ci = math.hypot(e_expt, err_theory_rel * g_th)
-        rows.append(ComparisonRow(a=a, grad_theory=g_th, delta=delta,
-                                  ci_halfwidth=ci,
-                                  inside_ci=abs(delta) <= ci))
+    out = []
+    for grads in gradient_curves(data.a, models, geom, ctx, quad_tol,
+                                 series_tol):
+        rows = []
+        for a, g_th, g_expt, e_expt in zip(data.a, grads, data.grad_expt,
+                                           data.err_expt):
+            delta = g_th - g_expt
+            ci = math.hypot(e_expt, err_theory_rel * g_th)
+            rows.append(ComparisonRow(a=a, grad_theory=g_th, delta=delta,
+                                      ci_halfwidth=ci,
+                                      inside_ci=abs(delta) <= ci))
+        out.append(rows)
+    return out
+
+
+def compare(data: ExperimentDataset, model, geom: GeometryParams,
+            ctx: MatsubaraContext, err_theory_rel: float = 0.0,
+            quad_tol: float = 1e-9,
+            series_tol: float = 1e-8) -> list[ComparisonRow]:
+    """A one-model ``compare_models``."""
+    rows, = compare_models(data, [model], geom, ctx, err_theory_rel,
+                           quad_tol, series_tol)
     return rows

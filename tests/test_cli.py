@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import casimag
+from casimag import lifshitz
 from casimag.cli import main
 from casimag.csvio import read_csv
 
@@ -284,6 +285,47 @@ class TestExitCodes:
                        + "l_max_cap = 10\n", encoding="utf-8")
         assert run(["pressure", "--config", str(cfg)]) == 2
         assert "not converged" in capsys.readouterr().err
+
+    def test_non_convergence_names_model_and_separation(self, tmp_path,
+                                                        capsys):
+        # one Matsubara loop serves all three models
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(BASE.replace("a_min_nm = 4000", "a_min_nm = 50")
+                           .replace("a_max_nm = 6000", "a_max_nm = 5000")
+                       + "l_max_cap = 10\n", encoding="utf-8")
+        assert run(["ratio", "--config", str(cfg), "--model", "all",
+                    "--output", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "model nonlocal at separation 5.000000e-08 m" in err
+
+    @pytest.mark.parametrize("cmd", ["gradient", "compare"])
+    @pytest.mark.parametrize("a_max_nm,match", [
+        ("7000", "proximity"),  # radius / 10 = 6171 nm
+        (None, "perturbative")])
+    def test_separations_checked_before_any_kernel_call(
+            self, tmp_path, capsys, monkeypatch, cmd, a_max_nm, match):
+        geom = GEOM if a_max_nm else GEOM.replace("1.5e-9", "25e-9")
+        cfg = tmp_path / "sp.cfg"
+        cfg.write_text(BASE.replace("a_min_nm = 4000", "a_min_nm = 223")
+                           .replace("6000", a_max_nm or "550")
+                           .replace("points = 2", "points = 3") + geom,
+                       encoding="utf-8")
+        expt = tmp_path / "expt.csv"
+        expt.write_text("a_nm,grad_uN_per_m,err_uN_per_m\n223,40,1\n"
+                        f"{a_max_nm or 550},1,0.1\n", encoding="utf-8")
+        calls = []
+        kernel = lifshitz.lifshitz_summand
+
+        def spy(y, xi, *args):
+            calls.append(xi)
+            return kernel(y, xi, *args)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        assert run([cmd, "--config", str(cfg), "--model", "all",
+                    "--experiment", str(expt),
+                    "--output", str(tmp_path / "out.csv")]) == 1
+        assert match in capsys.readouterr().err
+        assert calls == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
                      PressureQuery, SeriesConvergenceError, lifshitz,
                      matsubara_xi, nickel, pressure, pressure_curve,
-                     pressure_ratio_table, pressure_term, refl_pair)
+                     pressure_curves, pressure_ratio_table, pressure_term,
+                     refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -265,16 +267,20 @@ class TestPressureCurve:
         assert all(type(xi) is float for xi in tally["xi"])
 
     def test_quad_error_bounds_the_quadrature_error(self, ni_models):
-        # panels refined for one separation are shared by all; each
-        # separation's estimate must still bound its own error
+        # panels refined for one separation, or for one model of a
+        # multi-model call, are shared by all; each component's estimate
+        # must still bound its own error
         grid = (100e-9, 160e-9, 244e-9, 800e-9)
-        for variant, model in ni_models.items():
-            loose, tight = (pressure_curve(grid, model, CTX, quad_tol=tol)
+        variants = list(ni_models)
+        for names in [[v] for v in variants] + [variants]:
+            models = [ni_models[v] for v in names]
+            loose, tight = (pressure_curves(grid, models, CTX, quad_tol=tol)
                             for tol in (1e-9, 1e-13))
-            for lo, ti in zip(loose, tight):
-                assert lo.terms_used == ti.terms_used, variant
-                assert abs(lo.pressure - ti.pressure) <= lo.quad_error, \
-                    variant
+            for variant, lo_curve, ti_curve in zip(names, loose, tight):
+                for lo, ti in zip(lo_curve, ti_curve):
+                    assert lo.terms_used == ti.terms_used, variant
+                    assert abs(lo.pressure - ti.pressure) <= lo.quad_error, \
+                        variant
 
     def test_separations_are_validated_before_any_term(self, monkeypatch):
         tally = _kernel_spy(monkeypatch)
@@ -283,6 +289,129 @@ class TestPressureCurve:
         with pytest.raises(ValueError, match="at least one separation"):
             pressure_curve([], nickel("drude"), CTX)
         assert tally["calls"] == 0
+
+
+def _record_integrand(monkeypatch, outputs):
+    quad = lifshitz.adaptive_quad
+
+    def recording(f, *args, **kwargs):
+        def g(s):
+            out = f(s)
+            outputs.append(out.copy())
+            return out
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(lifshitz, "adaptive_quad", recording)
+
+
+class TestPressureCurves:
+    GRID = TestPressureCurve.GRID
+
+    @pytest.mark.parametrize("name", ["material", "material+table",
+                                      "longitudinal-only", "fixed"])
+    def test_matches_per_model_curves(self, name, ni_models, ni_models_ib):
+        # longitudinal-only: v_t = 0 for every component, v_l not
+        models = {"material": list(ni_models.values()),
+                  "material+table": list(ni_models_ib.values()),
+                  "longitudinal-only": [
+                      replace(ni_models["nonlocal"], v_t=0.0),
+                      ni_models["drude"]],
+                  "fixed": [FixedReflection(1.0, -1.0),
+                            FixedReflection(0.5, -0.3),
+                            FixedReflection(0.0, 0.0)]}[name]
+        curves = pressure_curves(self.GRID, models, CTX, keep_terms=True)
+        assert len(curves) == len(models)
+        for model, curve in zip(models, curves):
+            # pressure, terms_used, per_term, tail bound and quad_error
+            assert curve == pressure_curve(self.GRID, model, CTX,
+                                           keep_terms=True), model
+
+    def test_unequal_runs_keep_their_models(self, ni_models):
+        # once some separations of a model have converged, the runs of
+        # components per model differ in length
+        a = np.array([100e-9, 200e-9, 300e-9, 500e-9, 700e-9, 900e-9])
+        runs = [(ni_models["nonlocal"], 1), (ni_models["plasma"], 3),
+                (ni_models["drude"], 2)]
+        xi = matsubara_xi(7, CTX)
+        t, err = lifshitz._term_integrals(7, xi, a, runs, 1e-9)
+        start, t_each, err_each = 0, [], []
+        for model, n in runs:
+            t_m, err_m = lifshitz._term_integrals(7, xi, a[start:start + n],
+                                                  [(model, n)], 1e-9)
+            t_each += t_m
+            err_each += err_m
+            start += n
+        assert t == t_each
+        assert err == err_each
+
+    def test_fixed_reflection_cannot_join_material_models(self):
+        with pytest.raises(ValueError, match="cannot share"):
+            pressure_curves([1e-6], [nickel("drude"),
+                                     FixedReflection(1.0, -1.0)], CTX)
+        with pytest.raises(ValueError, match="at least one model"):
+            pressure_curves([1e-6], [], CTX)
+
+    def test_non_convergence_names_model_and_separation(self, ni_models):
+        ctx = MatsubaraContext(temperature=300.0, l_max_cap=10)
+        with pytest.raises(SeriesConvergenceError,
+                           match="model plasma at separation 5.000000e-08 m"):
+            pressure_curves([5e-6, 50e-9], [ni_models["plasma"],
+                                            ni_models["drude"]], ctx)
+
+    def test_readme_run_stays_under_the_node_cap(self, monkeypatch,
+                                                 ni_models):
+        # one quadrature per index l >= 1 for all three models, plus one
+        # static quadrature per model; every kernel call within the cap
+        grid = np.geomspace(100e-9, 800e-9, 15)
+        kernel, quad = lifshitz.lifshitz_summand, lifshitz.adaptive_quad
+        sizes, xis, quads = [], [], []
+
+        def spy(y, xi, *args):
+            sizes.append(np.size(y))
+            xis.append(xi)
+            return kernel(y, xi, *args)
+
+        def counting(*args, **kwargs):
+            quads.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
+        curves = pressure_curves(grid, list(ni_models.values()), CTX)
+        terms = max(res.terms_used for curve in curves for res in curve)
+        assert len(quads) <= terms + 3
+        assert max(sizes) <= lifshitz.NODE_CAP
+        assert max(sizes) > lifshitz.NODE_CAP // 2  # the cap is reached
+        assert all(type(xi) is float for xi in xis)
+
+    # components split evenly (240), unevenly (300), panels split (100)
+    @pytest.mark.parametrize("cap", [240, 300, 100])
+    def test_chunked_evaluation_equals_unchunked(self, monkeypatch,
+                                                 ni_models, cap):
+        grid = (100e-9, 180e-9, 420e-9, 800e-9)
+        models = list(ni_models.values())
+        outputs = []
+        _record_integrand(monkeypatch, outputs)
+        monkeypatch.setattr(lifshitz, "NODE_CAP", 10**9)
+        expected = pressure_curves(grid, models, CTX, keep_terms=True)
+        whole = len(outputs)
+
+        kernel = lifshitz.lifshitz_summand
+        sizes = []
+
+        def spy(y, xi, *args):
+            sizes.append(np.size(y))
+            return kernel(y, xi, *args)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
+        assert pressure_curves(grid, models, CTX, keep_terms=True) == \
+            expected
+        assert max(sizes) <= cap
+        assert len(sizes) > len(outputs) - whole  # the rounds were split
+        assert len(outputs) == 2 * whole
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(outputs[:whole], outputs[whole:]))
 
 
 @pytest.mark.parametrize("a", [100e-9, 800e-9])
@@ -341,6 +470,12 @@ class TestRatioTable:
         assert set(k for k in rows[0] if k.startswith("ratio_")) == {
             "ratio_nonlocal_over_plasma", "ratio_nonlocal_over_drude",
             "ratio_plasma_over_drude"}
+
+    def test_duplicate_names_rejected(self):
+        # the second p_<name> would overwrite the first
+        with pytest.raises(ValueError, match="duplicate model names"):
+            pressure_ratio_table([2e-6], [("a", nickel("drude")),
+                                          ("a", nickel("plasma"))], CTX)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ import pytest
 
 from casimag import (ExperimentDataset, GeometryParams, MatsubaraContext,
                      PressureQuery, apply_pfa_correction, apply_roughness,
-                     compare, gradient_curve, gradient_pfa, gradient_theory,
+                     compare, compare_models, gradient_curve,
+                     gradient_curves, gradient_pfa, gradient_theory,
                      lifshitz, nickel, pressure, roughness_factor)
 from casimag.lifshitz import PressureResult
 from casimag.sphere_plate import read_theta_table, theta_at
@@ -182,6 +183,16 @@ class TestCompare:
         for a, grad in zip(self.SEPARATIONS, curve):
             assert grad == pytest.approx(gradient_theory(a, model, GEOM, CTX),
                                          rel=1e-12)
+
+    def test_all_models_match_their_single_model_curves(self):
+        models = [nickel(v) for v in ("nonlocal", "plasma", "drude")]
+        data = synthetic_dataset(models[2], GEOM, self.SEPARATIONS, err=1e-9)
+        curves = gradient_curves(self.SEPARATIONS, models, GEOM, CTX)
+        rows = compare_models(data, models, GEOM, CTX, err_theory_rel=0.01)
+        for model, curve, comp in zip(models, curves, rows):
+            assert curve == gradient_curve(self.SEPARATIONS, model, GEOM, CTX)
+            assert comp == compare(data, model, GEOM, CTX,
+                                   err_theory_rel=0.01)
 
     @pytest.mark.parametrize("separations,geom,match", [
         ((223e-9, 300e-9, 7e-6), GEOM, "proximity"),
