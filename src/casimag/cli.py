@@ -33,7 +33,7 @@ def _model_list(cfg, choice: str | None, use_interband: bool):
     'all' lists the wavevector-dependent variant first so the emitted
     pairwise ratios read nonlocal/plasma, nonlocal/drude, plasma/drude.
     """
-    if choice in (None, "config"):
+    if choice is None:
         names = [cfg.variant]
     elif choice == "all":
         names = ["nonlocal", "plasma", "drude"]

@@ -8,7 +8,7 @@ by name; every parse error carries the offending line or field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .constants import C_LIGHT, ev_to_rad_s
 from .response import NI_V_FERMI, VARIANTS, InterbandTable, \
@@ -141,20 +141,6 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.delta_s_m >= 0.0, "delta_s_m", "must be >= 0")
     _require(cfg.delta_p_m >= 0.0, "delta_p_m", "must be >= 0")
     _require(cfg.err_theory_rel >= 0.0, "err_theory_rel", "must be >= 0")
-
-
-def serialize(cfg: RunConfig) -> str:
-    """Emit a config text that parses back to an equal RunConfig."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, float):
-            lines.append(f"{f.name} = {value!r}")
-        else:
-            lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def separation_grid(cfg: RunConfig) -> list[float]:

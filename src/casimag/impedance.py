@@ -170,18 +170,13 @@ def z_local(l: int, k_perp: float, eps_l: float, mu_l: float,
 
 
 def impedance_pair(l: int, k_perp: float, m: MaterialModel,
-                   ctx: MatsubaraContext, mu_l: float | None = None,
-                   method: str = "closed") -> ImpedancePair:
-    """Both impedances at (l, k_perp) by the chosen route."""
-    if method == "closed":
-        z_tm = z_tm_closed(l, k_perp, m, ctx, mu_l)
-        z_te = z_te_closed(l, k_perp, m, ctx, mu_l)
-    elif method == "integral":
-        z_tm = z_tm_integral(l, k_perp, m, ctx, mu_l)
-        z_te = z_te_integral(l, k_perp, m, ctx, mu_l)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ImpedancePair(z_tm=z_tm, z_te=z_te, l=l, k_perp=k_perp)
+                   ctx: MatsubaraContext,
+                   mu_l: float | None = None) -> ImpedancePair:
+    """Both closed-form impedances at (l, k_perp); the k_z-integral route
+    is ``z_tm_integral`` and ``z_te_integral``."""
+    return ImpedancePair(z_tm=z_tm_closed(l, k_perp, m, ctx, mu_l),
+                         z_te=z_te_closed(l, k_perp, m, ctx, mu_l),
+                         l=l, k_perp=k_perp)
 
 
 def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,

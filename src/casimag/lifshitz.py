@@ -66,15 +66,15 @@ S_CUT = math.sqrt(Y_CUT)
 # panels of the first quadrature round of every term
 INITIAL_PANELS = 8
 # Most quadrature nodes one kernel call evaluates: 30 components of the
-# 120-node first round.  A call holds several float64 temporaries per
-# node.  While glibc's heap trim threshold is at its 128 KiB default, a
-# larger call can leave that much free at the top of the heap; glibc then
-# returns it to the OS and the next call faults the pages back in.
-# Whether that happens depends on what else is live on the heap.  Minor
-# faults per call (resource.getrusage, repeated l >= 1 calls in one
-# process, 2-vCPU Linux VM, NumPy 2.4): 0 to 0.4 at 3,600 nodes in every
-# process measured; at 4,080 nodes 0 in most, 71 in one (54 instead of
-# 36 ns per node); at 5,400 nodes 52 to 105 in 8 of 20 processes.
+# 120-node first round.  The split pays end to end: without it, op_s rose
+# 6.7% on micron-gradient (faster in 0 of 10 alternating pairs) and 4.7%
+# on readme-free (1 of 10), and fell 2.7% on readme-interband
+# (perfbench/run.py --workload all --seconds 6, 2-vCPU Linux VM, NumPy
+# 2.4).  A call holds several float64 temporaries per node; past about
+# 4,000 nodes glibc can return the freed ones to the OS, and the next call
+# faults them back in (resource.getrusage, repeated l >= 1 calls: 0 to
+# 0.4 minor faults per call at 3,600 nodes in every process measured, 52
+# to 105 at 5,400 nodes in 8 of 20 processes).
 NODE_CAP = 3600
 
 
@@ -387,8 +387,9 @@ def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
                   quad_tol: float = 1e-9) -> float:
     """Contribution of a single Matsubara index to the pressure, in Pa.
 
-    Includes the 1/2 weight of the l = 0 term.
+    Includes the 1/2 weight of the l = 0 term; validated as a PressureQuery.
     """
+    PressureQuery(separation=a, model=model, quad_tol=quad_tol)
     (t_l,), _ = _term_integrals(l, matsubara_xi(l, ctx), np.array([a]),
                                 [(model, 1)], quad_tol)
     weight = 0.5 if l == 0 else 1.0

@@ -20,13 +20,16 @@ The components share the panels, so one call per round serves all of
 them; the pressure integrates every separation of a curve this way.
 
 While the summed error estimate of any component exceeds its target
-max(abs_tol, rel_tol * |integral|), every panel whose estimate for such a
-component exceeds that component's share target / n_panels is bisected,
-and all the children form the next round.  The target is floored at the
-smallest normal float, because rel_tol * |integral| of a subnormal
-integral lies below any estimate the rule can reach.  The per-panel error
-estimate is the plain |K15 - G7| difference, which overestimates the true
-Kronrod error for smooth integrands and is therefore conservative.
+rel_tol * |integral|, every panel whose estimate for such a component
+exceeds that component's share target / n_panels is bisected, and all the
+children form the next round.  The target is floored at the smallest
+normal float, because rel_tol * |integral| of a subnormal integral lies
+below any estimate the rule can reach.  The per-panel error estimate is
+the plain |K15 - G7| difference, which overestimates the true Kronrod
+error for smooth integrands and is therefore conservative.
+
+The Kramers-Kronig core of ``response.py`` applies the same rule
+(``_nodes``, ``_W``) on fixed panels, without refinement.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]); the KK
-# core of response.py uses the same rule on fixed nodes.
+# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1])
 _XGK = np.array([
     -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
     -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
@@ -120,7 +122,7 @@ def _panels(f, half: np.ndarray, nodes: np.ndarray):
 
 
 def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
-                  abs_tol: float = 0.0, initial_panels: int = 4,
+                  initial_panels: int = 4,
                   max_panels: int = 4000) -> QuadResult:
     """Integrate a vectorized f over [lo, hi] to the requested tolerance.
 
@@ -128,8 +130,8 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
     and returns an array of that shape, or of shape (*batch, n_panels, 15)
     for a vector-valued integrand whose components share the panels.
     The first round's array is shared between calls and read-only.
-    Every component meets its own max(abs_tol, rel_tol * |integral|),
-    floored at the smallest normal float.
+    Every component meets its own rel_tol * |integral|, floored at the
+    smallest normal float.
     Raises QuadratureError if that would take more than max_panels
     panels; the exception carries the largest achieved error estimate of
     the components still above their target.
@@ -139,9 +141,8 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
     edges, half, nodes = _first_round(float(lo), float(hi), initial_panels)
     lo_p, hi_p = edges[:-1], edges[1:]
     val, err, batch = _panels(f, half, nodes)
-    floor = max(abs_tol, _TINY)
     total, total_err = val.sum(axis=-1), err.sum(axis=-1)
-    target = np.maximum(floor, rel_tol * np.abs(total))
+    target = np.maximum(_TINY, rel_tol * np.abs(total))
 
     while (open_ := total_err > target).any():
         over = err[open_]
@@ -161,7 +162,7 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
         val = np.concatenate((val[:, keep], child_val), axis=-1)
         err = np.concatenate((err[:, keep], child_err), axis=-1)
         total, total_err = val.sum(axis=-1), err.sum(axis=-1)
-        target = np.maximum(floor, rel_tol * np.abs(total))
+        target = np.maximum(_TINY, rel_tol * np.abs(total))
 
     if not batch:
         return QuadResult(value=float(total[0]), error=float(total_err[0]),

@@ -15,7 +15,6 @@ Every function in this module is pure and safe for concurrent use.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
 from .csvio import read_numeric_csv
-from .quadrature import _W, _XGK, QuadratureError
+from .quadrature import _W, QuadratureError, _nodes
 
 DRUDE = "drude"
 PLASMA = "plasma"
@@ -40,12 +39,11 @@ NI_MU0 = 110.0
 NI_V_FERMI = 1.31e6
 
 # relative tolerance of the KK quadrature, the largest share of the KK
-# integral the extrapolated tail may carry before a table is rejected, the
-# widest KK panel in ln w, and the panel-halving rounds allowed per xi
+# integral the extrapolated tail may carry before a table is rejected, and
+# the widest KK panel in ln w
 KK_QUAD_TOL = 1e-9
 KK_TAIL_REL_TOL = 1e-3
 KK_PANEL_WIDTH = 0.5
-KK_MAX_ROUNDS = 6
 
 # Kronrod weights, and Kronrod minus the embedded Gauss weights, on the 15
 # Kronrod nodes
@@ -239,10 +237,13 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     Drude (the kinks of the max) and no panel wider than
     ``KK_PANEL_WIDTH``.  The nodes and the xi-independent weights
     w^2 eps''_ib(w) du are built once per (table, omega_p, gamma), so each
-    xi costs one weighted sum of 1/(w_n^2 + xi^2).  The summed per-panel
-    |K15 - G7| difference is the error estimate: panels are halved where it
-    misses ``KK_QUAD_TOL`` of the integral, and ``QuadratureError`` is
-    raised after ``KK_MAX_ROUNDS`` rounds.
+    xi costs one weighted sum of 1/(w_n^2 + xi^2) on these fixed nodes.
+    Within a panel the integrand is analytic for |Im u| < pi/2 (its poles
+    lie at ln xi +- i pi/2 and ln gamma +- i pi/2), so on panels at most
+    0.5 wide the G7 error falls like rho^-14 with rho >= 12, and no panel
+    is refined.  The summed per-panel |K15 - G7| estimate checks that
+    margin: above ``KK_QUAD_TOL`` of the integral, or with a non-finite
+    integral, it raises ``QuadratureError``.
 
     The result replaces the leading "1" of the free-electron
     permittivities at the same xi.
@@ -299,25 +300,13 @@ def _excess_zeros(omega, im_eps, omega_p, gamma):
     return np.concatenate(zeros)
 
 
-def _kk_panels(lo, hi, omega, im_eps, omega_p, gamma):
-    """GK15 nodes of the panels [lo, hi] in u = ln w, as (w^2, Kronrod
-    weights, Kronrod - Gauss weights), each of shape (panels, 15), with
-    w^2 eps''_ib(w) and the panel's half-width folded into the weights."""
-    half = 0.5 * (hi - lo)[:, None]
-    w = np.exp(0.5 * (hi + lo)[:, None] + half * _XGK)
-    w2 = w * w
-    excess = np.maximum(0.0, np.interp(w, omega, im_eps)
-                        - drude_im_eps(w, omega_p, gamma))
-    with np.errstate(over="ignore"):  # a non-finite integral raises later
-        f = w2 * excess * half
-    return w2, f * _WGK, f * _WDIFF
-
-
 @functools.lru_cache(maxsize=16)
 def _kk_nodes(table, omega_p, gamma):
-    """Panel edges and GK15 nodes of ``table``'s KK integral in u = ln w:
-    table rows and excess kinks as breakpoints, segments split evenly to
-    at most ``KK_PANEL_WIDTH``, panels without excess dropped."""
+    """GK15 nodes of ``table``'s KK integral in u = ln w, as (w^2, Kronrod
+    weights, Kronrod - Gauss weights), each of shape (panels, 15), with
+    w^2 eps''_ib(w) and the panel's half-width folded into the weights.
+    Table rows and excess kinks are breakpoints, segments are split evenly
+    to at most ``KK_PANEL_WIDTH``, and panels without excess are dropped."""
     omega = np.asarray(table.omega)
     im_eps = np.asarray(table.im_eps)
     # Python's sort: NumPy's sort kernels would add ~1 MB of resident code
@@ -329,9 +318,16 @@ def _kk_nodes(table, omega_p, gamma):
     lo = (np.repeat(edges[:-1], n)
           + (np.arange(n.sum()) - start) * np.repeat(width / n, n))
     hi = np.append(lo[1:], edges[-1])
-    w2, wk, wd = _kk_panels(lo, hi, omega, im_eps, omega_p, gamma)
+    half, u = _nodes(lo, hi)
+    w = np.exp(u)
+    w2 = w * w
+    excess = np.maximum(0.0, np.interp(w, omega, im_eps)
+                        - drude_im_eps(w, omega_p, gamma))
+    with np.errstate(over="ignore"):  # a non-finite integral raises later
+        f = w2 * excess * half[:, None]
+    wk = f * _WGK
     keep = wk.any(axis=1)
-    nodes = lo[keep], hi[keep], w2[keep], wk[keep], wd[keep]
+    nodes = w2[keep], wk[keep], (f * _WDIFF)[keep]
     for a in nodes:
         a.setflags(write=False)  # shared by every call through the cache
     return nodes
@@ -339,29 +335,14 @@ def _kk_nodes(table, omega_p, gamma):
 
 @functools.lru_cache(maxsize=4096)
 def _eps_core_cached(xi, table, omega_p, gamma):
-    lo, hi, w2, wk, wd = _kk_nodes(table, omega_p, gamma)
-    for rounds in itertools.count():
-        r = 1.0 / (w2 + xi * xi)
-        total = float(np.vdot(wk, r))
-        err = np.abs(np.einsum("pn,pn->p", wd, r))
-        if err.sum() <= KK_QUAD_TOL * total:
-            break
-        if rounds == KK_MAX_ROUNDS or not math.isfinite(total):
-            raise QuadratureError(
-                f"KK quadrature at xi = {xi:.6e} rad/s missed its relative "
-                f"tolerance {KK_QUAD_TOL:.1e} after {rounds} refinement "
-                "rounds", float(err.sum()))
-        # halve the panels whose estimate exceeds their share of the budget
-        bad = ~(err <= KK_QUAD_TOL * total / len(err))
-        mid = 0.5 * (lo[bad] + hi[bad])
-        split_lo = np.concatenate([lo[bad], mid])
-        split_hi = np.concatenate([mid, hi[bad]])
-        split = _kk_panels(split_lo, split_hi, np.asarray(table.omega),
-                           np.asarray(table.im_eps), omega_p, gamma)
-        lo = np.concatenate([lo[~bad], split_lo])
-        hi = np.concatenate([hi[~bad], split_hi])
-        w2, wk, wd = (np.concatenate([a[~bad], b])
-                      for a, b in zip((w2, wk, wd), split))
+    w2, wk, wd = _kk_nodes(table, omega_p, gamma)
+    r = 1.0 / (w2 + xi * xi)
+    total = float(np.vdot(wk, r))
+    err = float(np.abs(np.einsum("pn,pn->p", wd, r)).sum())
+    if not (math.isfinite(total) and err <= KK_QUAD_TOL * total):
+        raise QuadratureError(
+            f"KK quadrature at xi = {xi:.6e} rad/s missed its relative "
+            f"tolerance {KK_QUAD_TOL:.1e} on its fixed nodes", err)
 
     # Closed-form tail of the (w_max/w)^3 extrapolation: substituting
     # t = w_max/w gives W Int_0^1 t^2/(1 + b^2 t^2) dt with b = xi/w_max.

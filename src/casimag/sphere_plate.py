@@ -223,10 +223,10 @@ def compare_models(data: ExperimentDataset, models, geom: GeometryParams,
 
     ci_halfwidth combines the experimental error with err_theory_rel *
     F'_theor in quadrature; inside_ci flags |delta| <= ci_halfwidth.
-    Every separation is checked before any pressure is computed.
+    Every input is checked before any pressure is computed.
     """
-    if err_theory_rel < 0.0:
-        raise ValueError("err_theory_rel must be >= 0")
+    if not 0.0 <= err_theory_rel < math.inf:
+        raise ValueError("err_theory_rel must be finite and >= 0")
     out = []
     for grads in gradient_curves(data.a, models, geom, ctx, quad_tol,
                                  series_tol):

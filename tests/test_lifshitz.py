@@ -457,6 +457,28 @@ def test_query_rejects_non_finite_separation(separation):
         PressureQuery(separation=separation, model=nickel("drude"))
 
 
+@pytest.mark.parametrize("a,quad_tol,match", [
+    (math.nan, 1e-9, "separation"),
+    (0.0, 1e-9, "separation"),
+    (-1e-6, 1e-9, "separation"),
+    (1e-6, 5.0, "quad_tol"),
+    (1e-6, math.nan, "quad_tol"),
+])
+def test_pressure_term_validates_like_a_query(monkeypatch, a, quad_tol,
+                                              match):
+    calls = []
+    kernel = lifshitz.lifshitz_summand
+
+    def spy(y, xi, *args):
+        calls.append(xi)
+        return kernel(y, xi, *args)
+
+    monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+    with pytest.raises(ValueError, match=match):
+        pressure_term(1, a, nickel("drude"), CTX, quad_tol=quad_tol)
+    assert calls == []
+
+
 class TestRatioTable:
     def test_identical_models_give_unit_ratios(self):
         m = nickel("drude")

@@ -291,6 +291,17 @@ def _coarse_table():
                           im_eps=(0.0, 50.0, 1e-3))
 
 
+def _kinked_table():
+    """table - Drude is negative at both ends of the first segment and
+    positive inside it (two kinks), then crosses zero once inside each of
+    the next two segments."""
+    omega = (XI1, 100.0 * XI1, 200.0 * XI1, 2000.0 * XI1)
+    return InterbandTable(
+        omega=omega,
+        im_eps=(0.5 * _ni_drude(omega[0]), 0.5 * _ni_drude(omega[1]),
+                2.0 * _ni_drude(omega[2]), 0.0))
+
+
 @pytest.fixture
 def fresh_kk_caches():
     """Empty KK caches around a test that patches the KK settings."""
@@ -355,14 +366,7 @@ class TestKramersKronigCore:
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
     def test_excess_kinks_inside_segments(self):
-        # table - Drude is negative at both ends of the first segment and
-        # positive inside it (two kinks), then crosses zero once inside
-        # each of the next two segments
-        omega = (XI1, 100.0 * XI1, 200.0 * XI1, 2000.0 * XI1)
-        table = InterbandTable(
-            omega=omega,
-            im_eps=(0.5 * _ni_drude(omega[0]), 0.5 * _ni_drude(omega[1]),
-                    2.0 * _ni_drude(omega[2]), 0.0))
+        table = _kinked_table()
         for xi in (XI1, 30.0 * XI1):
             assert eps_core_kk(xi, table, NI) == pytest.approx(
                 _trapezoid_core(table, xi), rel=1e-11)
@@ -374,30 +378,34 @@ class TestKramersKronigCore:
             assert eps_core_kk(xi, table, NI) == pytest.approx(
                 _trapezoid_core(table, xi), rel=1e-11)
 
-    def test_refinement_meets_tolerance(self, monkeypatch, fresh_kk_caches):
-        # one panel per segment misses KK_QUAD_TOL; halving the offending
-        # panels recovers the oracle
-        table = _coarse_table()
-        builds = []
-        kk_panels = response._kk_panels
+    @pytest.mark.parametrize("name", ["session", "coarse", "kinked"])
+    def test_fixed_nodes_keep_their_margin(self, name, ni_table):
+        # panels at most KK_PANEL_WIDTH wide with every kink a breakpoint:
+        # the |K15 - G7| estimate stays >= 1000x below KK_QUAD_TOL of the
+        # integral over the whole Matsubara range, so no panel needs
+        # refining
+        table = {"session": ni_table, "coarse": _coarse_table(),
+                 "kinked": _kinked_table()}[name]
+        w2, wk, wd = response._kk_nodes(table, NI.omega_p, NI.gamma)
+        for xi in np.geomspace(1e10, 1e19, 200):
+            r = 1.0 / (w2 + xi * xi)
+            estimate = np.abs(np.einsum("pn,pn->p", wd, r)).sum()
+            assert estimate <= 1e-12 * np.vdot(wk, r), xi
 
-        def spy(lo, *args):
-            builds.append(len(lo))
-            return kk_panels(lo, *args)
-
+    def test_panels_too_wide_raise(self, monkeypatch, fresh_kk_caches):
+        # one panel per segment of the coarse table misses KK_QUAD_TOL;
+        # the fixed nodes are never refined, so the core must raise
         monkeypatch.setattr(response, "KK_PANEL_WIDTH", 100.0)
-        monkeypatch.setattr(response, "_kk_panels", spy)
-        assert eps_core_kk(XI1, table, NI) == pytest.approx(
-            _trapezoid_core(table, XI1), rel=1e-11)
-        assert len(builds) >= 2  # the node set, then a refinement
+        with pytest.raises(QuadratureError, match="xi = "):
+            eps_core_kk(XI1, _coarse_table(), NI)
 
     def test_unreachable_tolerance_raises(self, monkeypatch,
                                           fresh_kk_caches):
-        # below the rounding floor of the embedded estimate no refinement
-        # helps: the core must raise, not return
+        # below the rounding floor of the embedded estimate: the core must
+        # raise, not return
         monkeypatch.setattr(response, "KK_QUAD_TOL", 1e-20)
         table = _tent_table(50.0 * XI1, 5.0 * XI1, 2.0)
-        with pytest.raises(QuadratureError, match="refinement rounds"):
+        with pytest.raises(QuadratureError, match="on its fixed nodes"):
             eps_core_kk(XI1, table, NI)
 
     def test_overflowing_table_raises(self):

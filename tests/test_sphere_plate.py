@@ -215,6 +215,26 @@ class TestCompare:
             compare(data, nickel("drude"), geom, CTX)
         assert calls == []
 
+    @pytest.mark.parametrize("err_theory_rel", [math.nan, math.inf, -0.01])
+    def test_theory_error_checked_before_any_pressure(self, monkeypatch,
+                                                      err_theory_rel):
+        # NaN would put every point outside the CI and inf every point
+        # inside it
+        calls = []
+        kernel = lifshitz.lifshitz_summand
+
+        def spy(y, xi, *args):
+            calls.append(xi)
+            return kernel(y, xi, *args)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        data = ExperimentDataset(a=(223e-9, 300e-9), grad_expt=(1e-4,) * 2,
+                                 err_expt=(1e-6,) * 2)
+        with pytest.raises(ValueError, match="err_theory_rel"):
+            compare_models(data, [nickel("drude")], GEOM, CTX,
+                           err_theory_rel=err_theory_rel)
+        assert calls == []
+
     def test_theory_error_enters_ci(self):
         model = nickel("drude")
         data = synthetic_dataset(model, GEOM, self.SEPARATIONS, err=1e-9)
