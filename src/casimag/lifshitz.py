@@ -63,10 +63,17 @@ from .response import MaterialModel, MatsubaraContext, eps_core_at, \
 Y_CUT = 45.0
 # upper limit of every term's integral in s, y = y_lo + s^2
 S_CUT = math.sqrt(Y_CUT)
-# panels of the first quadrature round of every term
-INITIAL_PANELS = 8
-# Most quadrature nodes one kernel call evaluates: 30 components of the
-# 120-node first round.  The split pays end to end: without it, op_s rose
+# Interior breakpoints in s of the first quadrature round of every term:
+# three G10/K21 panels, 63 nodes, narrower towards s = 0.  Chosen by a
+# sweep of the first round over three-model curves on 12 log-spaced
+# separations from 10 nm to 20 um at 10, 300 and 1000 K (with and without
+# an optical table above 10 K) and on the README grid: (1.25, 3.25) took
+# 9.64 M kernel nodes in all, (1.5, 3.0) 11.55 M, three equal panels
+# 12.51 M, and every pair with the upper breakpoint at 2.75 over 13.6 M.
+BREAKPOINTS = (1.25, 3.25)
+# Most quadrature nodes one kernel call evaluates: 57 components of the
+# 63-node first round, so a first round of up to 57 components is one
+# call.  The split pays end to end: without it, op_s rose
 # 6.7% on micron-gradient (faster in 0 of 10 alternating pairs) and 4.7%
 # on readme-free (1 of 10), and fell 2.7% on readme-interband
 # (perfbench/run.py --workload all --seconds 6, 2-vCPU Linux VM, NumPy
@@ -232,7 +239,7 @@ def _term_integrals(l: int, xi: float, a: np.ndarray, runs: list,
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
-                        initial_panels=INITIAL_PANELS)
+                        breakpoints=BREAKPOINTS)
     return res.value.tolist(), res.error.tolist()
 
 

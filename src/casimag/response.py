@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PI, ev_to_rad_s
 from .csvio import read_numeric_csv
-from .quadrature import _W, QuadratureError, _nodes
+from .quadrature import QuadratureError, _nodes
 
 DRUDE = "drude"
 PLASMA = "plasma"
@@ -45,9 +45,30 @@ KK_QUAD_TOL = 1e-9
 KK_TAIL_REL_TOL = 1e-3
 KK_PANEL_WIDTH = 0.5
 
-# Kronrod weights, and Kronrod minus the embedded Gauss weights, on the 15
-# Kronrod nodes
-_WGK, _WDIFF = _W.T
+# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]) for the
+# KK core's fixed panels, whose error is far below the tolerance already
+_XGK = np.array([
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
+    -0.2077849550078985, 0.0,
+    0.2077849550078985, 0.4058451513773972, 0.5860872354676911,
+    0.7415311855993944, 0.8648644233597691, 0.9491079123427585,
+    0.9914553711208126,
+])
+# Kronrod weights, and Kronrod minus the 7-point Gauss weights, which sit
+# on the odd Kronrod nodes
+_WGK = np.array([
+    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
+    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
+    0.2044329400752989, 0.2094821410847278,
+    0.2044329400752989, 0.1903505780647854, 0.1690047266392679,
+    0.1406532597155259, 0.1047900103222502, 0.0630920926299786,
+    0.0229353220105292,
+])
+_WDIFF = _WGK.copy()
+_WDIFF[1::2] -= [0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
+                 0.4179591836734694,
+                 0.3818300505051189, 0.2797053914892767, 0.1294849661688697]
 
 
 @dataclass(frozen=True)
@@ -318,7 +339,7 @@ def _kk_nodes(table, omega_p, gamma):
     lo = (np.repeat(edges[:-1], n)
           + (np.arange(n.sum()) - start) * np.repeat(width / n, n))
     hi = np.append(lo[1:], edges[-1])
-    half, u = _nodes(lo, hi)
+    half, u = _nodes(lo, hi, _XGK)
     w = np.exp(u)
     w2 = w * w
     excess = np.maximum(0.0, np.interp(w, omega, im_eps)

@@ -304,6 +304,31 @@ def _record_integrand(monkeypatch, outputs):
     monkeypatch.setattr(lifshitz, "adaptive_quad", recording)
 
 
+# 10 nm to 20 um: the extremes of the separations the model is used at
+WIDE = (10e-9, 30e-9, 100e-9, 1e-6, 5e-6, 20e-6)
+VARIANTS = ("nonlocal", "plasma", "drude")
+
+
+@pytest.fixture(scope="module")
+def wide_curves(ni_models, ni_models_ib):
+    """Three-model curves on WIDE, with per-term breakdowns, computed
+    once per (temperature, table, quad_tol) for every test that reads
+    them; the 10 K runs take seconds."""
+    cache = {}
+
+    def curves(temperature, table=False, quad_tol=1e-9):
+        key = (temperature, table, quad_tol)
+        if key not in cache:
+            models = ni_models_ib if table else ni_models
+            cache[key] = pressure_curves(
+                WIDE, [models[v] for v in VARIANTS],
+                MatsubaraContext(temperature=temperature),
+                quad_tol=quad_tol, keep_terms=True)
+        return cache[key]
+
+    return curves
+
+
 class TestPressureCurves:
     GRID = TestPressureCurve.GRID
 
@@ -325,6 +350,30 @@ class TestPressureCurves:
             # pressure, terms_used, per_term, tail bound and quad_error
             assert curve == pressure_curve(self.GRID, model, CTX,
                                            keep_terms=True), model
+
+    @pytest.mark.parametrize("temperature", [10.0, 300.0])
+    def test_matches_per_model_curves_over_a_wide_grid(
+            self, temperature, ni_models, wide_curves):
+        # at 10 nm a term's panels refine for some models and not for
+        # others; each model's numbers must not depend on the others
+        ctx = MatsubaraContext(temperature=temperature)
+        for variant, curve in zip(VARIANTS, wide_curves(temperature)):
+            assert curve == pressure_curve(WIDE, ni_models[variant], ctx,
+                                           keep_terms=True), variant
+
+    @pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
+    @pytest.mark.parametrize("temperature", [10.0, 300.0, 1000.0])
+    def test_quad_error_bounds_the_quadrature_error_over_a_wide_grid(
+            self, temperature, table, wide_curves):
+        # each model's curve is its own (test above), so one three-model
+        # run covers every variant
+        loose, tight = (wide_curves(temperature, table, tol)
+                        for tol in (1e-9, 1e-13))
+        for variant, lo_curve, ti_curve in zip(VARIANTS, loose, tight):
+            for a, lo, ti in zip(WIDE, lo_curve, ti_curve):
+                assert lo.terms_used == ti.terms_used, (variant, a)
+                assert abs(lo.pressure - ti.pressure) <= lo.quad_error, \
+                    (variant, a)
 
     def test_unequal_runs_keep_their_models(self, ni_models):
         # once some separations of a model have converged, the runs of
@@ -384,8 +433,9 @@ class TestPressureCurves:
         assert max(sizes) > lifshitz.NODE_CAP // 2  # the cap is reached
         assert all(type(xi) is float for xi in xis)
 
-    # components split evenly (240), unevenly (300), panels split (100)
-    @pytest.mark.parametrize("cap", [240, 300, 100])
+    # components split evenly (240), unevenly (300), panels split (50:
+    # two of the three first-round panels per call)
+    @pytest.mark.parametrize("cap", [240, 300, 50])
     def test_chunked_evaluation_equals_unchunked(self, monkeypatch,
                                                  ni_models, cap):
         grid = (100e-9, 180e-9, 420e-9, 800e-9)
