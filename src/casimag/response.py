@@ -40,35 +40,31 @@ NI_V_FERMI = 1.31e6
 
 # relative tolerance of the KK quadrature, the largest share of the KK
 # integral the extrapolated tail may carry before a table is rejected, and
-# the widest KK panel in ln w
+# the widest KK panel in ln w (at 0.15 the |K9 - G4| estimate on a test
+# table exceeds the 1e-12 of the integral its margin test allows)
 KK_QUAD_TOL = 1e-9
 KK_TAIL_REL_TOL = 1e-3
-KK_PANEL_WIDTH = 0.5
+KK_PANEL_WIDTH = 0.1
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]) for the
+# 9-point Kronrod extension of 4-point Gauss (nodes on [-1, 1]) for the
 # KK core's fixed panels, whose error is far below the tolerance already
 _XGK = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
-    -0.2077849550078985, 0.0,
-    0.2077849550078985, 0.4058451513773972, 0.5860872354676911,
-    0.7415311855993944, 0.8648644233597691, 0.9491079123427585,
-    0.9914553711208126,
+    -0.9765602507375731, -0.8611363115940526, -0.64028621749631,
+    -0.33998104358485626, 0.0,
+    0.33998104358485626, 0.64028621749631, 0.8611363115940526,
+    0.9765602507375731,
 ])
-# Kronrod weights, and Kronrod minus the 7-point Gauss weights, which sit
+# Kronrod weights, and Kronrod minus the 4-point Gauss weights, which sit
 # on the odd Kronrod nodes
 _WGK = np.array([
-    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
-    0.2044329400752989, 0.1903505780647854, 0.1690047266392679,
-    0.1406532597155259, 0.1047900103222502, 0.0630920926299786,
-    0.0229353220105292,
+    0.06297737366547301, 0.17005360533572272, 0.26679834045228445,
+    0.32694918960145164, 0.34644298189013634,
+    0.32694918960145164, 0.26679834045228445, 0.17005360533572272,
+    0.06297737366547301,
 ])
 _WDIFF = _WGK.copy()
-_WDIFF[1::2] -= [0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-                 0.4179591836734694,
-                 0.3818300505051189, 0.2797053914892767, 0.1294849661688697]
+_WDIFF[1::2] -= [0.34785484513745385, 0.6521451548625461,
+                 0.6521451548625461, 0.34785484513745385]
 
 
 @dataclass(frozen=True)
@@ -253,16 +249,16 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     A table whose extrapolated tail would contribute more than
     ``KK_TAIL_REL_TOL`` of the integral is rejected as too narrow.
 
-    Over the table range the integral runs in u = ln w on one GK15 panel
-    per table segment, with breakpoints at the zero crossings of table -
-    Drude (the kinks of the max) and no panel wider than
+    Over the table range the integral runs in u = ln w on G4/K9 panels:
+    one per table segment, with breakpoints at the zero crossings of
+    table - Drude (the kinks of the max) and no panel wider than
     ``KK_PANEL_WIDTH``.  The nodes and the xi-independent weights
     w^2 eps''_ib(w) du are built once per (table, omega_p, gamma), so each
     xi costs one weighted sum of 1/(w_n^2 + xi^2) on these fixed nodes.
     Within a panel the integrand is analytic for |Im u| < pi/2 (its poles
     lie at ln xi +- i pi/2 and ln gamma +- i pi/2), so on panels at most
-    0.5 wide the G7 error falls like rho^-14 with rho >= 12, and no panel
-    is refined.  The summed per-panel |K15 - G7| estimate checks that
+    0.1 wide the G4 error falls like rho^-8 with rho >= 62, and no panel
+    is refined.  The summed per-panel |K9 - G4| estimate checks that
     margin: above ``KK_QUAD_TOL`` of the integral, or with a non-finite
     integral, it raises ``QuadratureError``.
 
@@ -273,16 +269,24 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     return _eps_core_cached(xi, table, m.omega_p, m.gamma)
 
 
-def _bisect(f, lo, hi):
+def _newton(f, df, lo, hi):
     """Points where f changes sign between lo and hi (arrays), to machine
-    precision; f(lo) and f(hi) must differ in sign."""
+    precision; f(lo) and f(hi) must differ in sign.  A Newton step that
+    would leave the shrinking sign bracket bisects it instead."""
     lo_neg = f(lo) < 0.0
-    for _ in range(64 if lo.size else 0):
-        mid = 0.5 * (lo + hi)
-        left = (f(mid) < 0.0) == lo_neg
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)
+    for _ in range(64 if x.size else 0):
+        fx = f(x)
+        left = (fx < 0.0) == lo_neg
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        step = x - fx / df(x)
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        step = np.where(fx == 0.0, x, step)
+        x, dx = step, np.abs(step - x)
+        if np.all(dx <= np.spacing(x)):
+            break
+    return x
 
 
 def _excess_zeros(omega, im_eps, omega_p, gamma):
@@ -307,24 +311,29 @@ def _excess_zeros(omega, im_eps, omega_p, gamma):
         return lambda w: s + c * (3.0 * w * w + gamma**2) / (
             w * (w * w + gamma**2)) ** 2
 
+    def d2g(w):
+        return -2.0 * c * (6.0 * w**4 + 3.0 * (gamma * w) ** 2 + gamma**4) / (
+            w * (w * w + gamma**2)) ** 3
+
     neg0 = im_eps[:-1] < drude_im_eps(w0, omega_p, gamma)
     neg1 = im_eps[1:] < drude_im_eps(w1, omega_p, gamma)
     one = np.flatnonzero(neg0 != neg1)
-    zeros = [_bisect(g(one), w0[one], w1[one])]
+    zeros = [_newton(g(one), dg(one), w0[one], w1[one])]
     # both ends negative: bracket the maximum where g' falls through 0
     two = np.flatnonzero(neg0 & neg1)
     two = two[(dg(two)(w0[two]) > 0.0) & (dg(two)(w1[two]) < 0.0)]
-    peak = _bisect(dg(two), w0[two], w1[two])
+    peak = _newton(dg(two), d2g, w0[two], w1[two])
     above = g(two)(peak) > 0.0
     two, peak = two[above], peak[above]
-    zeros += [_bisect(g(two), w0[two], peak), _bisect(g(two), peak, w1[two])]
+    zeros += [_newton(g(two), dg(two), w0[two], peak),
+              _newton(g(two), dg(two), peak, w1[two])]
     return np.concatenate(zeros)
 
 
 @functools.lru_cache(maxsize=16)
 def _kk_nodes(table, omega_p, gamma):
-    """GK15 nodes of ``table``'s KK integral in u = ln w, as (w^2, Kronrod
-    weights, Kronrod - Gauss weights), each of shape (panels, 15), with
+    """G4/K9 nodes of ``table``'s KK integral in u = ln w, as (w^2, Kronrod
+    weights, Kronrod - Gauss weights), each of shape (panels, 9), with
     w^2 eps''_ib(w) and the panel's half-width folded into the weights.
     Table rows and excess kinks are breakpoints, segments are split evenly
     to at most ``KK_PANEL_WIDTH``, and panels without excess are dropped."""
@@ -357,7 +366,8 @@ def _kk_nodes(table, omega_p, gamma):
 @functools.lru_cache(maxsize=4096)
 def _eps_core_cached(xi, table, omega_p, gamma):
     w2, wk, wd = _kk_nodes(table, omega_p, gamma)
-    r = 1.0 / (w2 + xi * xi)
+    r = w2 + xi * xi
+    np.reciprocal(r, out=r)  # the only node-sized temporary of this xi
     total = float(np.vdot(wk, r))
     err = float(np.abs(np.einsum("pn,pn->p", wd, r)).sum())
     if not (math.isfinite(total) and err <= KK_QUAD_TOL * total):

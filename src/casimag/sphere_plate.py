@@ -27,8 +27,10 @@ from .response import MatsubaraContext
 class GeometryParams:
     """Sphere radius, rms roughnesses and optional PFA-correction table.
 
-    ``theta_table`` rows are (a [m], theta) with |theta| <= 1; absent
-    table means theta = 0 (the correction is below 0.1% at a/R < 1e-2).
+    ``theta_table`` rows are (a [m], theta) with |theta| <= 1.  Without
+    one theta = 0, which leaves out theta a/R: -0.73% at a = 800 nm with
+    R = 61.71 um for the ideal-metal gradient coefficient theta_E/3 =
+    -0.564 (Bimonte, Emig, Jaffe & Kardar, EPL 97, 50001 (2012)).
     """
 
     radius: float

@@ -9,9 +9,16 @@ import pytest
 import casimag
 from casimag import lifshitz
 from casimag.cli import main
-from casimag.csvio import read_csv
 
 import _ni_optical
+
+
+def read_csv(path):
+    """(header, rows) of a CSV file the CLI wrote, as lists of strings."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = (line.rstrip("\n").split(",") for line in fh)
+    return header, rows
+
 
 BASE = """
 variant = nonlocal

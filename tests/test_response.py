@@ -223,6 +223,29 @@ class TestInterbandTable:
         with pytest.raises(ValueError, match="row 5: non-numeric"):
             InterbandTable.from_csv(path)
 
+    @pytest.mark.parametrize("text,match", [
+        ("", "empty CSV"),
+        ("# only a comment\n\n", "empty CSV"),
+        ("omega_ev,im_eps\n0.5,2.0\n\n# note\n\n1.0,two\n",
+         "row 6: non-numeric"),
+        ("omega_ev,im_eps\n0.5,2.0,\n", "row 2: expected 2 columns"),
+        ("omega_ev,im_eps\r\n0.5,2.0\r\n1.0\r\n", "row 3: expected 2 columns"),
+    ], ids=["empty", "comments-only", "gaps-keep-line-numbers",
+            "trailing-comma", "crlf-short-row"])
+    def test_csv_errors(self, tmp_path, text, match):
+        path = tmp_path / "opt.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError, match=match):
+            InterbandTable.from_csv(path)
+
+    def test_csv_spaced_header_crlf_and_gaps(self, tmp_path):
+        path = tmp_path / "opt.csv"
+        path.write_bytes(b"# comment\r\n omega_ev , im_eps \r\n0.5,2.0\r\n"
+                         b"\r\n# between rows\r\n1.0, 1.5\r\n")
+        table = InterbandTable.from_csv(path)
+        assert table.omega == (0.5 * EV_TO_RAD_S, 1.0 * EV_TO_RAD_S)
+        assert table.im_eps == (2.0, 1.5)
+
 
 def _ni_drude(w):
     return drude_im_eps(w, NI.omega_p, NI.gamma)
@@ -283,6 +306,30 @@ def _gauss_legendre_cores(table, xis, sub):
     return np.array([1.0 + (2.0 / math.pi)
                      * (weights @ (1.0 / (w2 + xi * xi)) + _tail(table, xi))
                      for xi in xis])
+
+
+def _bisected_kinks(omega, im_eps):
+    """Sign changes of the interpolated table minus the Drude background,
+    each bracketed on a 1001-point log grid per segment and bisected 64
+    times."""
+    kinks = []
+    for i in range(omega.size - 1):
+        w0, v0 = omega[i], im_eps[i]
+        s = np.diff(im_eps)[i] / np.diff(omega)[i]
+
+        def g(w):
+            return v0 + s * (w - w0) - _ni_drude(w)
+
+        grid = np.geomspace(w0, omega[i + 1], 1001)
+        j = np.flatnonzero(np.diff(g(grid) < 0.0))
+        lo, hi = grid[j], grid[j + 1]
+        lo_neg = g(lo) < 0.0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            left = (g(mid) < 0.0) == lo_neg
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        kinks.append(0.5 * (lo + hi))
+    return np.concatenate(kinks)
 
 
 def _coarse_table():
@@ -363,13 +410,45 @@ class TestKramersKronigCore:
         np.testing.assert_allclose(_gauss_legendre_cores(ni_table, xis, 2),
                                    ref, rtol=1e-14, atol=0.0)
         got = [eps_core_kk(xi, ni_table, NI) for xi in xis]
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_excess_kinks_inside_segments(self):
         table = _kinked_table()
         for xi in (XI1, 30.0 * XI1):
             assert eps_core_kk(xi, table, NI) == pytest.approx(
                 _trapezoid_core(table, xi), rel=1e-11)
+
+    def test_kinks_match_bisection(self):
+        # the Newton kinks against 64-step bisection, on the kinked table
+        # and on seeded segments crossing the background once or twice,
+        # steeply enough that rounding in g blurs each sign change over
+        # about an ulp at most
+        rng = np.random.default_rng(16)
+        n = 40
+        w0 = 10.0 ** rng.uniform(12.0, 16.0, n)
+        w1 = w0 * np.exp(rng.uniform(0.02, 0.5, n))
+        f = np.where(rng.random(n) < 0.5, 0.5, 2.0)
+        one = [((a, b), (f_ * _ni_drude(a), _ni_drude(b) / f_))
+               for a, b, f_ in zip(w0, w1, f)]
+        # both ends at half the background: the chord clears it inside
+        w0 = 10.0 ** rng.uniform(15.0, 18.0, n)
+        w1 = w0 * rng.uniform(3.0, 6.0, n)
+        two = [((a, b), (0.5 * _ni_drude(a), 0.5 * _ni_drude(b)))
+               for a, b in zip(w0, w1)]
+        t = _kinked_table()
+        kinked = [(t.omega, t.im_eps)]
+        for tables, count in ((kinked, 4), (one, 1), (two, 2)):
+            for omega, im_eps in tables:
+                omega, im_eps = np.array(omega), np.array(im_eps)
+                got = np.sort(response._excess_zeros(omega, im_eps,
+                                                     NI.omega_p, NI.gamma))
+                ref = _bisected_kinks(omega, im_eps)
+                assert got.size == ref.size == count
+                assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+
+    def test_node_budget(self, ni_table):
+        w2, _, _ = response._kk_nodes(ni_table, NI.omega_p, NI.gamma)
+        assert w2.size <= 5000
 
     def test_coarse_table_split_into_panels(self):
         # the segments are split into panels no wider than KK_PANEL_WIDTH
@@ -381,7 +460,7 @@ class TestKramersKronigCore:
     @pytest.mark.parametrize("name", ["session", "coarse", "kinked"])
     def test_fixed_nodes_keep_their_margin(self, name, ni_table):
         # panels at most KK_PANEL_WIDTH wide with every kink a breakpoint:
-        # the |K15 - G7| estimate stays >= 1000x below KK_QUAD_TOL of the
+        # the |K9 - G4| estimate stays >= 1000x below KK_QUAD_TOL of the
         # integral over the whole Matsubara range, so no panel needs
         # refining
         table = {"session": ni_table, "coarse": _coarse_table(),
