@@ -26,11 +26,11 @@ like the separations, with one scalar xi.  On the README grid (15
 separations, 100-800 nm, three models) a run takes 101 quadratures, one
 per l >= 1 and three static ones, instead of 297 with one loop per
 model.  A round's kernel calls split the components so that none exceeds
-``NODE_CAP`` nodes.  ``pressure_curve`` is a one-model run and
-``pressure`` a one-point curve.
+``NODE_CAP`` nodes.  ``pressure`` is a one-point curve.
 The kernel takes the model itself when there is one: a MaterialModel, or
 a ``reflection.FixedReflection`` (re-exported here) with constant
-coefficients.  Its coefficients are those of ``reflection.refl_pair``.
+coefficients, which runs alone.  Its coefficients are those of
+``reflection.refl_pair``.
 
 The static term uses the exact zero-frequency reflection coefficients of
 the model variant; all terms with l >= 1 use unit permeability.  When the
@@ -158,10 +158,6 @@ def _stack(runs: tuple):
     """The kernel model of several runs of (model, component count)."""
     models = [m for m, _ in runs]
     counts = [n for _, n in runs]
-    if isinstance(models[0], FixedReflection):
-        return FixedReflection(
-            _per_component([m.r_tm for m in models], counts),
-            _per_component([m.r_te for m in models], counts))
     gamma, v_t, v_l = zip(*(m.effective for m in models))
     local = not (any(v_t) or any(v_l))  # velocity arrays are never shortcut
     return _Components(_per_component([m.omega_p for m in models], counts),
@@ -176,12 +172,14 @@ def _kernel_params(l: int, xi: float, runs: list):
     ``runs`` lists (model, number of consecutive components).  With one
     run the parameters are the model's own; otherwise each is a
     ``_per_component`` value.  The permeability and the interband core
-    are computed once per run at every l; the rest once per layout.
+    are computed once per run at every l; the rest once per layout.  A
+    FixedReflection runs alone and reads neither.
     """
     models = [m for m, _ in runs]
-    fixed = isinstance(models[0], FixedReflection)
-    mu = [1.0 if fixed else mu_at(l, m) for m in models]
-    core = [1.0 if fixed or l == 0 else eps_core_at(xi, m) for m in models]
+    if isinstance(models[0], FixedReflection):
+        return models[0], 1.0, 1.0
+    mu = [mu_at(l, m) for m in models]
+    core = [1.0 if l == 0 else eps_core_at(xi, m) for m in models]
     if len(runs) == 1:
         return models[0], mu[0], core[0]
     counts = [n for _, n in runs]
@@ -196,8 +194,6 @@ def _part(x, j: slice):
     if isinstance(x, _Components):
         return _Components(_part(x.omega_p, j),
                            tuple(_part(v, j) for v in x.effective))
-    if isinstance(x, FixedReflection):
-        return FixedReflection(_part(x.r_tm, j), _part(x.r_te, j))
     return x  # a float or a model shared by every component
 
 
@@ -337,16 +333,16 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     leaves the set evaluated at later l; the final tail estimate is
     reported in its result.  Raises SeriesConvergenceError, naming the
     model and the separation and carrying the partial result, if a pair
-    reaches its cap on the number of terms first.  FixedReflection
-    models cannot share a call with material models.
+    reaches its cap on the number of terms first.  A FixedReflection
+    must be the only model of its call.
     """
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    fixed = [isinstance(m, FixedReflection) for m in models]
-    if any(fixed) and not all(fixed):
-        raise ValueError("FixedReflection and material models cannot "
-                         "share one pressure_curves call")
+    if len(models) > 1 and any(isinstance(m, FixedReflection)
+                               for m in models):
+        raise ValueError("a FixedReflection cannot share a pressure_curves "
+                         "call with other models")
     curves = [[_MatsubaraSum(PressureQuery(separation=float(a), model=model,
                                            quad_tol=quad_tol,
                                            series_tol=series_tol),
@@ -379,17 +375,6 @@ def _add_term(l: int, ctx: MatsubaraContext, groups: list,
         s.add(l, t_l, err_l)
 
 
-def pressure_curve(separations, model, ctx: MatsubaraContext,
-                   quad_tol: float = 1e-9, series_tol: float = 1e-8,
-                   keep_terms: bool = False) -> list[PressureResult]:
-    """Casimir pressure of one model at every separation, in Pa: a
-    one-model ``pressure_curves``, with the same validation, tail rule and
-    SeriesConvergenceError."""
-    curve, = pressure_curves(separations, [model], ctx, quad_tol,
-                             series_tol, keep_terms)
-    return curve
-
-
 def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
                   quad_tol: float = 1e-9) -> float:
     """Contribution of a single Matsubara index to the pressure, in Pa.
@@ -407,11 +392,11 @@ def pressure(q: PressureQuery, ctx: MatsubaraContext,
              keep_terms: bool = False) -> PressureResult:
     """Casimir pressure for the query, in Pa (negative = attraction).
 
-    A one-point ``pressure_curve``: same tail rule, same
+    A one-point ``pressure_curves``: same tail rule, same
     SeriesConvergenceError at the term cap.
     """
-    res, = pressure_curve([q.separation], q.model, ctx, q.quad_tol,
-                          q.series_tol, keep_terms)
+    (res,), = pressure_curves([q.separation], [q.model], ctx, q.quad_tol,
+                              q.series_tol, keep_terms)
     return res
 
 

@@ -31,17 +31,16 @@ class FixedReflection:
     """Test hook: constant reflection coefficients for every (l, k_perp).
 
     FixedReflection(1.0, -1.0) is the ideal metal; FixedReflection(0, 0)
-    is an empty interface with zero pressure.  |r| > 1 is rejected.  The
-    coefficients may be arrays that broadcast like the kernel's ``a``,
-    one entry per component of a multi-model pressure loop.
+    is an empty interface with zero pressure.  |r| > 1 and NaN are
+    rejected.  A pressure loop runs a FixedReflection alone.
     """
 
-    r_tm: float | np.ndarray
-    r_te: float | np.ndarray
+    r_tm: float
+    r_te: float
 
     def __post_init__(self):
         for name in ("r_tm", "r_te"):
-            if not np.all(np.abs(getattr(self, name)) <= 1.0):
+            if not abs(getattr(self, name)) <= 1.0:
                 raise ValueError(f"|{name}| must not exceed 1")
 
 

@@ -7,9 +7,11 @@ multiplied by a perturbative surface-roughness factor
 1 + 10 (delta_s^2 + delta_p^2)/a^2 and by the leading PFA correction
 1 + theta(a, T) a / R.  That composition order is canonical; swapping the
 two corrections changes the result only at second order in the small
-corrections.  The gradient curves of several models take their pressures
-from one ``lifshitz.pressure_curves`` loop, and every separation is
-checked once, for all models, before any pressure is computed.
+corrections.  ``gradient_curves`` is that one definition, for every model
+of a run from one ``lifshitz.pressure_curves`` loop, and
+``compare_models`` compares its curves with measured data; every
+separation is checked once, for all models, before any pressure is
+computed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .csvio import read_numeric_csv
-from .lifshitz import PressureQuery, pressure, pressure_curves
+from .lifshitz import pressure_curves
 from .response import MatsubaraContext
 
 
@@ -106,27 +108,15 @@ def read_theta_table(path) -> tuple[tuple[float, float], ...]:
     return tuple((r[0] * 1e-9, r[1]) for r in rows)
 
 
-def _check_proximity(a: float, geom: GeometryParams) -> None:
+def _check_separation(a: float, geom: GeometryParams) -> None:
+    """Reject a separation that is not positive, is outside the
+    proximity-force regime (a >= R/10) or makes the roughness correction
+    non-perturbative (a <= 10 max(delta_s, delta_p))."""
+    if not 0.0 < a < math.inf:
+        raise ValueError("separation must be finite and > 0")
     if a >= geom.radius / 10.0:
         raise ValueError("separation too large for the proximity-force "
                          f"regime (need a < R/10 = {geom.radius / 10.0:.3e} m)")
-
-
-def gradient_pfa(a: float, model, geom: GeometryParams, ctx: MatsubaraContext,
-                 quad_tol: float = 1e-9, series_tol: float = 1e-8) -> float:
-    """Sphere-plate force gradient F' = -2 pi R P(a, T), in N/m, at the
-    temperature of ``ctx``.
-
-    Positive for an attractive pressure.  Valid only well inside the
-    proximity regime; separations above radius/10 are rejected.
-    """
-    _check_proximity(a, geom)
-    res = pressure(PressureQuery(separation=a, model=model, quad_tol=quad_tol,
-                                 series_tol=series_tol), ctx)
-    return -2.0 * math.pi * geom.radius * res.pressure
-
-
-def _check_roughness(a: float, geom: GeometryParams) -> None:
     if a <= 10.0 * max(geom.delta_s, geom.delta_p):
         raise ValueError("roughness correction is perturbative: need "
                          "a > 10 max(delta_s, delta_p)")
@@ -135,16 +125,6 @@ def _check_roughness(a: float, geom: GeometryParams) -> None:
 def roughness_factor(a: float, geom: GeometryParams) -> float:
     """1 + 10 (delta_s^2 + delta_p^2) / a^2."""
     return 1.0 + 10.0 * (geom.delta_s**2 + geom.delta_p**2) / a**2
-
-
-def apply_roughness(grad: float, a: float, geom: GeometryParams) -> float:
-    """Multiply by the perturbative roughness factor.
-
-    Valid while the roughnesses stay small against the separation;
-    a <= 10 max(delta_s, delta_p) is rejected.
-    """
-    _check_roughness(a, geom)
-    return grad * roughness_factor(a, geom)
 
 
 def theta_at(a: float, geom: GeometryParams) -> float:
@@ -177,15 +157,15 @@ def gradient_curves(separations, models, geom: GeometryParams,
                     ctx: MatsubaraContext, quad_tol: float = 1e-9,
                     series_tol: float = 1e-8) -> list[list[float]]:
     """Full theoretical force gradient of every model at every separation,
-    in N/m, one curve per model: PFA, then roughness, then the PFA
+    in N/m, one curve per model: the PFA gradient F' = -2 pi R P(a, T),
+    positive for an attractive pressure, then roughness, then the PFA
     correction.
 
-    Every separation is checked against the proximity regime and the
-    roughness before any pressure is computed.
+    Every separation is checked (``_check_separation``) before any
+    pressure is computed.
     """
     for a in separations:
-        _check_proximity(a, geom)
-        _check_roughness(a, geom)
+        _check_separation(a, geom)
     out = []
     for curve in pressure_curves(separations, models, ctx, quad_tol,
                                  series_tol):
@@ -196,24 +176,6 @@ def gradient_curves(separations, models, geom: GeometryParams,
             grads.append(apply_pfa_correction(grad, a, geom))
         out.append(grads)
     return out
-
-
-def gradient_curve(separations, model, geom: GeometryParams,
-                   ctx: MatsubaraContext, quad_tol: float = 1e-9,
-                   series_tol: float = 1e-8) -> list[float]:
-    """A one-model ``gradient_curves``."""
-    curve, = gradient_curves(separations, [model], geom, ctx, quad_tol,
-                             series_tol)
-    return curve
-
-
-def gradient_theory(a: float, model, geom: GeometryParams,
-                    ctx: MatsubaraContext,
-                    quad_tol: float = 1e-9, series_tol: float = 1e-8) -> float:
-    """Full theoretical force gradient at one separation, in N/m (a
-    one-point ``gradient_curve``)."""
-    grad, = gradient_curve([a], model, geom, ctx, quad_tol, series_tol)
-    return grad
 
 
 def compare_models(data: ExperimentDataset, models, geom: GeometryParams,
@@ -244,11 +206,14 @@ def compare_models(data: ExperimentDataset, models, geom: GeometryParams,
     return out
 
 
-def compare(data: ExperimentDataset, model, geom: GeometryParams,
-            ctx: MatsubaraContext, err_theory_rel: float = 0.0,
-            quad_tol: float = 1e-9,
-            series_tol: float = 1e-8) -> list[ComparisonRow]:
-    """A one-model ``compare_models``."""
-    rows, = compare_models(data, [model], geom, ctx, err_theory_rel,
-                           quad_tol, series_tol)
-    return rows
+# No module of the package calls these two.  They exist only because the
+# per-layer benchmark tracer (``perfbench/tracer.py``) binds them by name;
+# they go when its bindings move to the curve functions.
+def gradient_theory(a, model, geom, ctx, quad_tol=1e-9, series_tol=1e-8):
+    return gradient_curves([a], [model], geom, ctx, quad_tol, series_tol)[0][0]
+
+
+def compare(data, model, geom, ctx, err_theory_rel=0.0, quad_tol=1e-9,
+            series_tol=1e-8):
+    return compare_models(data, [model], geom, ctx, err_theory_rel,
+                          quad_tol, series_tol)[0]

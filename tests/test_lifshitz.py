@@ -6,9 +6,8 @@ import pytest
 
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
                      PressureQuery, SeriesConvergenceError, lifshitz,
-                     matsubara_xi, nickel, pressure, pressure_curve,
-                     pressure_curves, pressure_ratio_table, pressure_term,
-                     refl_pair)
+                     matsubara_xi, nickel, pressure, pressure_curves,
+                     pressure_ratio_table, pressure_term, refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -166,7 +165,7 @@ def test_non_convergence_reports_partial_sum(grid):
     # in a curve, the error names the separation that did not converge
     ctx = MatsubaraContext(temperature=300.0, l_max_cap=10)
     with pytest.raises(SeriesConvergenceError) as err:
-        pressure_curve(grid, nickel("drude"), ctx)
+        pressure_curves(grid, [nickel("drude")], ctx)
     assert "separation 5.000000e-08 m" in str(err.value)
     partial = err.value.partial
     assert partial.terms_used == 10
@@ -241,7 +240,7 @@ class TestPressureCurve:
         model = {"ideal": FixedReflection(1.0, -1.0),
                  "nonlocal+table": ni_models_ib["nonlocal"],
                  **ni_models}[name]
-        curve = pressure_curve(self.GRID, model, CTX, keep_terms=True)
+        curve, = pressure_curves(self.GRID, [model], CTX, keep_terms=True)
         assert len(curve) == len(self.GRID)
         for a, res in zip(self.GRID, curve):
             point = pressure(PressureQuery(separation=a, model=model), CTX,
@@ -262,7 +261,7 @@ class TestPressureCurve:
         tally = _kernel_spy(monkeypatch)
         for variant, model in ni_models.items():
             tally["calls"] = 0
-            curve = pressure_curve(grid, model, CTX)
+            curve, = pressure_curves(grid, [model], CTX)
             assert tally["calls"] <= curve[0].terms_used + 3, variant
         assert all(type(xi) is float for xi in tally["xi"])
 
@@ -285,9 +284,9 @@ class TestPressureCurve:
     def test_separations_are_validated_before_any_term(self, monkeypatch):
         tally = _kernel_spy(monkeypatch)
         with pytest.raises(ValueError, match="separation must be finite"):
-            pressure_curve([1e-6, 0.0], nickel("drude"), CTX)
+            pressure_curves([1e-6, 0.0], [nickel("drude")], CTX)
         with pytest.raises(ValueError, match="at least one separation"):
-            pressure_curve([], nickel("drude"), CTX)
+            pressure_curves([], [nickel("drude")], CTX)
         assert tally["calls"] == 0
 
 
@@ -333,23 +332,20 @@ class TestPressureCurves:
     GRID = TestPressureCurve.GRID
 
     @pytest.mark.parametrize("name", ["material", "material+table",
-                                      "longitudinal-only", "fixed"])
+                                      "longitudinal-only"])
     def test_matches_per_model_curves(self, name, ni_models, ni_models_ib):
         # longitudinal-only: v_t = 0 for every component, v_l not
         models = {"material": list(ni_models.values()),
                   "material+table": list(ni_models_ib.values()),
                   "longitudinal-only": [
                       replace(ni_models["nonlocal"], v_t=0.0),
-                      ni_models["drude"]],
-                  "fixed": [FixedReflection(1.0, -1.0),
-                            FixedReflection(0.5, -0.3),
-                            FixedReflection(0.0, 0.0)]}[name]
+                      ni_models["drude"]]}[name]
         curves = pressure_curves(self.GRID, models, CTX, keep_terms=True)
         assert len(curves) == len(models)
         for model, curve in zip(models, curves):
             # pressure, terms_used, per_term, tail bound and quad_error
-            assert curve == pressure_curve(self.GRID, model, CTX,
-                                           keep_terms=True), model
+            assert [curve] == pressure_curves(self.GRID, [model], CTX,
+                                              keep_terms=True), model
 
     @pytest.mark.parametrize("temperature", [10.0, 300.0])
     def test_matches_per_model_curves_over_a_wide_grid(
@@ -358,8 +354,8 @@ class TestPressureCurves:
         # others; each model's numbers must not depend on the others
         ctx = MatsubaraContext(temperature=temperature)
         for variant, curve in zip(VARIANTS, wide_curves(temperature)):
-            assert curve == pressure_curve(WIDE, ni_models[variant], ctx,
-                                           keep_terms=True), variant
+            assert [curve] == pressure_curves(WIDE, [ni_models[variant]], ctx,
+                                              keep_terms=True), variant
 
     @pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
     @pytest.mark.parametrize("temperature", [10.0, 300.0, 1000.0])
@@ -393,12 +389,20 @@ class TestPressureCurves:
         assert t == t_each
         assert err == err_each
 
-    def test_fixed_reflection_cannot_join_material_models(self):
+    @pytest.mark.parametrize("models", [
+        [nickel("drude"), FixedReflection(1.0, -1.0)],
+        [FixedReflection(1.0, -1.0), FixedReflection(0.5, -0.3)],
+    ], ids=["with-material", "two-fixed"])
+    def test_fixed_reflection_cannot_join_material_models(self, monkeypatch,
+                                                          models):
+        # a FixedReflection runs alone; the call fails before any kernel
+        # call
+        tally = _kernel_spy(monkeypatch)
         with pytest.raises(ValueError, match="cannot share"):
-            pressure_curves([1e-6], [nickel("drude"),
-                                     FixedReflection(1.0, -1.0)], CTX)
+            pressure_curves([1e-6], models, CTX)
         with pytest.raises(ValueError, match="at least one model"):
             pressure_curves([1e-6], [], CTX)
+        assert tally["calls"] == 0
 
     def test_non_convergence_names_model_and_separation(self, ni_models):
         ctx = MatsubaraContext(temperature=300.0, l_max_cap=10)
@@ -486,7 +490,9 @@ def test_dissipationless_nonlocal_pressure_rejected():
 
 
 @pytest.mark.parametrize("r_tm,r_te,name", [(1.5, 0.0, "r_tm"),
-                                            (0.0, -1.01, "r_te")])
+                                            (0.0, -1.01, "r_te"),
+                                            (math.nan, 0.0, "r_tm"),
+                                            (0.0, math.inf, "r_te")])
 def test_fixed_reflection_out_of_range_rejected(r_tm, r_te, name):
     with pytest.raises(ValueError, match=name):
         FixedReflection(r_tm, r_te)

@@ -3,41 +3,51 @@ import math
 import pytest
 
 from casimag import (ExperimentDataset, GeometryParams, MatsubaraContext,
-                     PressureQuery, apply_pfa_correction, apply_roughness,
-                     compare, compare_models, gradient_curve,
-                     gradient_curves, gradient_pfa, gradient_theory,
-                     lifshitz, nickel, pressure, roughness_factor)
+                     PressureQuery, apply_pfa_correction, compare_models,
+                     gradient_curves, lifshitz, nickel, pressure,
+                     roughness_factor)
 from casimag.lifshitz import PressureResult
 from casimag.sphere_plate import read_theta_table, theta_at
 
 CTX = MatsubaraContext(temperature=300.0)
 GEOM = GeometryParams(radius=61.71e-6, delta_s=1.5e-9, delta_p=1.4e-9)
+# no roughness and no theta table: gradient_curves gives the bare PFA
+# gradient -2 pi R P(a, T)
+SMOOTH = GeometryParams(radius=GEOM.radius)
+
+
+def _gradient_at(a, model, geom, ctx):
+    """The gradient of one model at one separation."""
+    (grad,), = gradient_curves([a], [model], geom, ctx)
+    return grad
+
+
+def _force_pressure(monkeypatch, value):
+    forced = PressureResult(pressure=value, terms_used=1,
+                            series_tail_bound=0.0, quad_error=0.0)
+    monkeypatch.setattr("casimag.sphere_plate.pressure_curves",
+                        lambda a, models, ctx, *args: [[forced] * len(a)
+                                                       for _ in models])
 
 
 class TestGradientPfa:
     def test_unit_pressure_scaling(self, monkeypatch):
-        forced = PressureResult(pressure=-1.0, terms_used=1,
-                                series_tail_bound=0.0, quad_error=0.0)
-        monkeypatch.setattr("casimag.sphere_plate.pressure",
-                            lambda q, ctx: forced)
-        grad = gradient_pfa(3e-7, nickel("drude"), GEOM, CTX)
+        _force_pressure(monkeypatch, -1.0)
+        grad = _gradient_at(3e-7, nickel("drude"), SMOOTH, CTX)
         # 2 pi R with R = 61.71 um
         assert grad == pytest.approx(3.877353653060523e-4, rel=1e-12)
 
     def test_linear_in_radius(self, monkeypatch):
-        forced = PressureResult(pressure=-2.5, terms_used=1,
-                                series_tail_bound=0.0, quad_error=0.0)
-        monkeypatch.setattr("casimag.sphere_plate.pressure",
-                            lambda q, ctx: forced)
-        g1 = gradient_pfa(3e-7, nickel("drude"), GEOM, CTX)
+        _force_pressure(monkeypatch, -2.5)
+        g1 = _gradient_at(3e-7, nickel("drude"), SMOOTH, CTX)
         geom2 = GeometryParams(radius=2 * GEOM.radius)
-        g2 = gradient_pfa(3e-7, nickel("drude"), geom2, CTX)
+        g2 = _gradient_at(3e-7, nickel("drude"), geom2, CTX)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-14)
 
     def test_composes_with_pressure(self):
         a = 3e-7
         model = nickel("nonlocal")
-        grad = gradient_pfa(a, model, GEOM, CTX)
+        grad = _gradient_at(a, model, SMOOTH, CTX)
         p = pressure(PressureQuery(separation=a, model=model), CTX).pressure
         assert grad == pytest.approx(-2.0 * math.pi * GEOM.radius * p,
                                      rel=1e-12)
@@ -45,13 +55,12 @@ class TestGradientPfa:
 
     def test_proximity_regime_enforced(self):
         with pytest.raises(ValueError, match="proximity"):
-            gradient_pfa(7e-6, nickel("drude"), GEOM, CTX)
+            _gradient_at(7e-6, nickel("drude"), SMOOTH, CTX)
 
 
 class TestRoughness:
     def test_identity_for_smooth_surfaces(self):
-        geom = GeometryParams(radius=61.71e-6)
-        assert apply_roughness(1.25, 3e-7, geom) == 1.25
+        assert 1.25 * roughness_factor(3e-7, SMOOTH) == 1.25
 
     def test_nickel_experiment_magnitude(self):
         # 1 + 10 (1.5^2 + 1.4^2) nm^2 / (300 nm)^2, a 0.05% effect
@@ -71,7 +80,7 @@ class TestRoughness:
 
     def test_perturbative_bound_enforced(self):
         with pytest.raises(ValueError, match="perturbative"):
-            apply_roughness(1.0, 1e-8, GEOM)
+            gradient_curves([1e-8], [nickel("drude")], GEOM, CTX)
 
 
 class TestPfaCorrection:
@@ -120,8 +129,8 @@ class TestPfaCorrection:
         geom = GeometryParams(radius=61.71e-6, delta_s=1.5e-9, delta_p=1.4e-9,
                               theta_table=((1e-9, -1.0), (1e-3, -1.0)))
         a, grad = 3e-7, 1.0
-        ab = apply_pfa_correction(apply_roughness(grad, a, geom), a, geom)
-        ba = apply_roughness(apply_pfa_correction(grad, a, geom), a, geom)
+        ab = apply_pfa_correction(grad * roughness_factor(a, geom), a, geom)
+        ba = apply_pfa_correction(grad, a, geom) * roughness_factor(a, geom)
         assert ab == pytest.approx(ba, rel=1e-15)  # multiplicative factors
         additive = grad * (1.0 + (roughness_factor(a, geom) - 1.0)
                            + theta_at(a, geom) * a / geom.radius)
@@ -129,8 +138,7 @@ class TestPfaCorrection:
 
 
 def synthetic_dataset(model, geom, separations, err=1e-8, offset=0.0):
-    grads = [gradient_theory(a, model, geom, CTX)
-             for a in separations]
+    grads, = gradient_curves(separations, [model], geom, CTX)
     return ExperimentDataset(a=tuple(separations),
                              grad_expt=tuple(g + offset for g in grads),
                              err_expt=tuple(err for _ in grads))
@@ -142,7 +150,7 @@ class TestCompare:
     def test_self_consistency(self):
         model = nickel("nonlocal")
         data = synthetic_dataset(model, GEOM, self.SEPARATIONS)
-        rows = compare(data, model, GEOM, CTX)
+        rows, = compare_models(data, [model], GEOM, CTX)
         for row in rows:
             assert row.delta == pytest.approx(0.0, abs=1e-12 * row.grad_theory)
             assert row.inside_ci
@@ -154,7 +162,7 @@ class TestCompare:
             a=base.a,
             grad_expt=tuple(g + 3.0 * 1e-8 for g in base.grad_expt),
             err_expt=base.err_expt)
-        rows = compare(shifted, model, GEOM, CTX)
+        rows, = compare_models(shifted, [model], GEOM, CTX)
         assert all(not row.inside_ci for row in rows)
 
     def test_translation_consistency(self):
@@ -165,8 +173,8 @@ class TestCompare:
             a=data.a,
             grad_expt=tuple(g + shift for g in data.grad_expt),
             err_expt=data.err_expt)
-        r1 = compare(data, model, GEOM, CTX)
-        r2 = compare(shifted, model, GEOM, CTX)
+        r1, = compare_models(data, [model], GEOM, CTX)
+        r2, = compare_models(shifted, [model], GEOM, CTX)
         for a, b in zip(r1, r2):
             assert b.delta == pytest.approx(a.delta - shift, rel=1e-12)
 
@@ -174,14 +182,14 @@ class TestCompare:
         # data generated from the dissipative local theory, compared
         # against the wavevector-dependent one: differences are one-signed
         data = synthetic_dataset(nickel("drude"), GEOM, self.SEPARATIONS)
-        rows = compare(data, nickel("nonlocal"), GEOM, CTX)
+        rows, = compare_models(data, [nickel("nonlocal")], GEOM, CTX)
         assert all(row.delta < 0.0 for row in rows)
 
     def test_gradient_curve_matches_per_point_gradient(self):
         model = nickel("nonlocal")
-        curve = gradient_curve(self.SEPARATIONS, model, GEOM, CTX)
+        curve, = gradient_curves(self.SEPARATIONS, [model], GEOM, CTX)
         for a, grad in zip(self.SEPARATIONS, curve):
-            assert grad == pytest.approx(gradient_theory(a, model, GEOM, CTX),
+            assert grad == pytest.approx(_gradient_at(a, model, GEOM, CTX),
                                          rel=1e-12)
 
     def test_all_models_match_their_single_model_curves(self):
@@ -190,14 +198,18 @@ class TestCompare:
         curves = gradient_curves(self.SEPARATIONS, models, GEOM, CTX)
         rows = compare_models(data, models, GEOM, CTX, err_theory_rel=0.01)
         for model, curve, comp in zip(models, curves, rows):
-            assert curve == gradient_curve(self.SEPARATIONS, model, GEOM, CTX)
-            assert comp == compare(data, model, GEOM, CTX,
-                                   err_theory_rel=0.01)
+            assert [curve] == gradient_curves(self.SEPARATIONS, [model], GEOM,
+                                              CTX)
+            assert [comp] == compare_models(data, [model], GEOM, CTX,
+                                            err_theory_rel=0.01)
 
     @pytest.mark.parametrize("separations,geom,match", [
         ((223e-9, 300e-9, 7e-6), GEOM, "proximity"),
         ((223e-9, 300e-9, 420e-9),
          GeometryParams(radius=61.71e-6, delta_s=25e-9), "perturbative"),
+        ((0.0, 223e-9, 300e-9), SMOOTH, "separation must be finite and > 0"),
+        ((-1e-7, 223e-9, 300e-9), SMOOTH,
+         "separation must be finite and > 0"),
     ])
     def test_every_separation_checked_before_any_pressure(
             self, monkeypatch, separations, geom, match):
@@ -212,7 +224,7 @@ class TestCompare:
         data = ExperimentDataset(a=separations, grad_expt=(1e-4,) * 3,
                                  err_expt=(1e-6,) * 3)
         with pytest.raises(ValueError, match=match):
-            compare(data, nickel("drude"), geom, CTX)
+            compare_models(data, [nickel("drude")], geom, CTX)
         assert calls == []
 
     @pytest.mark.parametrize("err_theory_rel", [math.nan, math.inf, -0.01])
@@ -238,7 +250,7 @@ class TestCompare:
     def test_theory_error_enters_ci(self):
         model = nickel("drude")
         data = synthetic_dataset(model, GEOM, self.SEPARATIONS, err=1e-9)
-        rows = compare(data, model, GEOM, CTX, err_theory_rel=0.01)
+        rows, = compare_models(data, [model], GEOM, CTX, err_theory_rel=0.01)
         for row in rows:
             expected = math.hypot(1e-9, 0.01 * row.grad_theory)
             assert row.ci_halfwidth == pytest.approx(expected, rel=1e-12)
