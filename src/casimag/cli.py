@@ -3,7 +3,8 @@
 Subcommands: pressure, ratio, impedance-dump, reflect-dump, gradient,
 compare.  Every run is driven by a config file (--config); --model
 optionally overrides the configured response variant.  Exit codes:
-0 success, 1 validation error, 2 numerical non-convergence.
+0 success (--help included), 1 validation error (a usage error
+included), 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -165,7 +166,10 @@ def main(argv=None) -> int:
     parser.add_argument("--no-interband", action="store_true",
                         help="ignore optical_data_path; free-electron "
                              "response only")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error is a validation error
+        return 1 if exc.code else 0
 
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -187,9 +191,8 @@ def main(argv=None) -> int:
             table, summary = _cmd_compare(cfg, args)
 
         write_csv(out_path, table[0], table[1:])
-        if summary:
-            for line in summary:
-                print(line)
+        for line in summary or ():  # never into a CSV on stdout
+            print(line, file=sys.stderr if out_path == "-" else sys.stdout)
         return 0
     except (SeriesConvergenceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

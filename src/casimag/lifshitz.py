@@ -17,26 +17,20 @@ on its first round of panels.
 
 ``pressure_curves`` holds the one Matsubara loop, for every model and
 separation of a run.  The static term is one quadrature per model, since
-its coefficients depend on the variant.  At each l >= 1 every
-(model, separation) pair whose sum has not yet converged is one component
-of a single vector-valued quadrature: the permeability and the interband
-core are computed once per model, and the kernel reads each component's
-omega_p, effective (gamma, v_t, v_l) and core as arrays that broadcast
-like the separations, with one scalar xi.  On the README grid (15
-separations, 100-800 nm, three models) a run takes 101 quadratures, one
-per l >= 1 and three static ones, instead of 297 with one loop per
-model.  A round's kernel calls split the components so that none exceeds
-``NODE_CAP`` nodes.  ``pressure`` is a one-point curve.
-The kernel takes the model itself when there is one: a MaterialModel, or
-a ``reflection.FixedReflection`` (re-exported here) with constant
-coefficients, which runs alone.  Its coefficients are those of
-``reflection.refl_pair``.
+its coefficients depend on the variant.  The pairs still summing at
+l >= 1 form one component table (``_Table``), built once per run and
+compressed as pairs converge.  Each l is one vector-valued quadrature
+over it: the kernel reads the separations, omega_p and effective
+(gamma, v_t, v_l) as columns, with one scalar xi, unit permeability and
+an interband core shared by the models or gathered per component.  On
+the README grid (15 separations, 100-800 nm, three models) a run takes
+101 quadratures instead of 297 with one loop per model.  A round's
+kernel calls split the components so that none exceeds ``NODE_CAP``
+nodes.  A ``reflection.FixedReflection`` (re-exported here) runs alone.
 
-The static term uses the exact zero-frequency reflection coefficients of
-the model variant; all terms with l >= 1 use unit permeability.  When the
-model carries an interband table, the bound-electron core replaces the
-leading "1" of the permittivities for l >= 1 (the static coefficients
-depend only on the free-electron parameters).
+The static term uses the exact zero-frequency coefficients of the model
+variant.  When a model carries an interband table, the bound-electron
+core replaces the leading "1" of the permittivities for l >= 1.
 
 Every Matsubara frequency is ``matsubara_xi(l, ctx)`` and every prefactor
 uses ``ctx.temperature``: the MatsubaraContext is the one source of the
@@ -47,14 +41,13 @@ are deterministic for identical inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
-from .quadrature import adaptive_quad
+from .quadrature import _first_round, adaptive_quad
 from .reflection import FixedReflection, lifshitz_summand
 from .response import MaterialModel, MatsubaraContext, eps_core_at, \
     matsubara_xi, mu_at
@@ -72,10 +65,13 @@ S_CUT = math.sqrt(Y_CUT)
 # 12.51 M, and every pair with the upper breakpoint at 2.75 over 13.6 M.
 BREAKPOINTS = (1.25, 3.25)
 # Most quadrature nodes one kernel call evaluates: 57 components of the
-# 63-node first round, so a first round of up to 57 components is one
-# call.  The split pays end to end: without it, op_s rose
-# 6.7% on micron-gradient (faster in 0 of 10 alternating pairs) and 4.7%
-# on readme-free (1 of 10), and fell 2.7% on readme-interband
+# 63-node first round, so the split matters from 58 components (e.g.
+# --model all on 20 or more separations).  No benchmark workload reaches
+# it: first rounds take 45 x 63 = 2,835 nodes per call on the README grid
+# and 48 x 63 = 3,024 on micron-gradient.  With the former 120-node first
+# round the split paid end to end: without it, op_s rose 6.7% on
+# micron-gradient (faster in 0 of 10 alternating pairs) and 4.7% on
+# readme-free (1 of 10), and fell 2.7% on readme-interband
 # (perfbench/run.py --workload all --seconds 6, 2-vCPU Linux VM, NumPy
 # 2.4).  A call holds several float64 temporaries per node; past about
 # 4,000 nodes glibc can return the freed ones to the OS, and the next call
@@ -83,6 +79,10 @@ BREAKPOINTS = (1.25, 3.25)
 # 0.4 minor faults per call at 3,600 nodes in every process measured, 52
 # to 105 at 5,400 nodes in 8 of 20 processes).
 NODE_CAP = 3600
+# the first round's nodes in s, one read-only array shared by every
+# term's quadrature, and their s^2 and 2 s
+_S = _first_round(0.0, S_CUT, BREAKPOINTS)[2]
+_S2, _TWO_S = _S * _S, 2.0 * _S
 
 
 @dataclass(frozen=True)
@@ -128,115 +128,116 @@ class SeriesConvergenceError(RuntimeError):
         self.partial = partial
 
 
-class _Components:
-    """What the l >= 1 kernel reads of several MaterialModels, one entry
-    per component: omega_p and the effective (gamma, v_t, v_l), each a
-    float shared by every component or a (C, 1, 1) array.  The
-    velocities are the floats 0.0 when every component's are zero, so the
-    local shortcut of ``free_electron_eps`` still applies, and otherwise
-    both arrays.  A plain class: a frozen dataclass would add about 0.8 ms
-    to every CLI start."""
+class _Table:
+    """Components of one vector-valued quadrature: column i of ``cols``
+    holds component i's a, omega_p, gamma, v_t, v_l and model index (as
+    rows, every field is contiguous).  ``view`` is the kernel's model: one
+    model shared by every component (a static term, a FixedReflection;
+    their ``cols`` hold a alone), or the table itself, whose ``a``,
+    omega_p and effective (gamma, v_t, v_l) are fields shaped (C, 1, 1).
+    Velocities all zero are the floats 0.0, which keeps the local shortcut
+    of ``free_electron_eps``.  Indexing with a slice or a keep mask takes
+    those components.  A plain class: a frozen dataclass would add about
+    0.8 ms to every CLI start."""
 
-    __slots__ = ("omega_p", "effective")
+    __slots__ = ("cols", "models", "tabled", "a", "view", "omega_p",
+                 "effective")
 
-    def __init__(self, omega_p, effective: tuple):
-        self.omega_p = omega_p
-        self.effective = effective
+    def __init__(self, cols: np.ndarray, view=None, models=(),
+                 tabled=False, velocities=False):
+        self.cols, self.models, self.tabled = cols, models, tabled
+        self.a = cols[0, :, None, None]
+        self.view = self if view is None else view
+        if view is None:
+            self.omega_p, gamma, v_t, v_l = (cols[k, :, None, None]
+                                             for k in range(1, 5))
+            # parts of a local table are local; others are checked
+            if not (velocities and cols[3:5].any()):
+                v_t = v_l = 0.0
+            self.effective = gamma, v_t, v_l
 
+    @classmethod
+    def of(cls, models: list, a: np.ndarray) -> "_Table":
+        """The l >= 1 table of every (model, separation) pair, model-major;
+        a FixedReflection, which runs alone, is its own view."""
+        if isinstance(models[0], FixedReflection):
+            return cls(a[None], models[0])
+        fields = np.array([(m.omega_p, *m.effective, i)
+                           for i, m in enumerate(models)]).T
+        return cls(np.vstack((np.tile(a, len(models)),
+                              fields.repeat(len(a), axis=1))), None, models,
+                   any(m.interband is not None for m in models), True)
 
-def _per_component(values: list, counts: list, shared: bool = True):
-    """One value per run as one float where every run agrees (if
-    ``shared``), else a (C, 1, 1) array that broadcasts like the
-    separations, each run's value repeated over its components."""
-    if shared and len(set(values)) == 1:
-        return values[0]
-    return np.array(values, dtype=float).repeat(counts)[:, None, None]
+    def __getitem__(self, j) -> "_Table":
+        if self.view is not self:
+            return _Table(self.cols[:, j], self.view)
+        return _Table(self.cols[:, j], None, self.models, self.tabled,
+                      isinstance(self.effective[1], np.ndarray))
 
-
-@functools.lru_cache(maxsize=64)
-def _stack(runs: tuple):
-    """The kernel model of several runs of (model, component count)."""
-    models = [m for m, _ in runs]
-    counts = [n for _, n in runs]
-    gamma, v_t, v_l = zip(*(m.effective for m in models))
-    local = not (any(v_t) or any(v_l))  # velocity arrays are never shortcut
-    return _Components(_per_component([m.omega_p for m in models], counts),
-                       (_per_component(gamma, counts),
-                        _per_component(v_t, counts, local),
-                        _per_component(v_l, counts, local)))
-
-
-def _kernel_params(l: int, xi: float, runs: list):
-    """(model, mu, eps_core) of the kernel for components in runs.
-
-    ``runs`` lists (model, number of consecutive components).  With one
-    run the parameters are the model's own; otherwise each is a
-    ``_per_component`` value.  The permeability and the interband core
-    are computed once per run at every l; the rest once per layout.  A
-    FixedReflection runs alone and reads neither.
-    """
-    models = [m for m, _ in runs]
-    if isinstance(models[0], FixedReflection):
-        return models[0], 1.0, 1.0
-    mu = [mu_at(l, m) for m in models]
-    core = [1.0 if l == 0 else eps_core_at(xi, m) for m in models]
-    if len(runs) == 1:
-        return models[0], mu[0], core[0]
-    counts = [n for _, n in runs]
-    return (_stack(tuple(runs)), _per_component(mu, counts),
-            _per_component(core, counts))
-
-
-def _part(x, j: slice):
-    """Components j of a kernel parameter that may be per component."""
-    if isinstance(x, np.ndarray):
-        return x[j]
-    if isinstance(x, _Components):
-        return _Components(_part(x.omega_p, j),
-                           tuple(_part(v, j) for v in x.effective))
-    return x  # a float or a model shared by every component
+    def core(self, xi: float):
+        """The interband core at xi: one float when every model in the
+        table agrees, else a column gathered by model index."""
+        if not self.tabled:
+            return 1.0
+        index = self.cols[5].astype(int)
+        live = set(index.tolist())
+        core = [eps_core_at(xi, m) if i in live else 1.0
+                for i, m in enumerate(self.models)]
+        if len({core[i] for i in live}) == 1:
+            return core[index[0]]
+        return np.array(core)[index, None, None]
 
 
-def _term_integrals(l: int, xi: float, a: np.ndarray, runs: list,
+def _term_integrals(xi: float, table: _Table, mu: float, eps_core,
                     quad_tol: float) -> tuple[list, list]:
-    """(t_l, error estimates) of the y integral of every component.
-
-    Component i is separation a[i]; ``runs`` gives the components' models
-    as (model, count) in order (see ``_kernel_params``).  All components
-    share one vector-valued quadrature; the static term (xi = 0) takes a
-    single run, since its coefficients depend on the variant.
-    """
-    model, mu, eps_core = _kernel_params(l, xi, runs)
+    """(t_l, error estimates) of the y integral of every component of
+    ``table`` in one vector-valued quadrature, with permeability ``mu``
+    and interband core ``eps_core`` (a float or a column)."""
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
-    a = a[:, None, None]  # components x (panels, nodes)
+    a, view = table.a, table.view  # components x (panels, nodes)
     y_lo = a * (2.0 * xi / C_LIGHT)
     n = len(a)
 
     def f(s):
         most = NODE_CAP // s.size  # components one call may take
         if n <= most:
-            out = lifshitz_summand(y_lo + s * s, xi, a, model, mu, eps_core)
-        else:  # balanced calls under the cap; panels split past it
-            out = np.empty((n,) + s.shape)
-            calls = -(-n // max(1, most))
-            per = -(-n // calls)
-            rows = max(1, NODE_CAP // s.shape[-1])
-            for i in range(0, n, per):
-                c = slice(i, i + per)
-                args = (a[c], _part(model, c), _part(mu, c),
-                        _part(eps_core, c))
-                for r in range(0, len(s), rows):
-                    p = s[r:r + rows]
-                    out[c, r:r + rows] = lifshitz_summand(
-                        y_lo[c] + p * p, xi, *args)
+            s2, two_s = (_S2, _TWO_S) if s is _S else (s * s, 2.0 * s)
+            out = lifshitz_summand(y_lo + s2, xi, a, view, mu, eps_core)
+            out *= two_s
+            return out
+        # balanced calls under the cap; panels split past it
+        out = np.empty((n,) + s.shape)
+        calls = -(-n // max(1, most))
+        per = -(-n // calls)
+        rows = max(1, NODE_CAP // s.shape[-1])
+        for i in range(0, n, per):
+            c = slice(i, i + per)
+            part = table[c]
+            args = (part.a, part.view, mu, eps_core[c]
+                    if isinstance(eps_core, np.ndarray) else eps_core)
+            for r in range(0, len(s), rows):
+                p = s[r:r + rows]
+                out[c, r:r + rows] = lifshitz_summand(y_lo[c] + p * p, xi,
+                                                      *args)
         out *= 2.0 * s
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
                         breakpoints=BREAKPOINTS)
     return res.value.tolist(), res.error.tolist()
+
+
+def _one_model(l: int, xi: float, a: np.ndarray, model,
+               quad_tol: float) -> tuple[list, list]:
+    """Term l's ``_term_integrals`` at separations ``a`` of one model, as
+    the static term runs: its coefficients depend on the variant."""
+    fixed = isinstance(model, FixedReflection)  # reads no mu or core
+    mu = 1.0 if fixed else mu_at(l, model)
+    core = 1.0 if fixed or l == 0 else eps_core_at(xi, model)
+    return _term_integrals(xi, _Table(a[None], model), mu, core,
+                           quad_tol)
 
 
 def _prefactor(a: float, ctx: MatsubaraContext) -> float:
@@ -271,12 +272,13 @@ class _MatsubaraSum:
         self.prev_t = None
         self.result = None
 
-    def add(self, l: int, t_l: float, err_l: float) -> None:
+    def add(self, l: int, t_l: float, err_l: float) -> bool:
         """Add term l (the 1/2 weight of l = 0 included).
 
-        Sets ``result`` once the tail estimate has stayed below
-        series_tol * |partial sum| for three consecutive l >= 1; raises
-        SeriesConvergenceError when the cap is reached first.
+        Returns whether the sum goes on: False, with ``result`` set, once
+        the tail estimate has stayed below series_tol * |partial sum| for
+        three consecutive l >= 1.  Raises SeriesConvergenceError when the
+        cap is reached first.
         """
         weight = 0.5 if l == 0 else 1.0
         self.accum += weight * t_l
@@ -296,7 +298,7 @@ class _MatsubaraSum:
                 self.consecutive += 1
                 if self.consecutive >= 3:
                     self.result = self._result(l + 1)
-                    return
+                    return False
             else:
                 self.consecutive = 0
         # terms_used (count incl. l = 0) never exceeds the cap
@@ -306,6 +308,7 @@ class _MatsubaraSum:
                 f"Matsubara sum of model {name} at separation "
                 f"{self.a:.6e} m not converged within {self.cap} terms",
                 self._result(self.cap))
+        return True
 
     def _result(self, terms_used: int) -> PressureResult:
         tail = self.tail
@@ -350,29 +353,23 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
               for model in models]
     if not curves[0]:
         raise ValueError("need at least one separation")
+    a = np.array([s.a for s in curves[0]])
     for model, curve in zip(models, curves):  # variant-dependent static
-        _add_term(0, ctx, [(model, curve)], quad_tol)
-    active = list(zip(models, curves))
+        for s, t_0, err_0 in zip(curve, *_one_model(0, 0.0, a, model,
+                                                    quad_tol)):
+            s.add(0, t_0, err_0)
+    active = [s for curve in curves for s in curve]
+    table = _Table.of(models, a)
     l = 1
     while active:
-        _add_term(l, ctx, active, quad_tol)
-        active = [(m, left) for m, sums in active
-                  if (left := [s for s in sums if s.result is None])]
+        xi = matsubara_xi(l, ctx)
+        t, err = _term_integrals(xi, table, 1.0, table.core(xi), quad_tol)
+        keep = [s.add(l, t_l, err_l) for s, t_l, err_l in zip(active, t, err)]
+        if not all(keep):
+            active = [s for s, k in zip(active, keep) if k]
+            table = table[np.fromiter(keep, bool, len(keep))]
         l += 1
     return [[s.result for s in curve] for curve in curves]
-
-
-def _add_term(l: int, ctx: MatsubaraContext, groups: list,
-              quad_tol: float) -> None:
-    """Integrate term l of every sum in one quadrature and add it;
-    ``groups`` lists (model, its sums)."""
-    sums = [s for _, group in groups for s in group]
-    t, err = _term_integrals(l, matsubara_xi(l, ctx),
-                             np.array([s.a for s in sums]),
-                             [(m, len(group)) for m, group in groups],
-                             quad_tol)
-    for s, t_l, err_l in zip(sums, t, err):
-        s.add(l, t_l, err_l)
 
 
 def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
@@ -382,8 +379,8 @@ def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
     Includes the 1/2 weight of the l = 0 term; validated as a PressureQuery.
     """
     PressureQuery(separation=a, model=model, quad_tol=quad_tol)
-    (t_l,), _ = _term_integrals(l, matsubara_xi(l, ctx), np.array([a]),
-                                [(model, 1)], quad_tol)
+    (t_l,), _ = _one_model(l, matsubara_xi(l, ctx), np.array([a]), model,
+                           quad_tol)
     weight = 0.5 if l == 0 else 1.0
     return _prefactor(a, ctx) * weight * t_l
 

@@ -198,6 +198,24 @@ class TestGradientAndCompare:
         _, cmp_rows = read_csv(str(out))
         assert all(r[4] == "false" for r in cmp_rows)
 
+    def test_compare_to_stdout_keeps_the_summary_out_of_the_csv(
+            self, cfg_sp_path, tmp_path, capsys):
+        expt = tmp_path / "expt.csv"
+        expt.write_text("a_nm,grad_uN_per_m,err_uN_per_m\n223,40,1\n"
+                        "550,1,0.1\n", encoding="utf-8")
+        assert run(["compare", "--config", cfg_sp_path, "--model", "all",
+                    "--experiment", str(expt), "--output", "-"]) == 0
+        out, err = capsys.readouterr()
+        header, *rows = (line.split(",") for line in out.splitlines())
+        assert header == ["model", "a_nm", "grad_theory", "delta",
+                          "ci_halfwidth", "inside_ci"]
+        assert [r[:2] for r in rows] == [[m, a] for m in
+                                         ("nonlocal", "plasma", "drude")
+                                         for a in ("2.23000000000e+02",
+                                                   "5.50000000000e+02")]
+        assert [line.split()[0] for line in err.splitlines()] == [
+            "model=nonlocal", "model=plasma", "model=drude"]
+
     def test_compare_requires_experiment(self, cfg_sp_path):
         assert run(["compare", "--config", cfg_sp_path]) == 1
 
@@ -280,6 +298,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "plasma variant" in err
+
+    @pytest.mark.parametrize("args,message", [
+        (["pressure"], "--config"),
+        (["pressure", "--config", "run.cfg", "--model", "local"],
+         "invalid choice"),
+        (["--config", "run.cfg"], "command"),
+    ], ids=["missing-config", "bad-model", "missing-command"])
+    def test_usage_error_is_validation_error(self, capsys, args, message):
+        # 2 is kept for numerical non-convergence
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: casimag") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: casimag")
 
     def test_missing_config_file(self):
         assert run(["pressure", "--config", "/no/such/file.cfg"]) == 1

@@ -332,14 +332,23 @@ class TestPressureCurves:
     GRID = TestPressureCurve.GRID
 
     @pytest.mark.parametrize("name", ["material", "material+table",
-                                      "longitudinal-only"])
+                                      "longitudinal-only", "mixed-core",
+                                      "mixed-omega_p"])
     def test_matches_per_model_curves(self, name, ni_models, ni_models_ib):
-        # longitudinal-only: v_t = 0 for every component, v_l not
+        # longitudinal-only: v_t = 0 for every component, v_l not;
+        # mixed-core: the interband core differs between the models;
+        # mixed-omega_p: so does omega_p
+        plasma = ni_models["plasma"]
         models = {"material": list(ni_models.values()),
                   "material+table": list(ni_models_ib.values()),
                   "longitudinal-only": [
                       replace(ni_models["nonlocal"], v_t=0.0),
-                      ni_models["drude"]]}[name]
+                      ni_models["drude"]],
+                  "mixed-core": [ni_models_ib["nonlocal"],
+                                 ni_models["drude"]],
+                  "mixed-omega_p": [
+                      plasma, replace(plasma, omega_p=1.3 * plasma.omega_p)],
+                  }[name]
         curves = pressure_curves(self.GRID, models, CTX, keep_terms=True)
         assert len(curves) == len(models)
         for model, curve in zip(models, curves):
@@ -377,12 +386,21 @@ class TestPressureCurves:
         a = np.array([100e-9, 200e-9, 300e-9, 500e-9, 700e-9, 900e-9])
         runs = [(ni_models["nonlocal"], 1), (ni_models["plasma"], 3),
                 (ni_models["drude"], 2)]
+        table = lifshitz._Table.of([m for m, _ in runs], a)
+        keep = np.zeros((len(runs), len(a)), dtype=bool)
+        start = 0
+        for row, (_, n) in zip(keep, runs):
+            row[start:start + n] = True
+            start += n
+        table = table[keep.ravel()]
+        assert table.a.ravel().tolist() == a.tolist()
         xi = matsubara_xi(7, CTX)
-        t, err = lifshitz._term_integrals(7, xi, a, runs, 1e-9)
+        t, err = lifshitz._term_integrals(xi, table, 1.0, table.core(xi),
+                                          1e-9)
         start, t_each, err_each = 0, [], []
         for model, n in runs:
-            t_m, err_m = lifshitz._term_integrals(7, xi, a[start:start + n],
-                                                  [(model, n)], 1e-9)
+            t_m, err_m = lifshitz._one_model(7, xi, a[start:start + n],
+                                             model, 1e-9)
             t_each += t_m
             err_each += err_m
             start += n
