@@ -1,14 +1,17 @@
 """Run configuration: flat ``key = value`` text files.
 
 The format is deliberately minimal for diff-friendliness: one assignment
-per line, ``#`` comments, blank lines ignored.  Unknown keys are rejected
-by name; every parse error carries the offending line or field.
+per line, blank lines ignored, and ``#`` comments, on a line of their own
+or after whitespace at the end of an assignment.  The keys, their types
+and which are required are ``RunConfig``'s fields.  Unknown keys are
+rejected by name; every parse error carries the offending line or field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
 
 from .constants import C_LIGHT, ev_to_rad_s
 from .response import NI_V_FERMI, VARIANTS, InterbandTable, \
@@ -20,9 +23,10 @@ class ConfigError(ValueError):
     """Invalid configuration text or values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Validated configuration for the command-line runs."""
+    """Validated configuration for the command-line runs; a field without
+    a default is a required key."""
 
     # material
     variant: str
@@ -34,9 +38,9 @@ class RunConfig:
     v_f_m_s: float = NI_V_FERMI
     optical_data_path: str | None = None
     # sweep
-    a_min_nm: float = 100.0
-    a_max_nm: float = 1000.0
-    points: int = 1
+    a_min_nm: float
+    a_max_nm: float
+    points: int
     spacing: str = "linear"
     # run
     temperature_k: float = 300.0
@@ -52,24 +56,18 @@ class RunConfig:
     err_theory_rel: float = 0.0
 
 
-_REQUIRED = ("variant", "omega_p_ev", "a_min_nm", "a_max_nm", "points")
-
-_FLOAT_KEYS = {
-    "omega_p_ev", "gamma_ev", "mu0", "v_t_over_vf", "v_l_over_vf",
-    "v_f_m_s", "a_min_nm", "a_max_nm", "temperature_k", "quad_tol",
-    "series_tol", "radius_m", "delta_s_m", "delta_p_m", "err_theory_rel",
-}
-_INT_KEYS = {"points", "l_max_cap"}
-_STR_KEYS = {"variant", "spacing", "optical_data_path", "output_path",
-             "theta_table_path"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+_REQUIRED = [f.name for f in fields(RunConfig) if f.default is MISSING]
+# key -> "float", "int" or "str", from annotations such as "int | None"
+_KIND = {f.name: f.type.partition(" ")[0] for f in fields(RunConfig)}
+# a comment after whitespace ends an assignment's value
+_INLINE_COMMENT = re.compile(r"\s#.*")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the documented key = value format."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = _INLINE_COMMENT.sub("", raw).strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -77,11 +75,12 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        kind = _KIND.get(key)
+        if kind is None:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             try:
                 values[key] = float(value)
             except ValueError:
@@ -91,7 +90,7 @@ def parse_config(text: str) -> RunConfig:
             if not math.isfinite(values[key]):
                 raise ConfigError(f"line {lineno}: field '{key}': "
                                   f"non-finite value '{value}'")
-        elif key in _INT_KEYS:
+        elif kind == "int":
             try:
                 values[key] = int(value)
             except ValueError:

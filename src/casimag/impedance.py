@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .constants import C_LIGHT
 from .quadrature import QuadratureError
 from .reflection import ReflectionPair, eps_pair
-from .response import MaterialModel, MatsubaraContext, eps_core_at, \
-    matsubara_xi, mu_at
+from .response import MaterialModel, MatsubaraContext, matsubara_xi, \
+    mu_at
 
 KZ_QUAD_TOL = 1e-10
 
@@ -53,13 +53,12 @@ def _check_positive_args(l: int, k_perp: float) -> None:
 def _model_eps(l: int, k_perp: float, m: MaterialModel,
                ctx: MatsubaraContext, mu_l: float | None
                ) -> tuple[float, float, float, float]:
-    """Validated (xi_l, mu, eps_tr, eps_l), with the interband core applied
-    and ``mu_l`` overriding ``mu_at(l, m)``."""
+    """Validated (xi_l, mu, eps_tr, eps_l), with ``mu_l`` overriding
+    ``mu_at(l, m)``."""
     _check_positive_args(l, k_perp)
     xi = matsubara_xi(l, ctx)
     mu = mu_at(l, m) if mu_l is None else mu_l
-    eps_tr, eps_l = eps_pair(xi, k_perp, m, eps_core_at(xi, m))
-    return xi, mu, eps_tr, eps_l
+    return (xi, mu) + eps_pair(xi, k_perp, m)
 
 
 def _tan_sub_quad(f, scale: float) -> float:
@@ -200,7 +199,5 @@ def refl_via_impedance(l: int, k_perp: float, m: MaterialModel,
                        mu_l: float | None = None) -> ReflectionPair:
     """Coefficients through the closed-form impedances (algebraically
     identical to refl_pair at l >= 1; kept as an independent code path)."""
-    z = ImpedancePair(z_tm=z_tm_closed(l, k_perp, m, ctx, mu_l),
-                      z_te=z_te_closed(l, k_perp, m, ctx, mu_l),
-                      l=l, k_perp=k_perp)
-    return refl_from_impedance(z, l, k_perp, ctx)
+    return refl_from_impedance(impedance_pair(l, k_perp, m, ctx, mu_l), l,
+                               k_perp, ctx)

@@ -21,16 +21,17 @@ its coefficients depend on the variant.  The pairs still summing at
 l >= 1 form one component table (``_Table``), built once per run and
 compressed as pairs converge.  Each l is one vector-valued quadrature
 over it: the kernel reads the separations, omega_p and effective
-(gamma, v_t, v_l) as columns, with one scalar xi, unit permeability and
-an interband core shared by the models or gathered per component.  On
-the README grid (15 separations, 100-800 nm, three models) a run takes
-101 quadratures instead of 297 with one loop per model.  A round's
-kernel calls split the components so that none exceeds ``NODE_CAP``
-nodes.  A ``reflection.FixedReflection`` (re-exported here) runs alone.
+(gamma, v_t, v_l) as columns, with one scalar xi and the interband core
+of ``_Table.core``.  On the README grid (15 separations, 100-800 nm,
+three models) a run takes 101 quadratures instead of 297 with one loop
+per model.  A round's kernel calls split the components so that none
+exceeds ``NODE_CAP`` nodes.  A ``reflection.FixedReflection``
+(re-exported here) runs alone.
 
-The static term uses the exact zero-frequency coefficients of the model
-variant.  When a model carries an interband table, the bound-electron
-core replaces the leading "1" of the permittivities for l >= 1.
+The kernel takes each term's permeability and core from its model: the
+static term uses the exact zero-frequency coefficients of the variant
+with mu0, and above it a model's interband table supplies the
+bound-electron core that replaces the leading "1" of the permittivities.
 
 Every Matsubara frequency is ``matsubara_xi(l, ctx)`` and every prefactor
 uses ``ctx.temperature``: the MatsubaraContext is the one source of the
@@ -49,8 +50,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import _first_round, adaptive_quad
 from .reflection import FixedReflection, lifshitz_summand
-from .response import MaterialModel, MatsubaraContext, eps_core_at, \
-    matsubara_xi, mu_at
+from .response import MaterialModel, MatsubaraContext, matsubara_xi
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
 Y_CUT = 45.0
@@ -66,18 +66,16 @@ S_CUT = math.sqrt(Y_CUT)
 BREAKPOINTS = (1.25, 3.25)
 # Most quadrature nodes one kernel call evaluates: 57 components of the
 # 63-node first round, so the split matters from 58 components (e.g.
-# --model all on 20 or more separations).  No benchmark workload reaches
-# it: first rounds take 45 x 63 = 2,835 nodes per call on the README grid
-# and 48 x 63 = 3,024 on micron-gradient.  With the former 120-node first
-# round the split paid end to end: without it, op_s rose 6.7% on
-# micron-gradient (faster in 0 of 10 alternating pairs) and 4.7% on
-# readme-free (1 of 10), and fell 2.7% on readme-interband
-# (perfbench/run.py --workload all --seconds 6, 2-vCPU Linux VM, NumPy
-# 2.4).  A call holds several float64 temporaries per node; past about
-# 4,000 nodes glibc can return the freed ones to the OS, and the next call
-# faults them back in (resource.getrusage, repeated l >= 1 calls: 0 to
-# 0.4 minor faults per call at 3,600 nodes in every process measured, 52
-# to 105 at 5,400 nodes in 8 of 20 processes).
+# --model all on 20 or more separations; the README grid's largest call is
+# 45 x 63 = 2,835 nodes).  Three-model loops over 100-800 nm at 300 K,
+# in-process, medians of 24 interleaved pairs (ranges over three runs),
+# split vs unsplit: 20 separations 27-28 vs 25.5-26 ms, 60 separations
+# 52-62 vs 61-68 ms, 100 separations 86-100 vs 99-116 ms (2-vCPU Linux VM,
+# NumPy 2.4).  A call holds several float64 temporaries per node; past
+# about 4,000 nodes glibc can return the freed ones to the OS, and the
+# next call faults them back in (resource.getrusage, repeated l >= 1
+# calls: 0 to 0.4 minor faults per call at 3,600 nodes in every process
+# measured, 52 to 105 at 5,400 nodes in 8 of 20 processes).
 NODE_CAP = 3600
 # the first round's nodes in s, one read-only array shared by every
 # term's quadrature, and their s^2 and 2 s
@@ -134,7 +132,8 @@ class _Table:
     rows, every field is contiguous).  ``view`` is the kernel's model: one
     model shared by every component (a static term, a FixedReflection;
     their ``cols`` hold a alone), or the table itself, whose ``a``,
-    omega_p and effective (gamma, v_t, v_l) are fields shaped (C, 1, 1).
+    omega_p and effective (gamma, v_t, v_l) are fields shaped (C, 1, 1)
+    and whose ``core`` gathers the interband core by model index.
     Velocities all zero are the floats 0.0, which keeps the local shortcut
     of ``free_electron_eps``.  Indexing with a slice or a keep mask takes
     those components.  A plain class: a frozen dataclass would add about
@@ -181,18 +180,18 @@ class _Table:
             return 1.0
         index = self.cols[5].astype(int)
         live = set(index.tolist())
-        core = [eps_core_at(xi, m) if i in live else 1.0
+        core = [m.core(xi) if i in live else 1.0
                 for i, m in enumerate(self.models)]
         if len({core[i] for i in live}) == 1:
             return core[index[0]]
         return np.array(core)[index, None, None]
 
 
-def _term_integrals(xi: float, table: _Table, mu: float, eps_core,
+def _term_integrals(xi: float, table: _Table,
                     quad_tol: float) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
-    ``table`` in one vector-valued quadrature, with permeability ``mu``
-    and interband core ``eps_core`` (a float or a column)."""
+    ``table`` in one vector-valued quadrature.  ``xi = 0.0`` is the static
+    term, which needs a table of one model (``_Table(a[None], model)``)."""
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
@@ -204,7 +203,7 @@ def _term_integrals(xi: float, table: _Table, mu: float, eps_core,
         most = NODE_CAP // s.size  # components one call may take
         if n <= most:
             s2, two_s = (_S2, _TWO_S) if s is _S else (s * s, 2.0 * s)
-            out = lifshitz_summand(y_lo + s2, xi, a, view, mu, eps_core)
+            out = lifshitz_summand(y_lo + s2, xi, a, view)
             out *= two_s
             return out
         # balanced calls under the cap; panels split past it
@@ -215,29 +214,16 @@ def _term_integrals(xi: float, table: _Table, mu: float, eps_core,
         for i in range(0, n, per):
             c = slice(i, i + per)
             part = table[c]
-            args = (part.a, part.view, mu, eps_core[c]
-                    if isinstance(eps_core, np.ndarray) else eps_core)
             for r in range(0, len(s), rows):
                 p = s[r:r + rows]
                 out[c, r:r + rows] = lifshitz_summand(y_lo[c] + p * p, xi,
-                                                      *args)
+                                                      part.a, part.view)
         out *= 2.0 * s
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
                         breakpoints=BREAKPOINTS)
     return res.value.tolist(), res.error.tolist()
-
-
-def _one_model(l: int, xi: float, a: np.ndarray, model,
-               quad_tol: float) -> tuple[list, list]:
-    """Term l's ``_term_integrals`` at separations ``a`` of one model, as
-    the static term runs: its coefficients depend on the variant."""
-    fixed = isinstance(model, FixedReflection)  # reads no mu or core
-    mu = 1.0 if fixed else mu_at(l, model)
-    core = 1.0 if fixed or l == 0 else eps_core_at(xi, model)
-    return _term_integrals(xi, _Table(a[None], model), mu, core,
-                           quad_tol)
 
 
 def _prefactor(a: float, ctx: MatsubaraContext) -> float:
@@ -355,15 +341,15 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
         raise ValueError("need at least one separation")
     a = np.array([s.a for s in curves[0]])
     for model, curve in zip(models, curves):  # variant-dependent static
-        for s, t_0, err_0 in zip(curve, *_one_model(0, 0.0, a, model,
-                                                    quad_tol)):
+        for s, t_0, err_0 in zip(curve, *_term_integrals(
+                0.0, _Table(a[None], model), quad_tol)):
             s.add(0, t_0, err_0)
     active = [s for curve in curves for s in curve]
     table = _Table.of(models, a)
     l = 1
     while active:
         xi = matsubara_xi(l, ctx)
-        t, err = _term_integrals(xi, table, 1.0, table.core(xi), quad_tol)
+        t, err = _term_integrals(xi, table, quad_tol)
         keep = [s.add(l, t_l, err_l) for s, t_l, err_l in zip(active, t, err)]
         if not all(keep):
             active = [s for s, k in zip(active, keep) if k]
@@ -379,8 +365,8 @@ def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
     Includes the 1/2 weight of the l = 0 term; validated as a PressureQuery.
     """
     PressureQuery(separation=a, model=model, quad_tol=quad_tol)
-    (t_l,), _ = _one_model(l, matsubara_xi(l, ctx), np.array([a]), model,
-                           quad_tol)
+    (t_l,), _ = _term_integrals(matsubara_xi(l, ctx),
+                                _Table(np.array([[a]]), model), quad_tol)
     weight = 0.5 if l == 0 else 1.0
     return _prefactor(a, ctx) * weight * t_l
 

@@ -7,11 +7,14 @@ permittivities are singular at xi = 0), ``matsubara_coefficients``
 (l >= 1) and ``lifshitz_summand`` built from them.  The kernel reads the
 MaterialModel, broadcasts over arrays or Python floats, and checks
 nothing; ``lifshitz_summand`` is the one integrand of the pressure
-quadrature.  The scalar API validates its inputs and computes through the
-kernel: ``eps_pair`` is the permittivity pair and ``refl_pair`` the
-coefficients at any Matsubara index.  ``FixedReflection`` stands in for a
-material model with constant coefficients.  On the imaginary axis every
-coefficient is real with |r| <= 1.
+quadrature, and takes each term's permeability and interband core from
+its model: mu0 in the static term, 1 and ``model.core(xi)`` above it.
+The scalar API validates its inputs and computes through the kernel:
+``eps_pair`` is the permittivity pair, with the model's core, and
+``refl_pair`` the coefficients at any Matsubara index.
+``FixedReflection`` stands in for a material model with constant
+coefficients.  On the imaginary axis every coefficient is real with
+|r| <= 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .response import DRUDE, PLASMA, MaterialModel, \
-    MatsubaraContext, _check_xi, eps_core_at, matsubara_xi, mu_at
+    MatsubaraContext, _check_xi, matsubara_xi, mu_at
 
 
 @dataclass(frozen=True)
@@ -135,17 +138,17 @@ def _occupation(r, damp):
     return x
 
 
-def lifshitz_summand(y, xi, a, model, mu, eps_core):
+def lifshitz_summand(y, xi, a, model):
     """Integrand factor y^2 sum_pol x/(1-x), x = r^2 exp(-y), at y = 2 a q_l.
 
     ``y`` is an array of quadrature nodes (all > 0); ``xi`` is the
-    Matsubara frequency (0.0 selects the static-term coefficients);
-    ``model`` is a MaterialModel or a FixedReflection; ``mu`` and
-    ``eps_core`` are the permeability and the interband core at this l.
-    Above the static term, ``model`` may be anything with the ``omega_p``
-    and ``effective`` that ``free_electron_eps`` reads, and those, ``mu``
-    and ``eps_core`` may be arrays that broadcast like ``a``: one entry
-    per component of a multi-model pressure loop.
+    Matsubara frequency (0.0 selects the static-term coefficients, with
+    permeability ``model.mu0``); ``model`` is a MaterialModel or a
+    FixedReflection.  Above the static term the permeability is 1 and the
+    interband core is ``model.core(xi)``; there ``model`` may be anything
+    with the ``omega_p``, ``effective`` and ``core`` that this reads, and
+    those may be arrays that broadcast like ``a``: one entry per component
+    of a multi-model pressure loop.
     Returns an array of the broadcast shape of ``y`` and ``a``.
     """
     y = np.asarray(y, dtype=float)
@@ -153,15 +156,15 @@ def lifshitz_summand(y, xi, a, model, mu, eps_core):
     if isinstance(model, FixedReflection):
         r_tm, r_te = model.r_tm, model.r_te
     elif xi == 0.0:
-        r_tm, r_te = static_coefficients(q, model, mu)
+        r_tm, r_te = static_coefficients(q, model, model.mu0)
     else:
         xi_c2 = (xi / C_LIGHT) ** 2
         k2 = q * q
         k2 -= xi_c2
         np.maximum(k2, 0.0, out=k2)
         k = np.sqrt(k2)
-        eps_tr, eps_l = free_electron_eps(xi, k, model, eps_core)
-        r_tm, r_te = matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr,
+        eps_tr, eps_l = free_electron_eps(xi, k, model, model.core(xi))
+        r_tm, r_te = matsubara_coefficients(q, k, k2, xi_c2, 1.0, eps_tr,
                                             eps_l)
         del k2, k, eps_tr, eps_l  # fewer live temporaries below
     del q
@@ -180,16 +183,17 @@ def _check_k(k_perp: float) -> None:
         raise ValueError("k_perp must be >= 0")
 
 
-def eps_pair(xi: float, k_perp: float, m: MaterialModel,
-             core: float = 1.0) -> tuple[float, float]:
-    """(transverse, longitudinal) permittivity of ``m`` at (i xi, k_perp).
+def eps_pair(xi: float, k_perp: float,
+             m: MaterialModel) -> tuple[float, float]:
+    """(transverse, longitudinal) permittivity of ``m`` at (i xi, k_perp),
+    with the model's interband core ``m.core(xi)``.
 
     See ``free_electron_eps``; zero velocities give equal entries.
     Requires xi > 0 and k_perp >= 0.
     """
     _check_xi(xi)
     _check_k(k_perp)
-    return free_electron_eps(xi, k_perp, m, core)
+    return free_electron_eps(xi, k_perp, m, m.core(xi))
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,7 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
     """Reflection coefficients of ``m`` at any l >= 0.
 
     l = 0 uses the exact static limits (``static_coefficients``); l >= 1
-    the closed forms (``matsubara_coefficients``) with the interband core.
+    the closed forms (``matsubara_coefficients``) on ``eps_pair``.
     ``mu_l`` overrides the permeability ``mu_at(l, m)``.  The static
     nonlocal coefficients require gamma > 0 (for a dissipationless model
     use the plasma variant); at k_perp = 0 their TE limit is -1 for B > 0,
@@ -220,7 +224,7 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
     if l == 0:
         r_tm, r_te = static_coefficients(k_perp, m, mu)
     else:
-        eps_tr, eps_l = free_electron_eps(xi, k_perp, m, eps_core_at(xi, m))
+        eps_tr, eps_l = eps_pair(xi, k_perp, m)
         xi_c2 = (xi / C_LIGHT) ** 2
         k2 = k_perp * k_perp
         r_tm, r_te = matsubara_coefficients(math.sqrt(k2 + xi_c2), k_perp,

@@ -3,7 +3,10 @@
 A MaterialModel holds the free-electron parameters of one response
 variant: dissipative, dissipationless, or wavevector-dependent through
 characteristic velocities of the order of the Fermi velocity (its
-permittivities are ``reflection.eps_pair``).  The interband contribution is
+permittivities are ``reflection.eps_pair``).  The model supplies what
+changes with the Matsubara term: the permeability mu0, which enters only
+the static term, and the interband core ``MaterialModel.core(xi)``, which
+replaces the leading "1" of the permittivities above it.  The core is
 reconstructed from tabulated absorption data by a Kramers-Kronig
 transform, evaluated at purely imaginary frequencies ``omega = i*xi`` with
 ``xi > 0``.  The static (``xi = 0``) limit is handled analytically by the
@@ -126,8 +129,9 @@ class MaterialModel:
     magnetic permeability; v_t, v_l are the transverse/longitudinal
     characteristic velocities in m/s of the wavevector-dependent response.
     ``interband`` optionally supplies measured absorption data from which
-    the bound-electron core is reconstructed; it replaces the leading "1"
-    of the free-electron permittivities at nonzero Matsubara frequencies.
+    the bound-electron core (``core``) is reconstructed; it replaces the
+    leading "1" of the free-electron permittivities at nonzero Matsubara
+    frequencies.  The permeability enters only the static term, as mu0.
 
     ``effective`` is derived: the (gamma, v_t, v_l) of the l >= 1
     permittivities, (gamma, 0, 0) for drude and (0, 0, 0) for plasma, so
@@ -161,6 +165,12 @@ class MaterialModel:
         effective = {DRUDE: (self.gamma, 0.0, 0.0), PLASMA: (0.0, 0.0, 0.0),
                      NONLOCAL: (self.gamma, self.v_t, self.v_l)}
         object.__setattr__(self, "effective", effective[self.variant])
+
+    def core(self, xi: float) -> float:
+        """Interband core at xi > 0, or 1.0 when no table is attached."""
+        if self.interband is None:
+            return 1.0
+        return eps_core_kk(xi, self.interband, self)
 
 
 def nickel(variant: str = NONLOCAL, interband: InterbandTable | None = None,
@@ -391,10 +401,3 @@ def _eps_core_cached(xi, table, omega_p, gamma):
             f"{tail / (total + tail):.2e} of the integral "
             f"(limit {KK_TAIL_REL_TOL:.1e})")
     return 1.0 + (2.0 / PI) * (total + tail)
-
-
-def eps_core_at(xi: float, m: MaterialModel) -> float:
-    """Interband core of ``m`` at xi, or 1.0 when no table is attached."""
-    if m.interband is None:
-        return 1.0
-    return eps_core_kk(xi, m.interband, m)

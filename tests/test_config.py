@@ -39,6 +39,31 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.points == 5
 
 
+def test_inline_comment_after_a_path(tmp_path):
+    # the README's commented-out table line, uncommented as it invites
+    import _ni_optical
+    path = tmp_path / "ni.csv"
+    _ni_optical.write_csv(path, n=60)
+    cfg = parse_config(MINIMAL + f"optical_data_path = {path}   "
+                       "# enables the interband core\n")
+    assert cfg.optical_data_path == str(path)
+    assert build_material(cfg).interband is not None
+
+
+def test_inline_comment_after_numbers_and_names():
+    cfg = parse_config(MINIMAL.replace("points = 5", "points = 5  # sweep")
+                       .replace("variant = nonlocal", "variant = nonlocal # x")
+                       + "temperature_k = 10\t# cold\n")
+    assert (cfg.points, cfg.variant, cfg.temperature_k) == (5, "nonlocal",
+                                                            10.0)
+
+
+def test_hash_inside_a_value_is_kept():
+    # only a "#" after whitespace starts a comment
+    cfg = parse_config(MINIMAL + "output_path = run#1.csv\n")
+    assert cfg.output_path == "run#1.csv"
+
+
 def test_unknown_key_named():
     with pytest.raises(ConfigError, match="unknown key 'omega_p'"):
         parse_config(MINIMAL + "omega_p = 3\n")
@@ -49,9 +74,13 @@ def test_duplicate_key_rejected():
         parse_config(MINIMAL + "points = 7\n")
 
 
-def test_missing_required_key_named():
-    with pytest.raises(ConfigError, match="missing required key 'omega_p_ev'"):
-        parse_config("variant = drude\na_min_nm = 1\na_max_nm = 2\npoints = 1")
+@pytest.mark.parametrize("key", ["variant", "omega_p_ev", "a_min_nm",
+                                 "a_max_nm", "points"])
+def test_missing_required_key_named(key):
+    text = "\n".join(line for line in MINIMAL.splitlines()
+                     if not line.startswith(f"{key} "))
+    with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+        parse_config(text)
 
 
 def test_non_numeric_value_cites_line_and_field():

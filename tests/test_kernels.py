@@ -1,25 +1,25 @@
 """Integrand-kernel correctness against the scalar reflection API."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from casimag import FixedReflection, MaterialModel, MatsubaraContext, \
-    eps_pair, matsubara_xi, mu_at, nickel, refl_pair
+    eps_pair, matsubara_xi, nickel, refl_pair
 from casimag import reflection
 from casimag.constants import C_LIGHT
-from casimag.response import eps_core_at
 
 CTX = MatsubaraContext(temperature=300.0)
 A = 0.5e-6
 VARIANTS = ["drude", "plasma", "nonlocal"]
 
 
-def reference_summand(y, model, l, a=A, mu_l=None):
+def reference_summand(y, model, l, a=A):
     """Brute-force evaluation through the reflection module, node by node.
 
-    ``a`` broadcasts against ``y``; ``mu_l`` overrides the permeability.
+    ``a`` broadcasts against ``y``.
     """
     xi = matsubara_xi(l, CTX)
     y, a = np.broadcast_arrays(np.asarray(y, dtype=float), a)
@@ -28,7 +28,7 @@ def reference_summand(y, model, l, a=A, mu_l=None):
         yi = float(y[i])
         q = yi / (2.0 * float(a[i]))
         k = math.sqrt(max(q * q - (xi / C_LIGHT) ** 2, 0.0))
-        r = refl_pair(l, k, model, CTX, mu_l=mu_l)
+        r = refl_pair(l, k, model, CTX)
         damp = math.exp(-yi)
         x_tm = r.r_tm**2 * damp
         x_te = r.r_te**2 * damp
@@ -49,7 +49,7 @@ def test_kernel_matches_reflection_module(variant, l):
     xi = matsubara_xi(l, CTX)
     y_lo = 2.0 * A * xi / C_LIGHT
     y = np.linspace(y_lo + 0.05, y_lo + 30.0, 101)
-    got = reflection.lifshitz_summand(y, xi, A, model, mu_at(l, model), 1.0)
+    got = reflection.lifshitz_summand(y, xi, A, model)
     expected = reference_summand(y, model, l)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -62,8 +62,7 @@ def test_kernel_broadcasts_over_separations(variant, l):
     model = nickel(variant)
     a = np.array([100e-9, 420e-9, 3e-6])[:, None, None]
     y = nodes_above_cut(l, a)
-    got = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), a, model,
-                                      mu_at(l, model), 1.0)
+    got = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), a, model)
     assert got.shape == y.shape
     np.testing.assert_allclose(got, reference_summand(y, model, l, a),
                                rtol=1e-12)
@@ -71,30 +70,29 @@ def test_kernel_broadcasts_over_separations(variant, l):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("l", [1, 7])
-def test_kernel_permeability_above_the_static_term(variant, l):
-    model = nickel(variant)
-    y = nodes_above_cut(l, A)
-    got = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), A, model,
-                                      110.0, 1.0)
-    np.testing.assert_allclose(got, reference_summand(y, model, l,
-                                                      mu_l=110.0),
-                               rtol=1e-12)
-    unit = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), A, model,
-                                       1.0, 1.0)
-    assert np.all(got != unit)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("l", [1, 7])
 def test_kernel_with_interband_core(variant, l, ni_table):
     model = nickel(variant, interband=ni_table)
     xi = matsubara_xi(l, CTX)
-    core = eps_core_at(xi, model)
-    assert core > 1.5
+    assert model.core(xi) > 1.5
     y = nodes_above_cut(l, A)
-    got = reflection.lifshitz_summand(y, xi, A, model, mu_at(l, model), core)
+    got = reflection.lifshitz_summand(y, xi, A, model)
     np.testing.assert_allclose(got, reference_summand(y, model, l),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_eps_pair_applies_the_model_core(variant, ni_table):
+    # eps_pair reads the same core as the kernel and refl_pair: a tabled
+    # model's permittivities carry its table
+    m = nickel(variant, interband=ni_table)
+    xi = matsubara_xi(1, CTX)
+    core = m.core(xi)
+    assert core > 1.5
+    for k in (0.0, 1e6, 1e9):
+        assert eps_pair(xi, k, m) == reflection.free_electron_eps(xi, k, m,
+                                                                  core)
+    if variant == "nonlocal":  # 742.06 without the core of 120.14
+        assert eps_pair(xi, 1e6, m)[0] == pytest.approx(861.1976, rel=1e-6)
 
 
 @pytest.mark.parametrize("core", [1.0, 7.5])
@@ -108,7 +106,7 @@ def test_nonlocal_permittivities_match_their_closed_forms(core):
         xi = matsubara_xi(l, CTX)
         w = m.omega_p**2 / (xi * (xi + m.gamma))
         for k in (0.0, 1e5, 1e7, 1e9):
-            eps_tr, eps_l = eps_pair(xi, k, m, core)
+            eps_tr, eps_l = reflection.free_electron_eps(xi, k, m, core)
             assert eps_tr == pytest.approx(core + w * (1 + m.v_t * k / xi),
                                            rel=1e-14)
             assert eps_l == pytest.approx(core + w / (1 + m.v_l * k / xi),
@@ -122,20 +120,20 @@ README_GRID = np.geomspace(100e-9, 800e-9, 15)[:, None, None]
 @pytest.mark.parametrize("l", [1, 5, 40])
 def test_local_variants_are_the_nonlocal_formula(l, with_table, ni_table):
     # at l >= 1 drude is the nonlocal formula with v_t = v_l = 0, and
-    # plasma is that with gamma = 0 as well: bit for bit
+    # plasma is that with gamma = 0 as well: bit for bit.  The formula
+    # keeps the core of the physical gamma, as every variant does.
     table = ni_table if with_table else None
     ni = nickel("nonlocal", interband=table)
     xi = matsubara_xi(l, CTX)
-    core = eps_core_at(xi, ni)
     y = nodes_above_cut(l, README_GRID)
     for variant, gamma in (("drude", ni.gamma), ("plasma", 0.0)):
         local = nickel(variant, interband=table)
-        formula = MaterialModel(omega_p=ni.omega_p, gamma=gamma, mu0=ni.mu0,
-                                interband=table, variant="nonlocal")
-        got = reflection.lifshitz_summand(y, xi, README_GRID, local, 1.0,
-                                          core)
-        expected = reflection.lifshitz_summand(y, xi, README_GRID, formula,
-                                               1.0, core)
+        params = MaterialModel(omega_p=ni.omega_p, gamma=gamma, mu0=ni.mu0,
+                               variant="nonlocal")
+        formula = SimpleNamespace(omega_p=params.omega_p,
+                                  effective=params.effective, core=ni.core)
+        got = reflection.lifshitz_summand(y, xi, README_GRID, local)
+        expected = reflection.lifshitz_summand(y, xi, README_GRID, formula)
         assert got.shape == y.shape
         assert np.array_equal(got, expected)
 
@@ -145,15 +143,13 @@ def test_interband_core_is_the_same_for_every_variant(l, ni_table):
     # the core subtracts the Drude background with the physical gamma,
     # also for the dissipationless variant
     xi = matsubara_xi(l, CTX)
-    cores = {eps_core_at(xi, nickel(v, interband=ni_table))
-             for v in VARIANTS}
+    cores = {nickel(v, interband=ni_table).core(xi) for v in VARIANTS}
     assert len(cores) == 1
 
 
 def test_fixed_reflection_analytic():
     y = np.array([0.5, 2.0, 10.0])
-    got = reflection.lifshitz_summand(y, 1e14, A, FixedReflection(0.5, -0.25),
-                                      1.0, 1.0)
+    got = reflection.lifshitz_summand(y, 1e14, A, FixedReflection(0.5, -0.25))
     x_tm = 0.25 * np.exp(-y)
     x_te = 0.0625 * np.exp(-y)
     expected = y * y * (x_tm / (1 - x_tm) + x_te / (1 - x_te))
@@ -162,25 +158,23 @@ def test_fixed_reflection_analytic():
 
 def test_vacuum_hook_is_exactly_zero():
     y = np.linspace(0.1, 40.0, 50)
-    got = reflection.lifshitz_summand(y, 0.0, A, FixedReflection(0.0, 0.0),
-                                      1.0, 1.0)
+    got = reflection.lifshitz_summand(y, 0.0, A, FixedReflection(0.0, 0.0))
     assert np.all(got == 0.0)
 
 
 def test_no_overflow_at_extreme_arguments():
     # the bracket is formed as x/(1-x); exp(+y) is never evaluated
     y = np.array([100.0, 400.0, 700.0])
-    got = reflection.lifshitz_summand(y, 1e15, A, FixedReflection(1.0, -1.0),
-                                      1.0, 1.0)
+    got = reflection.lifshitz_summand(y, 1e15, A, FixedReflection(1.0, -1.0))
     assert np.all(np.isfinite(got))
     assert np.all(got >= 0.0)
 
 
-def test_interband_core_shifts_permittivity():
-    # eps_core enters as the replacement of the leading unity
-    ni = nickel("nonlocal")
+def test_interband_core_shifts_permittivity(ni_table):
+    # the core enters as the replacement of the leading unity
     y = np.array([1.0, 3.0, 8.0])
     xi = matsubara_xi(1, CTX)
-    base = reflection.lifshitz_summand(y, xi, A, ni, 1.0, 1.0)
-    shifted = reflection.lifshitz_summand(y, xi, A, ni, 1.0, 50.0)
+    base = reflection.lifshitz_summand(y, xi, A, nickel("nonlocal"))
+    shifted = reflection.lifshitz_summand(
+        y, xi, A, nickel("nonlocal", interband=ni_table))
     assert np.all(shifted > base)  # larger eps reflects more

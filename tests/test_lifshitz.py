@@ -395,12 +395,11 @@ class TestPressureCurves:
         table = table[keep.ravel()]
         assert table.a.ravel().tolist() == a.tolist()
         xi = matsubara_xi(7, CTX)
-        t, err = lifshitz._term_integrals(xi, table, 1.0, table.core(xi),
-                                          1e-9)
+        t, err = lifshitz._term_integrals(xi, table, 1e-9)
         start, t_each, err_each = 0, [], []
         for model, n in runs:
-            t_m, err_m = lifshitz._one_model(7, xi, a[start:start + n],
-                                             model, 1e-9)
+            one = lifshitz._Table(a[None, start:start + n], model)
+            t_m, err_m = lifshitz._term_integrals(xi, one, 1e-9)
             t_each += t_m
             err_each += err_m
             start += n
@@ -429,10 +428,12 @@ class TestPressureCurves:
             pressure_curves([5e-6, 50e-9], [ni_models["plasma"],
                                             ni_models["drude"]], ctx)
 
-    def test_readme_run_stays_under_the_node_cap(self, monkeypatch,
-                                                 ni_models):
+    def test_readme_run_takes_whole_first_rounds_under_the_node_cap(
+            self, monkeypatch, ni_models):
         # one quadrature per index l >= 1 for all three models, plus one
-        # static quadrature per model; every kernel call within the cap
+        # static quadrature per model; every kernel call within the cap,
+        # and the largest is a whole first round of all 45 components,
+        # 45 x 63 = 2,835 nodes, which the cap does not split
         grid = np.geomspace(100e-9, 800e-9, 15)
         kernel, quad = lifshitz.lifshitz_summand, lifshitz.adaptive_quad
         sizes, xis, quads = [], [], []
@@ -452,7 +453,7 @@ class TestPressureCurves:
         terms = max(res.terms_used for curve in curves for res in curve)
         assert len(quads) <= terms + 3
         assert max(sizes) <= lifshitz.NODE_CAP
-        assert max(sizes) > lifshitz.NODE_CAP // 2  # the cap is reached
+        assert max(sizes) == 3 * len(grid) * lifshitz._S.size
         assert all(type(xi) is float for xi in xis)
 
     # components split evenly (240), unevenly (300), panels split (50:
