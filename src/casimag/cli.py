@@ -1,17 +1,18 @@
 """Command-line interface.
 
 Subcommands: pressure, ratio, impedance-dump, reflect-dump, gradient,
-compare.  Every run is driven by a config file (--config); --model
-optionally overrides the configured response variant.  Exit codes:
-0 success (--help included), 1 validation error (a usage error
-included), 2 numerical non-convergence.
+compare, each driven by a config file (--config).  Options go before or
+after the subcommand, as --opt VALUE, --opt=VALUE or a unique prefix of
+--opt.  Exit codes: 0 success (--help included), 1 validation error (a
+usage error included), 2 numerical non-convergence.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 from .config import ConfigError, build_context, build_geometry, \
     build_material, parse_config, separation_grid
@@ -23,6 +24,27 @@ from .quadrature import QuadratureError
 from .reflection import refl_pair
 from .sphere_plate import ExperimentDataset, compare_models, \
     gradient_curves
+
+_COMMANDS = ("pressure", "ratio", "impedance-dump", "reflect-dump",
+             "gradient", "compare")
+_MODELS = ("drude", "plasma", "nonlocal", "all")
+# (usage form, help): yields the usage line, --help and getopt's options
+_OPTIONS = (
+    ("--config PATH", "config file path"),
+    ("[--model MODEL]", f"one of {', '.join(_MODELS)}; overrides the config"),
+    ("[--output PATH]", "output CSV ('-' = stdout); overrides output_path"),
+    ("[--experiment PATH]", "measured force-gradient CSV (compare)"),
+    ("[--no-interband]", "ignore optical_data_path (free electrons only)"),
+)
+_LONG = [f"{w[0][2:]}=" if len(w) > 1 else w[0][2:]
+         for w in (form.strip("[]").split() for form, _ in _OPTIONS)]
+_USAGE = ("usage: casimag [-h] COMMAND " + " ".join(f for f, _ in _OPTIONS[:2])
+          + "\n" + " " * 15 + " ".join(f for f, _ in _OPTIONS[2:]))
+_HELP = "\n".join(
+    [_USAGE, "", "Casimir pressure and sphere-plate force gradients for "
+     "magnetic metals.", "", "commands: " + ", ".join(_COMMANDS), "",
+     "options:", f"  {'-h, --help':<20}show this help message and exit"]
+    + [f"  {form.strip('[]'):<20}{text}" for form, text in _OPTIONS])
 
 _L_GRID = (1, 2, 10, 100)
 _KFACS = (0.0, 0.1, 1.0, 10.0)
@@ -146,30 +168,38 @@ def _cmd_compare(cfg, args) -> tuple[list[list], list[str]]:
     return [header] + rows, summary
 
 
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The parsed arguments, or None for --help; GetoptError if unusable."""
+    opts, words = getopt.gnu_getopt(argv, "h", _LONG + ["help"])
+    args = SimpleNamespace(config=None, model=None, output=None,
+                           experiment=None, no_interband=False)
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            return None
+        setattr(args, opt[2:].replace("-", "_"),
+                value if f"{opt[2:]}=" in _LONG else True)
+    if len(words) != 1 or words[0] not in _COMMANDS:
+        raise getopt.GetoptError(
+            f"expected one command of {', '.join(_COMMANDS)}; got "
+            f"{' '.join(words) or 'none'}")
+    if args.model is not None and args.model not in _MODELS:
+        raise getopt.GetoptError(f"invalid choice --model {args.model!r} "
+                                 f"(choose from {', '.join(_MODELS)})")
+    if args.config is None:
+        raise getopt.GetoptError("the option --config PATH is required")
+    args.command = words[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="casimag",
-        description="Casimir pressure and sphere-plate force gradients for "
-                    "magnetic metals with local or wavevector-dependent "
-                    "dielectric response.")
-    parser.add_argument("command",
-                        choices=["pressure", "ratio", "impedance-dump",
-                                 "reflect-dump", "gradient", "compare"])
-    parser.add_argument("--config", required=True, help="config file path")
-    parser.add_argument("--model",
-                        choices=["drude", "plasma", "nonlocal", "all"],
-                        help="override the configured response variant")
-    parser.add_argument("--output", help="output CSV path ('-' = stdout); "
-                                         "overrides output_path")
-    parser.add_argument("--experiment",
-                        help="measured force-gradient CSV (compare)")
-    parser.add_argument("--no-interband", action="store_true",
-                        help="ignore optical_data_path; free-electron "
-                             "response only")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # a usage error is a validation error
-        return 1 if exc.code else 0
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except getopt.GetoptError as exc:  # a usage error is a validation error
+        print(f"{_USAGE}\ncasimag: error: {exc}", file=sys.stderr)
+        return 1
+    if args is None:
+        print(_HELP)
+        return 0
 
     try:
         with open(args.config, encoding="utf-8") as fh:

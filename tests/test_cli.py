@@ -304,7 +304,13 @@ class TestExitCodes:
         (["pressure", "--config", "run.cfg", "--model", "local"],
          "invalid choice"),
         (["--config", "run.cfg"], "command"),
-    ], ids=["missing-config", "bad-model", "missing-command"])
+        (["pressure", "--config", "run.cfg", "--bogus"], "--bogus"),
+        (["pressure", "--config", "run.cfg", "--model"], "--model"),
+        (["presure", "--config", "run.cfg"], "presure"),
+        (["pressure", "ratio", "--config", "run.cfg"], "pressure ratio"),
+    ], ids=["missing-config", "bad-model", "missing-command",
+            "unknown-option", "option-without-value", "unknown-command",
+            "two-commands"])
     def test_usage_error_is_validation_error(self, capsys, args, message):
         # 2 is kept for numerical non-convergence
         assert run(args) == 1
@@ -312,9 +318,34 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage: casimag") and message in err
 
-    def test_help_exits_zero(self, capsys):
-        assert run(["--help"]) == 0
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_exits_zero(self, capsys, flag):
+        assert run([flag]) == 0
         assert capsys.readouterr().out.startswith("usage: casimag")
+
+    @pytest.mark.parametrize("spelling", [
+        ["pressure", "--config={cfg}", "--model", "drude", "--output={out}"],
+        ["pressure", "--conf", "{cfg}", "--mod", "drude", "--out", "{out}"],
+        ["--config", "{cfg}", "--model", "drude", "--output", "{out}",
+         "pressure"],
+    ], ids=["equals", "unique-prefix", "options-before-command"])
+    def test_option_spellings_give_the_same_run(self, cfg_path, tmp_path,
+                                                spelling):
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        assert run(["pressure", "--config", cfg_path, "--model", "drude",
+                    "--output", str(ref)]) == 0
+        assert run([w.format(cfg=cfg_path, out=out) for w in spelling]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_console_script_reads_sys_argv(self, cfg_path, tmp_path,
+                                           monkeypatch):
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(sys, "argv", [
+            "casimag", "pressure", "--config", cfg_path, "--model", "drude",
+            "--output", str(out)])
+        assert main() == 0
+        header, rows = read_csv(str(out))
+        assert header[:2] == ["a_m", "model"] and len(rows) == 2
 
     def test_missing_config_file(self):
         assert run(["pressure", "--config", "/no/such/file.cfg"]) == 1
@@ -379,3 +410,20 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_run_imports_neither_argparse_nor_locale(cfg_path, tmp_path):
+    # each CLI run is a fresh process; argparse and the locale module that
+    # its gettext lookup imports cost milliseconds of every run
+    src = os.path.dirname(os.path.dirname(casimag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "out.csv"
+    code = ("import sys, casimag.cli as cli\n"
+            "assert cli.main(['--help']) == 0\n"
+            f"assert cli.main(['pressure', '--config', {cfg_path!r}, "
+            f"'--output', {str(out)!r}]) == 0\n"
+            "print(sorted({'argparse', 'locale'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert res.stdout.splitlines()[-1] == "[]"
+    assert out.is_file()
