@@ -175,13 +175,21 @@ class _Table:
 
     def core(self, xi: float):
         """The interband core at xi: one float when every model in the
-        table agrees, else a column gathered by model index."""
+        table agrees, else a column gathered by model index.  Models with
+        the same (table, omega_p, gamma), such as the variants of one
+        material, share one evaluation."""
         if not self.tabled:
             return 1.0
         index = self.cols[5].astype(int)
         live = set(index.tolist())
-        core = [m.core(xi) if i in live else 1.0
-                for i, m in enumerate(self.models)]
+        shared = {}
+        core = [1.0] * len(self.models)
+        for i in live:
+            m = self.models[i]
+            key = m.interband, m.omega_p, m.gamma
+            if key not in shared:
+                shared[key] = m.core(xi)
+            core[i] = shared[key]
         if len({core[i] for i in live}) == 1:
             return core[index[0]]
         return np.array(core)[index, None, None]

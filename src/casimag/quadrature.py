@@ -37,7 +37,7 @@ the plain |K21 - G10| difference, which overestimates the true Kronrod
 error for smooth integrands and is therefore conservative.
 
 ``_nodes`` maps any rule's abscissae onto panels; the Kramers-Kronig core
-of ``response.py`` uses it with its own 9-point rule on fixed panels.
+of ``response.py`` uses it with its own 4-point Gauss rule on fixed panels.
 """
 
 from __future__ import annotations

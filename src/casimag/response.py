@@ -42,32 +42,22 @@ NI_MU0 = 110.0
 NI_V_FERMI = 1.31e6
 
 # relative tolerance of the KK quadrature, the largest share of the KK
-# integral the extrapolated tail may carry before a table is rejected, and
-# the widest KK panel in ln w (at 0.15 the |K9 - G4| estimate on a test
-# table exceeds the 1e-12 of the integral its margin test allows)
+# integral the extrapolated tail may carry before a table is rejected, the
+# widest KK panel in ln w, and the half-width beta in Im ln w of the strip
+# on which the error bound of the fixed nodes is taken (beta < pi/4 keeps
+# w^2 + xi^2 away from 0 there).  At width 0.05 the bound on the 3-row
+# test table is 1.6e-12 of the integral, at 0.04 it is 2.8e-13; the
+# 600-row tables have narrower segments, so the width leaves them alone.
 KK_QUAD_TOL = 1e-9
 KK_TAIL_REL_TOL = 1e-3
-KK_PANEL_WIDTH = 0.1
+KK_PANEL_WIDTH = 0.04
+KK_STRIP = 0.65
 
-# 9-point Kronrod extension of 4-point Gauss (nodes on [-1, 1]) for the
-# KK core's fixed panels, whose error is far below the tolerance already
-_XGK = np.array([
-    -0.9765602507375731, -0.8611363115940526, -0.64028621749631,
-    -0.33998104358485626, 0.0,
-    0.33998104358485626, 0.64028621749631, 0.8611363115940526,
-    0.9765602507375731,
-])
-# Kronrod weights, and Kronrod minus the 4-point Gauss weights, which sit
-# on the odd Kronrod nodes
-_WGK = np.array([
-    0.06297737366547301, 0.17005360533572272, 0.26679834045228445,
-    0.32694918960145164, 0.34644298189013634,
-    0.32694918960145164, 0.26679834045228445, 0.17005360533572272,
-    0.06297737366547301,
-])
-_WDIFF = _WGK.copy()
-_WDIFF[1::2] -= [0.34785484513745385, 0.6521451548625461,
-                 0.6521451548625461, 0.34785484513745385]
+# 4-point Gauss-Legendre rule on [-1, 1] for the KK core's fixed panels
+_XG = np.array([-0.8611363115940526, -0.33998104358485626,
+                0.33998104358485626, 0.8611363115940526])
+_WG = np.array([0.34785484513745385, 0.6521451548625461,
+                0.6521451548625461, 0.34785484513745385])
 
 
 @dataclass(frozen=True)
@@ -259,18 +249,16 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     A table whose extrapolated tail would contribute more than
     ``KK_TAIL_REL_TOL`` of the integral is rejected as too narrow.
 
-    Over the table range the integral runs in u = ln w on G4/K9 panels:
-    one per table segment, with breakpoints at the zero crossings of
-    table - Drude (the kinks of the max) and no panel wider than
-    ``KK_PANEL_WIDTH``.  The nodes and the xi-independent weights
+    Over the table range the integral runs in u = ln w on 4-point Gauss
+    (G4) panels: one per table segment, with breakpoints at the zero
+    crossings of table - Drude (the kinks of the max) and no panel wider
+    than ``KK_PANEL_WIDTH``.  The nodes and the xi-independent weights
     w^2 eps''_ib(w) du are built once per (table, omega_p, gamma), so each
     xi costs one weighted sum of 1/(w_n^2 + xi^2) on these fixed nodes.
-    Within a panel the integrand is analytic for |Im u| < pi/2 (its poles
-    lie at ln xi +- i pi/2 and ln gamma +- i pi/2), so on panels at most
-    0.1 wide the G4 error falls like rho^-8 with rho >= 62, and no panel
-    is refined.  The summed per-panel |K9 - G4| estimate checks that
-    margin: above ``KK_QUAD_TOL`` of the integral, or with a non-finite
-    integral, it raises ``QuadratureError``.
+    With them comes an a-priori bound on the relative error of that sum
+    which holds at every xi (``_g4_bound``); no panel is refined and no
+    error is estimated per xi.  A bound above ``KK_QUAD_TOL``, or a
+    non-finite integral, raises ``QuadratureError`` naming xi.
 
     The result replaces the leading "1" of the free-electron
     permittivities at the same xi.
@@ -342,11 +330,13 @@ def _excess_zeros(omega, im_eps, omega_p, gamma):
 
 @functools.lru_cache(maxsize=16)
 def _kk_nodes(table, omega_p, gamma):
-    """G4/K9 nodes of ``table``'s KK integral in u = ln w, as (w^2, Kronrod
-    weights, Kronrod - Gauss weights), each of shape (panels, 9), with
-    w^2 eps''_ib(w) and the panel's half-width folded into the weights.
-    Table rows and excess kinks are breakpoints, segments are split evenly
-    to at most ``KK_PANEL_WIDTH``, and panels without excess are dropped."""
+    """G4 nodes of ``table``'s KK integral in u = ln w, as (w^2, weights,
+    bound): w^2 and the weights have shape (panels, 4), with w^2
+    eps''_ib(w), the Gauss weights and the panel's half-width folded into
+    the weights, and ``bound`` is the relative error of their sum at any
+    xi > 0 (``_g4_bound``).  Table rows and excess kinks are breakpoints,
+    segments are split evenly to at most ``KK_PANEL_WIDTH``, and panels
+    without excess are dropped."""
     omega = np.asarray(table.omega)
     im_eps = np.asarray(table.im_eps)
     # Python's sort: NumPy's sort kernels would add ~1 MB of resident code
@@ -358,32 +348,97 @@ def _kk_nodes(table, omega_p, gamma):
     lo = (np.repeat(edges[:-1], n)
           + (np.arange(n.sum()) - start) * np.repeat(width / n, n))
     hi = np.append(lo[1:], edges[-1])
-    half, u = _nodes(lo, hi, _XGK)
+    half, u = _nodes(lo, hi, _XG)
     w = np.exp(u)
     w2 = w * w
     excess = np.maximum(0.0, np.interp(w, omega, im_eps)
                         - drude_im_eps(w, omega_p, gamma))
     with np.errstate(over="ignore"):  # a non-finite integral raises later
         f = w2 * excess * half[:, None]
-    wk = f * _WGK
-    keep = wk.any(axis=1)
-    nodes = w2[keep], wk[keep], (f * _WDIFF)[keep]
-    for a in nodes:
+    wg = f * _WG
+    keep = wg.any(axis=1)
+    w2, wg = w2[keep], wg[keep]
+    for a in (w2, wg):
         a.setflags(write=False)  # shared by every call through the cache
-    return nodes
+    with np.errstate(all="ignore"):  # a non-finite bound raises later
+        bound = _g4_bound(omega, im_eps, omega_p, gamma, lo[keep],
+                          half[keep], (excess * _WG).sum(axis=1)[keep]
+                          * half[keep])
+    return w2, wg, bound
+
+
+def _g4_bound(omega, im_eps, omega_p, gamma, lo, half, g4):
+    """Relative error, at every xi > 0, of the G4 sum of the KK integral
+    on the ascending panels [lo, lo + 2 half] in u = ln w, on each of which
+    the excess is positive, with G4 integral ``g4``.
+
+    On a panel the integrand is E(w) phi(u), where E is the table's linear
+    interpolant minus the Drude background and phi = w^2/(w^2 + xi^2) =
+    1/(1 + t e^(-2iy)) with u = x + iy and t = xi^2 e^(-2x).  Since
+    |1 + t e^(i theta)|^2 - cos(theta) (1 + t)^2 = (1 - cos theta)(1 + t^2)
+    >= 0, on the strip |y| <= beta = ``KK_STRIP`` < pi/4 both phi and the
+    Drude term's w^2/(w^2 + gamma^2) are at most 1/sqrt(cos 2 beta) times
+    their value at the real point x.  The panel's Bernstein ellipse of
+    semi-minor axis beta, rho = beta/h + sqrt((beta/h)^2 + 1) for
+    half-width h, lies in the strip and reaches |x - c| <= d = sqrt(beta^2
+    + h^2) around the centre c.  There |E| <= M, with M the interpolant at
+    e^c, plus |slope| e^c (e^d - 1), plus the Drude term at e^(c - d) over
+    sqrt(cos 2 beta); and |E phi| <= M phi(c + d) / sqrt(cos 2 beta).  The
+    G4 error on the panel is then at most e = h (64/15) M rho^-6/(rho^2 -
+    1) phi(c + d) / sqrt(cos 2 beta) (Trefethen, SIAM Rev. 50, 67 (2008),
+    Thm 4.5, for 4 points), and e <= D phi(lo) with D = that factor times
+    e^(2(h + d)), because phi(x + s) <= e^(2s) phi(x).  The exact integral
+    is at least J phi(lo) summed over the panels, with J = max(0, g4 - h
+    (64/15) M rho^-6/(rho^2 - 1)), since E >= 0 and phi rises with x.
+
+    phi = sigma(2(x - ln xi)) with the logistic sigma, and min(1, e^z)/2 <=
+    sigma(z) <= min(1, e^z), so the relative error is at most twice
+    sum D_p m_p / sum J_p m_p with m_p = min(1, e^(2(lo_p - L))), L = ln
+    xi.  Between consecutive lo this ratio is monotone in e^(-2L), so its
+    supremum over L is taken at L = lo_j, where it reads (prefix sum with
+    weights e^(2(lo_p - lo_j)) + suffix sum from panel j up) of D over the
+    same of J, or as L -> inf.  Both sums are cumulative sums over the
+    ascending panels, the suffix sums over them reversed.
+    """
+    if not lo.size:
+        return 0.0
+    beta = KK_STRIP
+    sec = 1.0 / math.sqrt(math.cos(2.0 * beta))
+    ratio = beta / half
+    rho = ratio + np.sqrt(ratio * ratio + 1.0)
+    d = np.hypot(beta, half)
+    c = lo + half
+    wc = np.exp(c)
+    seg = np.clip(np.searchsorted(omega, wc, side="right") - 1,
+                  0, omega.size - 2)
+    slope = np.diff(im_eps)[seg] / np.diff(omega)[seg]
+    size = (np.abs(im_eps[seg] + slope * (wc - omega[seg]))
+            + np.abs(slope) * wc * np.expm1(d)
+            + sec * drude_im_eps(wc * np.exp(-d), omega_p, gamma))
+    err = half * (64.0 / 15.0) * size * rho**-6 / (rho * rho - 1.0)
+    upper = sec * err * np.exp(2.0 * (half + d))  # D
+    lower = np.maximum(0.0, g4 - err)  # J
+    weight = np.exp(2.0 * (lo - lo[-1]))  # below 1, so nothing overflows
+
+    def at_edges(v):
+        below = np.cumsum(v * weight)
+        return (np.append(0.0, below[:-1]) / weight
+                + np.cumsum(v[::-1])[::-1]), below[-1]
+
+    (num, num_inf), (den, den_inf) = at_edges(upper), at_edges(lower)
+    return 2.0 * float(max((num / den).max(), num_inf / den_inf))
 
 
 @functools.lru_cache(maxsize=4096)
 def _eps_core_cached(xi, table, omega_p, gamma):
-    w2, wk, wd = _kk_nodes(table, omega_p, gamma)
+    w2, wg, bound = _kk_nodes(table, omega_p, gamma)
     r = w2 + xi * xi
     np.reciprocal(r, out=r)  # the only node-sized temporary of this xi
-    total = float(np.vdot(wk, r))
-    err = float(np.abs(np.einsum("pn,pn->p", wd, r)).sum())
-    if not (math.isfinite(total) and err <= KK_QUAD_TOL * total):
+    total = float(np.vdot(wg, r))
+    if not (math.isfinite(total) and bound <= KK_QUAD_TOL):
         raise QuadratureError(
             f"KK quadrature at xi = {xi:.6e} rad/s missed its relative "
-            f"tolerance {KK_QUAD_TOL:.1e} on its fixed nodes", err)
+            f"tolerance {KK_QUAD_TOL:.1e} on its fixed nodes", bound * total)
 
     # Closed-form tail of the (w_max/w)^3 extrapolation: substituting
     # t = w_max/w gives W Int_0^1 t^2/(1 + b^2 t^2) dt with b = xi/w_max.

@@ -1,6 +1,6 @@
 import pytest
 
-from casimag import InterbandTable, MatsubaraContext, nickel
+from casimag import InterbandTable, MatsubaraContext, nickel, response
 
 import _ni_optical
 
@@ -25,3 +25,13 @@ def ni_models():
 def ni_models_ib(ni_table):
     return {v: nickel(v, interband=ni_table)
             for v in ("drude", "plasma", "nonlocal")}
+
+
+@pytest.fixture
+def fresh_kk_caches():
+    """Empty KK caches around a test that patches the KK settings."""
+    response._kk_nodes.cache_clear()
+    response._eps_core_cached.cache_clear()
+    yield
+    response._kk_nodes.cache_clear()
+    response._eps_core_cached.cache_clear()

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import casimag
-from casimag import lifshitz
+from casimag import lifshitz, response
 from casimag.cli import main
 
 import _ni_optical
@@ -261,6 +262,54 @@ class TestInterbandPlumbing:
         assert reads == [str(opt)]
 
 
+class TestWorkCounts:
+    # the README config (15 log-spaced separations, 100-800 nm, 300 K) as
+    # ``ratio --model all``; a PR that changes these counts on purpose
+    # restates them and says why
+    README = (BASE.replace("a_min_nm = 4000", "a_min_nm = 100")
+              .replace("a_max_nm = 6000", "a_max_nm = 800")
+              .replace("points = 2", "points = 15")
+              .replace("spacing = linear", "spacing = log"))
+
+    @pytest.mark.parametrize("tabled", [False, True])
+    def test_readme_ratio_work_counts(self, tmp_path, monkeypatch, tabled):
+        cfg = tmp_path / "readme.cfg"
+        text = self.README
+        if tabled:
+            _ni_optical.write_csv(tmp_path / "ni.csv")
+            text += f"optical_data_path = {tmp_path / 'ni.csv'}\n"
+        cfg.write_text(text, encoding="utf-8")
+        kernel, kk = lifshitz.lifshitz_summand, response.eps_core_kk
+        calls, nodes, xis, kk_calls = [0], [0], set(), []
+
+        def spy(y, xi, *args):
+            calls[0] += 1
+            nodes[0] += np.size(y)
+            xis.add(xi)
+            return kernel(y, xi, *args)
+
+        def kk_spy(xi, table, m):
+            kk_calls.append((xi, table, m))
+            return kk(xi, table, m)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        monkeypatch.setattr(response, "eps_core_kk", kk_spy)
+        assert run(["ratio", "--config", str(cfg), "--model", "all",
+                    "--output", str(tmp_path / "ratio.csv")]) == 0
+        work = calls[0], nodes[0], len(xis)
+        if not tabled:
+            assert work == (103, 141_498, 99)
+            assert kk_calls == []
+            return
+        assert work == (124, 161_973, 120)
+        # one KK evaluation per frequency, shared by the three variants
+        assert len({xi for xi, _, _ in kk_calls}) == 119
+        assert len(kk_calls) == 120
+        _, table, m = kk_calls[0]
+        w2, _, _ = response._kk_nodes(table, m.omega_p, m.gamma)
+        assert w2.size == 2188
+
+
 class TestExitCodes:
     def test_unknown_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -370,6 +419,24 @@ class TestExitCodes:
                     "--output", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert "model nonlocal at separation 5.000000e-08 m" in err
+
+    def test_kk_bound_miss_is_one_line_error_naming_xi(
+            self, tmp_path, capsys, monkeypatch, fresh_kk_caches):
+        # one KK panel per segment of a 3-row table spanning six decades:
+        # the a-priori bound of its fixed nodes misses KK_QUAD_TOL
+        monkeypatch.setattr(response, "KK_PANEL_WIDTH", 100.0)
+        opt = tmp_path / "coarse.csv"
+        opt.write_text("omega_ev,im_eps\n0.0016,0\n1.6,50\n1600,0.001\n",
+                       encoding="utf-8")
+        cfg = tmp_path / "kk.cfg"
+        cfg.write_text(BASE.replace("points = 2", "points = 1")
+                       + f"optical_data_path = {opt}\n", encoding="utf-8")
+        assert run(["ratio", "--config", str(cfg), "--model", "all",
+                    "--output", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: KK quadrature at xi = ")
+        assert err.count("\n") == 1
+        assert "missed its relative tolerance 1.0e-09" in err
 
     @pytest.mark.parametrize("cmd", ["gradient", "compare"])
     @pytest.mark.parametrize("a_max_nm,match", [

@@ -269,10 +269,11 @@ def _trapezoid_core(table, xi, n=2_000_001):
     return 1.0 + (2.0 / math.pi) * (float(integral) + _tail(table, xi))
 
 
-def _gauss_legendre_cores(table, xis, sub):
-    """eps_core at each xi from 20-point Gauss-Legendre in ln w on ``sub``
-    equal panels per piece; the pieces run between table rows and the sign
-    changes of table - Drude, found by sampling and bisection."""
+def _gauss_legendre_integrals(table, xis, sub):
+    """Int w^2 eps''_ib(w) / (w^2 + xi^2) d(ln w) over the table range at
+    each xi, from 20-point Gauss-Legendre in ln w on ``sub`` equal panels
+    per piece; the pieces run between table rows and the sign changes of
+    table - Drude, found by sampling and bisection."""
     omega, im_eps = np.asarray(table.omega), np.asarray(table.im_eps)
 
     def positive(u):
@@ -303,9 +304,14 @@ def _gauss_legendre_cores(table, xis, sub):
     excess = np.maximum(0.0, np.interp(w, omega, im_eps) - _ni_drude(w))
     weights = (w * w * excess * half * wgl).ravel()
     w2 = (w * w).ravel()
-    return np.array([1.0 + (2.0 / math.pi)
-                     * (weights @ (1.0 / (w2 + xi * xi)) + _tail(table, xi))
-                     for xi in xis])
+    return np.array([weights @ (1.0 / (w2 + xi * xi)) for xi in xis])
+
+
+def _gauss_legendre_cores(table, xis, sub):
+    """eps_core at each xi from ``_gauss_legendre_integrals``."""
+    integrals = _gauss_legendre_integrals(table, xis, sub)
+    return np.array([1.0 + (2.0 / math.pi) * (v + _tail(table, xi))
+                     for v, xi in zip(integrals, xis)])
 
 
 def _bisected_kinks(omega, im_eps):
@@ -347,16 +353,6 @@ def _kinked_table():
         omega=omega,
         im_eps=(0.5 * _ni_drude(omega[0]), 0.5 * _ni_drude(omega[1]),
                 2.0 * _ni_drude(omega[2]), 0.0))
-
-
-@pytest.fixture
-def fresh_kk_caches():
-    """Empty KK caches around a test that patches the KK settings."""
-    response._kk_nodes.cache_clear()
-    response._eps_core_cached.cache_clear()
-    yield
-    response._kk_nodes.cache_clear()
-    response._eps_core_cached.cache_clear()
 
 
 def _tent_table(omega0, half_width, height, floor=None):
@@ -447,8 +443,11 @@ class TestKramersKronigCore:
                 assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
 
     def test_node_budget(self, ni_table):
+        # four Gauss nodes per panel, one panel per segment of the 600-row
+        # table (its segments are narrower than KK_PANEL_WIDTH) or per
+        # piece between kinks
         w2, _, _ = response._kk_nodes(ni_table, NI.omega_p, NI.gamma)
-        assert w2.size <= 5000
+        assert w2.size <= 2188
 
     def test_coarse_table_split_into_panels(self):
         # the segments are split into panels no wider than KK_PANEL_WIDTH
@@ -458,18 +457,18 @@ class TestKramersKronigCore:
                 _trapezoid_core(table, xi), rel=1e-11)
 
     @pytest.mark.parametrize("name", ["session", "coarse", "kinked"])
-    def test_fixed_nodes_keep_their_margin(self, name, ni_table):
+    def test_a_priori_bound_keeps_its_margin_and_holds(self, name, ni_table):
         # panels at most KK_PANEL_WIDTH wide with every kink a breakpoint:
-        # the |K9 - G4| estimate stays >= 1000x below KK_QUAD_TOL of the
-        # integral over the whole Matsubara range, so no panel needs
-        # refining
+        # the bound stays >= 1000x below KK_QUAD_TOL, and it covers the
+        # true error of the fixed nodes over the whole Matsubara range
         table = {"session": ni_table, "coarse": _coarse_table(),
                  "kinked": _kinked_table()}[name]
-        w2, wk, wd = response._kk_nodes(table, NI.omega_p, NI.gamma)
-        for xi in np.geomspace(1e10, 1e19, 200):
-            r = 1.0 / (w2 + xi * xi)
-            estimate = np.abs(np.einsum("pn,pn->p", wd, r)).sum()
-            assert estimate <= 1e-12 * np.vdot(wk, r), xi
+        w2, wg, bound = response._kk_nodes(table, NI.omega_p, NI.gamma)
+        assert 0.0 < bound <= 1e-12
+        xis = np.geomspace(1e10, 1e19, 200)
+        ref = _gauss_legendre_integrals(table, xis, 4)
+        got = np.array([np.vdot(wg, 1.0 / (w2 + xi * xi)) for xi in xis])
+        assert np.all(np.abs(got - ref) <= bound * ref)
 
     def test_panels_too_wide_raise(self, monkeypatch, fresh_kk_caches):
         # one panel per segment of the coarse table misses KK_QUAD_TOL;
@@ -480,8 +479,8 @@ class TestKramersKronigCore:
 
     def test_unreachable_tolerance_raises(self, monkeypatch,
                                           fresh_kk_caches):
-        # below the rounding floor of the embedded estimate: the core must
-        # raise, not return
+        # below the table's a-priori error bound: the core must raise, not
+        # return
         monkeypatch.setattr(response, "KK_QUAD_TOL", 1e-20)
         table = _tent_table(50.0 * XI1, 5.0 * XI1, 2.0)
         with pytest.raises(QuadratureError, match="on its fixed nodes"):
