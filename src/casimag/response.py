@@ -333,8 +333,8 @@ def _kk_nodes(table, omega_p, gamma):
     """G4 nodes of ``table``'s KK integral in u = ln w, as (w^2, weights,
     bound): w^2 and the weights have shape (panels, 4), with w^2
     eps''_ib(w), the Gauss weights and the panel's half-width folded into
-    the weights, and ``bound`` is the relative error of their sum at any
-    xi > 0 (``_g4_bound``).  Table rows and excess kinks are breakpoints,
+    the weights, and ``bound`` bounds the relative error of their sum at
+    any xi > 0 (``_g4_bound``).  Table rows and excess kinks are breakpoints,
     segments are split evenly to at most ``KK_PANEL_WIDTH``, and panels
     without excess are dropped."""
     omega = np.asarray(table.omega)
@@ -368,9 +368,9 @@ def _kk_nodes(table, omega_p, gamma):
 
 
 def _g4_bound(omega, im_eps, omega_p, gamma, lo, half, g4):
-    """Relative error, at every xi > 0, of the G4 sum of the KK integral
-    on the ascending panels [lo, lo + 2 half] in u = ln w, on each of which
-    the excess is positive, with G4 integral ``g4``.
+    """Bound on the relative error, at every xi > 0, of the G4 sum of the KK
+    integral on the ascending panels [lo, lo + 2 half] in u = ln w, on each
+    of which the excess is positive, with G4 integral ``g4``.
 
     On a panel the integrand is E(w) phi(u), where E is the table's linear
     interpolant minus the Drude background and phi = w^2/(w^2 + xi^2) =
