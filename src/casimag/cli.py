@@ -89,11 +89,8 @@ def _cmd_ratio(cfg, args) -> list[list]:
     table = pressure_ratio_table(separation_grid(cfg), models, ctx,
                                  quad_tol=cfg.quad_tol,
                                  series_tol=cfg.series_tol)
-    header = [k for k in table[0] if not k.startswith("terms_")]
-    header[0] = "a_m"
-    rows = [[row["a"] if k == "a_m" else row[k] for k in header]
-            for row in table]
-    return [header] + rows
+    header = ["a_m", *list(table[0])[1:]]  # the key 'a' is the column a_m
+    return [header] + [list(row.values()) for row in table]
 
 
 def _cmd_impedance_dump(cfg, args) -> list[list]:
@@ -202,8 +199,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        with open(args.config, encoding="utf-8") as fh:  # as csvio reads
+            cfg = parse_config(fh.read().removeprefix("\ufeff"))
         out_path = args.output if args.output else cfg.output_path
 
         summary = None

@@ -39,13 +39,16 @@ def read_numeric_csv(path: str, header: str) -> list[list[float]]:
     """Rows of floats from a CSV whose header is ``header`` (spaces in
     the file's header are ignored), read in one pass.
 
-    Skips blank lines and '#' comments.  Errors name a row by its line
-    number in the file.
+    Skips blank lines and '#' comments, and a leading UTF-8 byte-order
+    mark.  Errors name a row by its line number in the file.
     """
     columns = header.count(",") + 1
     values = None
+    # not "utf-8-sig" for the BOM: its codec's import takes ~0.3 ms a run
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
+            if n == 1:
+                line = line.removeprefix("\ufeff")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

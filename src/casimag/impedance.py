@@ -9,9 +9,9 @@ Two routes are provided for the TE and TM impedances at (i xi_l, k_perp):
 
 The two routes agreeing to <= 1e-8 relative is the correctness check that
 stands in for the underlying boundary-value derivation.  Both take the
-permittivities from ``reflection.eps_pair``.  ``refl_from_impedance`` and
-``refl_via_impedance`` turn impedances into reflection coefficients: an
-independent oracle for ``reflection.refl_pair`` at l >= 1.
+permittivities from ``reflection.eps_pair``.  ``refl_from_impedance``
+turns impedances into reflection coefficients; on ``impedance_pair`` it
+is an independent oracle for ``reflection.refl_pair`` at l >= 1.
 
 For xi_l > 0 and eps >= 1, mu >= 1 both impedances are real and positive;
 the k_z integrands have strictly positive denominators, so no pole handling
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from .constants import C_LIGHT
 from .quadrature import QuadratureError
 from .reflection import ReflectionPair, eps_pair
-from .response import MaterialModel, MatsubaraContext, matsubara_xi, \
-    mu_at
+from .response import MaterialModel, MatsubaraContext, matsubara_xi
 
 KZ_QUAD_TOL = 1e-10
 
@@ -38,8 +37,6 @@ class ImpedancePair:
 
     z_tm: float
     z_te: float
-    l: int
-    k_perp: float
 
 
 def _check_positive_args(l: int, k_perp: float) -> None:
@@ -53,11 +50,11 @@ def _check_positive_args(l: int, k_perp: float) -> None:
 def _model_eps(l: int, k_perp: float, m: MaterialModel,
                ctx: MatsubaraContext, mu_l: float | None
                ) -> tuple[float, float, float, float]:
-    """Validated (xi_l, mu, eps_tr, eps_l), with ``mu_l`` overriding
-    ``mu_at(l, m)``."""
+    """Validated (xi_l, mu, eps_tr, eps_l), with ``mu_l`` overriding the
+    permeability 1."""
     _check_positive_args(l, k_perp)
     xi = matsubara_xi(l, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
+    mu = 1.0 if mu_l is None else mu_l
     return (xi, mu) + eps_pair(xi, k_perp, m)
 
 
@@ -164,8 +161,7 @@ def z_local(l: int, k_perp: float, eps_l: float, mu_l: float,
         raise ValueError("eps_l must be >= 1 on the imaginary axis")
     xi = matsubara_xi(l, ctx)
     root = math.sqrt((C_LIGHT * k_perp) ** 2 + mu_l * eps_l * xi * xi)
-    return ImpedancePair(z_tm=root / (xi * eps_l), z_te=xi * mu_l / root,
-                         l=l, k_perp=k_perp)
+    return ImpedancePair(z_tm=root / (xi * eps_l), z_te=xi * mu_l / root)
 
 
 def impedance_pair(l: int, k_perp: float, m: MaterialModel,
@@ -174,8 +170,7 @@ def impedance_pair(l: int, k_perp: float, m: MaterialModel,
     """Both closed-form impedances at (l, k_perp); the k_z-integral route
     is ``z_tm_integral`` and ``z_te_integral``."""
     return ImpedancePair(z_tm=z_tm_closed(l, k_perp, m, ctx, mu_l),
-                         z_te=z_te_closed(l, k_perp, m, ctx, mu_l),
-                         l=l, k_perp=k_perp)
+                         z_te=z_te_closed(l, k_perp, m, ctx, mu_l))
 
 
 def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,
@@ -191,13 +186,4 @@ def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,
     cq = C_LIGHT * math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
     r_tm = (cq - xi * z.z_tm) / (cq + xi * z.z_tm)
     r_te = (cq * z.z_te - xi) / (cq * z.z_te + xi)
-    return ReflectionPair(r_tm=r_tm, r_te=r_te, l=l, k_perp=k_perp)
-
-
-def refl_via_impedance(l: int, k_perp: float, m: MaterialModel,
-                       ctx: MatsubaraContext,
-                       mu_l: float | None = None) -> ReflectionPair:
-    """Coefficients through the closed-form impedances (algebraically
-    identical to refl_pair at l >= 1; kept as an independent code path)."""
-    return refl_from_impedance(impedance_pair(l, k_perp, m, ctx, mu_l), l,
-                               k_perp, ctx)
+    return ReflectionPair(r_tm=r_tm, r_te=r_te)

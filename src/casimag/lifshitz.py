@@ -50,7 +50,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import _first_round, adaptive_quad
 from .reflection import FixedReflection, lifshitz_summand
-from .response import MaterialModel, MatsubaraContext, matsubara_xi
+from .response import MatsubaraContext, matsubara_xi
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
 Y_CUT = 45.0
@@ -81,27 +81,6 @@ NODE_CAP = 3600
 # term's quadrature, and their s^2 and 2 s
 _S = _first_round(0.0, S_CUT, BREAKPOINTS)[2]
 _S2, _TWO_S = _S * _S, 2.0 * _S
-
-
-@dataclass(frozen=True)
-class PressureQuery:
-    """One pressure evaluation: geometry, model, tolerances.
-
-    The temperature comes from the MatsubaraContext it is evaluated with.
-    """
-
-    separation: float
-    model: MaterialModel | FixedReflection
-    quad_tol: float = 1e-9
-    series_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.separation < math.inf:
-            raise ValueError("separation must be finite and > 0")
-        for name in ("quad_tol", "series_tol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol <= 1e-4:
-                raise ValueError(f"{name} must be in (0, 1e-4]")
 
 
 @dataclass(frozen=True)
@@ -234,30 +213,51 @@ def _term_integrals(xi: float, table: _Table,
     return res.value.tolist(), res.error.tolist()
 
 
-def _prefactor(a: float, ctx: MatsubaraContext) -> float:
-    return -K_BOLTZMANN * ctx.temperature / (8.0 * math.pi * a**3)
+def _checked(separations, **tols: float) -> list[float]:
+    """The separations as floats, once every tolerance in ``tols`` and
+    every separation are checked; ValueError names the first bad one."""
+    for name, tol in tols.items():
+        if not 0.0 < tol <= 1e-4:
+            raise ValueError(f"{name} must be in (0, 1e-4]")
+    a = [float(s) for s in separations]
+    if not a:
+        raise ValueError("need at least one separation")
+    for s in a:
+        if not 0.0 < s < math.inf:
+            raise ValueError(f"separation must be finite and > 0, got {s!r}")
+    return a
 
 
-def _term_cap(a: float, ctx: MatsubaraContext) -> int:
-    """Highest Matsubara index the sum may use before giving up."""
-    if ctx.l_max_cap is not None:
-        return ctx.l_max_cap
-    scale = C_LIGHT * HBAR / (4.0 * math.pi * a
-                              * K_BOLTZMANN * ctx.temperature)
-    return math.ceil(20.0 * scale) + 100
+def _scales(a: float, ctx: MatsubaraContext) -> tuple[float, int]:
+    """(prefactor, cap) of separation a: -k_B T/(8 pi a^3), the factor of
+    every term, and the highest Matsubara index the sum may use before
+    giving up.  ValueError when a and T put either out of float range."""
+    try:
+        pref = -K_BOLTZMANN * ctx.temperature / (8.0 * math.pi * a**3)
+        cap = ctx.l_max_cap
+        if cap is None:
+            scale = C_LIGHT * HBAR / (4.0 * math.pi * a
+                                      * K_BOLTZMANN * ctx.temperature)
+            cap = math.ceil(20.0 * scale) + 100
+    except (ZeroDivisionError, OverflowError):  # a**3 or a T is 0 or inf
+        pref = math.nan
+    if not 0.0 < abs(pref) < math.inf:
+        raise ValueError(f"separation {a:.6e} m at temperature "
+                         f"{ctx.temperature:g} K is out of range: k_B T/"
+                         "(8 pi a^3) or the term cap is not a finite "
+                         "nonzero float")
+    return pref, cap
 
 
 class _MatsubaraSum:
     """Running Matsubara sum of one (model, separation) pair, with its tail
     rule."""
 
-    def __init__(self, q: PressureQuery, ctx: MatsubaraContext,
-                 keep_terms: bool):
-        self.a = q.separation
-        self.model = q.model
-        self.series_tol = q.series_tol
-        self.pref = _prefactor(self.a, ctx)
-        self.cap = _term_cap(self.a, ctx)
+    def __init__(self, a: float, model, series_tol: float,
+                 ctx: MatsubaraContext, keep_terms: bool):
+        self.a, self.series_tol = a, series_tol
+        self.name = getattr(model, "variant", None) or repr(model)
+        self.pref, self.cap = _scales(a, ctx)
         self.accum = 0.0
         self.quad_err = 0.0
         self.terms = [] if keep_terms else None
@@ -272,8 +272,14 @@ class _MatsubaraSum:
         Returns whether the sum goes on: False, with ``result`` set, once
         the tail estimate has stayed below series_tol * |partial sum| for
         three consecutive l >= 1.  Raises SeriesConvergenceError when the
-        cap is reached first.
+        cap is reached first, or at once when t_l or its error estimate is
+        not finite.
         """
+        if not math.isfinite(t_l + err_l):  # inf or nan in either
+            raise SeriesConvergenceError(
+                f"Matsubara term l={l} of model {self.name} at "
+                f"separation {self.a:.6e} m is not finite (t_l {t_l}, "
+                f"error estimate {err_l})", self._result(l))
         weight = 0.5 if l == 0 else 1.0
         self.accum += weight * t_l
         self.quad_err += weight * err_l
@@ -297,9 +303,8 @@ class _MatsubaraSum:
                 self.consecutive = 0
         # terms_used (count incl. l = 0) never exceeds the cap
         if l + 1 >= self.cap:
-            name = getattr(self.model, "variant", None) or repr(self.model)
             raise SeriesConvergenceError(
-                f"Matsubara sum of model {name} at separation "
+                f"Matsubara sum of model {self.name} at separation "
                 f"{self.a:.6e} m not converged within {self.cap} terms",
                 self._result(self.cap))
         return True
@@ -321,17 +326,17 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     """Casimir pressure of every model at every separation, in Pa: one
     curve per model, in the order of ``models``.
 
-    The one Matsubara loop.  Every (model, separation) pair is validated
-    as a PressureQuery before any term is computed.  The static term is
-    one quadrature per model; at each l >= 1 every pair still summing is
-    one component of a single vector-valued quadrature.  Each pair's
-    Matsubara sum stops once the geometric tail estimate has stayed below
+    The one Matsubara loop.  The tolerances, every separation and every
+    pair's prefactor and term cap are checked before any term.  The static
+    term is one quadrature per model; at each l >= 1 every pair still
+    summing is one component of a single vector-valued quadrature.  Each
+    pair's sum stops once the geometric tail estimate has stayed below
     series_tol * |partial sum| for three consecutive indices, and then
     leaves the set evaluated at later l; the final tail estimate is
     reported in its result.  Raises SeriesConvergenceError, naming the
     model and the separation and carrying the partial result, if a pair
-    reaches its cap on the number of terms first.  A FixedReflection
-    must be the only model of its call.
+    reaches its cap on the number of terms first or meets a non-finite
+    term.  A FixedReflection must be the only model of its call.
     """
     models = list(models)
     if not models:
@@ -340,14 +345,10 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
                                for m in models):
         raise ValueError("a FixedReflection cannot share a pressure_curves "
                          "call with other models")
-    curves = [[_MatsubaraSum(PressureQuery(separation=float(a), model=model,
-                                           quad_tol=quad_tol,
-                                           series_tol=series_tol),
-                             ctx, keep_terms) for a in separations]
-              for model in models]
-    if not curves[0]:
-        raise ValueError("need at least one separation")
-    a = np.array([s.a for s in curves[0]])
+    seps = _checked(separations, quad_tol=quad_tol, series_tol=series_tol)
+    curves = [[_MatsubaraSum(s, model, series_tol, ctx, keep_terms)
+               for s in seps] for model in models]
+    a = np.array(seps)
     for model, curve in zip(models, curves):  # variant-dependent static
         for s, t_0, err_0 in zip(curve, *_term_integrals(
                 0.0, _Table(a[None], model), quad_tol)):
@@ -370,24 +371,27 @@ def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
                   quad_tol: float = 1e-9) -> float:
     """Contribution of a single Matsubara index to the pressure, in Pa.
 
-    Includes the 1/2 weight of the l = 0 term; validated as a PressureQuery.
+    Includes the 1/2 weight of the l = 0 term; checked as in
+    ``pressure_curves``.
     """
-    PressureQuery(separation=a, model=model, quad_tol=quad_tol)
+    (a,) = _checked([a], quad_tol=quad_tol)
+    pref, _ = _scales(a, ctx)
     (t_l,), _ = _term_integrals(matsubara_xi(l, ctx),
                                 _Table(np.array([[a]]), model), quad_tol)
     weight = 0.5 if l == 0 else 1.0
-    return _prefactor(a, ctx) * weight * t_l
+    return pref * weight * t_l
 
 
-def pressure(q: PressureQuery, ctx: MatsubaraContext,
+def pressure(separation: float, model, ctx: MatsubaraContext,
+             quad_tol: float = 1e-9, series_tol: float = 1e-8,
              keep_terms: bool = False) -> PressureResult:
-    """Casimir pressure for the query, in Pa (negative = attraction).
+    """Casimir pressure at one separation, in Pa (negative = attraction).
 
-    A one-point ``pressure_curves``: same tail rule, same
-    SeriesConvergenceError at the term cap.
+    A one-point ``pressure_curves``: same checks, same tail rule, same
+    SeriesConvergenceError.
     """
-    (res,), = pressure_curves([q.separation], [q.model], ctx, q.quad_tol,
-                              q.series_tol, keep_terms)
+    (res,), = pressure_curves([separation], [model], ctx, quad_tol,
+                              series_tol, keep_terms)
     return res
 
 
@@ -397,15 +401,12 @@ def pressure_ratio_table(a_grid, models, ctx: MatsubaraContext,
     """Pressure per model and all pairwise ratios on a separation grid.
 
     ``models`` is a sequence of (name, model) pairs.  Each returned row
-    maps 'a' to the separation, 'p_<name>' to the pressure,
-    'terms_<name>' to the number of Matsubara terms used and
+    maps 'a' to the separation, 'p_<name>' to the pressure and
     'ratio_<n1>_over_<n2>' to every pairwise ratio (first-listed over
     later-listed).  The names must be distinct.  All models share one
     ``pressure_curves`` loop.
     """
     models = list(models)
-    if not models or len(a_grid) == 0:
-        raise ValueError("need at least one model and one separation")
     names = [name for name, _ in models]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names in {names}")
@@ -416,7 +417,6 @@ def pressure_ratio_table(a_grid, models, ctx: MatsubaraContext,
         row = {"a": float(a)}
         for (name, _), curve in zip(models, curves):
             row[f"p_{name}"] = curve[i].pressure
-            row[f"terms_{name}"] = curve[i].terms_used
         for i1, (n1, _) in enumerate(models):
             for n2, _ in models[i1 + 1:]:
                 row[f"ratio_{n1}_over_{n2}"] = row[f"p_{n1}"] / row[f"p_{n2}"]

@@ -77,6 +77,8 @@ _W_T[1, 1::2] -= _WG
 # floor of every target: rel_tol * |integral| of a subnormal integral is
 # below any estimate the rule can reach
 _TINY = np.finfo(float).tiny
+# most panels any component may end on
+MAX_PANELS = 4000
 
 
 class QuadratureError(RuntimeError):
@@ -152,8 +154,7 @@ def _open(sums: np.ndarray, rel_tol: float):
 
 
 def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
-                  breakpoints: tuple = (),
-                  max_panels: int = 4000) -> QuadResult:
+                  breakpoints: tuple = ()) -> QuadResult:
     """Integrate a vectorized f over [lo, hi] to the requested tolerance.
 
     ``f`` is called once per refinement round with a (n_panels, 21) array
@@ -163,7 +164,7 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
     array is shared between calls and read-only.  Every component meets
     its own rel_tol * |integral|, floored at the smallest normal float, on
     its own panels.
-    Raises QuadratureError if a component would need more than max_panels
+    Raises QuadratureError if a component would need more than MAX_PANELS
     panels; the exception carries the largest achieved error estimate of
     the components still above their target.
     """
@@ -175,7 +176,7 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
     sums = _sums(ve)
     panels = len(half)
     if _open(sums, rel_tol)[0].any():
-        panels = _refine(f, edges, ve, sums, rel_tol, max_panels)
+        panels = _refine(f, edges, ve, sums, rel_tol)
     if not batch:
         return QuadResult(value=float(sums[0, 0]), error=float(sums[0, 1]),
                           panels=panels)
@@ -183,7 +184,7 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
                       error=sums[:, 1].reshape(batch), panels=panels)
 
 
-def _refine(f, edges, ve, sums, rel_tol: float, max_panels: int) -> int:
+def _refine(f, edges, ve, sums, rel_tol: float) -> int:
     """Refine the open components of a first round, updating ``sums`` in
     place; returns the largest leaf count of any component.
 
@@ -209,7 +210,7 @@ def _refine(f, edges, ve, sums, rel_tol: float, max_panels: int) -> int:
         if stuck.any():  # the share rounded above every estimate
             split[stuck] = err[stuck] == err[stuck].max(axis=1,
                                                         keepdims=True)
-        if (count + split.sum(axis=1) > max_panels).any():
+        if (count + split.sum(axis=1) > MAX_PANELS).any():
             raise QuadratureError("adaptive quadrature panel budget "
                                   "exhausted", float(sums[open_, 1].max()))
         new = np.flatnonzero(split.any(axis=0))

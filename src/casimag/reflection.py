@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .response import DRUDE, PLASMA, MaterialModel, \
-    MatsubaraContext, _check_xi, matsubara_xi, mu_at
+    MatsubaraContext, _check_xi, matsubara_xi
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,6 @@ class ReflectionPair:
 
     r_tm: float
     r_te: float
-    l: int
-    k_perp: float
 
 
 def refl_pair(l: int, k_perp: float, m: MaterialModel,
@@ -213,24 +211,24 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
 
     l = 0 uses the exact static limits (``static_coefficients``); l >= 1
     the closed forms (``matsubara_coefficients``) on ``eps_pair``.
-    ``mu_l`` overrides the permeability ``mu_at(l, m)``.  The static
-    nonlocal coefficients require gamma > 0 (for a dissipationless model
-    use the plasma variant); at k_perp = 0 their TE limit is -1 for B > 0,
-    and the dissipative local pair for v_t = 0.
+    ``mu_l`` overrides the permeability: ``m.mu0`` in the static term, 1
+    above it.  The static nonlocal coefficients require gamma > 0 (for a
+    dissipationless model use the plasma variant); at k_perp = 0 their TE
+    limit is -1 for B > 0, and the dissipative local pair for v_t = 0.
     """
     _check_k(k_perp)
     xi = matsubara_xi(l, ctx)
-    mu = mu_at(l, m) if mu_l is None else mu_l
     if l == 0:
+        mu = m.mu0 if mu_l is None else mu_l
         r_tm, r_te = static_coefficients(k_perp, m, mu)
     else:
+        mu = 1.0 if mu_l is None else mu_l
         eps_tr, eps_l = eps_pair(xi, k_perp, m)
         xi_c2 = (xi / C_LIGHT) ** 2
         k2 = k_perp * k_perp
         r_tm, r_te = matsubara_coefficients(math.sqrt(k2 + xi_c2), k_perp,
                                             k2, xi_c2, mu, eps_tr, eps_l)
-    return ReflectionPair(r_tm=float(r_tm), r_te=float(r_te), l=l,
-                          k_perp=k_perp)
+    return ReflectionPair(r_tm=float(r_tm), r_te=float(r_te))
 
 
 def refl_fresnel(l: int, k_perp: float, eps_l: float, mu_l: float,
@@ -252,4 +250,4 @@ def refl_fresnel(l: int, k_perp: float, eps_l: float, mu_l: float,
     k_mu = math.sqrt(k_perp**2 + mu_l * eps_l * xi_c2)
     r_tm = (q * eps_l - k_mu) / (q * eps_l + k_mu)
     r_te = (q * mu_l - k_mu) / (q * mu_l + k_mu)
-    return ReflectionPair(r_tm=r_tm, r_te=r_te, l=l, k_perp=k_perp)
+    return ReflectionPair(r_tm=r_tm, r_te=r_te)

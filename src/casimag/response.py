@@ -121,7 +121,9 @@ class MaterialModel:
     ``interband`` optionally supplies measured absorption data from which
     the bound-electron core (``core``) is reconstructed; it replaces the
     leading "1" of the free-electron permittivities at nonzero Matsubara
-    frequencies.  The permeability enters only the static term, as mu0.
+    frequencies.  The permeability enters only the static term, as mu0:
+    mu(i xi) of a ferromagnet decays to 1 far below the first Matsubara
+    frequency, so it is 1 at every l >= 1.
 
     ``effective`` is derived: the (gamma, v_t, v_l) of the l >= 1
     permittivities, (gamma, 0, 0) for drude and (0, 0, 0) for plasma, so
@@ -212,17 +214,6 @@ def _check_xi(xi: float) -> None:
     if xi <= 0.0:
         raise ValueError("xi must be > 0 (the static term is handled "
                          "analytically by the reflection layer)")
-
-
-def mu_at(l: int, m: MaterialModel) -> float:
-    """Magnetic permeability at xi_l: mu0 in the static term, 1 otherwise.
-
-    mu(i xi) of a ferromagnet decays to 1 far below the first Matsubara
-    frequency, so magnetic properties enter only through l = 0.
-    """
-    if l < 0:
-        raise ValueError("Matsubara index must be >= 0")
-    return m.mu0 if l == 0 else 1.0
 
 
 def drude_im_eps(omega, omega_p: float, gamma: float):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from casimag import (FixedReflection, GeometryParams, MatsubaraContext,
-                     PressureQuery, eps_pair, matsubara_xi, nickel, pressure,
-                     refl_pair, roughness_factor, z_te_closed, z_te_integral,
+                     eps_pair, matsubara_xi, nickel, pressure, refl_pair,
+                     roughness_factor, z_te_closed, z_te_integral,
                      z_tm_closed, z_tm_integral)
 from casimag.cli import main as cli_main
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
@@ -34,9 +34,8 @@ def check(criterion, ok, detail):
 
 
 def _pressure(a, model, series_tol=1e-8, quad_tol=1e-9, ctx=CTX):
-    return pressure(PressureQuery(separation=a, model=model,
-                                  quad_tol=quad_tol, series_tol=series_tol),
-                    ctx).pressure
+    return pressure(a, model, ctx, quad_tol=quad_tol,
+                    series_tol=series_tol).pressure
 
 
 def test_criterion_1_large_separation_ratios(ni_models):
@@ -151,10 +150,8 @@ def test_criterion_4_impedance_equivalence():
 
 def test_criterion_5_ideal_metal_oracle():
     a = 1e-6
-    res = pressure(PressureQuery(separation=a,
-                                 model=FixedReflection(1.0, -1.0),
-                                 series_tol=1e-6),
-                   MatsubaraContext(temperature=1.0))
+    res = pressure(a, FixedReflection(1.0, -1.0),
+                   MatsubaraContext(temperature=1.0), series_tol=1e-6)
     exact = -math.pi**2 * HBAR * C_LIGHT / (240.0 * a**4)
     dev = abs(res.pressure / exact - 1.0)
     check(5, dev < 1e-3,

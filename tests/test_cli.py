@@ -336,6 +336,34 @@ class TestExitCodes:
         assert run(["pressure", "--config", str(cfg)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("a_min_nm", "1e-300", "separation 1.000000e-309 m"),
+        ("temperature_k", "1e-300", "temperature 1e-300 K"),
+        ("a_max_nm", "1e300", "separation 1.000000e+291 m"),
+    ], ids=["a-cubed-underflow", "cap-underflow", "a-cubed-overflow"])
+    def test_out_of_range_separation_or_temperature_is_one_line_error(
+            self, tmp_path, capsys, key, value, named):
+        lines = [ln for ln in BASE.splitlines()
+                 if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n",
+                       encoding="utf-8")
+        assert run(["pressure", "--config", str(cfg), "--model", "all",
+                    "--output", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "out of range" in err
+
+    def test_config_with_byte_order_mark(self, cfg_path, tmp_path):
+        bom = tmp_path / "bom.cfg"
+        bom.write_text("\ufeff" + BASE, encoding="utf-8")
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        assert run(["pressure", "--config", cfg_path, "--model", "drude",
+                    "--output", str(ref)]) == 0
+        assert run(["pressure", "--config", str(bom), "--model", "drude",
+                    "--output", str(out)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_dissipationless_nonlocal_is_one_line_error(self, tmp_path,
                                                         capsys):
         cfg = tmp_path / "g0.cfg"

@@ -95,8 +95,7 @@ class TestIntegralClosedEquivalence:
         m = nickel(variant)
         closed = refl_pair(l, k_perp, m, ctx, mu_l=mu)
         z = ImpedancePair(z_tm=z_tm_integral(l, k_perp, m, ctx, mu_l=mu),
-                          z_te=z_te_integral(l, k_perp, m, ctx, mu_l=mu),
-                          l=l, k_perp=k_perp)
+                          z_te=z_te_integral(l, k_perp, m, ctx, mu_l=mu))
         via = refl_from_impedance(z, l, k_perp, ctx)
         assert abs(closed.r_tm) <= 1.0 and abs(closed.r_te) <= 1.0
         assert abs(via.r_tm - closed.r_tm) <= 1e-9

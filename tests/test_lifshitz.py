@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
-                     PressureQuery, SeriesConvergenceError, lifshitz,
-                     matsubara_xi, nickel, pressure, pressure_curves,
+                     SeriesConvergenceError, lifshitz, matsubara_xi,
+                     nickel, pressure, pressure_curves,
                      pressure_ratio_table, pressure_term, refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
@@ -42,17 +42,15 @@ def classical_pressure(a, temperature, r_tm_sq, r_te_sq):
 
 
 def test_vacuum_hook_gives_zero_pressure():
-    q = PressureQuery(separation=1e-6, model=FixedReflection(0.0, 0.0))
-    res = pressure(q, CTX)
+    res = pressure(1e-6, FixedReflection(0.0, 0.0), CTX)
     assert res.pressure == 0.0
     assert res.terms_used == 4
 
 
 def test_ideal_metal_low_temperature_oracle():
     a = 1e-6
-    q = PressureQuery(separation=a, model=FixedReflection(1.0, -1.0),
-                      series_tol=1e-6)
-    res = pressure(q, MatsubaraContext(temperature=1.0))
+    res = pressure(a, FixedReflection(1.0, -1.0),
+                   MatsubaraContext(temperature=1.0), series_tol=1e-6)
     exact = -math.pi**2 * HBAR * C_LIGHT / (240.0 * a**4)
     assert res.pressure == pytest.approx(exact, rel=1e-3)
     assert res.pressure < 0.0
@@ -62,8 +60,7 @@ def test_classical_limit_dissipative_model():
     # at 20 um and 300 K every xi_l > 0 term is exponentially dead and the
     # static term carries the polylog closed form
     a = 20e-6
-    q = PressureQuery(separation=a, model=nickel("drude"))
-    res = pressure(q, CTX)
+    res = pressure(a, nickel("drude"), CTX)
     expected = classical_pressure(a, 300.0, 1.0, (109.0 / 111.0) ** 2)
     assert res.pressure == pytest.approx(expected, rel=1e-6)
 
@@ -100,7 +97,7 @@ def test_first_matsubara_term_against_trapezoid():
 def test_high_index_terms_exponentially_suppressed():
     a = 1e-6
     model = nickel("drude")
-    res = pressure(PressureQuery(separation=a, model=model), CTX)
+    res = pressure(a, model, CTX)
     l_big = 27
     assert 2 * a * matsubara_xi(l_big, CTX) / C_LIGHT > 40.0
     term = pressure_term(l_big, a, model, CTX)
@@ -120,40 +117,33 @@ class TestPressureProperties:
     def test_attraction_and_monotone_decay(self, variant):
         model = nickel(variant)
         grid = np.geomspace(50e-9, 10e-6, 7)
-        values = [pressure(PressureQuery(separation=float(a),
-                                         model=model),
-                           CTX).pressure for a in grid]
+        values = [pressure(float(a), model, CTX).pressure for a in grid]
         assert all(p < 0.0 for p in values)
         mags = [abs(p) for p in values]
         assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
 
     def test_model_ordering_at_large_separation(self, ni_models):
         for a in (2e-6, 4e-6, 7e-6):
-            p = {v: pressure(PressureQuery(separation=a, model=m),
-                             CTX).pressure
+            p = {v: pressure(a, m, CTX).pressure
                  for v, m in ni_models.items()}
             assert abs(p["nonlocal"]) < abs(p["plasma"])
             assert abs(p["nonlocal"]) < abs(p["drude"])
 
     def test_reported_error_bounds(self):
-        q1 = PressureQuery(separation=0.5e-6, model=nickel("nonlocal"),
-                           quad_tol=1e-8, series_tol=1e-6)
-        q2 = PressureQuery(separation=0.5e-6, model=nickel("nonlocal"),
-                           quad_tol=5e-9, series_tol=5e-7)
-        r1, r2 = pressure(q1, CTX), pressure(q2, CTX)
+        r1, r2 = (pressure(0.5e-6, nickel("nonlocal"), CTX, quad_tol=q,
+                           series_tol=s) for q, s in ((1e-8, 1e-6),
+                                                      (5e-9, 5e-7)))
         budget = (r1.series_tail_bound + r1.quad_error
                   + r2.series_tail_bound + r2.quad_error)
         assert abs(r1.pressure - r2.pressure) <= budget
 
     def test_tail_bound_invariant(self):
-        q = PressureQuery(separation=1e-6, model=nickel("plasma"),
-                          series_tol=1e-8)
-        res = pressure(q, CTX)
-        assert res.series_tail_bound <= q.series_tol * abs(res.pressure)
+        series_tol = 1e-8
+        res = pressure(1e-6, nickel("plasma"), CTX, series_tol=series_tol)
+        assert res.series_tail_bound <= series_tol * abs(res.pressure)
 
     def test_per_term_breakdown(self):
-        q = PressureQuery(separation=2e-6, model=nickel("drude"))
-        res = pressure(q, CTX, keep_terms=True)
+        res = pressure(2e-6, nickel("drude"), CTX, keep_terms=True)
         assert len(res.per_term) == res.terms_used
         assert res.per_term[0][0] == 0
         total = sum(t for _, t in res.per_term)
@@ -171,9 +161,8 @@ def test_non_convergence_reports_partial_sum(grid):
     assert partial.terms_used == 10
     assert partial.pressure < 0.0
     assert partial.series_tail_bound > 0.0
-    q = PressureQuery(separation=50e-9, model=nickel("drude"))
     with pytest.raises(SeriesConvergenceError, match="5.000000e-08 m"):
-        pressure(q, ctx)
+        pressure(50e-9, nickel("drude"), ctx)
 
 
 @pytest.mark.parametrize("temperature", [4.0, 300.0])
@@ -188,7 +177,7 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
 
     monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
     model = nickel("drude")
-    res = pressure(PressureQuery(separation=5e-6, model=model), ctx)
+    res = pressure(5e-6, model, ctx)
     assert set(seen) == {matsubara_xi(l, ctx) for l in range(res.terms_used)}
     seen.clear()
     pressure_term(3, 5e-6, model, ctx)
@@ -212,7 +201,7 @@ def test_kernel_cost_per_term(monkeypatch, ni_models):
     nodes = {}
     for variant, model in ni_models.items():
         tally.update(calls=0, nodes=0)
-        res = pressure(PressureQuery(separation=100e-9, model=model), CTX)
+        res = pressure(100e-9, model, CTX)
         assert tally["calls"] <= res.terms_used + 3, variant
         nodes[variant] = tally["nodes"]
     assert nodes["nonlocal"] <= 1.1 * nodes["plasma"]
@@ -243,8 +232,7 @@ class TestPressureCurve:
         curve, = pressure_curves(self.GRID, [model], CTX, keep_terms=True)
         assert len(curve) == len(self.GRID)
         for a, res in zip(self.GRID, curve):
-            point = pressure(PressureQuery(separation=a, model=model), CTX,
-                             keep_terms=True)
+            point = pressure(a, model, CTX, keep_terms=True)
             assert res.terms_used == point.terms_used, a
             assert res.pressure == pytest.approx(point.pressure, rel=1e-12)
             assert len(res.per_term) == res.terms_used
@@ -490,8 +478,7 @@ class TestPressureCurves:
 @pytest.mark.parametrize("a", [100e-9, 800e-9])
 def test_quad_error_bounds_the_quadrature_error(ni_models, a):
     for variant, model in ni_models.items():
-        loose, tight = (pressure(PressureQuery(separation=a, model=model,
-                                               quad_tol=tol), CTX)
+        loose, tight = (pressure(a, model, CTX, quad_tol=tol)
                         for tol in (1e-9, 1e-13))
         assert loose.terms_used == tight.terms_used, variant
         assert abs(loose.pressure - tight.pressure) <= loose.quad_error, \
@@ -505,7 +492,7 @@ def test_dissipationless_nonlocal_pressure_rejected():
     m = MaterialModel(omega_p=ni.omega_p, gamma=0.0, mu0=ni.mu0, v_t=ni.v_t,
                       v_l=ni.v_l, variant="nonlocal")
     with pytest.raises(ValueError, match="plasma variant"):
-        pressure(PressureQuery(separation=1e-6, model=m), CTX)
+        pressure(1e-6, m, CTX)
 
 
 @pytest.mark.parametrize("r_tm,r_te,name", [(1.5, 0.0, "r_tm"),
@@ -517,19 +504,56 @@ def test_fixed_reflection_out_of_range_rejected(r_tm, r_te, name):
         FixedReflection(r_tm, r_te)
 
 
-def test_query_validation():
-    with pytest.raises(ValueError):
-        PressureQuery(separation=0.0, model=nickel("drude"))
-    with pytest.raises(ValueError):
-        PressureQuery(separation=1e-6, model=nickel("drude"), quad_tol=1e-3)
-    with pytest.raises(ValueError):
-        PressureQuery(separation=1e-6, model=nickel("drude"), series_tol=0.0)
+@pytest.mark.parametrize("a,tols,match", [
+    (0.0, {}, "separation must be finite"),
+    (1e-6, {"quad_tol": 1e-3}, "quad_tol"),
+    (1e-6, {"series_tol": 0.0}, "series_tol"),
+    (math.nan, {}, "separation must be finite"),
+    (math.inf, {}, "separation must be finite"),
+    # k_B T/(8 pi a^3): a**3 underflows to 0, overflows, or the quotient
+    # underflows to 0
+    (1e-309, {}, "separation 1.000000e-309 m at temperature 300 K"),
+    (1e291, {}, "out of range"),
+    (1e102, {}, "out of range"),
+], ids=["zero", "quad_tol", "series_tol", "nan", "inf", "a3-underflow",
+        "a3-overflow", "prefactor-underflow"])
+@pytest.mark.parametrize("curves", [False, True],
+                         ids=["pressure", "pressure_curves"])
+def test_inputs_rejected_before_any_kernel_call(monkeypatch, a, tols, match,
+                                                curves):
+    tally = _kernel_spy(monkeypatch)
+    model = nickel("drude")
+    with pytest.raises(ValueError, match=match):
+        if curves:  # the bad separation after a good one
+            pressure_curves([1e-6, a], [model], CTX, **tols)
+        else:
+            pressure(a, model, CTX, **tols)
+    assert tally["calls"] == 0
 
 
-@pytest.mark.parametrize("separation", [math.nan, math.inf])
-def test_query_rejects_non_finite_separation(separation):
-    with pytest.raises(ValueError, match="separation must be finite"):
-        PressureQuery(separation=separation, model=nickel("drude"))
+def test_term_cap_out_of_range_rejected(monkeypatch):
+    # c hbar/(4 pi a k_B T): the denominator underflows to 0
+    tally = _kernel_spy(monkeypatch)
+    with pytest.raises(ValueError, match="temperature 1e-300 K is out of"):
+        pressure(1e-7, nickel("drude"), MatsubaraContext(temperature=1e-300))
+    assert tally["calls"] == 0
+
+
+@pytest.mark.parametrize("a,mu0,temperature,l", [
+    (800e-9, 1e300, 300.0, 0),  # the static r_TE is inf/inf
+    (100e-9, 110.0, 1e300, 1),
+])
+def test_non_finite_term_stops_the_sum(a, mu0, temperature, l):
+    # a NaN term used to pass the quadrature as converged, and the sum ran
+    # on to its cap with a NaN partial sum
+    model = replace(nickel("nonlocal"), mu0=mu0)
+    ctx = MatsubaraContext(temperature=temperature)
+    with np.errstate(all="ignore"), pytest.raises(
+            SeriesConvergenceError,
+            match=f"term l={l} of model nonlocal at separation {a:.6e} m "
+                  "is not finite") as err:
+        pressure(a, model, ctx)
+    assert err.value.partial.terms_used == l
 
 
 @pytest.mark.parametrize("a,quad_tol,match", [
@@ -539,19 +563,12 @@ def test_query_rejects_non_finite_separation(separation):
     (1e-6, 5.0, "quad_tol"),
     (1e-6, math.nan, "quad_tol"),
 ])
-def test_pressure_term_validates_like_a_query(monkeypatch, a, quad_tol,
+def test_pressure_term_validates_like_pressure(monkeypatch, a, quad_tol,
                                               match):
-    calls = []
-    kernel = lifshitz.lifshitz_summand
-
-    def spy(y, xi, *args):
-        calls.append(xi)
-        return kernel(y, xi, *args)
-
-    monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+    tally = _kernel_spy(monkeypatch)
     with pytest.raises(ValueError, match=match):
         pressure_term(1, a, nickel("drude"), CTX, quad_tol=quad_tol)
-    assert calls == []
+    assert tally["calls"] == 0
 
 
 class TestRatioTable:

@@ -5,7 +5,7 @@ import pytest
 
 from casimag import (InterbandTable, MaterialModel, MatsubaraContext,
                      QuadratureError, eps_core_kk, eps_pair, matsubara_xi,
-                     mu_at, nickel, response)
+                     nickel, refl_pair, response)
 from casimag.constants import EV_TO_RAD_S
 from casimag.response import drude_im_eps
 
@@ -119,9 +119,13 @@ class TestWavevectorDependence:
 
 
 def test_mu_enters_only_in_static_term():
-    assert mu_at(0, NI) == 110.0
-    assert mu_at(1, NI) == 1.0
-    assert mu_at(50, NI) == 1.0
+    # refl_pair's default permeability: mu0 = 110 at l = 0, where the
+    # drude TE coefficient is (mu0 - 1)/(mu0 + 1); 1 above it
+    assert refl_pair(0, 1e7, NI_DRUDE, CTX).r_te == pytest.approx(
+        109.0 / 111.0, rel=1e-14)
+    for l in (1, 50):
+        assert refl_pair(l, 1e7, NI, CTX) == refl_pair(l, 1e7, NI, CTX,
+                                                       mu_l=1.0)
 
 
 class TestModelValidation:
@@ -237,6 +241,12 @@ class TestInterbandTable:
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(ValueError, match=match):
             InterbandTable.from_csv(path)
+
+    def test_csv_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "opt.csv"
+        path.write_text("\ufeffomega_ev,im_eps\n0.5,2.0\n1.0,1.5\n",
+                        encoding="utf-8")
+        assert InterbandTable.from_csv(path).im_eps == (2.0, 1.5)
 
     def test_csv_spaced_header_crlf_and_gaps(self, tmp_path):
         path = tmp_path / "opt.csv"

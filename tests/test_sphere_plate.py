@@ -3,9 +3,8 @@ import math
 import pytest
 
 from casimag import (ExperimentDataset, GeometryParams, MatsubaraContext,
-                     PressureQuery, apply_pfa_correction, compare_models,
-                     gradient_curves, lifshitz, nickel, pressure,
-                     roughness_factor)
+                     apply_pfa_correction, compare_models, gradient_curves,
+                     lifshitz, nickel, pressure, roughness_factor)
 from casimag.lifshitz import PressureResult
 from casimag.sphere_plate import read_theta_table, theta_at
 
@@ -48,7 +47,7 @@ class TestGradientPfa:
         a = 3e-7
         model = nickel("nonlocal")
         grad = _gradient_at(a, model, SMOOTH, CTX)
-        p = pressure(PressureQuery(separation=a, model=model), CTX).pressure
+        p = pressure(a, model, CTX).pressure
         assert grad == pytest.approx(-2.0 * math.pi * GEOM.radius * p,
                                      rel=1e-12)
         assert grad > 0.0
