@@ -13,7 +13,7 @@ x/(1-x) with x in [0, 1), so no growing exponential is ever computed.
 Every term integrates in s with y = y_lo + s^2 over [0, sqrt(Y_CUT)],
 y_lo = 2 a xi_l / c (zero for the static term): the substitution removes
 the square-root cusp at the lower endpoint, so a term usually converges
-on its first round of panels.
+on its first round of panels (graded finer while y_lo < 0.25).
 
 ``pressure_curves`` holds the one Matsubara loop, for every model and
 separation of a run.  The static term is one quadrature per model, since
@@ -56,31 +56,35 @@ from .response import MatsubaraContext, matsubara_xi
 Y_CUT = 45.0
 # upper limit of every term's integral in s, y = y_lo + s^2
 S_CUT = math.sqrt(Y_CUT)
-# Interior breakpoints in s of the first quadrature round of every term:
-# three G10/K21 panels, 63 nodes, narrower towards s = 0.  Chosen by a
-# sweep of the first round over three-model curves on 12 log-spaced
+# Interior breakpoints in s of the first quadrature round of every l >= 1
+# term: three G10/K21 panels, 63 nodes, narrower towards s = 0.  Chosen by
+# a sweep of the first round over three-model curves on 12 log-spaced
 # separations from 10 nm to 20 um at 10, 300 and 1000 K (with and without
 # an optical table above 10 K) and on the README grid: (1.25, 3.25) took
 # 9.64 M kernel nodes in all, (1.5, 3.0) 11.55 M, three equal panels
 # 12.51 M, and every pair with the upper breakpoint at 2.75 over 13.6 M.
 BREAKPOINTS = (1.25, 3.25)
+# The first round of the static term, and of every term whose smallest
+# y_lo is below Y_LO_STATIC: four panels, 84 nodes.  Over the three
+# variants, mu0 in {1, 2, 110, 1e3, 1e4}, v_t = v_l in {1, 7} v_F and 25
+# separations from 10 nm to 20 um, a static term estimates at most 0.10 of
+# the 1e-9 target; on (1.25, 3.25) 12 of the 18 cases with mu0 <= 110
+# refined (up to 96x).  Of eight thresholds from 0 to 0.5, 0.25 took the
+# fewest kernel nodes on three-model curves over 12 separations from 10 nm
+# to 20 um: 8.19 M at 10 K (8.46 M at 0), 280 k at 300 K (288 k) and 90 k
+# at 1000 K (93 k); the README grid takes 140,868 (141,813), none refined.
+STATIC_BREAKPOINTS = (0.5, 1.5, 3.25)
+Y_LO_STATIC = 0.25
 # Most quadrature nodes one kernel call evaluates: 57 components of the
-# 63-node first round, so the split matters from 58 components (e.g.
-# --model all on 20 or more separations; the README grid's largest call is
-# 45 x 63 = 2,835 nodes).  Three-model loops over 100-800 nm at 300 K,
-# in-process, medians of 24 interleaved pairs (ranges over three runs),
-# split vs unsplit: 20 separations 27-28 vs 25.5-26 ms, 60 separations
-# 52-62 vs 61-68 ms, 100 separations 86-100 vs 99-116 ms (2-vCPU Linux VM,
-# NumPy 2.4).  A call holds several float64 temporaries per node; past
-# about 4,000 nodes glibc can return the freed ones to the OS, and the
-# next call faults them back in (resource.getrusage, repeated l >= 1
-# calls: 0 to 0.4 minor faults per call at 3,600 nodes in every process
-# measured, 52 to 105 at 5,400 nodes in 8 of 20 processes).
+# 63-node first round, 42 of the 84-node one.  Past about 4,000 nodes
+# glibc can return a call's freed temporaries to the OS and the next call
+# faults them back in; README gives the split-vs-unsplit timings.
 NODE_CAP = 3600
-# the first round's nodes in s, one read-only array shared by every
-# term's quadrature, and their s^2 and 2 s
-_S = _first_round(0.0, S_CUT, BREAKPOINTS)[2]
-_S2, _TWO_S = _S * _S, 2.0 * _S
+# each first round's nodes in s, one read-only array shared by every
+# term's quadrature, with their s^2 and 2 s
+_FIRST = {bp: (s, s * s, 2.0 * s) for bp in (BREAKPOINTS, STATIC_BREAKPOINTS)
+          for s in (_first_round(0.0, S_CUT, bp)[2],)}
+_S = _FIRST[BREAKPOINTS][0]
 
 
 @dataclass(frozen=True)
@@ -185,11 +189,14 @@ def _term_integrals(xi: float, table: _Table,
     a, view = table.a, table.view  # components x (panels, nodes)
     y_lo = a * (2.0 * xi / C_LIGHT)
     n = len(a)
+    breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
+                   else BREAKPOINTS)
+    first, *first_s2 = _FIRST[breakpoints]
 
     def f(s):
         most = NODE_CAP // s.size  # components one call may take
         if n <= most:
-            s2, two_s = (_S2, _TWO_S) if s is _S else (s * s, 2.0 * s)
+            s2, two_s = first_s2 if s is first else (s * s, 2.0 * s)
             out = lifshitz_summand(y_lo + s2, xi, a, view)
             out *= two_s
             return out
@@ -209,7 +216,7 @@ def _term_integrals(xi: float, table: _Table,
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
-                        breakpoints=BREAKPOINTS)
+                        breakpoints=breakpoints)
     return res.value.tolist(), res.error.tolist()
 
 

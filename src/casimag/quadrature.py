@@ -13,10 +13,10 @@ Most integrals of the Matsubara sum converge on their first round, so its
 fixed cost is kept small.  The first round's panels run between the
 interval's ends and the caller's interior breakpoints; they, their
 half-widths and their nodes are built once per (lo, hi, breakpoints) and
-cached as read-only arrays: every pressure term reuses one 3 x 21 grid,
-graded towards small s.  The K21 weights and the K21 - G10 weight
-differences form one (21, 2) matrix, so each round's panel integrals and
-error estimates come from a single weight product.
+cached as read-only arrays: the pressure's l >= 1 terms reuse one 3 x 21
+grid and its static terms one 4 x 21 grid, graded towards small s.  The
+K21 weights and the K21 - G10 differences form one (21, 2) matrix, so each
+round's panel integrals and error estimates come from one weight product.
 
 The integrand may be vector-valued: for nodes of shape (n_panels, 21) it
 returns shape (*batch, n_panels, 21), one component per leading index;

@@ -4,11 +4,12 @@ The one Python implementation of the physics on the imaginary frequency
 axis.  The NumPy kernel is ``free_electron_eps`` (the permittivity pair),
 ``static_coefficients`` (exact l = 0 limits per variant, since the
 permittivities are singular at xi = 0), ``matsubara_coefficients``
-(l >= 1) and ``lifshitz_summand`` built from them.  The kernel reads the
-MaterialModel, broadcasts over arrays or Python floats, and checks
-nothing; ``lifshitz_summand`` is the one integrand of the pressure
-quadrature, and takes each term's permeability and interband core from
-its model: mu0 in the static term, 1 and ``model.core(xi)`` above it.
+(l >= 1, as numerators and denominators) and ``lifshitz_summand`` built
+from them.  The kernel reads the MaterialModel, broadcasts over arrays or
+Python floats, and checks nothing; ``lifshitz_summand`` is the one
+integrand of the pressure quadrature, and takes each term's permeability
+and interband core from its model: mu0 in the static term, 1 and
+``model.core(xi)`` above it.
 The scalar API validates its inputs and computes through the kernel:
 ``eps_pair`` is the permittivity pair, with the model's core, and
 ``refl_pair`` the coefficients at any Matsubara index.
@@ -47,24 +48,26 @@ class FixedReflection:
                 raise ValueError(f"|{name}| must not exceed 1")
 
 
-def free_electron_eps(xi, k, m, core):
+def free_electron_eps(xi, k, m, core, k_unit=1.0):
     """(eps_tr, eps_l) of the conduction electrons of ``m`` at (i xi, k).
 
     core + W (1 + v_t k/xi) and core + W/(1 + v_l k/xi) with
     W = wp^2/(xi(xi+gamma)), on the model's effective (gamma, v_t, v_l):
     drude has zero velocities, plasma zero gamma too.  ``core`` replaces
-    the leading unity.  With v_t = v_l = 0 the pair is local and one
-    object is returned twice (``eps_tr is eps_l``); the shortcut is exact.
-    Velocity arrays (one entry per component) take the general formula,
-    which gives the same bits for a component with zero velocities.
+    the leading unity; k is in units of ``k_unit`` (by default 1/m).  With
+    v_t = v_l = 0 the pair is local and one object is returned twice
+    (``eps_tr is eps_l``); the shortcut is exact.  Velocity arrays (one
+    entry per component) take the general formula, which gives the same
+    bits for a component with zero velocities.
     """
     gamma, v_t, v_l = m.effective
     w = m.omega_p * m.omega_p / (xi * (xi + gamma))
     if not isinstance(v_t, np.ndarray) and v_t == 0.0 and v_l == 0.0:
         eps = core + w
         return eps, eps
-    # scalar factors first, so an array k costs two and four passes
-    return (core + w) + (w * v_t / xi) * k, core + w / (1.0 + (v_l / xi) * k)
+    # per-component factors first, so an array k costs two and four passes
+    b_t, b_l = v_t * (k_unit / xi), v_l * (k_unit / xi)
+    return (core + w) + (w * b_t) * k, core + w / (1.0 + b_l * k)
 
 
 def static_coefficients(k, m, mu):
@@ -97,22 +100,21 @@ def static_coefficients(k, m, mu):
     return r_tm, (mu * sk - skb) / (mu * sk + skb)
 
 
-def matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr, eps_l):
-    """(r_TM, r_TE) at l >= 1 for a k-only response.
+def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l):
+    """(N_TM, D_TM, N_TE, D_TE) at l >= 1 for a k-only response; r = N/D.
 
-    With xi_c2 = xi^2/c^2, q = sqrt(k^2 + xi_c2), k2 = k^2 and
-    k_mu = sqrt(k^2 + mu eps_tr xi_c2):
+    Wavevectors are in units of xi/c: q = sqrt(k^2 + 1), k2 = k^2 and
+    k_mu = sqrt(k^2 + mu eps_tr), and
 
     r_TM = (q eps_tr - k_mu - k (eps_tr - eps_l)/eps_l)
          / (q eps_tr + k_mu + k (eps_tr - eps_l)/eps_l),
     r_TE = (q mu - k_mu) / (q mu + k_mu).
 
     For a local variant (``eps_tr is eps_l``) the cross term is zero and
-    skipped: this is the Fresnel form.  The arrays are updated in place
-    where the operands allow, which keeps fewer temporaries alive and gives
-    the same bits, since IEEE addition and multiplication commute.
+    skipped: this is the Fresnel form.  mu = 1 skips its products, and
+    q +- k_mu are formed in place; neither changes a bit.
     """
-    k_mu = np.sqrt(k2 + (mu * xi_c2) * eps_tr)
+    k_mu = np.sqrt(k2 + (eps_tr if mu == 1.0 else mu * eps_tr))
     if eps_tr is not eps_l:
         cross = eps_tr - eps_l
         cross *= k
@@ -120,22 +122,24 @@ def matsubara_coefficients(q, k, k2, xi_c2, mu, eps_tr, eps_l):
         cross += k_mu
     else:
         cross = k_mu
-    sum_ = q * eps_tr
-    r_tm = sum_ - cross
-    sum_ += cross
-    r_tm /= sum_
-    sum_ = q * mu
-    r_te = sum_ - k_mu
-    sum_ += k_mu
-    r_te /= sum_
-    return r_tm, r_te
+    d_tm = q * eps_tr
+    n_tm = d_tm - cross
+    d_tm += cross
+    if mu != 1.0:
+        q = mu * q
+    n_te = q - k_mu
+    k_mu += q
+    return n_tm, d_tm, n_te, k_mu
 
 
-def _occupation(r, damp):
-    """x/(1 - x) with x = r^2 damp."""
-    x = r * r * damp
-    x /= 1.0 - x
-    return x
+def _occupation(n, d, damp):
+    """x/(1 - x), x = (n/d)^2 damp, as n^2 damp/(d^2 - n^2 damp) in place."""
+    n *= n
+    n *= damp
+    d *= d
+    d -= n
+    n /= d
+    return n
 
 
 def lifshitz_summand(y, xi, a, model):
@@ -144,35 +148,37 @@ def lifshitz_summand(y, xi, a, model):
     ``y`` is an array of quadrature nodes (all > 0); ``xi`` is the
     Matsubara frequency (0.0 selects the static-term coefficients, with
     permeability ``model.mu0``); ``model`` is a MaterialModel or a
-    FixedReflection.  Above the static term the permeability is 1 and the
-    interband core is ``model.core(xi)``; there ``model`` may be anything
+    FixedReflection.  Above the static term the permeability is 1, the
+    interband core is ``model.core(xi)``, wavevectors are in units of xi/c
+    (q = y/y_lo, y_lo = 2 a xi/c) and r = N/D is never formed: x/(1-x) is
+    N^2 d/(D^2 - N^2 d), d = exp(-y).  There ``model`` may be anything
     with the ``omega_p``, ``effective`` and ``core`` that this reads, and
     those may be arrays that broadcast like ``a``: one entry per component
     of a multi-model pressure loop.
     Returns an array of the broadcast shape of ``y`` and ``a``.
     """
     y = np.asarray(y, dtype=float)
-    q = y / (2.0 * a)
+    d_tm = d_te = 1.0
     if isinstance(model, FixedReflection):
-        r_tm, r_te = model.r_tm, model.r_te
+        n_tm, n_te = model.r_tm, model.r_te
     elif xi == 0.0:
-        r_tm, r_te = static_coefficients(q, model, model.mu0)
+        n_tm, n_te = static_coefficients(y / (2.0 * a), model, model.mu0)
     else:
-        xi_c2 = (xi / C_LIGHT) ** 2
+        q = y * ((0.5 * C_LIGHT / xi) / a)  # y/y_lo
         k2 = q * q
-        k2 -= xi_c2
+        k2 -= 1.0
         np.maximum(k2, 0.0, out=k2)
         k = np.sqrt(k2)
-        eps_tr, eps_l = free_electron_eps(xi, k, model, model.core(xi))
-        r_tm, r_te = matsubara_coefficients(q, k, k2, xi_c2, 1.0, eps_tr,
-                                            eps_l)
-        del k2, k, eps_tr, eps_l  # fewer live temporaries below
-    del q
+        eps_tr, eps_l = free_electron_eps(xi, k, model, model.core(xi),
+                                          xi / C_LIGHT)
+        n_tm, d_tm, n_te, d_te = matsubara_coefficients(q, k, k2, 1.0,
+                                                        eps_tr, eps_l)
+        del q, k2, k, eps_tr, eps_l  # fewer live temporaries below
 
     damp = np.negative(y)
     np.exp(damp, out=damp)
-    out = _occupation(r_tm, damp)
-    out += _occupation(r_te, damp)
+    out = _occupation(n_tm, d_tm, damp)
+    out += _occupation(n_te, d_te, damp)
     out *= y
     out *= y
     return out
@@ -224,10 +230,11 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
     else:
         mu = 1.0 if mu_l is None else mu_l
         eps_tr, eps_l = eps_pair(xi, k_perp, m)
-        xi_c2 = (xi / C_LIGHT) ** 2
-        k2 = k_perp * k_perp
-        r_tm, r_te = matsubara_coefficients(math.sqrt(k2 + xi_c2), k_perp,
-                                            k2, xi_c2, mu, eps_tr, eps_l)
+        k = k_perp * C_LIGHT / xi  # in units of xi/c
+        k2 = k * k
+        n_tm, d_tm, n_te, d_te = matsubara_coefficients(
+            math.sqrt(k2 + 1.0), k, k2, mu, eps_tr, eps_l)
+        r_tm, r_te = n_tm / d_tm, n_te / d_te
     return ReflectionPair(r_tm=float(r_tm), r_te=float(r_te))
 
 

@@ -280,12 +280,13 @@ class TestWorkCounts:
             text += f"optical_data_path = {tmp_path / 'ni.csv'}\n"
         cfg.write_text(text, encoding="utf-8")
         kernel, kk = lifshitz.lifshitz_summand, response.eps_core_kk
-        calls, nodes, xis, kk_calls = [0], [0], set(), []
+        calls, nodes, xis, kk_calls, static = [0], [0], set(), [], [0]
 
         def spy(y, xi, *args):
             calls[0] += 1
             nodes[0] += np.size(y)
             xis.add(xi)
+            static[0] += xi == 0.0
             return kernel(y, xi, *args)
 
         def kk_spy(xi, table, m):
@@ -297,11 +298,15 @@ class TestWorkCounts:
         assert run(["ratio", "--config", str(cfg), "--model", "all",
                     "--output", str(tmp_path / "ratio.csv")]) == 0
         work = calls[0], nodes[0], len(xis)
+        # each model's static term converges on its first round: one call
+        assert static[0] == 3
+        # no term refines: one call per static term and per l, and two for
+        # l = 1, whose 45 x 84-node first round NODE_CAP splits
         if not tabled:
-            assert work == (103, 141_498, 99)
+            assert work == (102, 140_868, 99)
             assert kk_calls == []
             return
-        assert work == (124, 161_973, 120)
+        assert work == (123, 161_343, 120)
         # one KK evaluation per frequency, shared by the three variants
         assert len({xi for xi, _, _ in kk_calls}) == 119
         assert len(kk_calls) == 120

@@ -1,6 +1,7 @@
 """Integrand-kernel correctness against the scalar reflection API."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,19 +17,19 @@ A = 0.5e-6
 VARIANTS = ["drude", "plasma", "nonlocal"]
 
 
-def reference_summand(y, model, l, a=A):
+def reference_summand(y, model, l, a=A, ctx=CTX):
     """Brute-force evaluation through the reflection module, node by node.
 
     ``a`` broadcasts against ``y``.
     """
-    xi = matsubara_xi(l, CTX)
+    xi = matsubara_xi(l, ctx)
     y, a = np.broadcast_arrays(np.asarray(y, dtype=float), a)
     out = np.empty(y.shape)
     for i in np.ndindex(y.shape):
         yi = float(y[i])
         q = yi / (2.0 * float(a[i]))
         k = math.sqrt(max(q * q - (xi / C_LIGHT) ** 2, 0.0))
-        r = refl_pair(l, k, model, CTX)
+        r = refl_pair(l, k, model, ctx)
         damp = math.exp(-yi)
         x_tm = r.r_tm**2 * damp
         x_te = r.r_te**2 * damp
@@ -78,6 +79,32 @@ def test_kernel_with_interband_core(variant, l, ni_table):
     got = reflection.lifshitz_summand(y, xi, A, model)
     np.testing.assert_allclose(got, reference_summand(y, model, l),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+@pytest.mark.parametrize("v_over_c", [0.0, 0.03, 0.5])
+@pytest.mark.parametrize("temperature", [1.0, 1000.0])
+@pytest.mark.parametrize("a", [1e-9, 20e-6])
+def test_kernel_matches_reflection_module_at_extreme_arguments(
+        a, temperature, v_over_c, with_table, ni_table):
+    # the kernel's numerator/denominator form in units of xi/c against
+    # refl_pair, at l = 1 and at the first l with y_lo > 45
+    table = ni_table if with_table else None
+    model = replace(nickel("nonlocal", interband=table),
+                    v_t=v_over_c * C_LIGHT, v_l=v_over_c * C_LIGHT)
+    ctx = MatsubaraContext(temperature=temperature)
+    y_1 = 2.0 * a * matsubara_xi(1, ctx) / C_LIGHT
+    for l in (1, math.floor(45.0 / y_1) + 1):
+        xi = matsubara_xi(l, ctx)
+        y = 2.0 * a * xi / C_LIGHT + np.linspace(0.05, 30.0, 41)
+        got = reflection.lifshitz_summand(y, xi, a, model)
+        # both numerators cancel to about eps - 1, which is ~1e-6 at
+        # 1 nm and y_lo > 45: an ulp of q then moves them by an ulp/(eps - 1)
+        chi = model.core(xi) - 1.0 + model.omega_p**2 / (
+            xi * (xi + model.gamma))
+        rtol = max(1e-13, 10.0 * np.finfo(float).eps / chi)
+        np.testing.assert_allclose(got, reference_summand(y, model, l, a, ctx),
+                                   rtol=rtol, atol=0.0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -168,6 +195,23 @@ def test_no_overflow_at_extreme_arguments():
     got = reflection.lifshitz_summand(y, 1e15, A, FixedReflection(1.0, -1.0))
     assert np.all(np.isfinite(got))
     assert np.all(got >= 0.0)
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_material_kernel_has_no_overflow_at_extreme_arguments(variant,
+                                                              with_table,
+                                                              ni_table):
+    # the occupation is formed as N^2 d/(D^2 - N^2 d); neither exp(+y) nor
+    # r = N/D is ever evaluated
+    model = nickel(variant, interband=ni_table if with_table else None)
+    y = np.array([100.0, 400.0, 700.0])
+    for l in (0, 1, 7):
+        for a in (1e-9, A, 20e-6):
+            got = reflection.lifshitz_summand(y, matsubara_xi(l, CTX), a,
+                                              model)
+            assert np.all(np.isfinite(got)), (l, a)
+            assert np.all(got >= 0.0), (l, a)
 
 
 def test_interband_core_shifts_permittivity(ni_table):

@@ -72,6 +72,19 @@ def test_static_term_matches_polylog():
     assert term == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("v_over_vf", [1.0, 7.0])
+@pytest.mark.parametrize("mu0", [1.0, 2.0, 110.0])
+@pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
+def test_static_term_converges_on_its_first_round(monkeypatch, variant, mu0,
+                                                  v_over_vf):
+    # lifshitz.STATIC_BREAKPOINTS: one kernel call, no refinement round
+    model = replace(nickel(variant, v_over_vf=v_over_vf), mu0=mu0)
+    a = np.geomspace(10e-9, 20e-6, 25)
+    tally = _kernel_spy(monkeypatch)
+    lifshitz._term_integrals(0.0, lifshitz._Table(a[None], model), 1e-9)
+    assert tally["calls"] == 1
+
+
 def test_first_matsubara_term_against_trapezoid():
     """Brute-force oracle: dense trapezoid over the reflection module."""
     a = 1e-6
