@@ -1,0 +1,135 @@
+"""Record every command-line output of one casimag checkout.
+
+Usage: python3 scripts/cli_outputs.py ROOT OUTDIR
+
+Runs each casimag command on the README config (100-800 nm, 15 log-spaced
+separations, the nickel parameters) at 300 K and at 10 K, each with and
+without the synthetic Ni optical table of ``tests/_ni_optical.py``, using
+the sources under ROOT/src.  Every run writes its CSV to a file and, once
+more, to stdout; ``--help`` runs once, and three runs take the error
+paths (``impedance-dump --model all``, ``compare`` without
+``--experiment`` and an unknown ``--model``).  For each run,
+OUTDIR/<case>/<run>.csv holds the CSV file (when one was written) and
+<run>.stdout, <run>.stderr and <run>.exit the process's streams and exit
+code.  The inputs are built from this script's checkout, so two
+checkouts compare with
+
+    python3 scripts/cli_outputs.py PARENT out-parent
+    python3 scripts/cli_outputs.py .      out-change
+    diff -r out-parent out-change
+
+A checkout runs the 96 commands in about 35 s on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "tests"))
+import _ni_optical  # noqa: E402  (the test table, from this checkout)
+
+README_CONFIG = """\
+variant = nonlocal
+omega_p_ev = 4.89
+gamma_ev = 0.0436
+mu0 = 110
+v_t_over_vf = 7
+v_l_over_vf = 7
+v_f_m_s = 1.31e6
+a_min_nm = 100
+a_max_nm = 800
+points = 15
+spacing = log
+temperature_k = {temperature}
+radius_m = 61.71e-6
+delta_s_m = 1.5e-9
+delta_p_m = 1.4e-9
+err_theory_rel = 0.005
+"""
+# synthetic measured gradients in uN/m, some inside the confidence
+# interval of a variant and some outside
+EXPERIMENT = """\
+a_nm,grad_uN_per_m,err_uN_per_m
+100,1540.0,40.0
+200,144.0,2.0
+400,11.9,0.1
+800,0.85,0.01
+"""
+# (name, arguments): each runs with --output to a file and to stdout
+RUNS = (
+    ("pressure-all", ["pressure", "--model", "all"]),
+    ("pressure", ["pressure"]),
+    ("ratio", ["ratio"]),
+    ("ratio-drude", ["ratio", "--model", "drude"]),
+    ("gradient-all", ["gradient", "--model", "all"]),
+    ("compare-all", ["compare", "--model", "all",
+                     "--experiment", "expt.csv"]),
+    ("compare", ["compare", "--experiment", "expt.csv"]),
+    ("reflect-dump-all", ["reflect-dump", "--model", "all"]),
+    ("impedance-dump", ["impedance-dump"]),
+    ("impedance-dump-plasma", ["impedance-dump", "--model", "plasma"]),
+)
+# runs that write no CSV
+ONCE = (
+    ("help", ["--help"]),
+    ("error-impedance-dump-all", ["impedance-dump", "--model", "all"]),
+    ("error-compare-no-experiment", ["compare"]),
+    ("error-unknown-model", ["pressure", "--model", "bogus"]),
+)
+
+
+def record(root: Path, work: Path, out: Path, name: str,
+           args: list[str]) -> None:
+    """Run ``casimag ARGS --config run.cfg`` in ``work`` and keep its
+    CSV, streams and exit code under ``out``."""
+    csv = work / "out.csv"
+    csv.unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "casimag.cli", *args,
+                           "--config", "run.cfg"], cwd=work, env=env,
+                          capture_output=True, text=True)
+    (out / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
+    (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
+    (out / f"{name}.exit").write_text(f"{proc.returncode}\n",
+                                      encoding="utf-8")
+    if csv.exists():
+        csv.rename(out / f"{name}.csv")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 1
+    root, outdir = Path(argv[0]).resolve(), Path(argv[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _ni_optical.write_csv(work / "ni_optical.csv")
+        (work / "expt.csv").write_text(EXPERIMENT, encoding="utf-8")
+        for temperature in (300, 10):
+            for table in (False, True):
+                case = f"{temperature}K-{'table' if table else 'free'}"
+                out = outdir / case
+                out.mkdir(parents=True, exist_ok=True)
+                text = README_CONFIG.format(temperature=temperature)
+                if table:
+                    text += "optical_data_path = ni_optical.csv\n"
+                (work / "run.cfg").write_text(text, encoding="utf-8")
+                for name, args in RUNS:
+                    record(root, work, out, f"{name}-file", args
+                           + ["--output", "out.csv"])
+                    record(root, work, out, f"{name}-stdout", args
+                           + ["--output", "-"])
+                for name, args in ONCE:
+                    record(root, work, out, name, args)
+                print(f"{case}: {len(RUNS) * 2 + len(ONCE)} runs",
+                      file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

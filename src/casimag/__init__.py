@@ -2,16 +2,16 @@
 wavevector-dependent dielectric response, and sphere-plate force gradients.
 
 The pressure between identical thick plates follows from the Matsubara sum
-over imaginary frequencies of reflection-coefficient integrals; impedances
-and reflection coefficients are available both in closed form and through
-numerical wavevector integrals that validate them.
+over imaginary frequencies of reflection-coefficient integrals.  Each
+quantity has one entry: ``pressure_curves`` (``pressure`` for one point),
+``gradient_curves``, ``compare_models``, ``refl_pair`` and the closed-form
+``impedance_pair``, checked by the k_z integrals of ``impedance_integral``.
 """
 
-from .impedance import ImpedancePair, impedance_pair, \
-    refl_from_impedance, z_local, z_te_closed, z_te_integral, z_tm_closed, \
-    z_tm_integral
+from .impedance import ImpedancePair, impedance_integral, impedance_pair, \
+    refl_from_impedance, z_local
 from .lifshitz import PressureResult, SeriesConvergenceError, pressure, \
-    pressure_curves, pressure_ratio_table, pressure_term
+    pressure_curves
 from .quadrature import QuadratureError
 from .reflection import FixedReflection, ReflectionPair, eps_pair, \
     refl_fresnel, refl_pair

@@ -5,6 +5,10 @@ compare, each driven by a config file (--config).  Options go before or
 after the subcommand, as --opt VALUE, --opt=VALUE or a unique prefix of
 --opt.  Exit codes: 0 success (--help included), 1 validation error (a
 usage error included), 2 numerical non-convergence.
+
+Each subcommand is one function of (config, arguments, context) that
+returns the CSV header, its rows and any summary lines; ``main``
+dispatches through the table ``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -18,15 +22,12 @@ from .config import ConfigError, build_context, build_geometry, \
     build_material, parse_config, separation_grid
 from .csvio import write_csv
 from .impedance import impedance_pair
-from .lifshitz import SeriesConvergenceError, pressure_curves, \
-    pressure_ratio_table
+from .lifshitz import SeriesConvergenceError, pressure_curves
 from .quadrature import QuadratureError
 from .reflection import refl_pair
 from .sphere_plate import ExperimentDataset, compare_models, \
     gradient_curves
 
-_COMMANDS = ("pressure", "ratio", "impedance-dump", "reflect-dump",
-             "gradient", "compare")
 _MODELS = ("drude", "plasma", "nonlocal", "all")
 # (usage form, help): yields the usage line, --help and getopt's options
 _OPTIONS = (
@@ -40,129 +41,132 @@ _LONG = [f"{w[0][2:]}=" if len(w) > 1 else w[0][2:]
          for w in (form.strip("[]").split() for form, _ in _OPTIONS)]
 _USAGE = ("usage: casimag [-h] COMMAND " + " ".join(f for f, _ in _OPTIONS[:2])
           + "\n" + " " * 15 + " ".join(f for f, _ in _OPTIONS[2:]))
-_HELP = "\n".join(
-    [_USAGE, "", "Casimir pressure and sphere-plate force gradients for "
-     "magnetic metals.", "", "commands: " + ", ".join(_COMMANDS), "",
-     "options:", f"  {'-h, --help':<20}show this help message and exit"]
-    + [f"  {form.strip('[]'):<20}{text}" for form, text in _OPTIONS])
 
 _L_GRID = (1, 2, 10, 100)
 _KFACS = (0.0, 0.1, 1.0, 10.0)
 
 
-def _model_list(cfg, choice: str | None, use_interband: bool):
-    """[(name, MaterialModel)] for the requested --model choice.
+def _models(cfg, args, default=None):
+    """(names, models) of --model, or of ``default`` without it (None is
+    the config's variant).
 
     'all' lists the wavevector-dependent variant first so the emitted
     pairwise ratios read nonlocal/plasma, nonlocal/drude, plasma/drude.
     """
-    if choice is None:
-        names = [cfg.variant]
-    elif choice == "all":
-        names = ["nonlocal", "plasma", "drude"]
-    else:
-        names = [choice]
-    model = build_material(cfg, use_interband=use_interband)
-    return [(n, replace(model, variant=n)) for n in names]
+    choice = args.model or default
+    names = (["nonlocal", "plasma", "drude"] if choice == "all"
+             else [choice or cfg.variant])
+    model = build_material(cfg, use_interband=not args.no_interband)
+    return names, [replace(model, variant=n) for n in names]
 
 
-def _cmd_pressure(cfg, args) -> list[list]:
-    models = _model_list(cfg, args.model, not args.no_interband)
-    ctx = build_context(cfg)
+def _per_point(grid, names, curves, fields) -> list[list]:
+    """Rows [a, name, *fields(value)]: separation outer, model inner."""
+    return [[a, name, *fields(curve[i])] for i, a in enumerate(grid)
+            for name, curve in zip(names, curves)]
+
+
+def _dump_points(cfg, ls) -> list[tuple]:
+    """(l, k_perp) of the dumps: separation a outer, then l, then
+    k_perp = fac/a over ``_KFACS``."""
+    return [(l, fac / a) for a in separation_grid(cfg) for l in ls
+            for fac in _KFACS]
+
+
+def _pressure(cfg, args, ctx):
+    names, models = _models(cfg, args)
     grid = separation_grid(cfg)
-    curves = pressure_curves(grid, [m for _, m in models], ctx,
-                             cfg.quad_tol, cfg.series_tol)
+    curves = pressure_curves(grid, models, ctx, cfg.quad_tol,
+                             cfg.series_tol)
+    return (["a_m", "model", "pressure_pa", "terms_used", "tail_bound",
+             "quad_error"],
+            _per_point(grid, names, curves, lambda r: (
+                r.pressure, r.terms_used, r.series_tail_bound,
+                r.quad_error)), ())
+
+
+def _ratio(cfg, args, ctx):
+    names, models = _models(cfg, args, "all")
+    grid = separation_grid(cfg)
+    curves = pressure_curves(grid, models, ctx, cfg.quad_tol,
+                             cfg.series_tol)
+    pairs = [(i, j) for i in range(len(names))
+             for j in range(i + 1, len(names))]  # first over later
+    header = ["a_m", *(f"p_{n}" for n in names),
+              *(f"ratio_{names[i]}_over_{names[j]}" for i, j in pairs)]
     rows = []
-    for i, a in enumerate(grid):  # separation outer, model inner
-        for (name, _), curve in zip(models, curves):
-            res = curve[i]
-            rows.append([a, name, res.pressure, res.terms_used,
-                         res.series_tail_bound, res.quad_error])
-    return [["a_m", "model", "pressure_pa", "terms_used", "tail_bound",
-             "quad_error"]] + rows
+    for k, a in enumerate(grid):
+        p = [curve[k].pressure for curve in curves]
+        rows.append([a, *p, *(p[i] / p[j] for i, j in pairs)])
+    return header, rows, ()
 
 
-def _cmd_ratio(cfg, args) -> list[list]:
-    choice = args.model if args.model else "all"
-    models = _model_list(cfg, choice, not args.no_interband)
-    ctx = build_context(cfg)
-    table = pressure_ratio_table(separation_grid(cfg), models, ctx,
-                                 quad_tol=cfg.quad_tol,
-                                 series_tol=cfg.series_tol)
-    header = ["a_m", *list(table[0])[1:]]  # the key 'a' is the column a_m
-    return [header] + [list(row.values()) for row in table]
-
-
-def _cmd_impedance_dump(cfg, args) -> list[list]:
+def _impedance_dump(cfg, args, ctx):
     if args.model == "all":
         raise ConfigError("impedance-dump emits a single-model table; "
                           "pick one of drude, plasma, nonlocal")
-    (_, model), = _model_list(cfg, args.model, not args.no_interband)
-    ctx = build_context(cfg)
+    _, (model,) = _models(cfg, args)
     rows = []
-    for a in separation_grid(cfg):
-        for l in _L_GRID:
-            for fac in _KFACS:
-                k_perp = fac / a
-                z = impedance_pair(l, k_perp, model, ctx)
-                rows.append([l, k_perp, z.z_tm, z.z_te])
-    return [["l", "k_perp", "z_tm", "z_te"]] + rows
+    for l, k in _dump_points(cfg, _L_GRID):
+        z = impedance_pair(l, k, model, ctx)
+        rows.append([l, k, z.z_tm, z.z_te])
+    return ["l", "k_perp", "z_tm", "z_te"], rows, ()
 
 
-def _cmd_reflect_dump(cfg, args) -> list[list]:
-    models = _model_list(cfg, args.model, not args.no_interband)
-    ctx = build_context(cfg)
+def _reflect_dump(cfg, args, ctx):
+    names, models = _models(cfg, args)
+    points = _dump_points(cfg, (0,) + _L_GRID)
     rows = []
-    for name, model in models:
-        for a in separation_grid(cfg):
-            for l in (0,) + _L_GRID:
-                for fac in _KFACS:
-                    k_perp = fac / a
-                    r = refl_pair(l, k_perp, model, ctx)
-                    rows.append([name, l, k_perp, r.r_tm, r.r_te])
-    return [["model", "l", "k_perp", "r_tm", "r_te"]] + rows
+    for name, model in zip(names, models):
+        for l, k in points:
+            r = refl_pair(l, k, model, ctx)
+            rows.append([name, l, k, r.r_tm, r.r_te])
+    return ["model", "l", "k_perp", "r_tm", "r_te"], rows, ()
 
 
-def _cmd_gradient(cfg, args) -> list[list]:
-    models = _model_list(cfg, args.model, not args.no_interband)
-    ctx = build_context(cfg)
+def _gradient(cfg, args, ctx):
+    names, models = _models(cfg, args)
     geom = build_geometry(cfg)
     grid = separation_grid(cfg)
-    curves = gradient_curves(grid, [m for _, m in models], geom, ctx,
-                             cfg.quad_tol, cfg.series_tol)
-    rows = []
-    for i, a in enumerate(grid):  # separation outer, model inner
-        for (name, _), curve in zip(models, curves):
-            rows.append([a, name, curve[i]])
-    return [["a_m", "model", "grad_n_per_m"]] + rows
+    curves = gradient_curves(grid, models, geom, ctx, cfg.quad_tol,
+                             cfg.series_tol)
+    return (["a_m", "model", "grad_n_per_m"],
+            _per_point(grid, names, curves, lambda g: (g,)), ())
 
 
-def _cmd_compare(cfg, args) -> tuple[list[list], list[str]]:
+def _compare(cfg, args, ctx):
     if args.experiment is None:
         raise ConfigError("compare requires --experiment PATH")
     data = ExperimentDataset.from_csv(args.experiment)
-    models = _model_list(cfg, args.model, not args.no_interband)
-    ctx = build_context(cfg)
+    names, models = _models(cfg, args)
     geom = build_geometry(cfg)
-
-    multi = len(models) > 1
-    header = ["a_nm", "grad_theory", "delta", "ci_halfwidth", "inside_ci"]
-    if multi:
-        header = ["model"] + header
-    rows, summary = [], []
-    comps = compare_models(data, [m for _, m in models], geom, ctx,
+    comps = compare_models(data, models, geom, ctx,
                            err_theory_rel=cfg.err_theory_rel,
                            quad_tol=cfg.quad_tol, series_tol=cfg.series_tol)
-    for (name, _), comp in zip(models, comps):
+    multi = len(names) > 1
+    rows, summary = [], []
+    for name, comp in zip(names, comps):
         inside = sum(1 for c in comp if c.inside_ci)
         summary.append(f"model={name} inside={inside} "
                        f"outside={len(comp) - inside}")
-        for c in comp:
-            # gradients reported in uN/m to match the experiment file units
-            row = [c.a * 1e9, c.grad_theory * 1e6, c.delta * 1e6,
-                   c.ci_halfwidth * 1e6, c.inside_ci]
-            rows.append(([name] + row) if multi else row)
-    return [header] + rows, summary
+        # gradients reported in uN/m to match the experiment file units
+        rows += [[name] * multi + [c.a * 1e9, c.grad_theory * 1e6,
+                                   c.delta * 1e6, c.ci_halfwidth * 1e6,
+                                   c.inside_ci] for c in comp]
+    return (["model"] * multi + ["a_nm", "grad_theory", "delta",
+                                 "ci_halfwidth", "inside_ci"], rows, summary)
+
+
+_COMMANDS = {"pressure": _pressure, "ratio": _ratio,
+             "impedance-dump": _impedance_dump,
+             "reflect-dump": _reflect_dump, "gradient": _gradient,
+             "compare": _compare}
+
+_HELP = "\n".join(
+    [_USAGE, "", "Casimir pressure and sphere-plate force gradients for "
+     "magnetic metals.", "", "commands: " + ", ".join(_COMMANDS), "",
+     "options:", f"  {'-h, --help':<20}show this help message and exit"]
+    + [f"  {form.strip('[]'):<20}{text}" for form, text in _OPTIONS])
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
@@ -203,22 +207,10 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read().removeprefix("\ufeff"))
         out_path = args.output if args.output else cfg.output_path
 
-        summary = None
-        if args.command == "pressure":
-            table = _cmd_pressure(cfg, args)
-        elif args.command == "ratio":
-            table = _cmd_ratio(cfg, args)
-        elif args.command == "impedance-dump":
-            table = _cmd_impedance_dump(cfg, args)
-        elif args.command == "reflect-dump":
-            table = _cmd_reflect_dump(cfg, args)
-        elif args.command == "gradient":
-            table = _cmd_gradient(cfg, args)
-        else:
-            table, summary = _cmd_compare(cfg, args)
-
-        write_csv(out_path, table[0], table[1:])
-        for line in summary or ():  # never into a CSV on stdout
+        header, rows, summary = _COMMANDS[args.command](
+            cfg, args, build_context(cfg))
+        write_csv(out_path, header, rows)
+        for line in summary:  # never into a CSV on stdout
             print(line, file=sys.stderr if out_path == "-" else sys.stdout)
         return 0
     except (SeriesConvergenceError, QuadratureError) as exc:

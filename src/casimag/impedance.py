@@ -1,11 +1,13 @@
 """Surface impedances of a magnetic metal halfspace at Matsubara frequencies.
 
-Two routes are provided for the TE and TM impedances at (i xi_l, k_perp):
+Two routes give the TM and TE impedances at (i xi_l, k_perp), each as one
+``ImpedancePair``:
 
-* a numerical integral over the normal wavevector component k_z, valid for
-  a response depending on the full wavevector (the generic route), and
-* closed forms, exact whenever the permittivities depend on k_perp only,
-  which holds for every variant implemented here.
+* ``impedance_integral``, a numerical integral over the normal wavevector
+  component k_z, valid for a response depending on the full wavevector
+  (the generic route), and
+* ``impedance_pair``, the closed forms, exact whenever the permittivities
+  depend on k_perp only, which holds for every variant implemented here.
 
 The two routes agreeing to <= 1e-8 relative is the correctness check that
 stands in for the underlying boundary-value derivation.  Both take the
@@ -82,71 +84,42 @@ def _tan_sub_quad(f, scale: float) -> float:
     return val
 
 
-def z_te_integral(l: int, k_perp: float, m: MaterialModel,
-                  ctx: MatsubaraContext, mu_l: float | None = None) -> float:
-    """TE impedance by numerical k_z integration.
+def impedance_integral(l: int, k_perp: float, m: MaterialModel,
+                       ctx: MatsubaraContext,
+                       mu_l: float | None = None) -> ImpedancePair:
+    """Both impedances at (l, k_perp) by numerical k_z integration:
 
-    Z_TE = (c xi mu / pi) Int dk_z / (mu eps_tr xi^2 + c^2 (k_perp^2+k_z^2)),
-    the integral running over the whole real k_z axis (computed as twice
-    the half-axis integral by evenness).
-    """
-    xi, mu, eps_tr, _ = _model_eps(l, k_perp, m, ctx, mu_l)
-    c = C_LIGHT
-
-    def f(kz):
-        den = mu * eps_tr * xi * xi + c * c * (k_perp * k_perp + kz * kz)
-        if den <= 0.0:
-            raise ValueError("nonpositive TE denominator: unphysical eps/mu")
-        return 1.0 / den
-
-    scale = max(k_perp, xi / c)
-    return (c * xi * mu / math.pi) * 2.0 * _tan_sub_quad(f, scale)
-
-
-def z_tm_integral(l: int, k_perp: float, m: MaterialModel,
-                  ctx: MatsubaraContext, mu_l: float | None = None) -> float:
-    """TM impedance by numerical k_z integration.
-
+    Z_TE = (c xi mu / pi) Int dk_z / D,
     Z_TM = (c xi mu / pi) Int dk_z/k^2 [ k_perp^2/(mu xi^2 eps_l)
-           + k_z^2/(mu xi^2 eps_tr + c^2 k^2) ],  k^2 = k_perp^2 + k_z^2.
+           + k_z^2/D ],
+    D = mu eps_tr xi^2 + c^2 k^2,  k^2 = k_perp^2 + k_z^2,
+
+    each integral running over the whole real k_z axis (computed as twice
+    the half-axis integral by evenness).  The independent check of
+    ``impedance_pair``.
     """
     xi, mu, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx, mu_l)
     c = C_LIGHT
+    kp2 = k_perp * k_perp
+    bulk = mu * eps_tr * xi * xi
 
-    def f(kz):
-        ksq = k_perp * k_perp + kz * kz
-        den_tr = mu * xi * xi * eps_tr + c * c * ksq
-        if den_tr <= 0.0 or eps_l <= 0.0:
-            raise ValueError("nonpositive TM denominator: unphysical eps/mu")
-        return (k_perp * k_perp / (mu * xi * xi * eps_l)
-                + kz * kz / den_tr) / ksq
+    def den(ksq):
+        d = bulk + c * c * ksq
+        if d <= 0.0 or eps_l <= 0.0:
+            raise ValueError("nonpositive denominator: unphysical eps/mu")
+        return d
+
+    def te(kz):
+        return 1.0 / den(kp2 + kz * kz)
+
+    def tm(kz):
+        ksq = kp2 + kz * kz
+        return (kp2 / (mu * xi * xi * eps_l) + kz * kz / den(ksq)) / ksq
 
     scale = max(k_perp, xi / c)
-    return (c * xi * mu / math.pi) * 2.0 * _tan_sub_quad(f, scale)
-
-
-def z_te_closed(l: int, k_perp: float, m: MaterialModel,
-                ctx: MatsubaraContext, mu_l: float | None = None) -> float:
-    """Closed-form TE impedance, exact for k_perp-only response:
-
-    Z_TE = xi mu / sqrt(c^2 k_perp^2 + mu eps_tr xi^2).
-    """
-    xi, mu, eps_tr, _ = _model_eps(l, k_perp, m, ctx, mu_l)
-    return xi * mu / math.sqrt((C_LIGHT * k_perp) ** 2
-                               + mu * eps_tr * xi * xi)
-
-
-def z_tm_closed(l: int, k_perp: float, m: MaterialModel,
-                ctx: MatsubaraContext, mu_l: float | None = None) -> float:
-    """Closed-form TM impedance, exact for k_perp-only response:
-
-    Z_TM = (1/xi) [ c k_perp/eps_l
-                    + (sqrt(c^2 k_perp^2 + mu eps_tr xi^2) - c k_perp)/eps_tr ].
-    """
-    xi, mu, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx, mu_l)
-    ck = C_LIGHT * k_perp
-    root = math.sqrt(ck * ck + mu * eps_tr * xi * xi)
-    return (ck / eps_l + (root - ck) / eps_tr) / xi
+    factor = (c * xi * mu / math.pi) * 2.0
+    return ImpedancePair(z_tm=factor * _tan_sub_quad(tm, scale),
+                         z_te=factor * _tan_sub_quad(te, scale))
 
 
 def z_local(l: int, k_perp: float, eps_l: float, mu_l: float,
@@ -167,10 +140,18 @@ def z_local(l: int, k_perp: float, eps_l: float, mu_l: float,
 def impedance_pair(l: int, k_perp: float, m: MaterialModel,
                    ctx: MatsubaraContext,
                    mu_l: float | None = None) -> ImpedancePair:
-    """Both closed-form impedances at (l, k_perp); the k_z-integral route
-    is ``z_tm_integral`` and ``z_te_integral``."""
-    return ImpedancePair(z_tm=z_tm_closed(l, k_perp, m, ctx, mu_l),
-                         z_te=z_te_closed(l, k_perp, m, ctx, mu_l))
+    """Both impedances at (l, k_perp) in closed form, exact for a
+    k_perp-only response:
+
+    Z_TE = xi mu / R,
+    Z_TM = (1/xi) [ c k_perp/eps_l + (R - c k_perp)/eps_tr ],
+    R = sqrt(c^2 k_perp^2 + mu eps_tr xi^2).
+    """
+    xi, mu, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx, mu_l)
+    ck = C_LIGHT * k_perp
+    root = math.sqrt(ck * ck + mu * eps_tr * xi * xi)
+    return ImpedancePair(z_tm=(ck / eps_l + (root - ck) / eps_tr) / xi,
+                         z_te=xi * mu / root)
 
 
 def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,

@@ -16,7 +16,8 @@ the square-root cusp at the lower endpoint, so a term usually converges
 on its first round of panels (graded finer while y_lo < 0.25).
 
 ``pressure_curves`` holds the one Matsubara loop, for every model and
-separation of a run.  The static term is one quadrature per model, since
+separation of a run, and is the one entry for pressures; ``pressure`` is
+its one-point form.  The static term is one quadrature per model, since
 its coefficients depend on the variant.  The pairs still summing at
 l >= 1 form one component table (``_Table``), built once per run and
 compressed as pairs converge.  Each l is one vector-valued quadrature
@@ -374,21 +375,6 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     return [[s.result for s in curve] for curve in curves]
 
 
-def pressure_term(l: int, a: float, model, ctx: MatsubaraContext,
-                  quad_tol: float = 1e-9) -> float:
-    """Contribution of a single Matsubara index to the pressure, in Pa.
-
-    Includes the 1/2 weight of the l = 0 term; checked as in
-    ``pressure_curves``.
-    """
-    (a,) = _checked([a], quad_tol=quad_tol)
-    pref, _ = _scales(a, ctx)
-    (t_l,), _ = _term_integrals(matsubara_xi(l, ctx),
-                                _Table(np.array([[a]]), model), quad_tol)
-    weight = 0.5 if l == 0 else 1.0
-    return pref * weight * t_l
-
-
 def pressure(separation: float, model, ctx: MatsubaraContext,
              quad_tol: float = 1e-9, series_tol: float = 1e-8,
              keep_terms: bool = False) -> PressureResult:
@@ -401,31 +387,3 @@ def pressure(separation: float, model, ctx: MatsubaraContext,
                               series_tol, keep_terms)
     return res
 
-
-def pressure_ratio_table(a_grid, models, ctx: MatsubaraContext,
-                         quad_tol: float = 1e-9,
-                         series_tol: float = 1e-8) -> list[dict]:
-    """Pressure per model and all pairwise ratios on a separation grid.
-
-    ``models`` is a sequence of (name, model) pairs.  Each returned row
-    maps 'a' to the separation, 'p_<name>' to the pressure and
-    'ratio_<n1>_over_<n2>' to every pairwise ratio (first-listed over
-    later-listed).  The names must be distinct.  All models share one
-    ``pressure_curves`` loop.
-    """
-    models = list(models)
-    names = [name for name, _ in models]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate model names in {names}")
-    curves = pressure_curves(a_grid, [model for _, model in models], ctx,
-                             quad_tol, series_tol)
-    rows = []
-    for i, a in enumerate(a_grid):
-        row = {"a": float(a)}
-        for (name, _), curve in zip(models, curves):
-            row[f"p_{name}"] = curve[i].pressure
-        for i1, (n1, _) in enumerate(models):
-            for n2, _ in models[i1 + 1:]:
-                row[f"ratio_{n1}_over_{n2}"] = row[f"p_{n1}"] / row[f"p_{n2}"]
-        rows.append(row)
-    return rows

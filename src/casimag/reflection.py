@@ -159,10 +159,14 @@ def lifshitz_summand(y, xi, a, model):
     """
     y = np.asarray(y, dtype=float)
     d_tm = d_te = 1.0
-    if isinstance(model, FixedReflection):
-        n_tm, n_te = model.r_tm, model.r_te
-    elif xi == 0.0:
-        n_tm, n_te = static_coefficients(y / (2.0 * a), model, model.mu0)
+    fixed = isinstance(model, FixedReflection)
+    if fixed or xi == 0.0:
+        # a float coefficient carries no axis of a, so y takes them all
+        shape = np.broadcast(y, a).shape
+        if y.shape != shape:
+            y = np.broadcast_to(y, shape)
+        n_tm, n_te = ((model.r_tm, model.r_te) if fixed else
+                      static_coefficients(y / (2.0 * a), model, model.mu0))
     else:
         q = y * ((0.5 * C_LIGHT / xi) / a)  # y/y_lo
         k2 = q * q

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from casimag import (FixedReflection, GeometryParams, MatsubaraContext,
-                     eps_pair, matsubara_xi, nickel, pressure, refl_pair,
-                     roughness_factor, z_te_closed, z_te_integral,
-                     z_tm_closed, z_tm_integral)
+                     eps_pair, impedance_integral, impedance_pair,
+                     matsubara_xi, nickel, pressure, refl_pair,
+                     roughness_factor)
 from casimag.cli import main as cli_main
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
@@ -126,22 +126,15 @@ def test_criterion_4_impedance_equivalence():
     a_ref = 0.5e-6
     k_grid = (0.0, 1.0 / (10 * a_ref), 1.0 / a_ref, 10.0 / a_ref)
     m = nickel("nonlocal")
-    worst = 0.0
-    for l in (1, 2, 10, 100):
-        for k in k_grid:
-            worst = max(worst,
-                        abs(z_te_integral(l, k, m, CTX)
-                            / z_te_closed(l, k, m, CTX) - 1.0),
-                        abs(z_tm_integral(l, k, m, CTX)
-                            / z_tm_closed(l, k, m, CTX) - 1.0))
     ctx_low = MatsubaraContext(temperature=1.0)  # small xi adjacent to static
-    for mu in (1.0, 110.0):
-        for k in k_grid:
-            worst = max(worst,
-                        abs(z_te_integral(1, k, m, ctx_low, mu_l=mu)
-                            / z_te_closed(1, k, m, ctx_low, mu_l=mu) - 1.0),
-                        abs(z_tm_integral(1, k, m, ctx_low, mu_l=mu)
-                            / z_tm_closed(1, k, m, ctx_low, mu_l=mu) - 1.0))
+    points = ([(l, k, CTX, None) for l in (1, 2, 10, 100) for k in k_grid]
+              + [(1, k, ctx_low, mu) for mu in (1.0, 110.0) for k in k_grid])
+    worst = 0.0
+    for l, k, ctx, mu in points:
+        zi = impedance_integral(l, k, m, ctx, mu_l=mu)
+        zc = impedance_pair(l, k, m, ctx, mu_l=mu)
+        worst = max(worst, abs(zi.z_te / zc.z_te - 1.0),
+                    abs(zi.z_tm / zc.z_tm - 1.0))
     elapsed = time.time() - t0
     check(4, worst <= 1e-8,
           f"max relative gap integral vs closed = {worst:.2e} "

@@ -3,13 +3,16 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import casimag
-from casimag import lifshitz, response
+from casimag import cli, lifshitz, pressure_curves, response
 from casimag.cli import main
+from casimag.config import build_context, build_material, parse_config, \
+    separation_grid
 
 import _ni_optical
 
@@ -111,6 +114,35 @@ class TestRatio:
         header, rows = read_csv(str(out))
         assert header == ["a_m", "p_drude"]
         assert len(rows) == 2
+
+    def test_all_models_are_one_pressure_curves_call(self, cfg_path,
+                                                      monkeypatch):
+        # the rows as written, before formatting: every p_<name> is the
+        # pressure_curves value and every ratio p_i / p_j of its row, bit
+        # for bit
+        tables = []
+        monkeypatch.setattr(cli, "write_csv",
+                            lambda path, header, rows: tables.append(
+                                (header, rows)))
+        assert run(["ratio", "--config", cfg_path, "--model", "all"]) == 0
+        (header, rows), = tables
+        names = ["nonlocal", "plasma", "drude"]
+        assert header == ["a_m", "p_nonlocal", "p_plasma", "p_drude",
+                          "ratio_nonlocal_over_plasma",
+                          "ratio_nonlocal_over_drude",
+                          "ratio_plasma_over_drude"]
+        with open(cfg_path, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        grid = separation_grid(cfg)
+        model = build_material(cfg)
+        curves = pressure_curves(
+            grid, [replace(model, variant=n) for n in names],
+            build_context(cfg), cfg.quad_tol, cfg.series_tol)
+        assert [row[0] for row in rows] == grid
+        for row, *points in zip(rows, *curves):
+            assert row[1:4] == [res.pressure for res in points]
+            p_nl, p_p, p_d = row[1:4]
+            assert row[4:] == [p_nl / p_p, p_nl / p_d, p_p / p_d]
 
     def test_reproduces_large_separation_ratios(self, cfg_path, tmp_path):
         out = tmp_path / "ratio.csv"

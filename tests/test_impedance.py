@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from casimag import (ImpedancePair, MaterialModel, MatsubaraContext,
+from casimag import (MaterialModel, MatsubaraContext, impedance_integral,
                      impedance_pair, matsubara_xi, nickel,
-                     refl_from_impedance, refl_pair, z_local,
-                     z_te_closed, z_te_integral, z_tm_closed, z_tm_integral)
+                     refl_from_impedance, refl_pair, z_local)
 from casimag.constants import C_LIGHT
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -35,22 +34,21 @@ class TestVacuumLimit:
     @pytest.mark.parametrize("l", [1, 5])
     @pytest.mark.parametrize("k_perp", K_GRID)
     def test_closed_forms(self, l, k_perp):
-        assert z_te_closed(l, k_perp, VACUUM, CTX) == pytest.approx(
-            vacuum_impedance_te(l, k_perp), rel=1e-12)
-        assert z_tm_closed(l, k_perp, VACUUM, CTX) == pytest.approx(
-            vacuum_impedance_tm(l, k_perp), rel=1e-12)
+        z = impedance_pair(l, k_perp, VACUUM, CTX)
+        assert z.z_te == pytest.approx(vacuum_impedance_te(l, k_perp),
+                                       rel=1e-12)
+        assert z.z_tm == pytest.approx(vacuum_impedance_tm(l, k_perp),
+                                       rel=1e-12)
 
     def test_normal_incidence_unity(self):
-        assert z_te_closed(1, 0.0, VACUUM, CTX) == pytest.approx(1.0,
-                                                                 rel=1e-12)
-        assert z_tm_closed(1, 0.0, VACUUM, CTX) == pytest.approx(1.0,
-                                                                 rel=1e-12)
+        z = impedance_pair(1, 0.0, VACUUM, CTX)
+        assert z.z_te == pytest.approx(1.0, rel=1e-12)
+        assert z.z_tm == pytest.approx(1.0, rel=1e-12)
 
     def test_integral_route(self):
-        assert z_te_integral(3, 1e6, VACUUM, CTX) == pytest.approx(
-            vacuum_impedance_te(3, 1e6), rel=1e-9)
-        assert z_tm_integral(3, 1e6, VACUUM, CTX) == pytest.approx(
-            vacuum_impedance_tm(3, 1e6), rel=1e-9)
+        z = impedance_integral(3, 1e6, VACUUM, CTX)
+        assert z.z_te == pytest.approx(vacuum_impedance_te(3, 1e6), rel=1e-9)
+        assert z.z_tm == pytest.approx(vacuum_impedance_tm(3, 1e6), rel=1e-9)
 
 
 class TestIntegralClosedEquivalence:
@@ -61,24 +59,20 @@ class TestIntegralClosedEquivalence:
         m = nickel(variant)
         for l in L_GRID:
             for k_perp in K_GRID:
-                zc = z_te_closed(l, k_perp, m, CTX)
-                zi = z_te_integral(l, k_perp, m, CTX)
-                assert abs(zi / zc - 1.0) <= 1e-8, (l, k_perp, "TE")
-                zc = z_tm_closed(l, k_perp, m, CTX)
-                zi = z_tm_integral(l, k_perp, m, CTX)
-                assert abs(zi / zc - 1.0) <= 1e-8, (l, k_perp, "TM")
+                zc = impedance_pair(l, k_perp, m, CTX)
+                zi = impedance_integral(l, k_perp, m, CTX)
+                assert abs(zi.z_te / zc.z_te - 1.0) <= 1e-8, (l, k_perp, "TE")
+                assert abs(zi.z_tm / zc.z_tm - 1.0) <= 1e-8, (l, k_perp, "TM")
 
     def test_magnetic_at_small_xi(self):
         # mu = 110 probed just above the static term via a low temperature
         ctx = MatsubaraContext(temperature=1.0)
         m = nickel("nonlocal")
         for k_perp in K_GRID:
-            zc = z_te_closed(1, k_perp, m, ctx, mu_l=110.0)
-            zi = z_te_integral(1, k_perp, m, ctx, mu_l=110.0)
-            assert abs(zi / zc - 1.0) <= 1e-8
-            zc = z_tm_closed(1, k_perp, m, ctx, mu_l=110.0)
-            zi = z_tm_integral(1, k_perp, m, ctx, mu_l=110.0)
-            assert abs(zi / zc - 1.0) <= 1e-8
+            zc = impedance_pair(1, k_perp, m, ctx, mu_l=110.0)
+            zi = impedance_integral(1, k_perp, m, ctx, mu_l=110.0)
+            assert abs(zi.z_te / zc.z_te - 1.0) <= 1e-8
+            assert abs(zi.z_tm / zc.z_tm - 1.0) <= 1e-8
 
     @seed(20261017)
     @settings(max_examples=150, deadline=None, database=None)
@@ -94,9 +88,8 @@ class TestIntegralClosedEquivalence:
         ctx = MatsubaraContext(temperature=temperature)
         m = nickel(variant)
         closed = refl_pair(l, k_perp, m, ctx, mu_l=mu)
-        z = ImpedancePair(z_tm=z_tm_integral(l, k_perp, m, ctx, mu_l=mu),
-                          z_te=z_te_integral(l, k_perp, m, ctx, mu_l=mu))
-        via = refl_from_impedance(z, l, k_perp, ctx)
+        via = refl_from_impedance(
+            impedance_integral(l, k_perp, m, ctx, mu_l=mu), l, k_perp, ctx)
         assert abs(closed.r_tm) <= 1.0 and abs(closed.r_te) <= 1.0
         assert abs(via.r_tm - closed.r_tm) <= 1e-9
         assert abs(via.r_te - closed.r_te) <= 1e-9
@@ -110,8 +103,9 @@ class TestIntegralClosedEquivalence:
         eps = 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
         expected = math.sqrt((C_LIGHT * k_perp) ** 2
                              + mu * eps * xi * xi) / (xi * eps)
-        assert z_tm_integral(l, k_perp, m, CTX, mu_l=mu) == pytest.approx(
-            expected, rel=1e-8)
+        assert impedance_integral(l, k_perp, m, CTX,
+                                  mu_l=mu).z_tm == pytest.approx(expected,
+                                                                 rel=1e-8)
 
 
 class TestLocalImpedances:
@@ -150,8 +144,9 @@ class TestProperties:
         m = nickel(variant)
         for l in L_GRID:
             for k_perp in K_GRID:
-                assert z_te_closed(l, k_perp, m, CTX) > 0.0
-                assert z_tm_closed(l, k_perp, m, CTX) > 0.0
+                z = impedance_pair(l, k_perp, m, CTX)
+                assert z.z_te > 0.0
+                assert z.z_tm > 0.0
 
     def test_te_nonincreasing_in_eps(self):
         values = [z_local(1, 2e6, eps, 1.0, CTX).z_te
@@ -163,8 +158,9 @@ class TestProperties:
         # is smaller
         for l in L_GRID:
             for k_perp in K_GRID:
-                assert (z_te_closed(l, k_perp, nickel("plasma"), CTX)
-                        <= z_te_closed(l, k_perp, nickel("drude"), CTX))
+                assert (impedance_pair(l, k_perp, nickel("plasma"), CTX).z_te
+                        <= impedance_pair(l, k_perp, nickel("drude"),
+                                          CTX).z_te)
 
     def test_unit_mu_matches_mu_free_expression(self):
         # closed TE form with mu = 1 equals xi/sqrt(c^2 k^2 + eps xi^2)
@@ -173,19 +169,18 @@ class TestProperties:
         xi = matsubara_xi(l, CTX)
         eps = 1.0 + m.omega_p**2 / (xi * (xi + m.gamma))
         expected = xi / math.sqrt((C_LIGHT * k_perp) ** 2 + eps * xi * xi)
-        assert z_te_closed(l, k_perp, m, CTX) == pytest.approx(expected,
-                                                               rel=1e-14)
+        assert impedance_pair(l, k_perp, m, CTX).z_te == pytest.approx(
+            expected, rel=1e-14)
 
     def test_static_index_rejected(self):
         with pytest.raises(ValueError):
-            z_te_closed(0, 1e6, nickel("drude"), CTX)
+            impedance_pair(0, 1e6, nickel("drude"), CTX)
         with pytest.raises(ValueError):
-            z_tm_integral(0, 1e6, nickel("drude"), CTX)
+            impedance_integral(0, 1e6, nickel("drude"), CTX)
 
     def test_pair_agrees_with_integral_route(self):
         m = nickel("nonlocal")
         closed = impedance_pair(2, 1e6, m, CTX)
-        assert z_tm_integral(2, 1e6, m, CTX) == pytest.approx(closed.z_tm,
-                                                               rel=1e-9)
-        assert z_te_integral(2, 1e6, m, CTX) == pytest.approx(closed.z_te,
-                                                               rel=1e-9)
+        integral = impedance_integral(2, 1e6, m, CTX)
+        assert integral.z_tm == pytest.approx(closed.z_tm, rel=1e-9)
+        assert integral.z_te == pytest.approx(closed.z_te, rel=1e-9)

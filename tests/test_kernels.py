@@ -69,6 +69,24 @@ def test_kernel_broadcasts_over_separations(variant, l):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("model,l", [
+    *((nickel(v), 0) for v in VARIANTS),
+    (FixedReflection(0.9, -0.7), 0),
+    (FixedReflection(0.9, -0.7), 3),
+], ids=[*VARIANTS, "fixed-static", "fixed-l3"])
+def test_kernel_broadcasts_nodes_without_the_component_axis(model, l):
+    # a static or fixed coefficient that is a float carries no axis of a;
+    # nodes shaped (panels, nodes) still give one row per separation, with
+    # the bits of nodes given the full shape
+    a = np.geomspace(10e-9, 20e-6, 25)[:, None, None]
+    y = np.linspace(0.05, 45.0, 63).reshape(3, 21)
+    xi = matsubara_xi(l, CTX)
+    got = reflection.lifshitz_summand(y, xi, a, model)
+    full = reflection.lifshitz_summand(np.tile(y, (25, 1, 1)), xi, a, model)
+    assert got.shape == full.shape == (25, 3, 21)
+    assert np.array_equal(got, full)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("l", [1, 7])
 def test_kernel_with_interband_core(variant, l, ni_table):

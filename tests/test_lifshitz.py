@@ -6,8 +6,7 @@ import pytest
 
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
                      SeriesConvergenceError, lifshitz, matsubara_xi,
-                     nickel, pressure, pressure_curves,
-                     pressure_ratio_table, pressure_term, refl_pair)
+                     nickel, pressure, pressure_curves, refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -67,7 +66,9 @@ def test_classical_limit_dissipative_model():
 
 def test_static_term_matches_polylog():
     a = 20e-6
-    term = pressure_term(0, a, nickel("drude"), CTX)
+    (l, term), *_ = pressure(a, nickel("drude"), CTX,
+                             keep_terms=True).per_term
+    assert l == 0
     expected = classical_pressure(a, 300.0, 1.0, (109.0 / 111.0) ** 2)
     assert term == pytest.approx(expected, rel=1e-8)
 
@@ -103,7 +104,8 @@ def test_first_matsubara_term_against_trapezoid():
         integrand[i] = yi * yi * (x_tm / (1 - x_tm) + x_te / (1 - x_te))
     oracle = (-K_BOLTZMANN * 300.0 / (8.0 * math.pi * a**3)
               * float(np.trapezoid(integrand, y)))
-    term = pressure_term(1, a, model, CTX)
+    l, term = pressure(a, model, CTX, keep_terms=True).per_term[1]
+    assert l == 1
     assert term == pytest.approx(oracle, rel=1e-6)
 
 
@@ -113,16 +115,22 @@ def test_high_index_terms_exponentially_suppressed():
     res = pressure(a, model, CTX)
     l_big = 27
     assert 2 * a * matsubara_xi(l_big, CTX) / C_LIGHT > 40.0
-    term = pressure_term(l_big, a, model, CTX)
-    assert abs(term) < 1e-17 * abs(res.pressure)
+    pref, _ = lifshitz._scales(a, CTX)
+    (t_l,), _ = lifshitz._term_integrals(
+        matsubara_xi(l_big, CTX), lifshitz._Table(np.array([[a]]), model),
+        1e-9)
+    assert abs(pref * t_l) < 1e-17 * abs(res.pressure)
 
 
 @pytest.mark.parametrize("l", [430, 440, 450])
 def test_subnormal_terms_integrate(l):
     # at 1 um these plasma terms are subnormal floats (l = 450 underflows
     # to -0.0); a relative quadrature target alone would be unreachable
-    term = pressure_term(l, 1e-6, nickel("plasma"), CTX)
-    assert -1e-300 < term <= 0.0
+    pref, _ = lifshitz._scales(1e-6, CTX)
+    (t_l,), _ = lifshitz._term_integrals(
+        matsubara_xi(l, CTX), lifshitz._Table(np.array([[1e-6]]),
+                                              nickel("plasma")), 1e-9)
+    assert -1e-300 < pref * t_l <= 0.0
 
 
 class TestPressureProperties:
@@ -192,9 +200,6 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     model = nickel("drude")
     res = pressure(5e-6, model, ctx)
     assert set(seen) == {matsubara_xi(l, ctx) for l in range(res.terms_used)}
-    seen.clear()
-    pressure_term(3, 5e-6, model, ctx)
-    assert seen and set(seen) == {matsubara_xi(3, ctx)}
 
 
 def test_kernel_cost_per_term(monkeypatch, ni_models):
@@ -519,7 +524,10 @@ def test_fixed_reflection_out_of_range_rejected(r_tm, r_te, name):
 
 @pytest.mark.parametrize("a,tols,match", [
     (0.0, {}, "separation must be finite"),
+    (-1e-6, {}, "separation must be finite"),
     (1e-6, {"quad_tol": 1e-3}, "quad_tol"),
+    (1e-6, {"quad_tol": 5.0}, "quad_tol"),
+    (1e-6, {"quad_tol": math.nan}, "quad_tol"),
     (1e-6, {"series_tol": 0.0}, "series_tol"),
     (math.nan, {}, "separation must be finite"),
     (math.inf, {}, "separation must be finite"),
@@ -528,8 +536,9 @@ def test_fixed_reflection_out_of_range_rejected(r_tm, r_te, name):
     (1e-309, {}, "separation 1.000000e-309 m at temperature 300 K"),
     (1e291, {}, "out of range"),
     (1e102, {}, "out of range"),
-], ids=["zero", "quad_tol", "series_tol", "nan", "inf", "a3-underflow",
-        "a3-overflow", "prefactor-underflow"])
+], ids=["zero", "negative", "quad_tol", "quad_tol-above-one", "quad_tol-nan",
+        "series_tol", "nan", "inf", "a3-underflow", "a3-overflow",
+        "prefactor-underflow"])
 @pytest.mark.parametrize("curves", [False, True],
                          ids=["pressure", "pressure_curves"])
 def test_inputs_rejected_before_any_kernel_call(monkeypatch, a, tols, match,
@@ -567,45 +576,3 @@ def test_non_finite_term_stops_the_sum(a, mu0, temperature, l):
                   "is not finite") as err:
         pressure(a, model, ctx)
     assert err.value.partial.terms_used == l
-
-
-@pytest.mark.parametrize("a,quad_tol,match", [
-    (math.nan, 1e-9, "separation"),
-    (0.0, 1e-9, "separation"),
-    (-1e-6, 1e-9, "separation"),
-    (1e-6, 5.0, "quad_tol"),
-    (1e-6, math.nan, "quad_tol"),
-])
-def test_pressure_term_validates_like_pressure(monkeypatch, a, quad_tol,
-                                              match):
-    tally = _kernel_spy(monkeypatch)
-    with pytest.raises(ValueError, match=match):
-        pressure_term(1, a, nickel("drude"), CTX, quad_tol=quad_tol)
-    assert tally["calls"] == 0
-
-
-class TestRatioTable:
-    def test_identical_models_give_unit_ratios(self):
-        m = nickel("drude")
-        rows = pressure_ratio_table([2e-6], [("a", m), ("b", m)], CTX)
-        assert rows[0]["ratio_a_over_b"] == 1.0
-
-    def test_row_layout(self, ni_models):
-        models = [(v, ni_models[v]) for v in ("nonlocal", "plasma", "drude")]
-        rows = pressure_ratio_table([4e-6, 6e-6], models, CTX)
-        assert len(rows) == 2
-        assert set(k for k in rows[0] if k.startswith("ratio_")) == {
-            "ratio_nonlocal_over_plasma", "ratio_nonlocal_over_drude",
-            "ratio_plasma_over_drude"}
-
-    def test_duplicate_names_rejected(self):
-        # the second p_<name> would overwrite the first
-        with pytest.raises(ValueError, match="duplicate model names"):
-            pressure_ratio_table([2e-6], [("a", nickel("drude")),
-                                          ("a", nickel("plasma"))], CTX)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            pressure_ratio_table([], [("a", nickel("drude"))], CTX)
-        with pytest.raises(ValueError):
-            pressure_ratio_table([1e-6], [], CTX)

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from casimag import (ImpedancePair, MaterialModel, MatsubaraContext,
-                     impedance_pair, matsubara_xi, nickel, refl_fresnel,
-                     refl_from_impedance, refl_pair, z_te_integral,
-                     z_tm_integral)
+                     impedance_integral, impedance_pair, matsubara_xi,
+                     nickel, refl_fresnel, refl_from_impedance, refl_pair)
 from casimag.constants import C_LIGHT
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -44,9 +43,8 @@ class TestPathEquivalence:
     def test_closed_equals_integral_route(self):
         l, k_perp = 1, 1e6  # k_perp = 1/(2a) at a = 0.5 um
         direct = refl_pair(l, k_perp, NI, CTX)
-        z = ImpedancePair(z_tm=z_tm_integral(l, k_perp, NI, CTX),
-                          z_te=z_te_integral(l, k_perp, NI, CTX))
-        via = refl_from_impedance(z, l, k_perp, CTX)
+        via = refl_from_impedance(impedance_integral(l, k_perp, NI, CTX), l,
+                                  k_perp, CTX)
         assert via.r_tm == pytest.approx(direct.r_tm, rel=1e-8)
         assert via.r_te == pytest.approx(direct.r_te, rel=1e-8)
 
