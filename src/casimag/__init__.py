@@ -9,7 +9,7 @@ quantity has one entry: ``pressure_curves`` (``pressure`` for one point),
 """
 
 from .impedance import ImpedancePair, impedance_integral, impedance_pair, \
-    refl_from_impedance, z_local
+    refl_from_impedance
 from .lifshitz import PressureResult, SeriesConvergenceError, pressure, \
     pressure_curves
 from .quadrature import QuadratureError

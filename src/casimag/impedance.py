@@ -5,7 +5,8 @@ Two routes give the TM and TE impedances at (i xi_l, k_perp), each as one
 
 * ``impedance_integral``, a numerical integral over the normal wavevector
   component k_z, valid for a response depending on the full wavevector
-  (the generic route), and
+  (the generic route), on the package's one quadrature driver
+  ``quadrature.adaptive_quad``, and
 * ``impedance_pair``, the closed forms, exact whenever the permittivities
   depend on k_perp only, which holds for every variant implemented here.
 
@@ -25,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C_LIGHT
-from .quadrature import QuadratureError
-from .reflection import ReflectionPair, eps_pair
+from .quadrature import adaptive_quad
+from .reflection import ReflectionPair, _permeability, eps_pair
 from .response import MaterialModel, MatsubaraContext, matsubara_xi
 
 KZ_QUAD_TOL = 1e-10
@@ -41,47 +44,16 @@ class ImpedancePair:
     z_te: float
 
 
-def _check_positive_args(l: int, k_perp: float) -> None:
-    if l < 1:
-        raise ValueError("impedances are defined for l >= 1 (xi_l > 0); "
-                         "the static term enters through the reflection layer")
-    if k_perp < 0.0:
-        raise ValueError("k_perp must be >= 0")
-
-
 def _model_eps(l: int, k_perp: float, m: MaterialModel,
                ctx: MatsubaraContext, mu_l: float | None
                ) -> tuple[float, float, float, float]:
     """Validated (xi_l, mu, eps_tr, eps_l), with ``mu_l`` overriding the
     permeability 1."""
-    _check_positive_args(l, k_perp)
+    if l < 1:
+        raise ValueError("impedances are defined for l >= 1 (xi_l > 0); "
+                         "the static term enters through the reflection layer")
     xi = matsubara_xi(l, ctx)
-    mu = 1.0 if mu_l is None else mu_l
-    return (xi, mu) + eps_pair(xi, k_perp, m)
-
-
-def _tan_sub_quad(f, scale: float) -> float:
-    """Integrate f over [0, inf) via k_z = scale*tan(theta).
-
-    The substitution makes the 1/k_z^2 tails of the impedance integrands
-    exactly resolvable on the finite interval [0, pi/2].  Callers pass
-    scale = max(k_perp, xi/c): the integrands vary on the k_z scale
-    sqrt(k_perp^2 + mu eps xi^2/c^2), and a scale set by k_perp alone
-    crowds them into theta ~ pi/2 when k_perp << xi/c.
-    """
-    from scipy.integrate import quad  # deferred: no CLI path needs scipy
-
-    def g(theta):
-        t = math.tan(theta)
-        kz = scale * t
-        return f(kz) * scale * (1.0 + t * t)
-
-    res = quad(g, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=KZ_QUAD_TOL,
-               limit=200, full_output=1)
-    val, err = res[0], res[1]
-    if len(res) > 3:
-        raise QuadratureError("k_z impedance integral did not converge", err)
-    return val
+    return (xi, _permeability(l, m, mu_l)) + eps_pair(xi, k_perp, m)
 
 
 def impedance_integral(l: int, k_perp: float, m: MaterialModel,
@@ -95,46 +67,33 @@ def impedance_integral(l: int, k_perp: float, m: MaterialModel,
     D = mu eps_tr xi^2 + c^2 k^2,  k^2 = k_perp^2 + k_z^2,
 
     each integral running over the whole real k_z axis (computed as twice
-    the half-axis integral by evenness).  The independent check of
+    the half-axis integral by evenness), as the two components of one
+    ``adaptive_quad`` to KZ_QUAD_TOL relative over theta in [0, pi/2],
+    k_z = scale tan(theta).  The substitution resolves the 1/k_z^2 tails
+    exactly; scale = max(k_perp, xi/c), as the integrands vary on the k_z
+    scale sqrt(k_perp^2 + mu eps xi^2/c^2), which k_perp alone crowds into
+    theta ~ pi/2 when k_perp << xi/c.  The independent check of
     ``impedance_pair``.
     """
     xi, mu, eps_tr, eps_l = _model_eps(l, k_perp, m, ctx, mu_l)
     c = C_LIGHT
     kp2 = k_perp * k_perp
     bulk = mu * eps_tr * xi * xi
-
-    def den(ksq):
-        d = bulk + c * c * ksq
-        if d <= 0.0 or eps_l <= 0.0:
-            raise ValueError("nonpositive denominator: unphysical eps/mu")
-        return d
-
-    def te(kz):
-        return 1.0 / den(kp2 + kz * kz)
-
-    def tm(kz):
-        ksq = kp2 + kz * kz
-        return (kp2 / (mu * xi * xi * eps_l) + kz * kz / den(ksq)) / ksq
-
     scale = max(k_perp, xi / c)
+
+    def integrands(theta):
+        t = np.tan(theta)
+        kz2 = (scale * t) ** 2
+        ksq = kp2 + kz2
+        te = 1.0 / (bulk + c * c * ksq)
+        tm = (kp2 / (mu * xi * xi * eps_l) + kz2 * te) / ksq
+        return np.stack((tm, te)) * (scale * (1.0 + t * t))
+
+    z_tm, z_te = adaptive_quad(integrands, 0.0, 0.5 * math.pi,
+                               rel_tol=KZ_QUAD_TOL).value
     factor = (c * xi * mu / math.pi) * 2.0
-    return ImpedancePair(z_tm=factor * _tan_sub_quad(tm, scale),
-                         z_te=factor * _tan_sub_quad(te, scale))
-
-
-def z_local(l: int, k_perp: float, eps_l: float, mu_l: float,
-            ctx: MatsubaraContext) -> ImpedancePair:
-    """Impedances of a local medium with scalar permittivity eps_l:
-
-    Z_TE = xi mu / sqrt(c^2 k_perp^2 + mu eps xi^2),
-    Z_TM = sqrt(c^2 k_perp^2 + mu eps xi^2) / (xi eps).
-    """
-    _check_positive_args(l, k_perp)
-    if eps_l < 1.0:
-        raise ValueError("eps_l must be >= 1 on the imaginary axis")
-    xi = matsubara_xi(l, ctx)
-    root = math.sqrt((C_LIGHT * k_perp) ** 2 + mu_l * eps_l * xi * xi)
-    return ImpedancePair(z_tm=root / (xi * eps_l), z_te=xi * mu_l / root)
+    return ImpedancePair(z_tm=factor * float(z_tm),
+                         z_te=factor * float(z_te))
 
 
 def impedance_pair(l: int, k_perp: float, m: MaterialModel,

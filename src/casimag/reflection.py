@@ -206,6 +206,16 @@ def eps_pair(xi: float, k_perp: float,
     return free_electron_eps(xi, k_perp, m, m.core(xi))
 
 
+def _permeability(l: int, m: MaterialModel, mu_l: float | None) -> float:
+    """The permeability of term l: ``m.mu0`` at l = 0 and 1 above it, or
+    the override ``mu_l``, which must be finite and >= 1 like ``m.mu0``."""
+    if mu_l is None:
+        return m.mu0 if l == 0 else 1.0
+    if not 1.0 <= mu_l < math.inf:
+        raise ValueError("mu_l must be finite and >= 1")
+    return mu_l
+
+
 @dataclass(frozen=True)
 class ReflectionPair:
     """TM and TE reflection coefficients at one (l, k_perp) point."""
@@ -221,18 +231,18 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
 
     l = 0 uses the exact static limits (``static_coefficients``); l >= 1
     the closed forms (``matsubara_coefficients``) on ``eps_pair``.
-    ``mu_l`` overrides the permeability: ``m.mu0`` in the static term, 1
-    above it.  The static nonlocal coefficients require gamma > 0 (for a
-    dissipationless model use the plasma variant); at k_perp = 0 their TE
-    limit is -1 for B > 0, and the dissipative local pair for v_t = 0.
+    ``mu_l`` (finite, >= 1) overrides the permeability: ``m.mu0`` in the
+    static term, 1 above it.  The static nonlocal coefficients require
+    gamma > 0 (for a dissipationless model use the plasma variant); at
+    k_perp = 0 their TE limit is -1 for B > 0, and the dissipative local
+    pair for v_t = 0.
     """
     _check_k(k_perp)
     xi = matsubara_xi(l, ctx)
+    mu = _permeability(l, m, mu_l)
     if l == 0:
-        mu = m.mu0 if mu_l is None else mu_l
         r_tm, r_te = static_coefficients(k_perp, m, mu)
     else:
-        mu = 1.0 if mu_l is None else mu_l
         eps_tr, eps_l = eps_pair(xi, k_perp, m)
         k = k_perp * C_LIGHT / xi  # in units of xi/c
         k2 = k * k

@@ -11,9 +11,9 @@ PUBLIC = [
     # permittivities and reflection coefficients
     "FixedReflection", "ReflectionPair", "eps_pair", "refl_fresnel",
     "refl_pair",
-    # surface impedances: closed forms, the k_z integrals, local media
+    # surface impedances: the closed forms and the k_z integrals
     "ImpedancePair", "impedance_integral", "impedance_pair",
-    "refl_from_impedance", "z_local",
+    "refl_from_impedance",
     # the pressure
     "PressureResult", "QuadratureError", "SeriesConvergenceError",
     "pressure", "pressure_curves",

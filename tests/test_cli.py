@@ -533,17 +533,6 @@ class TestExitCodes:
         assert calls == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the k_z-integral oracle; a CLI start must not pay
-    # for importing it
-    src = os.path.dirname(os.path.dirname(casimag.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, casimag.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_cli_run_imports_neither_argparse_nor_locale(cfg_path, tmp_path):
     # each CLI run is a fresh process; argparse and the locale module that
     # its gettext lookup imports cost milliseconds of every run

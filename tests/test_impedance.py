@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from casimag import (MaterialModel, MatsubaraContext, impedance_integral,
-                     impedance_pair, matsubara_xi, nickel,
-                     refl_from_impedance, refl_pair, z_local)
+import casimag
+from casimag import (MaterialModel, MatsubaraContext, QuadratureError,
+                     impedance_integral, impedance_pair, matsubara_xi,
+                     nickel, quadrature, refl_from_impedance, refl_pair)
 from casimag.constants import C_LIGHT
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -108,36 +112,6 @@ class TestIntegralClosedEquivalence:
                                                                  rel=1e-8)
 
 
-class TestLocalImpedances:
-    def test_vacuum(self):
-        pair = z_local(1, 2e6, 1.0, 1.0, CTX)
-        assert pair.z_te == pytest.approx(vacuum_impedance_te(1, 2e6),
-                                          rel=1e-14)
-        assert pair.z_tm == pytest.approx(vacuum_impedance_tm(1, 2e6),
-                                          rel=1e-14)
-
-    def test_symmetry_mu_equals_eps_at_normal_incidence(self):
-        # at k_perp = 0 both impedances reduce to sqrt(mu/eps)
-        pair = z_local(1, 0.0, 7.0, 7.0, CTX)
-        assert pair.z_te == pytest.approx(1.0, rel=1e-14)
-        assert pair.z_tm == pytest.approx(1.0, rel=1e-14)
-
-    def test_reciprocity_mu_equals_eps(self):
-        # for mu = eps the TE and TM impedances are reciprocal
-        pair = z_local(1, 2e6, 7.0, 7.0, CTX)
-        assert pair.z_te * pair.z_tm == pytest.approx(1.0, rel=1e-14)
-
-    def test_ideal_metal_limit(self):
-        z1 = z_local(1, 2e6, 1e6, 1.0, CTX)
-        z2 = z_local(1, 2e6, 1e12, 1.0, CTX)
-        assert z2.z_tm < z1.z_tm < 1e-2
-        assert z2.z_te < z1.z_te < 1e-2
-
-    def test_rejects_unphysical_eps(self):
-        with pytest.raises(ValueError):
-            z_local(1, 2e6, 0.5, 1.0, CTX)
-
-
 class TestProperties:
     @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
     def test_positivity(self, variant):
@@ -147,11 +121,6 @@ class TestProperties:
                 z = impedance_pair(l, k_perp, m, CTX)
                 assert z.z_te > 0.0
                 assert z.z_tm > 0.0
-
-    def test_te_nonincreasing_in_eps(self):
-        values = [z_local(1, 2e6, eps, 1.0, CTX).z_te
-                  for eps in (1.0, 2.0, 10.0, 1e3, 1e6)]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_te_plasma_below_drude(self):
         # the plasma permittivity is >= the Drude one pointwise, so Z_TE
@@ -184,3 +153,31 @@ class TestProperties:
         integral = impedance_integral(2, 1e6, m, CTX)
         assert integral.z_tm == pytest.approx(closed.z_tm, rel=1e-9)
         assert integral.z_te == pytest.approx(closed.z_te, rel=1e-9)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("route", [refl_pair, impedance_pair,
+                                       impedance_integral])
+    def test_rejects_unphysical_mu(self, route, mu):
+        # the override, like MaterialModel.mu0, must be finite and >= 1
+        with pytest.raises(ValueError, match="mu_l"):
+            route(1, 1e6, nickel("drude"), CTX, mu_l=mu)
+
+
+class TestIntegralRoute:
+    def test_panel_budget_exhausted(self, monkeypatch):
+        # a budget of one panel forbids every bisection of the k_z integrals
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+        with pytest.raises(QuadratureError):
+            impedance_integral(2, 1e6, nickel("nonlocal"), CTX)
+
+    def test_no_code_path_imports_scipy(self):
+        # the package runs on NumPy alone: the CLI and the k_z oracle too
+        src = os.path.dirname(os.path.dirname(casimag.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, casimag, casimag.cli\n"
+                "casimag.impedance_integral(2, 1e6, casimag.nickel(), "
+                "casimag.MatsubaraContext(temperature=300.0))\n"
+                "print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
