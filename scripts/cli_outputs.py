@@ -18,7 +18,7 @@ checkouts compare with
     python3 scripts/cli_outputs.py .      out-change
     diff -r out-parent out-change
 
-A checkout runs the 96 commands in about 35 s on two cores.
+A checkout runs the 104 commands in about 45 s on two cores.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ a_nm,grad_uN_per_m,err_uN_per_m
 RUNS = (
     ("pressure-all", ["pressure", "--model", "all"]),
     ("pressure", ["pressure"]),
+    ("pressure-plasma", ["pressure", "--model", "plasma"]),
     ("ratio", ["ratio"]),
     ("ratio-drude", ["ratio", "--model", "drude"]),
     ("gradient-all", ["gradient", "--model", "all"]),

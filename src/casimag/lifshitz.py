@@ -117,27 +117,23 @@ class _Table:
     model shared by every component (a static term, a FixedReflection;
     their ``cols`` hold a alone), or the table itself, whose ``a``,
     omega_p and effective (gamma, v_t, v_l) are fields shaped (C, 1, 1)
-    and whose ``core`` gathers the interband core by model index.
-    Velocities all zero are the floats 0.0, which keeps the local shortcut
-    of ``free_electron_eps``.  Indexing with a slice or a keep mask takes
+    and whose ``core`` gathers the interband core by model index.  Every
+    component, local or not, takes the one formula of
+    ``free_electron_eps``.  Indexing with a slice or a keep mask takes
     those components.  A plain class: a frozen dataclass would add about
     0.8 ms to every CLI start."""
 
     __slots__ = ("cols", "models", "tabled", "a", "view", "omega_p",
                  "effective")
 
-    def __init__(self, cols: np.ndarray, view=None, models=(),
-                 tabled=False, velocities=False):
-        self.cols, self.models, self.tabled = cols, models, tabled
+    def __init__(self, cols: np.ndarray, view=None, models=()):
+        self.cols, self.models = cols, models
+        self.tabled = any(m.interband is not None for m in models)
         self.a = cols[0, :, None, None]
         self.view = self if view is None else view
         if view is None:
-            self.omega_p, gamma, v_t, v_l = (cols[k, :, None, None]
-                                             for k in range(1, 5))
-            # parts of a local table are local; others are checked
-            if not (velocities and cols[3:5].any()):
-                v_t = v_l = 0.0
-            self.effective = gamma, v_t, v_l
+            self.omega_p = cols[1, :, None, None]
+            self.effective = tuple(cols[2:5, :, None, None])
 
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
@@ -148,14 +144,12 @@ class _Table:
         fields = np.array([(m.omega_p, *m.effective, i)
                            for i, m in enumerate(models)]).T
         return cls(np.vstack((np.tile(a, len(models)),
-                              fields.repeat(len(a), axis=1))), None, models,
-                   any(m.interband is not None for m in models), True)
+                              fields.repeat(len(a), axis=1))), None, models)
 
     def __getitem__(self, j) -> "_Table":
         if self.view is not self:
             return _Table(self.cols[:, j], self.view)
-        return _Table(self.cols[:, j], None, self.models, self.tabled,
-                      isinstance(self.effective[1], np.ndarray))
+        return _Table(self.cols[:, j], None, self.models)
 
     def core(self, xi: float):
         """The interband core at xi: one float when every model in the

@@ -53,18 +53,13 @@ def free_electron_eps(xi, k, m, core, k_unit=1.0):
 
     core + W (1 + v_t k/xi) and core + W/(1 + v_l k/xi) with
     W = wp^2/(xi(xi+gamma)), on the model's effective (gamma, v_t, v_l):
-    drude has zero velocities, plasma zero gamma too.  ``core`` replaces
-    the leading unity; k is in units of ``k_unit`` (by default 1/m).  With
-    v_t = v_l = 0 the pair is local and one object is returned twice
-    (``eps_tr is eps_l``); the shortcut is exact.  Velocity arrays (one
-    entry per component) take the general formula, which gives the same
-    bits for a component with zero velocities.
+    drude has zero velocities, plasma zero gamma too, and every variant
+    takes this one formula.  ``core`` replaces the leading unity; k is in
+    units of ``k_unit`` (by default 1/m).  Zero velocities give both
+    entries equal to core + W, bit for bit: the local pair.
     """
     gamma, v_t, v_l = m.effective
     w = m.omega_p * m.omega_p / (xi * (xi + gamma))
-    if not isinstance(v_t, np.ndarray) and v_t == 0.0 and v_l == 0.0:
-        eps = core + w
-        return eps, eps
     # per-component factors first, so an array k costs two and four passes
     b_t, b_l = v_t * (k_unit / xi), v_l * (k_unit / xi)
     return (core + w) + (w * b_t) * k, core + w / (1.0 + b_l * k)
@@ -110,18 +105,15 @@ def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l):
          / (q eps_tr + k_mu + k (eps_tr - eps_l)/eps_l),
     r_TE = (q mu - k_mu) / (q mu + k_mu).
 
-    For a local variant (``eps_tr is eps_l``) the cross term is zero and
-    skipped: this is the Fresnel form.  mu = 1 skips its products, and
+    For a local pair (eps_tr == eps_l) the cross term is exactly zero and
+    this is the Fresnel form, bit for bit.  mu = 1 skips its products, and
     q +- k_mu are formed in place; neither changes a bit.
     """
     k_mu = np.sqrt(k2 + (eps_tr if mu == 1.0 else mu * eps_tr))
-    if eps_tr is not eps_l:
-        cross = eps_tr - eps_l
-        cross *= k
-        cross /= eps_l
-        cross += k_mu
-    else:
-        cross = k_mu
+    cross = eps_tr - eps_l
+    cross *= k
+    cross /= eps_l
+    cross += k_mu
     d_tm = q * eps_tr
     n_tm = d_tm - cross
     d_tm += cross
@@ -189,8 +181,8 @@ def lifshitz_summand(y, xi, a, model):
 
 
 def _check_k(k_perp: float) -> None:
-    if k_perp < 0.0:
-        raise ValueError("k_perp must be >= 0")
+    if not 0.0 <= k_perp < math.inf:
+        raise ValueError("k_perp must be finite and >= 0")
 
 
 def eps_pair(xi: float, k_perp: float,

@@ -12,12 +12,12 @@ transform, evaluated at purely imaginary frequencies ``omega = i*xi`` with
 ``xi > 0``.  The static (``xi = 0``) limit is handled analytically by the
 reflection layer.
 
-Every function in this module is pure and safe for concurrent use.
+Every function in this module is safe for concurrent use: a race on the
+KK node sets an ``InterbandTable`` keeps at worst builds equal ones twice.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -68,12 +68,15 @@ class InterbandTable:
     ``im_eps`` is dimensionless and nonnegative; every value is finite.
     The table represents measured absorption of the real metal, including
     its free-electron part; the Drude background is subtracted downstream
-    when the interband excess is formed.
+    when the interband excess is formed.  The table keeps its KK node sets
+    per (omega_p, gamma), outside equality, hashing and repr.
     """
 
     omega: tuple[float, ...]
     im_eps: tuple[float, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _kk: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False)
 
     def __post_init__(self):
         if len(self.omega) < 2:
@@ -88,7 +91,7 @@ class InterbandTable:
             raise ValueError("interband table omega must be positive")
         if any(v < 0.0 for v in self.im_eps):
             raise ValueError("interband table im_eps must be nonnegative")
-        # the KK caches key on the table: hash its floats once, not per call
+        # ``_Table.core`` keys on the table: hash its floats once
         object.__setattr__(self, "_hash", hash((self.omega, self.im_eps)))
 
     def __hash__(self):
@@ -185,9 +188,9 @@ class MatsubaraContext:
     """Temperature and series policy for one run.
 
     ``temperature`` (K) is the one source of the temperature for every
-    Matsubara frequency and pressure prefactor; ``l_max_cap`` optionally
-    overrides the separation-derived cap on the number of Matsubara terms
-    (None = derive it from the separation at evaluation time).
+    Matsubara frequency and pressure prefactor; ``l_max_cap``, an int >= 10,
+    optionally overrides the separation-derived cap on the number of
+    Matsubara terms (None = derive it from the separation when summing).
     """
 
     temperature: float
@@ -196,8 +199,9 @@ class MatsubaraContext:
     def __post_init__(self):
         if not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be finite and > 0")
-        if self.l_max_cap is not None and self.l_max_cap < 10:
-            raise ValueError("l_max_cap must be >= 10")
+        cap = self.l_max_cap
+        if cap is not None and not (type(cap) is int and cap >= 10):
+            raise ValueError("l_max_cap must be an int >= 10")
 
 
 def matsubara_xi(l: int, ctx: MatsubaraContext) -> float:
@@ -244,18 +248,46 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     (G4) panels: one per table segment, with breakpoints at the zero
     crossings of table - Drude (the kinks of the max) and no panel wider
     than ``KK_PANEL_WIDTH``.  The nodes and the xi-independent weights
-    w^2 eps''_ib(w) du are built once per (table, omega_p, gamma), so each
-    xi costs one weighted sum of 1/(w_n^2 + xi^2) on these fixed nodes.
-    With them comes an a-priori bound on the relative error of that sum
-    which holds at every xi (``_g4_bound``); no panel is refined and no
-    error is estimated per xi.  A bound above ``KK_QUAD_TOL``, or a
-    non-finite integral, raises ``QuadratureError`` naming xi.
+    w^2 eps''_ib(w) du are built on first use and kept by the table per
+    (omega_p, gamma), so each xi costs one weighted sum of 1/(w_n^2 + xi^2)
+    on these fixed nodes.  With them comes an a-priori bound on the
+    relative error of that sum which holds at every xi (``_g4_bound``); no
+    panel is refined and no error is estimated per xi.  A bound above
+    ``KK_QUAD_TOL``, or a non-finite integral, raises ``QuadratureError``
+    naming xi.
 
     The result replaces the leading "1" of the free-electron
     permittivities at the same xi.
     """
     _check_xi(xi)
-    return _eps_core_cached(xi, table, m.omega_p, m.gamma)
+    key = omega_p, gamma = m.omega_p, m.gamma
+    if key not in table._kk:
+        table._kk[key] = _kk_nodes(table, omega_p, gamma)
+    w2, wg, bound = table._kk[key]
+    r = w2 + xi * xi
+    np.reciprocal(r, out=r)  # the only node-sized temporary of this xi
+    total = float(np.vdot(wg, r))
+    if not (math.isfinite(total) and bound <= KK_QUAD_TOL):
+        raise QuadratureError(
+            f"KK quadrature at xi = {xi:.6e} rad/s missed its relative "
+            f"tolerance {KK_QUAD_TOL:.1e} on its fixed nodes", bound * total)
+
+    # Closed-form tail of the (w_max/w)^3 extrapolation: substituting
+    # t = w_max/w gives W Int_0^1 t^2/(1 + b^2 t^2) dt with b = xi/w_max.
+    w_hi = table.omega[-1]
+    w_tail = max(0.0, table.im_eps[-1] - drude_im_eps(w_hi, omega_p, gamma))
+    b = xi / w_hi
+    if b < 1e-6:
+        tail = w_tail * (1.0 / 3.0 - b * b / 5.0)
+    else:
+        tail = w_tail * (1.0 / b**2 - math.atan(b) / b**3)
+
+    if tail > KK_TAIL_REL_TOL * (total + tail):
+        raise ValueError(
+            "interband table range too narrow: extrapolated tail is "
+            f"{tail / (total + tail):.2e} of the integral "
+            f"(limit {KK_TAIL_REL_TOL:.1e})")
+    return 1.0 + (2.0 / PI) * (total + tail)
 
 
 def _newton(f, df, lo, hi):
@@ -319,7 +351,6 @@ def _excess_zeros(omega, im_eps, omega_p, gamma):
     return np.concatenate(zeros)
 
 
-@functools.lru_cache(maxsize=16)
 def _kk_nodes(table, omega_p, gamma):
     """G4 nodes of ``table``'s KK integral in u = ln w, as (w^2, weights,
     bound): w^2 and the weights have shape (panels, 4), with w^2
@@ -350,7 +381,7 @@ def _kk_nodes(table, omega_p, gamma):
     keep = wg.any(axis=1)
     w2, wg = w2[keep], wg[keep]
     for a in (w2, wg):
-        a.setflags(write=False)  # shared by every call through the cache
+        a.setflags(write=False)  # shared by every xi of the table
     with np.errstate(all="ignore"):  # a non-finite bound raises later
         bound = _g4_bound(omega, im_eps, omega_p, gamma, lo[keep],
                           half[keep], (excess * _WG).sum(axis=1)[keep]
@@ -418,32 +449,3 @@ def _g4_bound(omega, im_eps, omega_p, gamma, lo, half, g4):
 
     (num, num_inf), (den, den_inf) = at_edges(upper), at_edges(lower)
     return 2.0 * float(max((num / den).max(), num_inf / den_inf))
-
-
-@functools.lru_cache(maxsize=4096)
-def _eps_core_cached(xi, table, omega_p, gamma):
-    w2, wg, bound = _kk_nodes(table, omega_p, gamma)
-    r = w2 + xi * xi
-    np.reciprocal(r, out=r)  # the only node-sized temporary of this xi
-    total = float(np.vdot(wg, r))
-    if not (math.isfinite(total) and bound <= KK_QUAD_TOL):
-        raise QuadratureError(
-            f"KK quadrature at xi = {xi:.6e} rad/s missed its relative "
-            f"tolerance {KK_QUAD_TOL:.1e} on its fixed nodes", bound * total)
-
-    # Closed-form tail of the (w_max/w)^3 extrapolation: substituting
-    # t = w_max/w gives W Int_0^1 t^2/(1 + b^2 t^2) dt with b = xi/w_max.
-    w_hi = table.omega[-1]
-    w_tail = max(0.0, table.im_eps[-1] - drude_im_eps(w_hi, omega_p, gamma))
-    b = xi / w_hi
-    if b < 1e-6:
-        tail = w_tail * (1.0 / 3.0 - b * b / 5.0)
-    else:
-        tail = w_tail * (1.0 / b**2 - math.atan(b) / b**3)
-
-    if tail > KK_TAIL_REL_TOL * (total + tail):
-        raise ValueError(
-            "interband table range too narrow: extrapolated tail is "
-            f"{tail / (total + tail):.2e} of the integral "
-            f"(limit {KK_TAIL_REL_TOL:.1e})")
-    return 1.0 + (2.0 / PI) * (total + tail)

@@ -1,6 +1,6 @@
 import pytest
 
-from casimag import InterbandTable, MatsubaraContext, nickel, response
+from casimag import InterbandTable, MatsubaraContext, nickel
 
 import _ni_optical
 
@@ -12,7 +12,8 @@ def ctx300():
 
 @pytest.fixture(scope="session")
 def ni_table():
-    """Synthetic Ni absorption table (session-wide so the KK cache is shared)."""
+    """Synthetic Ni absorption table (session-wide, so its KK node sets
+    are built once)."""
     return InterbandTable.from_rows_ev(_ni_optical.rows())
 
 
@@ -26,12 +27,3 @@ def ni_models_ib(ni_table):
     return {v: nickel(v, interband=ni_table)
             for v in ("drude", "plasma", "nonlocal")}
 
-
-@pytest.fixture
-def fresh_kk_caches():
-    """Empty KK caches around a test that patches the KK settings."""
-    response._kk_nodes.cache_clear()
-    response._eps_core_cached.cache_clear()
-    yield
-    response._kk_nodes.cache_clear()
-    response._eps_core_cached.cache_clear()

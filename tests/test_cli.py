@@ -303,16 +303,23 @@ class TestWorkCounts:
               .replace("points = 2", "points = 15")
               .replace("spacing = linear", "spacing = log"))
 
-    @pytest.mark.parametrize("tabled", [False, True])
-    def test_readme_ratio_work_counts(self, tmp_path, monkeypatch, tabled):
+    def write_config(self, tmp_path, tabled):
         cfg = tmp_path / "readme.cfg"
         text = self.README
         if tabled:
             _ni_optical.write_csv(tmp_path / "ni.csv")
             text += f"optical_data_path = {tmp_path / 'ni.csv'}\n"
         cfg.write_text(text, encoding="utf-8")
+        return ["ratio", "--config", str(cfg), "--model", "all",
+                "--output", str(tmp_path / "ratio.csv")]
+
+    @pytest.mark.parametrize("tabled", [False, True])
+    def test_readme_ratio_work_counts(self, tmp_path, monkeypatch, tabled):
+        args = self.write_config(tmp_path, tabled)
         kernel, kk = lifshitz.lifshitz_summand, response.eps_core_kk
+        kk_nodes = response._kk_nodes
         calls, nodes, xis, kk_calls, static = [0], [0], set(), [], [0]
+        builds = []
 
         def spy(y, xi, *args):
             calls[0] += 1
@@ -325,10 +332,14 @@ class TestWorkCounts:
             kk_calls.append((xi, table, m))
             return kk(xi, table, m)
 
+        def nodes_spy(table, *args):
+            builds.append(table)
+            return kk_nodes(table, *args)
+
         monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
         monkeypatch.setattr(response, "eps_core_kk", kk_spy)
-        assert run(["ratio", "--config", str(cfg), "--model", "all",
-                    "--output", str(tmp_path / "ratio.csv")]) == 0
+        monkeypatch.setattr(response, "_kk_nodes", nodes_spy)
+        assert run(args) == 0
         work = calls[0], nodes[0], len(xis)
         # each model's static term converges on its first round: one call
         assert static[0] == 3
@@ -336,15 +347,47 @@ class TestWorkCounts:
         # l = 1, whose 45 x 84-node first round NODE_CAP splits
         if not tabled:
             assert work == (102, 140_868, 99)
-            assert kk_calls == []
+            assert kk_calls == builds == []
             return
         assert work == (123, 161_343, 120)
         # one KK evaluation per frequency, shared by the three variants
         assert len({xi for xi, _, _ in kk_calls}) == 119
         assert len(kk_calls) == 120
+        # on one KK node set, which the table keeps
         _, table, m = kk_calls[0]
-        w2, _, _ = response._kk_nodes(table, m.omega_p, m.gamma)
+        assert builds == [table]
+        assert all(t is table for _, t, _ in kk_calls)
+        (key, (w2, _, _)), = table._kk.items()
+        assert key == (m.omega_p, m.gamma)
         assert w2.size == 2188
+
+    def test_second_run_compares_no_tables(self, tmp_path, monkeypatch):
+        # each run reads the CSV into a new, equal table; nothing
+        # process-wide keys on a table, so no run compares its table with
+        # an earlier one, and each table builds its own one KK node set
+        args = self.write_config(tmp_path, True)
+        table_eq, kk_nodes = casimag.InterbandTable.__eq__, response._kk_nodes
+        compared, builds = [], []
+
+        def eq_spy(table, other):
+            compared.append(table)
+            return table_eq(table, other)
+
+        def nodes_spy(table, *args):
+            builds.append(table)
+            return kk_nodes(table, *args)
+
+        monkeypatch.setattr(casimag.InterbandTable, "__eq__", eq_spy)
+        monkeypatch.setattr(response, "_kk_nodes", nodes_spy)
+        assert run(args) == 0
+        assert run(args) == 0
+        assert compared == []
+        first, second = builds
+        assert first is not second
+        # the node sets a table keeps take no part in equality, hashing or
+        # repr
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) and "_kk" not in repr(first)
 
 
 class TestExitCodes:
@@ -486,7 +529,7 @@ class TestExitCodes:
         assert "model nonlocal at separation 5.000000e-08 m" in err
 
     def test_kk_bound_miss_is_one_line_error_naming_xi(
-            self, tmp_path, capsys, monkeypatch, fresh_kk_caches):
+            self, tmp_path, capsys, monkeypatch):
         # one KK panel per segment of a 3-row table spanning six decades:
         # the a-priori bound of its fixed nodes misses KK_QUAD_TOL
         monkeypatch.setattr(response, "KK_PANEL_WIDTH", 100.0)

@@ -158,6 +158,46 @@ def test_nonlocal_permittivities_match_their_closed_forms(core):
                                           rel=1e-14)
 
 
+def _zero_velocity_models():
+    # (floats) the local variants; (columns) three components shaped
+    # (C, 1, 1) as a pressure loop's component table holds them
+    ni = nickel("drude")
+    zeros = np.zeros((3, 1, 1))
+    columns = SimpleNamespace(
+        omega_p=ni.omega_p * np.array([0.5, 1.0, 2.0])[:, None, None],
+        effective=(np.array([0.0, ni.gamma, 3.0 * ni.gamma])[:, None, None],
+                   zeros, zeros))
+    return {"drude": ni, "plasma": nickel("plasma"), "columns": columns}
+
+
+@pytest.mark.parametrize("mu", [1.0, 110.0])
+@pytest.mark.parametrize("core", [1.0, 7.5])
+@pytest.mark.parametrize("name", ["drude", "plasma", "columns"])
+def test_zero_velocities_give_the_local_pair_bit_for_bit(name, core, mu):
+    # the one permittivity formula with v_t = v_l = 0 gives eps_tr = eps_l
+    # = core + W, and on that pair the cross term is exactly zero, so the
+    # coefficients are the Fresnel ones, bit for bit
+    m = _zero_velocity_models()[name]
+    gamma = m.effective[0]
+    for l in (1, 7, 60):
+        xi = matsubara_xi(l, CTX)
+        eps = core + m.omega_p * m.omega_p / (xi * (xi + gamma))
+        for k in (np.linspace(0.0, 30.0, 41), 0.0, 2.5):
+            eps_tr, eps_l = reflection.free_electron_eps(xi, k, m, core,
+                                                         xi / C_LIGHT)
+            expected = np.broadcast_to(eps, np.broadcast(eps, k).shape)
+            assert np.array_equal(eps_tr, expected)
+            assert np.array_equal(eps_l, expected)
+            k2 = k * k
+            q = np.sqrt(k2 + 1.0)
+            k_mu = np.sqrt(k2 + (expected if mu == 1.0 else mu * expected))
+            got = reflection.matsubara_coefficients(q, k, k2, mu, eps_tr,
+                                                    eps_l)
+            for g, e in zip(got, (q * expected - k_mu, q * expected + k_mu,
+                                  mu * q - k_mu, mu * q + k_mu)):
+                assert np.array_equal(g, e)
+
+
 README_GRID = np.geomspace(100e-9, 800e-9, 15)[:, None, None]
 
 

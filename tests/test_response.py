@@ -103,6 +103,16 @@ class TestWavevectorDependence:
         with pytest.raises(ValueError, match="k_perp"):
             eps_pair(XI1, -1e6, nickel(variant))
 
+    @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_wavevector_rejected(self, variant, k):
+        # every variant takes the one formula, whose (W v_t/xi) k is nan at
+        # k = inf even with v_t = 0: a non-finite k is an input error
+        with pytest.raises(ValueError, match="k_perp must be finite"):
+            eps_pair(XI1, k, nickel(variant))
+        with pytest.raises(ValueError, match="k_perp must be finite"):
+            refl_pair(1, k, nickel(variant), CTX)
+
     @pytest.mark.parametrize("xi_fac", [0.3, 1.0, 3.0, 10.0, 100.0])
     @pytest.mark.parametrize("k", [0.0, 1e5, 1e6, 1e7, 1e8])
     def test_ordering_longitudinal_drude_transverse(self, xi_fac, k):
@@ -168,6 +178,15 @@ class TestModelValidation:
     def test_context_bounds(self, kwargs):
         with pytest.raises(ValueError):
             MatsubaraContext(**kwargs)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 10.5, 10.0, True],
+                             ids=["nan", "inf", "fraction", "float", "bool"])
+    def test_cap_must_be_an_int(self, cap):
+        # a nan or inf cap would switch the term cap off, and a fractional
+        # one would be reported as terms_used
+        with pytest.raises(ValueError, match="l_max_cap must be an int"):
+            MatsubaraContext(temperature=300.0, l_max_cap=cap)
+        assert MatsubaraContext(300.0, 10).l_max_cap == 10
 
     @pytest.mark.parametrize("field", ["omega_p", "gamma", "mu0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -480,15 +499,14 @@ class TestKramersKronigCore:
         got = np.array([np.vdot(wg, 1.0 / (w2 + xi * xi)) for xi in xis])
         assert np.all(np.abs(got - ref) <= bound * ref)
 
-    def test_panels_too_wide_raise(self, monkeypatch, fresh_kk_caches):
+    def test_panels_too_wide_raise(self, monkeypatch):
         # one panel per segment of the coarse table misses KK_QUAD_TOL;
         # the fixed nodes are never refined, so the core must raise
         monkeypatch.setattr(response, "KK_PANEL_WIDTH", 100.0)
         with pytest.raises(QuadratureError, match="xi = "):
             eps_core_kk(XI1, _coarse_table(), NI)
 
-    def test_unreachable_tolerance_raises(self, monkeypatch,
-                                          fresh_kk_caches):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         # below the table's a-priori error bound: the core must raise, not
         # return
         monkeypatch.setattr(response, "KK_QUAD_TOL", 1e-20)
