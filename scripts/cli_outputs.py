@@ -3,16 +3,16 @@
 Usage: python3 scripts/cli_outputs.py ROOT OUTDIR
 
 Runs each casimag command on the README config (100-800 nm, 15 log-spaced
-separations, the nickel parameters) at 300 K and at 10 K, each with and
-without the synthetic Ni optical table of ``tests/_ni_optical.py``, using
-the sources under ROOT/src.  Every run writes its CSV to a file and, once
-more, to stdout; ``--help`` runs once, and three runs take the error
-paths (``impedance-dump --model all``, ``compare`` without
-``--experiment`` and an unknown ``--model``).  For each run,
-OUTDIR/<case>/<run>.csv holds the CSV file (when one was written) and
-<run>.stdout, <run>.stderr and <run>.exit the process's streams and exit
-code.  The inputs are built from this script's checkout, so two
-checkouts compare with
+separations, the nickel parameters, a PFA-correction table) at 300 K and
+at 10 K, each with and without the synthetic Ni optical table of
+``tests/_ni_optical.py``, using the sources under ROOT/src.  Every run
+writes its CSV to a file and, once more, to stdout; ``--help`` runs
+once, and three runs take the error paths (``impedance-dump --model
+all``, ``compare`` without ``--experiment`` and an unknown ``--model``).
+For each run, OUTDIR/<case>/<run>.csv holds the CSV file (when one was
+written) and <run>.stdout, <run>.stderr and <run>.exit the process's
+streams and exit code.  The inputs are built from this script's
+checkout, so two checkouts compare with
 
     python3 scripts/cli_outputs.py PARENT out-parent
     python3 scripts/cli_outputs.py .      out-change
@@ -50,6 +50,15 @@ radius_m = 61.71e-6
 delta_s_m = 1.5e-9
 delta_p_m = 1.4e-9
 err_theory_rel = 0.005
+theta_table_path = theta.csv
+"""
+# a PFA-correction table over 90-900 nm, so that every gradient and
+# compare run applies theta(a) by interpolation, with no endpoint warning
+THETA = """\
+a_nm,theta
+90,-0.45
+250,-0.5
+900,-0.56
 """
 # synthetic measured gradients in uN/m, some inside the confidence
 # interval of a variant and some outside
@@ -111,6 +120,7 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         _ni_optical.write_csv(work / "ni_optical.csv")
         (work / "expt.csv").write_text(EXPERIMENT, encoding="utf-8")
+        (work / "theta.csv").write_text(THETA, encoding="utf-8")
         for temperature in (300, 10):
             for table in (False, True):
                 case = f"{temperature}K-{'table' if table else 'free'}"

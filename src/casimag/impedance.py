@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .quadrature import adaptive_quad
-from .reflection import ReflectionPair, _permeability, eps_pair
+from .reflection import ReflectionPair, _check_k, _permeability, eps_pair
 from .response import MaterialModel, MatsubaraContext, matsubara_xi
 
 KZ_QUAD_TOL = 1e-10
@@ -122,6 +122,7 @@ def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,
     """
     if l < 1:
         raise ValueError("impedance route requires l >= 1")
+    _check_k(k_perp)
     xi = matsubara_xi(l, ctx)
     cq = C_LIGHT * math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
     r_tm = (cq - xi * z.z_tm) / (cq + xi * z.z_tm)

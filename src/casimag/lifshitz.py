@@ -22,12 +22,13 @@ its coefficients depend on the variant.  The pairs still summing at
 l >= 1 form one component table (``_Table``), built once per run and
 compressed as pairs converge.  Each l is one vector-valued quadrature
 over it: the kernel reads the separations, omega_p and effective
-(gamma, v_t, v_l) as columns, with one scalar xi and the interband core
-of ``_Table.core``.  On the README grid (15 separations, 100-800 nm,
-three models) a run takes 101 quadratures instead of 297 with one loop
-per model.  A round's kernel calls split the components so that none
-exceeds ``NODE_CAP`` nodes.  A ``reflection.FixedReflection``
-(re-exported here) runs alone.
+(gamma, v_t, v_l) as columns, with one scalar xi and ``_Table.core``, one
+interband core per core group (one float for the variants of a material),
+the groups fixed when the table is built.  On the README grid (15
+separations, 100-800 nm, three models) a run takes 101 quadratures
+instead of 297 with one loop per model.  A round's kernel calls split
+the components so that none exceeds ``NODE_CAP`` nodes.  A
+``reflection.FixedReflection`` (re-exported here) runs alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency coefficients of the variant
@@ -85,7 +86,6 @@ NODE_CAP = 3600
 # term's quadrature, with their s^2 and 2 s
 _FIRST = {bp: (s, s * s, 2.0 * s) for bp in (BREAKPOINTS, STATIC_BREAKPOINTS)
           for s in (_first_round(0.0, S_CUT, bp)[2],)}
-_S = _FIRST[BREAKPOINTS][0]
 
 
 @dataclass(frozen=True)
@@ -112,23 +112,21 @@ class SeriesConvergenceError(RuntimeError):
 
 class _Table:
     """Components of one vector-valued quadrature: column i of ``cols``
-    holds component i's a, omega_p, gamma, v_t, v_l and model index (as
+    holds component i's a, omega_p, gamma, v_t, v_l and core group (as
     rows, every field is contiguous).  ``view`` is the kernel's model: one
     model shared by every component (a static term, a FixedReflection;
     their ``cols`` hold a alone), or the table itself, whose ``a``,
     omega_p and effective (gamma, v_t, v_l) are fields shaped (C, 1, 1)
-    and whose ``core`` gathers the interband core by model index.  Every
-    component, local or not, takes the one formula of
-    ``free_electron_eps``.  Indexing with a slice or a keep mask takes
-    those components.  A plain class: a frozen dataclass would add about
-    0.8 ms to every CLI start."""
+    and whose ``core`` gives each group's interband core from ``cores``,
+    one model per group.  Every component, local or not, takes the one
+    formula of ``free_electron_eps``.  Indexing with a slice or a keep
+    mask takes those components.  A plain class: a frozen dataclass would
+    add about 0.8 ms to every CLI start."""
 
-    __slots__ = ("cols", "models", "tabled", "a", "view", "omega_p",
-                 "effective")
+    __slots__ = ("cols", "cores", "a", "view", "omega_p", "effective")
 
-    def __init__(self, cols: np.ndarray, view=None, models=()):
-        self.cols, self.models = cols, models
-        self.tabled = any(m.interband is not None for m in models)
+    def __init__(self, cols: np.ndarray, view=None, cores=()):
+        self.cols, self.cores = cols, cores
         self.a = cols[0, :, None, None]
         self.view = self if view is None else view
         if view is None:
@@ -138,39 +136,37 @@ class _Table:
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
         """The l >= 1 table of every (model, separation) pair, model-major;
-        a FixedReflection, which runs alone, is its own view."""
+        a FixedReflection, which runs alone, is its own view.  Models without
+        a table form one core group, the others one per (table, omega_p,
+        gamma)."""
         if isinstance(models[0], FixedReflection):
             return cls(a[None], models[0])
-        fields = np.array([(m.omega_p, *m.effective, i)
-                           for i, m in enumerate(models)]).T
+        groups, fields = {}, []  # core key -> (group, its first model)
+        for m in models:  # the key is None for every model without a table
+            key = m.interband and (m.interband, m.omega_p, m.gamma)
+            g, _ = groups.setdefault(key, (len(groups), m))
+            fields.append((m.omega_p, *m.effective, g))
+        fields = np.array(fields).T
         return cls(np.vstack((np.tile(a, len(models)),
-                              fields.repeat(len(a), axis=1))), None, models)
+                              fields.repeat(len(a), axis=1))), None,
+                   tuple(m for _, m in groups.values()))
 
     def __getitem__(self, j) -> "_Table":
         if self.view is not self:
             return _Table(self.cols[:, j], self.view)
-        return _Table(self.cols[:, j], None, self.models)
+        return _Table(self.cols[:, j], None, self.cores)
 
     def core(self, xi: float):
-        """The interband core at xi: one float when every model in the
-        table agrees, else a column gathered by model index.  Models with
-        the same (table, omega_p, gamma), such as the variants of one
-        material, share one evaluation."""
-        if not self.tabled:
-            return 1.0
-        index = self.cols[5].astype(int)
-        live = set(index.tolist())
-        shared = {}
-        core = [1.0] * len(self.models)
-        for i in live:
-            m = self.models[i]
-            key = m.interband, m.omega_p, m.gamma
-            if key not in shared:
-                shared[key] = m.core(xi)
-            core[i] = shared[key]
-        if len({core[i] for i in live}) == 1:
-            return core[index[0]]
-        return np.array(core)[index, None, None]
+        """The interband core at xi: its group's model's core when the
+        table has one group, else a column gathered by group, with one
+        evaluation per group still in the table."""
+        if len(self.cores) == 1:
+            return self.cores[0].core(xi)
+        group = self.cols[5].astype(int)
+        core = [1.0] * len(self.cores)
+        for g in set(group.tolist()):
+            core[g] = self.cores[g].core(xi)
+        return np.array(core)[group, None, None]
 
 
 def _term_integrals(xi: float, table: _Table,

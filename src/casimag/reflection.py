@@ -255,8 +255,10 @@ def refl_fresnel(l: int, k_perp: float, eps_l: float, mu_l: float,
     """
     if l < 1:
         raise ValueError("Fresnel route requires l >= 1")
-    if eps_l < 1.0 or mu_l < 1.0:
-        raise ValueError("eps_l and mu_l must be >= 1 on the imaginary axis")
+    _check_k(k_perp)
+    if not (1.0 <= eps_l < math.inf and 1.0 <= mu_l < math.inf):
+        raise ValueError("eps_l and mu_l must be finite and >= 1 on the "
+                         "imaginary axis")
     xi = matsubara_xi(l, ctx)
     xi_c2 = (xi / C_LIGHT) ** 2
     q = math.sqrt(k_perp**2 + xi_c2)

@@ -68,13 +68,13 @@ class InterbandTable:
     ``im_eps`` is dimensionless and nonnegative; every value is finite.
     The table represents measured absorption of the real metal, including
     its free-electron part; the Drude background is subtracted downstream
-    when the interband excess is formed.  The table keeps its KK node sets
-    per (omega_p, gamma), outside equality, hashing and repr.
+    when the interband excess is formed.  Equality and the hash are the
+    dataclass's, on the two columns; the KK node sets the table keeps per
+    (omega_p, gamma) are outside them and repr.
     """
 
     omega: tuple[float, ...]
     im_eps: tuple[float, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
     _kk: dict = field(default_factory=dict, init=False, repr=False,
                       compare=False)
 
@@ -91,11 +91,6 @@ class InterbandTable:
             raise ValueError("interband table omega must be positive")
         if any(v < 0.0 for v in self.im_eps):
             raise ValueError("interband table im_eps must be nonnegative")
-        # ``_Table.core`` keys on the table: hash its floats once
-        object.__setattr__(self, "_hash", hash((self.omega, self.im_eps)))
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def from_rows_ev(cls, rows) -> "InterbandTable":
@@ -207,10 +202,11 @@ class MatsubaraContext:
 def matsubara_xi(l: int, ctx: MatsubaraContext) -> float:
     """Matsubara angular frequency xi_l = 2 pi k_B T l / hbar, in rad/s.
 
-    Exactly 0 for l = 0 and exactly linear in both l and T.
+    Exactly 0 for l = 0 and exactly linear in both l and T.  ``l`` is an
+    integer >= 0, such as a NumPy integer; a float or a bool is rejected.
     """
-    if l < 0:
-        raise ValueError("Matsubara index must be >= 0")
+    if isinstance(l, bool) or not hasattr(l, "__index__") or l < 0:
+        raise ValueError(f"Matsubara index must be an integer >= 0, got {l!r}")
     return 2.0 * PI * K_BOLTZMANN * ctx.temperature * l / HBAR
 
 

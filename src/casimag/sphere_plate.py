@@ -29,7 +29,7 @@ from .response import MatsubaraContext
 class GeometryParams:
     """Sphere radius, rms roughnesses and optional PFA-correction table.
 
-    ``theta_table`` rows are (a [m], theta) with |theta| <= 1.  Without
+    A nonempty ``theta_table`` has rows (a [m], theta), |theta| <= 1.  Without
     one theta = 0, which leaves out theta a/R: -0.73% at a = 800 nm with
     R = 61.71 um for the ideal-metal gradient coefficient theta_E/3 =
     -0.564 (Bimonte, Emig, Jaffe & Kardar, EPL 97, 50001 (2012)).
@@ -47,6 +47,8 @@ class GeometryParams:
                 and 0.0 <= self.delta_p < math.inf):
             raise ValueError("roughness must be finite and >= 0")
         if self.theta_table is not None:
+            if not self.theta_table:
+                raise ValueError("theta_table must have at least one row")
             a_prev = 0.0
             for a, theta in self.theta_table:
                 if not a_prev < a < math.inf:

@@ -318,8 +318,10 @@ class TestWorkCounts:
         args = self.write_config(tmp_path, tabled)
         kernel, kk = lifshitz.lifshitz_summand, response.eps_core_kk
         kk_nodes = response._kk_nodes
+        table_hash = casimag.InterbandTable.__hash__
+        table_eq = casimag.InterbandTable.__eq__
         calls, nodes, xis, kk_calls, static = [0], [0], set(), [], [0]
-        builds = []
+        builds, hashed, compared = [], [], []
 
         def spy(y, xi, *args):
             calls[0] += 1
@@ -336,9 +338,19 @@ class TestWorkCounts:
             builds.append(table)
             return kk_nodes(table, *args)
 
+        def hash_spy(table):
+            hashed.append(table)
+            return table_hash(table)
+
+        def eq_spy(table, other):
+            compared.append(table)
+            return table_eq(table, other)
+
         monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
         monkeypatch.setattr(response, "eps_core_kk", kk_spy)
         monkeypatch.setattr(response, "_kk_nodes", nodes_spy)
+        monkeypatch.setattr(casimag.InterbandTable, "__hash__", hash_spy)
+        monkeypatch.setattr(casimag.InterbandTable, "__eq__", eq_spy)
         assert run(args) == 0
         work = calls[0], nodes[0], len(xis)
         # each model's static term converges on its first round: one call
@@ -350,6 +362,10 @@ class TestWorkCounts:
             assert kk_calls == builds == []
             return
         assert work == (123, 161_343, 120)
+        # the models are grouped by core once, when the run's component
+        # table is built: one hash of the table per model, no comparison
+        assert len(hashed) <= 3
+        assert compared == []
         # one KK evaluation per frequency, shared by the three variants
         assert len({xi for xi, _, _ in kk_calls}) == 119
         assert len(kk_calls) == 120
@@ -573,6 +589,31 @@ class TestExitCodes:
                     "--experiment", str(expt),
                     "--output", str(tmp_path / "out.csv")]) == 1
         assert match in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("cmd", ["gradient", "compare"])
+    def test_empty_theta_table_is_one_line_error(self, tmp_path, capsys,
+                                                 monkeypatch, cmd):
+        # a header-only PFA-correction table is rejected before any
+        # pressure, not after the whole run
+        theta = tmp_path / "theta.csv"
+        theta.write_text("a_nm,theta\n", encoding="utf-8")
+        cfg = tmp_path / "sp.cfg"
+        cfg.write_text(BASE.replace("a_min_nm = 4000", "a_min_nm = 300")
+                           .replace("a_max_nm = 6000", "a_max_nm = 400")
+                       + GEOM + f"theta_table_path = {theta}\n",
+                       encoding="utf-8")
+        expt = tmp_path / "expt.csv"
+        expt.write_text("a_nm,grad_uN_per_m,err_uN_per_m\n300,40,1\n",
+                        encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(lifshitz, "lifshitz_summand",
+                            lambda *args: calls.append(args))
+        assert run([cmd, "--config", str(cfg), "--experiment", str(expt),
+                    "--output", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "theta_table" in err
         assert calls == []
 
 

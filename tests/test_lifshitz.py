@@ -459,7 +459,8 @@ class TestPressureCurves:
         terms = max(res.terms_used for curve in curves for res in curve)
         assert len(quads) <= terms + 3
         assert max(sizes) <= lifshitz.NODE_CAP
-        assert max(sizes) == 3 * len(grid) * lifshitz._S.size
+        first, _, _ = lifshitz._FIRST[lifshitz.BREAKPOINTS]
+        assert max(sizes) == 3 * len(grid) * first.size
         assert all(type(xi) is float for xi in xis)
 
     # components split evenly (240), unevenly (300), panels split (50:

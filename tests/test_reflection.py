@@ -94,9 +94,35 @@ class TestFresnel:
         assert r.r_tm == pytest.approx(1.0, abs=1e-4)
         assert r.r_te == pytest.approx(-1.0, abs=1e-4)
 
-    def test_rejects_unphysical(self):
+    # the checks of refl_pair: k_perp finite and >= 0; and eps_l, mu_l
+    # finite and >= 1
+    @pytest.mark.parametrize("k_perp, eps_l, mu_l", [
+        (2e6, 0.9, 1.0), (-2e6, 8.0, 1.0), (math.nan, 8.0, 1.0),
+        (math.inf, 8.0, 1.0), (2e6, math.nan, 1.0), (2e6, math.inf, 1.0),
+        (2e6, 8.0, 0.9), (2e6, 8.0, math.nan), (2e6, 8.0, math.inf),
+    ])
+    def test_rejects_unphysical(self, k_perp, eps_l, mu_l):
         with pytest.raises(ValueError):
-            refl_fresnel(1, 2e6, 0.9, 1.0, CTX)
+            refl_fresnel(1, k_perp, eps_l, mu_l, CTX)
+
+    @pytest.mark.parametrize("k_perp", [-2e6, math.nan, math.inf])
+    def test_impedance_route_rejects_unphysical_k_perp(self, k_perp):
+        with pytest.raises(ValueError, match="k_perp"):
+            refl_from_impedance(ImpedancePair(1.0, 1.0), 1, k_perp, CTX)
+
+
+@pytest.mark.parametrize("route", [
+    lambda l: refl_pair(l, 2e6, NI, CTX),
+    lambda l: impedance_pair(l, 2e6, NI, CTX),
+    lambda l: impedance_integral(l, 2e6, NI, CTX),
+    lambda l: refl_fresnel(l, 2e6, 8.0, 1.0, CTX),
+    lambda l: refl_from_impedance(ImpedancePair(1.0, 1.0), l, 2e6, CTX),
+], ids=["refl_pair", "impedance_pair", "impedance_integral", "refl_fresnel",
+        "refl_from_impedance"])
+def test_non_integer_index_rejected(route):
+    # 1.5 is no Matsubara index: every route derives xi in matsubara_xi
+    with pytest.raises(ValueError, match="Matsubara index"):
+        route(1.5)
 
 
 class TestStaticCoefficients:

@@ -33,9 +33,14 @@ class TestMatsubaraXi:
         ctx2 = MatsubaraContext(temperature=600.0)
         assert matsubara_xi(1, ctx2) == 2.0 * XI1
 
-    def test_negative_index_rejected(self):
+    # an index is an integer >= 0: not a float, even 1.0, nor a bool
+    @pytest.mark.parametrize("l", [-1, 1.5, 1.0, True, math.nan])
+    def test_negative_index_rejected(self, l):
         with pytest.raises(ValueError):
-            matsubara_xi(-1, CTX)
+            matsubara_xi(l, CTX)
+
+    def test_numpy_integer_index(self):
+        assert matsubara_xi(np.int64(7), CTX) == 7.0 * XI1
 
 
 class TestLocalPermittivities:

@@ -118,8 +118,9 @@ class TestPfaCorrection:
         {"radius": 1e-5, "delta_p": math.inf},
         {"radius": 1e-5, "theta_table": ((math.inf, 0.1),)},
         {"radius": 1e-5, "theta_table": ((1e-9, math.nan),)},
+        {"radius": 1e-5, "theta_table": ()},
     ], ids=["radius-nan", "radius-inf", "delta_s-nan", "delta_p-inf",
-            "theta_a-inf", "theta-nan"])
+            "theta_a-inf", "theta-nan", "theta-empty"])
     def test_non_finite_geometry_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GeometryParams(**kwargs)
