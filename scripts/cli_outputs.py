@@ -3,9 +3,13 @@
 Usage: python3 scripts/cli_outputs.py ROOT OUTDIR
 
 Runs each casimag command on the README config (100-800 nm, 15 log-spaced
-separations, the nickel parameters, a PFA-correction table) at 300 K and
-at 10 K, each with and without the synthetic Ni optical table of
-``tests/_ni_optical.py``, using the sources under ROOT/src.  Every run
+separations, the nickel parameters, a PFA-correction table) at 300 K, 10 K
+and 1 K, and on a two-separation sweep (20 nm and 2 um at 300 K), each
+with and without the synthetic Ni optical table of
+``tests/_ni_optical.py``, using the sources under ROOT/src.  At 1 K the
+800 nm sum reaches its 4,656-term cap, so the runs that take it exit 2;
+at 20 nm and 300 K the first blocks of Matsubara indices start where the
+graded first round ends.  Every run
 writes its CSV to a file and, once more, to stdout; ``--help`` runs
 once, and three runs take the error paths (``impedance-dump --model
 all``, ``compare`` without ``--experiment`` and an unknown ``--model``).
@@ -18,7 +22,7 @@ checkout, so two checkouts compare with
     python3 scripts/cli_outputs.py .      out-change
     diff -r out-parent out-change
 
-A checkout runs the 104 commands in about 45 s on two cores.
+A checkout runs the 208 commands in about 3 minutes on two cores.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ mu0 = 110
 v_t_over_vf = 7
 v_l_over_vf = 7
 v_f_m_s = 1.31e6
-a_min_nm = 100
-a_max_nm = 800
-points = 15
+a_min_nm = {a_min_nm}
+a_max_nm = {a_max_nm}
+points = {points}
 spacing = log
 temperature_k = {temperature}
 radius_m = 61.71e-6
@@ -52,13 +56,15 @@ delta_p_m = 1.4e-9
 err_theory_rel = 0.005
 theta_table_path = theta.csv
 """
-# a PFA-correction table over 90-900 nm, so that every gradient and
+# a PFA-correction table over 10-3000 nm, so that every gradient and
 # compare run applies theta(a) by interpolation, with no endpoint warning
 THETA = """\
 a_nm,theta
+10,-0.4
 90,-0.45
 250,-0.5
 900,-0.56
+3000,-0.6
 """
 # synthetic measured gradients in uN/m, some inside the confidence
 # interval of a variant and some outside
@@ -91,6 +97,13 @@ ONCE = (
     ("error-compare-no-experiment", ["compare"]),
     ("error-unknown-model", ["pressure", "--model", "bogus"]),
 )
+# (case, temperature in K, a_min_nm, a_max_nm, points)
+CASES = (
+    ("300K", 300, 100, 800, 15),
+    ("10K", 10, 100, 800, 15),
+    ("1K", 1, 100, 800, 15),
+    ("sweep-300K", 300, 20, 2000, 2),
+)
 
 
 def record(root: Path, work: Path, out: Path, name: str,
@@ -121,12 +134,14 @@ def main(argv: list[str]) -> int:
         _ni_optical.write_csv(work / "ni_optical.csv")
         (work / "expt.csv").write_text(EXPERIMENT, encoding="utf-8")
         (work / "theta.csv").write_text(THETA, encoding="utf-8")
-        for temperature in (300, 10):
+        for label, temperature, a_min_nm, a_max_nm, points in CASES:
             for table in (False, True):
-                case = f"{temperature}K-{'table' if table else 'free'}"
+                case = f"{label}-{'table' if table else 'free'}"
                 out = outdir / case
                 out.mkdir(parents=True, exist_ok=True)
-                text = README_CONFIG.format(temperature=temperature)
+                text = README_CONFIG.format(
+                    temperature=temperature, a_min_nm=a_min_nm,
+                    a_max_nm=a_max_nm, points=points)
                 if table:
                     text += "optical_data_path = ni_optical.csv\n"
                 (work / "run.cfg").write_text(text, encoding="utf-8")

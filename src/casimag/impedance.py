@@ -115,7 +115,9 @@ def impedance_pair(l: int, k_perp: float, m: MaterialModel,
 
 def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,
                         ctx: MatsubaraContext) -> ReflectionPair:
-    """Reflection coefficients from surface impedances:
+    """Reflection coefficients from surface impedances Z_TM and Z_TE,
+    which must be finite and >= 0, as on the imaginary axis (Z = 0 is the
+    ideal metal):
 
     r_TM = (c q - xi Z_TM)/(c q + xi Z_TM),
     r_TE = (c q Z_TE - xi)/(c q Z_TE + xi),   q = sqrt(k_perp^2 + xi^2/c^2).
@@ -123,6 +125,9 @@ def refl_from_impedance(z: ImpedancePair, l: int, k_perp: float,
     if l < 1:
         raise ValueError("impedance route requires l >= 1")
     _check_k(k_perp)
+    if not (0.0 <= z.z_tm < math.inf and 0.0 <= z.z_te < math.inf):
+        raise ValueError("z_tm and z_te must be finite and >= 0 on the "
+                         "imaginary axis")
     xi = matsubara_xi(l, ctx)
     cq = C_LIGHT * math.sqrt(k_perp**2 + (xi / C_LIGHT) ** 2)
     r_tm = (cq - xi * z.z_tm) / (cq + xi * z.z_tm)

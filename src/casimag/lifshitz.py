@@ -20,15 +20,22 @@ separation of a run, and is the one entry for pressures; ``pressure`` is
 its one-point form.  The static term is one quadrature per model, since
 its coefficients depend on the variant.  The pairs still summing at
 l >= 1 form one component table (``_Table``), built once per run and
-compressed as pairs converge.  Each l is one vector-valued quadrature
-over it: the kernel reads the separations, omega_p and effective
-(gamma, v_t, v_l) as columns, with one scalar xi and ``_Table.core``, one
-interband core per core group (one float for the variants of a material),
-the groups fixed when the table is built.  On the README grid (15
-separations, 100-800 nm, three models) a run takes 101 quadratures
-instead of 297 with one loop per model.  A round's kernel calls split
-the components so that none exceeds ``NODE_CAP`` nodes.  A
-``reflection.FixedReflection`` (re-exported here) runs alone.
+compressed as pairs converge.  A block of consecutive indices
+l, ..., l + B - 1 is one vector-valued quadrature over B copies of it,
+one kernel call per round: the kernel reads the separations, each
+component's frequency, omega_p and effective (gamma, v_t, v_l) as
+columns, and ``_Table.core``, one interband core per core group and
+frequency (one float for the variants of a material at one frequency),
+the groups fixed when the table is built.  B is 1 while the block's first
+index takes the graded first round, and otherwise the most indices whose
+first round of every pair fits in ``NODE_CAP`` nodes, up to ``BLOCK``.
+Each pair takes its terms in ascending l and ignores those past the index
+where its sum stops, so every result carries the bits of one index per
+quadrature.  On the README grid (15 separations, 100-800 nm, three
+models) a run takes 54 quadratures: 101 with one index each, and 297
+with one loop per model.  A round's kernel calls split the components so
+that none exceeds ``NODE_CAP`` nodes.  A ``reflection.FixedReflection``
+(re-exported here) runs alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency coefficients of the variant
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
-from .quadrature import _first_round, adaptive_quad
+from .quadrature import QuadratureError, _first_round, adaptive_quad
 from .reflection import FixedReflection, lifshitz_summand
 from .response import MatsubaraContext, matsubara_xi
 
@@ -82,6 +89,11 @@ Y_LO_STATIC = 0.25
 # glibc can return a call's freed temporaries to the OS and the next call
 # faults them back in; README gives the split-vs-unsplit timings.
 NODE_CAP = 3600
+# Most consecutive Matsubara indices one quadrature takes.  Blocks of 8,
+# 16 and 32 timed alike (within the noise of a shared 2-core VM) on the
+# README loop at 300 K and 10 K and on the micron grid; a block of one
+# index runs the same code.
+BLOCK = 16
 # each first round's nodes in s, one read-only array shared by every
 # term's quadrature, with their s^2 and 2 s
 _FIRST = {bp: (s, s * s, 2.0 * s) for bp in (BREAKPOINTS, STATIC_BREAKPOINTS)
@@ -112,73 +124,111 @@ class SeriesConvergenceError(RuntimeError):
 
 class _Table:
     """Components of one vector-valued quadrature: column i of ``cols``
-    holds component i's a, omega_p, gamma, v_t, v_l and core group (as
-    rows, every field is contiguous).  ``view`` is the kernel's model: one
-    model shared by every component (a static term, a FixedReflection;
-    their ``cols`` hold a alone), or the table itself, whose ``a``,
-    omega_p and effective (gamma, v_t, v_l) are fields shaped (C, 1, 1)
-    and whose ``core`` gives each group's interband core from ``cores``,
-    one model per group.  Every component, local or not, takes the one
-    formula of ``free_electron_eps``.  Indexing with a slice or a keep
-    mask takes those components.  A plain class: a frozen dataclass would
+    holds component i's a, frequency xi, omega_p, gamma, v_t, v_l and core
+    group (as rows, every field is contiguous).  ``view`` is the kernel's
+    model: one model shared by every component (a static term, a
+    FixedReflection; their ``cols`` hold a and xi alone), or the table
+    itself, whose ``a``, ``xi``, omega_p and effective (gamma, v_t, v_l)
+    are fields shaped (C, 1, 1) and whose ``core`` gives each group's
+    interband core from ``cores``, one model per group.  ``xi`` is a float
+    when every component has one frequency; the rows ascend in xi, so the
+    first and last tell.  Every component, local or not, takes the one
+    formula of ``free_electron_eps``.  Indexing with a slice or a list of
+    indices takes those components, and ``block`` repeats the table at
+    each frequency of a block.  A plain class: a frozen dataclass would
     add about 0.8 ms to every CLI start."""
 
-    __slots__ = ("cols", "cores", "a", "view", "omega_p", "effective")
+    __slots__ = ("cols", "cores", "a", "xi", "view", "omega_p", "effective")
 
     def __init__(self, cols: np.ndarray, view=None, cores=()):
         self.cols, self.cores = cols, cores
         self.a = cols[0, :, None, None]
+        xi = cols[1]
+        self.xi = float(xi[0]) if xi[0] == xi[-1] else xi[:, None, None]
         self.view = self if view is None else view
         if view is None:
-            self.omega_p = cols[1, :, None, None]
-            self.effective = tuple(cols[2:5, :, None, None])
+            self.omega_p = cols[2, :, None, None]
+            self.effective = tuple(cols[3:6, :, None, None])
 
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
-        """The l >= 1 table of every (model, separation) pair, model-major;
-        a FixedReflection, which runs alone, is its own view.  Models without
-        a table form one core group, the others one per (table, omega_p,
-        gamma)."""
+        """The table of every (model, separation) pair, model-major, at
+        xi = 0 until ``block`` sets the frequencies; a FixedReflection,
+        which runs alone, is its own view.  Models without a table form one
+        core group, the others one per (table, omega_p, gamma)."""
+        pairs = np.stack((a, np.zeros(len(a))))
         if isinstance(models[0], FixedReflection):
-            return cls(a[None], models[0])
+            return cls(pairs, models[0])
         groups, fields = {}, []  # core key -> (group, its first model)
         for m in models:  # the key is None for every model without a table
             key = m.interband and (m.interband, m.omega_p, m.gamma)
             g, _ = groups.setdefault(key, (len(groups), m))
             fields.append((m.omega_p, *m.effective, g))
         fields = np.array(fields).T
-        return cls(np.vstack((np.tile(a, len(models)),
+        return cls(np.vstack((np.tile(pairs, len(models)),
                               fields.repeat(len(a), axis=1))), None,
                    tuple(m for _, m in groups.values()))
 
-    def __getitem__(self, j) -> "_Table":
-        if self.view is not self:
-            return _Table(self.cols[:, j], self.view)
-        return _Table(self.cols[:, j], None, self.cores)
+    def _with(self, cols: np.ndarray) -> "_Table":
+        return _Table(cols, None if self.view is self else self.view,
+                      self.cores)
 
-    def core(self, xi: float):
-        """The interband core at xi: its group's model's core when the
-        table has one group, else a column gathered by group, with one
-        evaluation per group still in the table."""
-        if len(self.cores) == 1:
-            return self.cores[0].core(xi)
-        group = self.cols[5].astype(int)
-        core = [1.0] * len(self.cores)
-        for g in set(group.tolist()):
-            core[g] = self.cores[g].core(xi)
-        return np.array(core)[group, None, None]
+    def __getitem__(self, j) -> "_Table":
+        return self._with(self.cols[:, j])
+
+    def block(self, xis: list) -> "_Table":
+        """Every component at each of the ascending frequencies ``xis``,
+        frequency-major: component i at xis[b] is column b C + i.  One
+        frequency is set in place, and the table is its own block: one
+        index per quadrature copies nothing."""
+        if len(xis) == 1:
+            self.cols[1].fill(xis[0])
+            self.xi = xis[0]
+            return self
+        cols = np.tile(self.cols, len(xis))
+        cols[1] = np.repeat(xis, self.cols.shape[1])
+        return self._with(cols)
+
+    def core(self, xi):
+        """The interband core of every component (``xi`` is the table's
+        own): one ``core`` call per core group and frequency still in the
+        table, and a float when that is one call or no model has a
+        table."""
+        cores = self.cores
+        if len(cores) == 1:
+            if type(xi) is float:
+                return cores[0].core(xi)
+            if cores[0].interband is None:
+                return 1.0
+        freq = self.cols[1]
+        # the rows ascend in xi: columns cut[r]:cut[r + 1] share one
+        cut = [0, *(np.flatnonzero(freq[1:] != freq[:-1]) + 1).tolist(),
+               len(freq)]
+        if len(cores) == 1:
+            return np.repeat([cores[0].core(float(freq[i])) for i in cut[:-1]],
+                             np.diff(cut))[:, None, None]
+        group = self.cols[6].astype(int)
+        out = np.empty(len(freq))
+        for i, j in zip(cut, cut[1:]):
+            g = group[i:j]
+            for k in set(g.tolist()):
+                out[i:j][g == k] = cores[k].core(float(freq[i]))
+        return out[:, None, None]
 
 
 def _term_integrals(xi: float, table: _Table,
                     quad_tol: float) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
-    ``table`` in one vector-valued quadrature.  ``xi = 0.0`` is the static
-    term, which needs a table of one model (``_Table(a[None], model)``)."""
+    ``table`` in one vector-valued quadrature, with one kernel call per
+    round (more past ``NODE_CAP``).  ``xi``, the kernel's float, is the
+    table's first frequency: ``xi = 0.0`` is the static term, whose table
+    holds one model at xi = 0 (``_Table(np.stack((a, 0.0 * a)), model)``).
+    """
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
     a, view = table.a, table.view  # components x (panels, nodes)
-    y_lo = a * (2.0 * xi / C_LIGHT)
+    y_lo = a * (2.0 * table.xi / C_LIGHT)
     n = len(a)
     breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
                    else BREAKPOINTS)
@@ -326,15 +376,19 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
 
     The one Matsubara loop.  The tolerances, every separation and every
     pair's prefactor and term cap are checked before any term.  The static
-    term is one quadrature per model; at each l >= 1 every pair still
-    summing is one component of a single vector-valued quadrature.  Each
-    pair's sum stops once the geometric tail estimate has stayed below
+    term is one quadrature per model; above it every pair still summing
+    is one component of a single vector-valued quadrature at each index of
+    a block of consecutive l (see the module docstring).  Each pair's sum
+    stops once the geometric tail estimate has stayed below
     series_tol * |partial sum| for three consecutive indices, and then
-    leaves the set evaluated at later l; the final tail estimate is
+    leaves the set evaluated at later blocks; the final tail estimate is
     reported in its result.  Raises SeriesConvergenceError, naming the
     model and the separation and carrying the partial result, if a pair
     reaches its cap on the number of terms first or meets a non-finite
-    term.  A FixedReflection must be the only model of its call.
+    term, at the index and pair where one index per quadrature would.  A
+    block whose quadrature raises QuadratureError is run again one index
+    at a time, so the error is raised only at an index the sum reaches.
+    A FixedReflection must be the only model of its call.
     """
     models = list(models)
     if not models:
@@ -347,21 +401,42 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     curves = [[_MatsubaraSum(s, model, series_tol, ctx, keep_terms)
                for s in seps] for model in models]
     a = np.array(seps)
+    static = np.stack((a, 0.0 * a))  # every separation at xi = 0
     for model, curve in zip(models, curves):  # variant-dependent static
         for s, t_0, err_0 in zip(curve, *_term_integrals(
-                0.0, _Table(a[None], model), quad_tol)):
+                0.0, _Table(static, model), quad_tol)):
             s.add(0, t_0, err_0)
     active = [s for curve in curves for s in curve]
     table = _Table.of(models, a)
-    l = 1
+    fit = NODE_CAP // _FIRST[BREAKPOINTS][0].size  # pairs x indices
+    l, single, coarse = 1, 0, False  # below ``single``, one index each
     while active:
-        xi = matsubara_xi(l, ctx)
-        t, err = _term_integrals(xi, table, quad_tol)
-        keep = [s.add(l, t_l, err_l) for s, t_l, err_l in zip(active, t, err)]
+        n, xi = len(active), matsubara_xi(l, ctx)
+        # the smallest y_lo of index l, as _term_integrals forms it; it
+        # only grows, as xi grows and pairs only leave the table
+        coarse = coarse or (table.a.min() * (2.0 * xi / C_LIGHT)
+                            >= Y_LO_STATIC)
+        b = (min(BLOCK, fit // n) or 1) if coarse and l >= single else 1
+        xis = [xi] if b == 1 else [matsubara_xi(l + i, ctx)
+                                   for i in range(b)]
+        try:
+            t, err = _term_integrals(xi, table.block(xis), quad_tol)
+        except QuadratureError:
+            if b == 1:
+                raise
+            single = l + b  # an index of the block may not be reached
+            continue
+        keep = [s.add(l, t_l, e_l) for s, t_l, e_l in zip(active, t, err)]
+        for i in range(1, b):  # each pair takes its terms in ascending l
+            k = i * n
+            keep = [go and s.add(l + i, t_l, e_l) for s, go, t_l, e_l
+                    in zip(active, keep, t[k:k + n], err[k:k + n])]
         if not all(keep):
-            active = [s for s, k in zip(active, keep) if k]
-            table = table[np.fromiter(keep, bool, len(keep))]
-        l += 1
+            active = [s for s, go in zip(active, keep) if go]
+            if not active:
+                break
+            table = table[np.fromiter(keep, bool, n)]
+        l += b
     return [[s.result for s in curve] for curve in curves]
 
 

@@ -61,7 +61,8 @@ def free_electron_eps(xi, k, m, core, k_unit=1.0):
     gamma, v_t, v_l = m.effective
     w = m.omega_p * m.omega_p / (xi * (xi + gamma))
     # per-component factors first, so an array k costs two and four passes
-    b_t, b_l = v_t * (k_unit / xi), v_l * (k_unit / xi)
+    unit = k_unit / xi
+    b_t, b_l = v_t * unit, v_l * unit
     return (core + w) + (w * b_t) * k, core + w / (1.0 + b_l * k)
 
 
@@ -146,7 +147,10 @@ def lifshitz_summand(y, xi, a, model):
     N^2 d/(D^2 - N^2 d), d = exp(-y).  There ``model`` may be anything
     with the ``omega_p``, ``effective`` and ``core`` that this reads, and
     those may be arrays that broadcast like ``a``: one entry per component
-    of a multi-model pressure loop.
+    of a multi-model pressure loop.  Such a model may also carry ``xi``,
+    each component's frequency (a float or such an array), which then
+    replaces the argument above the static term: a block of Matsubara
+    indices is one call, with its first frequency as ``xi``.
     Returns an array of the broadcast shape of ``y`` and ``a``.
     """
     y = np.asarray(y, dtype=float)
@@ -160,6 +164,7 @@ def lifshitz_summand(y, xi, a, model):
         n_tm, n_te = ((model.r_tm, model.r_te) if fixed else
                       static_coefficients(y / (2.0 * a), model, model.mu0))
     else:
+        xi = getattr(model, "xi", xi)  # a component table's frequencies
         q = y * ((0.5 * C_LIGHT / xi) / a)  # y/y_lo
         k2 = q * q
         k2 -= 1.0

@@ -182,17 +182,19 @@ def nickel(variant: str = NONLOCAL, interband: InterbandTable | None = None,
 class MatsubaraContext:
     """Temperature and series policy for one run.
 
-    ``temperature`` (K) is the one source of the temperature for every
-    Matsubara frequency and pressure prefactor; ``l_max_cap``, an int >= 10,
-    optionally overrides the separation-derived cap on the number of
-    Matsubara terms (None = derive it from the separation when summing).
+    ``temperature`` (K, finite and > 0, not a bool) is the one source of
+    the temperature for every Matsubara frequency and pressure prefactor;
+    ``l_max_cap``, an int >= 10, optionally overrides the
+    separation-derived cap on the number of Matsubara terms (None =
+    derive it from the separation when summing).
     """
 
     temperature: float
     l_max_cap: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.temperature < math.inf:
+        t = self.temperature
+        if isinstance(t, bool) or not 0.0 < t < math.inf:
             raise ValueError("temperature must be finite and > 0")
         cap = self.l_max_cap
         if cap is not None and not (type(cap) is int and cap >= 10):

@@ -317,18 +317,24 @@ class TestWorkCounts:
     def test_readme_ratio_work_counts(self, tmp_path, monkeypatch, tabled):
         args = self.write_config(tmp_path, tabled)
         kernel, kk = lifshitz.lifshitz_summand, response.eps_core_kk
-        kk_nodes = response._kk_nodes
+        quad, kk_nodes = lifshitz.adaptive_quad, response._kk_nodes
         table_hash = casimag.InterbandTable.__hash__
         table_eq = casimag.InterbandTable.__eq__
-        calls, nodes, xis, kk_calls, static = [0], [0], set(), [], [0]
-        builds, hashed, compared = [], [], []
+        calls, nodes, freqs, kk_calls, static = [0], [0], set(), [], [0]
+        quads, builds, hashed, compared = [], [], [], []
 
-        def spy(y, xi, *args):
+        def spy(y, xi, a, model):
             calls[0] += 1
             nodes[0] += np.size(y)
-            xis.add(xi)
+            # a component table carries each component's frequency
+            freqs.update(model.cols[1].tolist()
+                         if isinstance(model, lifshitz._Table) else [xi])
             static[0] += xi == 0.0
-            return kernel(y, xi, *args)
+            return kernel(y, xi, a, model)
+
+        def quad_spy(*args, **kwargs):
+            quads.append(1)
+            return quad(*args, **kwargs)
 
         def kk_spy(xi, table, m):
             kk_calls.append((xi, table, m))
@@ -347,28 +353,37 @@ class TestWorkCounts:
             return table_eq(table, other)
 
         monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        monkeypatch.setattr(lifshitz, "adaptive_quad", quad_spy)
         monkeypatch.setattr(response, "eps_core_kk", kk_spy)
         monkeypatch.setattr(response, "_kk_nodes", nodes_spy)
         monkeypatch.setattr(casimag.InterbandTable, "__hash__", hash_spy)
         monkeypatch.setattr(casimag.InterbandTable, "__eq__", eq_spy)
         assert run(args) == 0
-        work = calls[0], nodes[0], len(xis)
+        work = len(quads), calls[0], nodes[0], len(freqs)
         # each model's static term converges on its first round: one call
         assert static[0] == 3
-        # no term refines: one call per static term and per l, and two for
-        # l = 1, whose 45 x 84-node first round NODE_CAP splits
+        # every frequency is a Matsubara frequency of the run, from l = 0
+        # on; the last blocks run past the last index a sum takes (98
+        # without the table, 119 with it)
+        ctx = casimag.MatsubaraContext(300.0)
+        assert freqs == {casimag.matsubara_xi(l, ctx)
+                         for l in range(len(freqs))}
+        # no term refines: one kernel call per quadrature, and two for
+        # l = 1, whose 45 x 84-node first round NODE_CAP splits; blocks of
+        # indices take 54 quadratures instead of 101 (61 instead of 122)
         if not tabled:
-            assert work == (102, 140_868, 99)
+            assert work == (54, 55, 144_459, 107)
             assert kk_calls == builds == []
             return
-        assert work == (123, 161_343, 120)
+        assert work == (61, 62, 164_808, 127)
         # the models are grouped by core once, when the run's component
         # table is built: one hash of the table per model, no comparison
         assert len(hashed) <= 3
         assert compared == []
         # one KK evaluation per frequency, shared by the three variants
-        assert len({xi for xi, _, _ in kk_calls}) == 119
-        assert len(kk_calls) == 120
+        # (l = 1 makes two, one per kernel call)
+        assert len({xi for xi, _, _ in kk_calls}) == 126
+        assert len(kk_calls) == 127
         # on one KK node set, which the table keeps
         _, table, m = kk_calls[0]
         assert builds == [table]

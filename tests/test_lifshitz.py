@@ -82,7 +82,8 @@ def test_static_term_converges_on_its_first_round(monkeypatch, variant, mu0,
     model = replace(nickel(variant, v_over_vf=v_over_vf), mu0=mu0)
     a = np.geomspace(10e-9, 20e-6, 25)
     tally = _kernel_spy(monkeypatch)
-    lifshitz._term_integrals(0.0, lifshitz._Table(a[None], model), 1e-9)
+    lifshitz._term_integrals(0.0, lifshitz._Table(np.stack((a, 0.0 * a)),
+                                                  model), 1e-9)
     assert tally["calls"] == 1
 
 
@@ -116,9 +117,9 @@ def test_high_index_terms_exponentially_suppressed():
     l_big = 27
     assert 2 * a * matsubara_xi(l_big, CTX) / C_LIGHT > 40.0
     pref, _ = lifshitz._scales(a, CTX)
+    xi = matsubara_xi(l_big, CTX)
     (t_l,), _ = lifshitz._term_integrals(
-        matsubara_xi(l_big, CTX), lifshitz._Table(np.array([[a]]), model),
-        1e-9)
+        xi, lifshitz._Table(np.array([[a], [xi]]), model), 1e-9)
     assert abs(pref * t_l) < 1e-17 * abs(res.pressure)
 
 
@@ -127,9 +128,10 @@ def test_subnormal_terms_integrate(l):
     # at 1 um these plasma terms are subnormal floats (l = 450 underflows
     # to -0.0); a relative quadrature target alone would be unreachable
     pref, _ = lifshitz._scales(1e-6, CTX)
+    xi = matsubara_xi(l, CTX)
     (t_l,), _ = lifshitz._term_integrals(
-        matsubara_xi(l, CTX), lifshitz._Table(np.array([[1e-6]]),
-                                              nickel("plasma")), 1e-9)
+        xi, lifshitz._Table(np.array([[1e-6], [xi]]), nickel("plasma")),
+        1e-9)
     assert -1e-300 < pref * t_l <= 0.0
 
 
@@ -188,18 +190,29 @@ def test_non_convergence_reports_partial_sum(grid):
 
 @pytest.mark.parametrize("temperature", [4.0, 300.0])
 def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
+    # the kernel's float xi and each component's frequency, read from the
+    # table's frequency row, are Matsubara frequencies of the context,
+    # from l = 0 on; a block may run past the last index the sum takes
     ctx = MatsubaraContext(temperature=temperature)
     kernel = lifshitz.lifshitz_summand
-    seen = []
+    seen, rows = [], set()
 
-    def spy(y, xi, *args):
+    def spy(y, xi, a, model):
         seen.append(xi)
-        return kernel(y, xi, *args)
+        rows.update(model.cols[1].tolist()
+                    if isinstance(model, lifshitz._Table) else [xi])
+        return kernel(y, xi, a, model)
 
     monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
     model = nickel("drude")
-    res = pressure(5e-6, model, ctx)
-    assert set(seen) == {matsubara_xi(l, ctx) for l in range(res.terms_used)}
+    res = pressure(5e-6, model, ctx, keep_terms=True)
+    used = {matsubara_xi(l, ctx) for l in range(res.terms_used)}
+    assert [l for l, _ in res.per_term] == list(range(res.terms_used))
+    assert rows == {matsubara_xi(l, ctx) for l in range(len(rows))}
+    assert used <= rows
+    assert len(rows) < res.terms_used + lifshitz.BLOCK
+    assert set(seen) <= rows
+    assert all(type(xi) is float for xi in seen)
 
 
 def test_kernel_cost_per_term(monkeypatch, ni_models):
@@ -401,10 +414,11 @@ class TestPressureCurves:
         table = table[keep.ravel()]
         assert table.a.ravel().tolist() == a.tolist()
         xi = matsubara_xi(7, CTX)
-        t, err = lifshitz._term_integrals(xi, table, 1e-9)
+        t, err = lifshitz._term_integrals(xi, table.block([xi]), 1e-9)
         start, t_each, err_each = 0, [], []
         for model, n in runs:
-            one = lifshitz._Table(a[None, start:start + n], model)
+            part = a[start:start + n]
+            one = lifshitz._Table(np.stack((part, 0.0 * part + xi)), model)
             t_m, err_m = lifshitz._term_integrals(xi, one, 1e-9)
             t_each += t_m
             err_each += err_m
@@ -436,10 +450,11 @@ class TestPressureCurves:
 
     def test_readme_run_takes_whole_first_rounds_under_the_node_cap(
             self, monkeypatch, ni_models):
-        # one quadrature per index l >= 1 for all three models, plus one
-        # static quadrature per model; every kernel call within the cap,
-        # and the largest is a whole first round of all 45 components,
-        # 45 x 63 = 2,835 nodes, which the cap does not split
+        # one quadrature per block of indices l >= 1 for all three models,
+        # plus one static quadrature per model.  No term refines, and only
+        # l = 1 (45 x 84 nodes) is split: every other kernel call is one
+        # whole 63-node first round of the pairs still summing, at each
+        # index of its block, within the cap
         grid = np.geomspace(100e-9, 800e-9, 15)
         kernel, quad = lifshitz.lifshitz_summand, lifshitz.adaptive_quad
         sizes, xis, quads = [], [], []
@@ -457,10 +472,16 @@ class TestPressureCurves:
         monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
         curves = pressure_curves(grid, list(ni_models.values()), CTX)
         terms = max(res.terms_used for curve in curves for res in curve)
-        assert len(quads) <= terms + 3
+        assert len(quads) <= 0.6 * (terms + 3)
+        assert len(sizes) == len(quads) + 1
         assert max(sizes) <= lifshitz.NODE_CAP
         first, _, _ = lifshitz._FIRST[lifshitz.BREAKPOINTS]
-        assert max(sizes) == 3 * len(grid) * first.size
+        static, _, _ = lifshitz._FIRST[lifshitz.STATIC_BREAKPOINTS]
+        assert sizes[:3] == [len(grid) * static.size] * 3
+        assert sum(sizes[3:5]) == 3 * len(grid) * static.size  # l = 1
+        assert all(size % first.size == 0 for size in sizes[5:])
+        # a block fills the cap: the largest takes 54 of its 57 components
+        assert max(sizes) == 54 * first.size
         assert all(type(xi) is float for xi in xis)
 
     # components split evenly (240), unevenly (300), panels split (50:
@@ -468,10 +489,13 @@ class TestPressureCurves:
     @pytest.mark.parametrize("cap", [240, 300, 50])
     def test_chunked_evaluation_equals_unchunked(self, monkeypatch,
                                                  ni_models, cap):
+        # the caps fit no block, so both runs take one index per
+        # quadrature and the same rounds; blocks are checked after
         grid = (100e-9, 180e-9, 420e-9, 800e-9)
         models = list(ni_models.values())
         outputs = []
         _record_integrand(monkeypatch, outputs)
+        monkeypatch.setattr(lifshitz, "BLOCK", 1)
         monkeypatch.setattr(lifshitz, "NODE_CAP", 10**9)
         expected = pressure_curves(grid, models, CTX, keep_terms=True)
         whole = len(outputs)
@@ -492,6 +516,85 @@ class TestPressureCurves:
         assert len(outputs) == 2 * whole
         assert all(np.array_equal(a, b)
                    for a, b in zip(outputs[:whole], outputs[whole:]))
+        # blocks of indices under the same cap, and unsplit
+        monkeypatch.undo()
+        monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
+        assert pressure_curves(grid, models, CTX, keep_terms=True) == \
+            expected
+        monkeypatch.setattr(lifshitz, "NODE_CAP", 10**9)
+        assert pressure_curves(grid, models, CTX, keep_terms=True) == \
+            expected
+
+
+def _outcome(*args, **kwargs):
+    """The curves of a pressure_curves call with per-term breakdowns, or
+    the message and partial result of its SeriesConvergenceError."""
+    try:
+        return pressure_curves(*args, keep_terms=True, **kwargs)
+    except SeriesConvergenceError as err:
+        return str(err), err.partial
+
+
+class TestBlocks:
+    # a block evaluates consecutive indices of the pairs still summing in
+    # one quadrature; every number must be that of one index per
+    # quadrature (BLOCK = 1)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
+    @pytest.mark.parametrize("temperature", [10.0, 300.0])
+    def test_blocks_equal_one_index_per_quadrature_over_a_wide_grid(
+            self, monkeypatch, temperature, table, ni_models, ni_models_ib,
+            wide_curves):
+        blocked = wide_curves(temperature, table)
+        models = ni_models_ib if table else ni_models
+        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        assert pressure_curves(
+            WIDE, [models[v] for v in VARIANTS],
+            MatsubaraContext(temperature=temperature),
+            keep_terms=True) == blocked
+
+    @pytest.mark.parametrize("case", ["ideal-1K", "cap-10"])
+    def test_blocks_raise_what_one_index_per_quadrature_raises(
+            self, monkeypatch, case, ni_models):
+        # the ideal metal reaches its cap at 1 K (a term inside a block);
+        # with l_max_cap = 10 the plasma pair at 50 nm does, in a block
+        # of two pairs
+        args = {"ideal-1K": ([200e-9, 1e-6], [FixedReflection(1.0, -1.0)],
+                             MatsubaraContext(temperature=1.0)),
+                "cap-10": ([5e-6, 50e-9], [ni_models["plasma"],
+                                           ni_models["drude"]],
+                           MatsubaraContext(temperature=300.0,
+                                            l_max_cap=10))}[case]
+        blocked = _outcome(*args)
+        assert isinstance(blocked[0], str)
+        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        assert _outcome(*args) == blocked
+
+    @pytest.mark.parametrize("last", [15, 16])
+    def test_quadrature_error_in_a_block_reruns_it_one_index_each(
+            self, monkeypatch, last):
+        # at 1 um the drude sum takes l <= 15 in one block of 16 indices;
+        # a quadrature that fails at l = 16 must not fail the sum, and one
+        # that fails at l = 15 fails it as one index per quadrature does
+        xi_bad = matsubara_xi(last, CTX)
+        term_integrals = lifshitz._term_integrals
+
+        def failing(xi, table, quad_tol):
+            if table.cols[1].max() >= xi_bad:
+                raise lifshitz.QuadratureError("fails", 1.0)
+            return term_integrals(xi, table, quad_tol)
+
+        monkeypatch.setattr(lifshitz, "_term_integrals", failing)
+        if last == 15:
+            with pytest.raises(lifshitz.QuadratureError):
+                pressure(1e-6, nickel("drude"), CTX)
+            return
+        blocked = pressure(1e-6, nickel("drude"), CTX, keep_terms=True)
+        assert blocked.terms_used == 16
+        monkeypatch.setattr(lifshitz, "_term_integrals", term_integrals)
+        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        assert pressure(1e-6, nickel("drude"), CTX,
+                        keep_terms=True) == blocked
 
 
 @pytest.mark.parametrize("a", [100e-9, 800e-9])

@@ -105,6 +105,19 @@ class TestFresnel:
         with pytest.raises(ValueError):
             refl_fresnel(1, k_perp, eps_l, mu_l, CTX)
 
+    # a negative impedance gives |r| > 1 (r_TM = 1.0013 at l = 1 and
+    # k_perp = 1e6 for Z_TM = -1e-3), a NaN or infinite one a NaN r
+    @pytest.mark.parametrize("z", [-1e-3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["z_tm", "z_te"])
+    def test_impedance_route_rejects_unphysical_impedance(self, which, z):
+        pair = {"z_tm": 1.0, "z_te": 1.0, which: z}
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            refl_from_impedance(ImpedancePair(**pair), 1, 1e6, CTX)
+        # Z = 0 is the ideal metal
+        r = refl_from_impedance(ImpedancePair(**{**pair, which: 0.0}), 1,
+                                1e6, CTX)
+        assert abs(r.r_tm) <= 1.0 and abs(r.r_te) <= 1.0
+
     @pytest.mark.parametrize("k_perp", [-2e6, math.nan, math.inf])
     def test_impedance_route_rejects_unphysical_k_perp(self, k_perp):
         with pytest.raises(ValueError, match="k_perp"):

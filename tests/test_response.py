@@ -178,8 +178,9 @@ class TestModelValidation:
         {"temperature": 300.0, "l_max_cap": 5},
         {"temperature": math.nan},
         {"temperature": math.inf},
+        {"temperature": True},
     ], ids=["zero-temperature", "cap-below-10", "nan-temperature",
-            "inf-temperature"])
+            "inf-temperature", "bool-temperature"])
     def test_context_bounds(self, kwargs):
         with pytest.raises(ValueError):
             MatsubaraContext(**kwargs)
