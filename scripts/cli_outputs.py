@@ -9,10 +9,15 @@ with and without the synthetic Ni optical table of
 ``tests/_ni_optical.py``, using the sources under ROOT/src.  At 1 K the
 800 nm sum reaches its 4,656-term cap, so the runs that take it exit 2;
 at 20 nm and 300 K the first blocks of Matsubara indices start where the
-graded first round ends.  Every run
-writes its CSV to a file and, once more, to stdout; ``--help`` runs
-once, and three runs take the error paths (``impedance-dump --model
-all``, ``compare`` without ``--experiment`` and an unknown ``--model``).
+graded first round ends.  The three runs that take all three models on
+the config's grid (``pressure`` and ``gradient`` with ``--model all``, and
+``ratio``) also run on 100 log-spaced separations over 100-800 nm at
+300 K: there the first round of one index, 300 pairs x 63 = 18,900 nodes,
+exceeds ``lifshitz.NODE_CAP``, so its kernel calls are split.  Every run
+writes its CSV to a file and, once more, to stdout.  In every case but
+the 100-separation one, ``--help`` runs once, and three runs take the
+error paths (``impedance-dump --model all``, ``compare`` without
+``--experiment`` and an unknown ``--model``).
 For each run, OUTDIR/<case>/<run>.csv holds the CSV file (when one was
 written) and <run>.stdout, <run>.stderr and <run>.exit the process's
 streams and exit code.  The inputs are built from this script's
@@ -22,7 +27,7 @@ checkout, so two checkouts compare with
     python3 scripts/cli_outputs.py .      out-change
     diff -r out-parent out-change
 
-A checkout runs the 208 commands in about 3 minutes on two cores.
+A checkout runs the 220 commands in about 3 minutes on two cores.
 """
 
 from __future__ import annotations
@@ -97,12 +102,16 @@ ONCE = (
     ("error-compare-no-experiment", ["compare"]),
     ("error-unknown-model", ["pressure", "--model", "bogus"]),
 )
-# (case, temperature in K, a_min_nm, a_max_nm, points)
+# the runs of all three models on the config's grid, in one Matsubara loop
+ALL_MODELS = tuple(run for run in RUNS
+                   if run[0] in ("pressure-all", "ratio", "gradient-all"))
+# (case, temperature in K, a_min_nm, a_max_nm, points, runs, runs once)
 CASES = (
-    ("300K", 300, 100, 800, 15),
-    ("10K", 10, 100, 800, 15),
-    ("1K", 1, 100, 800, 15),
-    ("sweep-300K", 300, 20, 2000, 2),
+    ("300K", 300, 100, 800, 15, RUNS, ONCE),
+    ("10K", 10, 100, 800, 15, RUNS, ONCE),
+    ("1K", 1, 100, 800, 15, RUNS, ONCE),
+    ("sweep-300K", 300, 20, 2000, 2, RUNS, ONCE),
+    ("split-300K", 300, 100, 800, 100, ALL_MODELS, ()),
 )
 
 
@@ -134,7 +143,8 @@ def main(argv: list[str]) -> int:
         _ni_optical.write_csv(work / "ni_optical.csv")
         (work / "expt.csv").write_text(EXPERIMENT, encoding="utf-8")
         (work / "theta.csv").write_text(THETA, encoding="utf-8")
-        for label, temperature, a_min_nm, a_max_nm, points in CASES:
+        for label, temperature, a_min_nm, a_max_nm, points, runs, once \
+                in CASES:
             for table in (False, True):
                 case = f"{label}-{'table' if table else 'free'}"
                 out = outdir / case
@@ -145,14 +155,14 @@ def main(argv: list[str]) -> int:
                 if table:
                     text += "optical_data_path = ni_optical.csv\n"
                 (work / "run.cfg").write_text(text, encoding="utf-8")
-                for name, args in RUNS:
+                for name, args in runs:
                     record(root, work, out, f"{name}-file", args
                            + ["--output", "out.csv"])
                     record(root, work, out, f"{name}-stdout", args
                            + ["--output", "-"])
-                for name, args in ONCE:
+                for name, args in once:
                     record(root, work, out, name, args)
-                print(f"{case}: {len(RUNS) * 2 + len(ONCE)} runs",
+                print(f"{case}: {len(runs) * 2 + len(once)} runs",
                       file=sys.stderr)
     return 0
 

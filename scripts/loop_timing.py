@@ -1,0 +1,77 @@
+"""Time the three-model README loop of two casimag checkouts, interleaved.
+
+Usage: python3 scripts/loop_timing.py PARENT CHANGE [PAIRS]
+
+Imports casimag from PARENT/src and from CHANGE/src into one process,
+side by side, and times ``pressure_curves`` on the README grid (15
+log-spaced separations, 100-800 nm, nonlocal, plasma and drude, no
+optical table) at 300 K and at 10 K.  Each of PAIRS pairs (default 15)
+times both checkouts once, in alternating order (parent first in even
+pairs, change first in odd ones), after one untimed warm-up loop each.
+Prints, per temperature, each side's median time and the median and
+range of the paired ratios change/parent.  The machine's speed drifts,
+so compare checkouts only within one run of this script.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+GRID = np.geomspace(100e-9, 800e-9, 15)
+VARIANTS = ("nonlocal", "plasma", "drude")
+
+
+def load(root: str):
+    """The casimag package of checkout ``root``, imported apart from any
+    other checkout's."""
+    src = str(Path(root).resolve() / "src")
+    sys.path.insert(0, src)
+    try:
+        import casimag
+    finally:
+        sys.path.remove(src)
+        for name in [m for m in sys.modules
+                     if m == "casimag" or m.startswith("casimag.")]:
+            del sys.modules[name]
+    return casimag
+
+
+def loop(casimag, temperature: float):
+    """The README loop of one checkout at one temperature, as a call."""
+    models = [casimag.nickel(v) for v in VARIANTS]
+    ctx = casimag.MatsubaraContext(temperature=temperature)
+    return lambda: casimag.pressure_curves(GRID, models, ctx)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (2, 3):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 1
+    sides = [load(root) for root in argv[:2]]
+    pairs = int(argv[2]) if len(argv) == 3 else 15
+    for temperature in (300.0, 10.0):
+        runs = [loop(casimag, temperature) for casimag in sides]
+        for run in runs:
+            run()
+        times = ([], [])
+        for pair in range(pairs):
+            for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                runs[side]()
+                times[side].append(time.perf_counter() - t0)
+        ratios = sorted(c / p for p, c in zip(*times))
+        print(f"{temperature:g} K, {pairs} pairs: parent "
+              f"{statistics.median(times[0]) * 1e3:.2f} ms, change "
+              f"{statistics.median(times[1]) * 1e3:.2f} ms, change/parent "
+              f"median {statistics.median(ratios):.3f} "
+              f"(range {ratios[0]:.3f}-{ratios[-1]:.3f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

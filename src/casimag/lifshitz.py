@@ -32,9 +32,12 @@ first round of every pair fits in ``NODE_CAP`` nodes, up to ``BLOCK``.
 Each pair takes its terms in ascending l and ignores those past the index
 where its sum stops, so every result carries the bits of one index per
 quadrature.  On the README grid (15 separations, 100-800 nm, three
-models) a run takes 54 quadratures: 101 with one index each, and 297
-with one loop per model.  A round's kernel calls split the components so
-that none exceeds ``NODE_CAP`` nodes.  A ``reflection.FixedReflection``
+models) a run takes 19 quadratures and 19 kernel calls: 101 with one
+index each, and 297 with one loop per model.  A round's kernel calls
+split the components so that none exceeds ``NODE_CAP`` nodes.  Each
+``pressure_curves`` call owns one work array of NODE_CAP columns, and
+every node-sized array of an l >= 1 kernel call is one of its rows, so
+such a call allocates nothing node-sized.  A ``reflection.FixedReflection``
 (re-exported here) runs alone.
 
 The kernel takes each term's permeability and core from its model: the
@@ -58,7 +61,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import QuadratureError, _first_round, adaptive_quad
-from .reflection import FixedReflection, lifshitz_summand
+from .reflection import WORK_ROWS, FixedReflection, lifshitz_summand
 from .response import MatsubaraContext, matsubara_xi
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
@@ -84,16 +87,22 @@ BREAKPOINTS = (1.25, 3.25)
 # at 1000 K (93 k); the README grid takes 140,868 (141,813), none refined.
 STATIC_BREAKPOINTS = (0.5, 1.5, 3.25)
 Y_LO_STATIC = 0.25
-# Most quadrature nodes one kernel call evaluates: 57 components of the
-# 63-node first round, 42 of the 84-node one.  Past about 4,000 nodes
-# glibc can return a call's freed temporaries to the OS and the next call
-# faults them back in; README gives the split-vs-unsplit timings.
-NODE_CAP = 3600
-# Most consecutive Matsubara indices one quadrature takes.  Blocks of 8,
-# 16 and 32 timed alike (within the noise of a shared 2-core VM) on the
-# README loop at 300 K and 10 K and on the micron grid; a block of one
-# index runs the same code.
-BLOCK = 16
+# Most quadrature nodes one kernel call evaluates, and the columns of each
+# run's work array (1 + WORK_ROWS rows, 806 KB): 228 components of the
+# 63-node first round, 171 of the 84-node one, so a README block (45 pairs
+# at 5 indices) is one call.  The kernel writes into the work array, so no
+# call frees node-sized temporaries for glibc to return to the OS and the
+# next call to fault back in, the cost that held the cap at 3,600 before;
+# README gives the per-node costs.
+NODE_CAP = 14400
+# Most consecutive Matsubara indices one quadrature takes.  Timed
+# in-process against the allocating kernel at 3,600 nodes and blocks of
+# 16 (medians of interleaved loops on a shared 2-core VM), NODE_CAP with
+# 8 took 0.93x on the micron grid and with 16 1.00x: its last blocks
+# overshoot sums of about 8 terms.  The README loop took 0.77x with 8 and
+# 0.75x with 16 at 300 K, 0.71x and 0.66x at 10 K.  A block of one index
+# runs the same code.
+BLOCK = 8
 # each first round's nodes in s, one read-only array shared by every
 # term's quadrature, with their s^2 and 2 s
 _FIRST = {bp: (s, s * s, 2.0 * s) for bp in (BREAKPOINTS, STATIC_BREAKPOINTS)
@@ -216,13 +225,17 @@ class _Table:
         return out[:, None, None]
 
 
-def _term_integrals(xi: float, table: _Table,
-                    quad_tol: float) -> tuple[list, list]:
+def _term_integrals(xi: float, table: _Table, quad_tol: float,
+                    work: np.ndarray) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
     ``table`` in one vector-valued quadrature, with one kernel call per
     round (more past ``NODE_CAP``).  ``xi``, the kernel's float, is the
     table's first frequency: ``xi = 0.0`` is the static term, whose table
     holds one model at xi = 0 (``_Table(np.stack((a, 0.0 * a)), model)``).
+    ``work``, the run's (1 + WORK_ROWS, NODE_CAP) array, holds every
+    node-sized array of a kernel call: y in row 0, the kernel's own rows
+    after it.  An unsplit round's integrand returns its values in those
+    rows, which the quadrature reduces before its next call.
     """
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
@@ -234,11 +247,18 @@ def _term_integrals(xi: float, table: _Table,
                    else BREAKPOINTS)
     first, *first_s2 = _FIRST[breakpoints]
 
+    def summand(y_lo, s2, a, view):
+        """The kernel at y = y_lo + s2, in the rows of ``work``."""
+        shape = y_lo.shape[:1] + s2.shape
+        rows = work[:, :y_lo.size * s2.size].reshape((len(work),) + shape)
+        y = np.add(y_lo, s2, out=rows[0])
+        return lifshitz_summand(y, xi, a, view, rows[1:])
+
     def f(s):
         most = NODE_CAP // s.size  # components one call may take
         if n <= most:
             s2, two_s = first_s2 if s is first else (s * s, 2.0 * s)
-            out = lifshitz_summand(y_lo + s2, xi, a, view)
+            out = summand(y_lo, s2, a, view)
             out *= two_s
             return out
         # balanced calls under the cap; panels split past it
@@ -251,8 +271,8 @@ def _term_integrals(xi: float, table: _Table,
             part = table[c]
             for r in range(0, len(s), rows):
                 p = s[r:r + rows]
-                out[c, r:r + rows] = lifshitz_summand(y_lo[c] + p * p, xi,
-                                                      part.a, part.view)
+                out[c, r:r + rows] = summand(y_lo[c], p * p, part.a,
+                                             part.view)
         out *= 2.0 * s
         return out
 
@@ -388,7 +408,8 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     term, at the index and pair where one index per quadrature would.  A
     block whose quadrature raises QuadratureError is run again one index
     at a time, so the error is raised only at an index the sum reaches.
-    A FixedReflection must be the only model of its call.
+    A FixedReflection must be the only model of its call.  The kernel's
+    work array belongs to the call, so calls may run on several threads.
     """
     models = list(models)
     if not models:
@@ -401,10 +422,12 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     curves = [[_MatsubaraSum(s, model, series_tol, ctx, keep_terms)
                for s in seps] for model in models]
     a = np.array(seps)
+    # every node-sized array of the run's kernel calls, this call's own
+    work = np.empty((1 + WORK_ROWS, NODE_CAP))
     static = np.stack((a, 0.0 * a))  # every separation at xi = 0
     for model, curve in zip(models, curves):  # variant-dependent static
         for s, t_0, err_0 in zip(curve, *_term_integrals(
-                0.0, _Table(static, model), quad_tol)):
+                0.0, _Table(static, model), quad_tol, work)):
             s.add(0, t_0, err_0)
     active = [s for curve in curves for s in curve]
     table = _Table.of(models, a)
@@ -420,7 +443,8 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
         xis = [xi] if b == 1 else [matsubara_xi(l + i, ctx)
                                    for i in range(b)]
         try:
-            t, err = _term_integrals(xi, table.block(xis), quad_tol)
+            t, err = _term_integrals(xi, table.block(xis), quad_tol,
+                                    work)
         except QuadratureError:
             if b == 1:
                 raise

@@ -159,11 +159,12 @@ def adaptive_quad(f, lo: float, hi: float, rel_tol: float = 1e-9,
 
     ``f`` is called once per refinement round with a (n_panels, 21) array
     and returns an array of that shape, or of shape (*batch, n_panels, 21)
-    for a vector-valued integrand.  The first round's panels end at lo,
-    at the strictly increasing interior ``breakpoints`` and at hi; its
-    array is shared between calls and read-only.  Every component meets
-    its own rel_tol * |integral|, floored at the smallest normal float, on
-    its own panels.
+    for a vector-valued integrand; each result is reduced before the next
+    call, so f may return the same buffer every time.  The first round's
+    panels end at lo, at the strictly increasing interior ``breakpoints``
+    and at hi; its array is shared between calls and read-only.  Every
+    component meets its own rel_tol * |integral|, floored at the smallest
+    normal float, on its own panels.
     Raises QuadratureError if a component would need more than MAX_PANELS
     panels; the exception carries the largest achieved error estimate of
     the components still above their target.

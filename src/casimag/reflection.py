@@ -48,7 +48,7 @@ class FixedReflection:
                 raise ValueError(f"|{name}| must not exceed 1")
 
 
-def free_electron_eps(xi, k, m, core, k_unit=1.0):
+def free_electron_eps(xi, k, m, core, k_unit=1.0, out=(None, None)):
     """(eps_tr, eps_l) of the conduction electrons of ``m`` at (i xi, k).
 
     core + W (1 + v_t k/xi) and core + W/(1 + v_l k/xi) with
@@ -56,14 +56,21 @@ def free_electron_eps(xi, k, m, core, k_unit=1.0):
     drude has zero velocities, plasma zero gamma too, and every variant
     takes this one formula.  ``core`` replaces the leading unity; k is in
     units of ``k_unit`` (by default 1/m).  Zero velocities give both
-    entries equal to core + W, bit for bit: the local pair.
+    entries equal to core + W, bit for bit: the local pair.  ``out`` holds
+    the arrays eps_tr and eps_l are written into (None: new ones).
     """
     gamma, v_t, v_l = m.effective
     w = m.omega_p * m.omega_p / (xi * (xi + gamma))
     # per-component factors first, so an array k costs two and four passes
     unit = k_unit / xi
     b_t, b_l = v_t * unit, v_l * unit
-    return (core + w) + (w * b_t) * k, core + w / (1.0 + b_l * k)
+    o_tr, o_l = out
+    eps_tr = np.multiply(w * b_t, k, out=o_tr)
+    eps_tr = np.add(core + w, eps_tr, out=o_tr)
+    eps_l = np.multiply(b_l, k, out=o_l)
+    eps_l = np.add(1.0, eps_l, out=o_l)
+    eps_l = np.divide(w, eps_l, out=o_l)
+    return eps_tr, np.add(core, eps_l, out=o_l)
 
 
 def static_coefficients(k, m, mu):
@@ -96,7 +103,7 @@ def static_coefficients(k, m, mu):
     return r_tm, (mu * sk - skb) / (mu * sk + skb)
 
 
-def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l):
+def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l, out=(None,) * 5):
     """(N_TM, D_TM, N_TE, D_TE) at l >= 1 for a k-only response; r = N/D.
 
     Wavevectors are in units of xi/c: q = sqrt(k^2 + 1), k2 = k^2 and
@@ -108,21 +115,31 @@ def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l):
 
     For a local pair (eps_tr == eps_l) the cross term is exactly zero and
     this is the Fresnel form, bit for bit.  mu = 1 skips its products, and
-    q +- k_mu are formed in place; neither changes a bit.
+    q +- k_mu are formed in place; neither changes a bit.  ``out`` holds
+    the arrays D_TE, the cross term, D_TM, N_TM and N_TE are written into
+    (None: new ones); they may be k2, any array, eps_tr, k and eps_l, each
+    of which is read for the last time before its array is written.
     """
-    k_mu = np.sqrt(k2 + (eps_tr if mu == 1.0 else mu * eps_tr))
-    cross = eps_tr - eps_l
+    o_kmu, o_cross, o_dtm, o_ntm, o_nte = out
+    k_mu = np.add(k2, eps_tr if mu == 1.0 else mu * eps_tr, out=o_kmu)
+    k_mu = np.sqrt(k_mu, out=o_kmu)
+    cross = np.subtract(eps_tr, eps_l, out=o_cross)
     cross *= k
     cross /= eps_l
     cross += k_mu
-    d_tm = q * eps_tr
-    n_tm = d_tm - cross
+    d_tm = np.multiply(q, eps_tr, out=o_dtm)
+    n_tm = np.subtract(d_tm, cross, out=o_ntm)
     d_tm += cross
     if mu != 1.0:
         q = mu * q
-    n_te = q - k_mu
+    n_te = np.subtract(q, k_mu, out=o_nte)
     k_mu += q
     return n_tm, d_tm, n_te, k_mu
+
+
+# rows of the work array of one l >= 1 kernel call: q, k^2, k, eps_tr,
+# eps_l and the cross term, reused for the coefficients and exp(-y)
+WORK_ROWS = 6
 
 
 def _occupation(n, d, damp):
@@ -135,7 +152,7 @@ def _occupation(n, d, damp):
     return n
 
 
-def lifshitz_summand(y, xi, a, model):
+def lifshitz_summand(y, xi, a, model, work=None):
     """Integrand factor y^2 sum_pol x/(1-x), x = r^2 exp(-y), at y = 2 a q_l.
 
     ``y`` is an array of quadrature nodes (all > 0); ``xi`` is the
@@ -152,6 +169,13 @@ def lifshitz_summand(y, xi, a, model):
     replaces the argument above the static term: a block of Matsubara
     indices is one call, with its first frequency as ``xi``.
     Returns an array of the broadcast shape of ``y`` and ``a``.
+
+    ``work`` is None or WORK_ROWS float arrays of that shape, such as the
+    rows of one (WORK_ROWS, *shape) array.  Above the static term every
+    node-sized intermediate is then written into them, and the result is
+    one of them, valid until the next call with the same ``work``; without
+    it the call allocates its own rows, so the result is a new array.  The
+    same ufuncs run in the same order either way: the bits do not change.
     """
     y = np.asarray(y, dtype=float)
     d_tm = d_te = 1.0
@@ -163,20 +187,25 @@ def lifshitz_summand(y, xi, a, model):
             y = np.broadcast_to(y, shape)
         n_tm, n_te = ((model.r_tm, model.r_te) if fixed else
                       static_coefficients(y / (2.0 * a), model, model.mu0))
+        damp = None
     else:
+        if work is None:
+            work = np.empty((WORK_ROWS,) + np.broadcast(y, a).shape)
         xi = getattr(model, "xi", xi)  # a component table's frequencies
-        q = y * ((0.5 * C_LIGHT / xi) / a)  # y/y_lo
-        k2 = q * q
+        q, k2, k, eps_tr, eps_l, cross = work
+        np.multiply(y, (0.5 * C_LIGHT / xi) / a, out=q)  # y/y_lo
+        np.multiply(q, q, out=k2)
         k2 -= 1.0
         np.maximum(k2, 0.0, out=k2)
-        k = np.sqrt(k2)
-        eps_tr, eps_l = free_electron_eps(xi, k, model, model.core(xi),
-                                          xi / C_LIGHT)
-        n_tm, d_tm, n_te, d_te = matsubara_coefficients(q, k, k2, 1.0,
-                                                        eps_tr, eps_l)
-        del q, k2, k, eps_tr, eps_l  # fewer live temporaries below
+        np.sqrt(k2, out=k)
+        free_electron_eps(xi, k, model, model.core(xi), xi / C_LIGHT,
+                          (eps_tr, eps_l))
+        # each row is written once its last reader has run
+        n_tm, d_tm, n_te, d_te = matsubara_coefficients(
+            q, k, k2, 1.0, eps_tr, eps_l, (k2, cross, eps_tr, k, eps_l))
+        damp = q
 
-    damp = np.negative(y)
+    damp = np.negative(y, out=damp)
     np.exp(damp, out=damp)
     out = _occupation(n_tm, d_tm, damp)
     out += _occupation(n_te, d_te, damp)

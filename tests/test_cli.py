@@ -323,14 +323,14 @@ class TestWorkCounts:
         calls, nodes, freqs, kk_calls, static = [0], [0], set(), [], [0]
         quads, builds, hashed, compared = [], [], [], []
 
-        def spy(y, xi, a, model):
+        def spy(y, xi, a, model, *work):
             calls[0] += 1
             nodes[0] += np.size(y)
             # a component table carries each component's frequency
             freqs.update(model.cols[1].tolist()
                          if isinstance(model, lifshitz._Table) else [xi])
             static[0] += xi == 0.0
-            return kernel(y, xi, a, model)
+            return kernel(y, xi, a, model, *work)
 
         def quad_spy(*args, **kwargs):
             quads.append(1)
@@ -368,22 +368,23 @@ class TestWorkCounts:
         ctx = casimag.MatsubaraContext(300.0)
         assert freqs == {casimag.matsubara_xi(l, ctx)
                          for l in range(len(freqs))}
-        # no term refines: one kernel call per quadrature, and two for
-        # l = 1, whose 45 x 84-node first round NODE_CAP splits; blocks of
-        # indices take 54 quadratures instead of 101 (61 instead of 122)
+        # no term refines and no round is split: one kernel call per
+        # quadrature, l = 1's 45 x 84-node first round included; blocks of
+        # up to 8 indices take 19 quadratures instead of 101 (21 instead
+        # of 122), and evaluate 5 indices past the last one a sum takes
+        # (none with the table)
         if not tabled:
-            assert work == (54, 55, 144_459, 107)
+            assert work == (19, 19, 148_617, 104)
             assert kk_calls == builds == []
             return
-        assert work == (61, 62, 164_808, 127)
+        assert work == (21, 21, 168_399, 120)
         # the models are grouped by core once, when the run's component
         # table is built: one hash of the table per model, no comparison
         assert len(hashed) <= 3
         assert compared == []
         # one KK evaluation per frequency, shared by the three variants
-        # (l = 1 makes two, one per kernel call)
-        assert len({xi for xi, _, _ in kk_calls}) == 126
-        assert len(kk_calls) == 127
+        assert len({xi for xi, _, _ in kk_calls}) == 119
+        assert len(kk_calls) == 119
         # on one KK node set, which the table keeps
         _, table, m = kk_calls[0]
         assert builds == [table]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +75,11 @@ def test_static_term_matches_polylog():
     assert term == pytest.approx(expected, rel=1e-8)
 
 
+def _work():
+    """A work array of one pressure_curves call, for _term_integrals."""
+    return np.empty((1 + lifshitz.WORK_ROWS, lifshitz.NODE_CAP))
+
+
 @pytest.mark.parametrize("v_over_vf", [1.0, 7.0])
 @pytest.mark.parametrize("mu0", [1.0, 2.0, 110.0])
 @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
@@ -83,7 +90,7 @@ def test_static_term_converges_on_its_first_round(monkeypatch, variant, mu0,
     a = np.geomspace(10e-9, 20e-6, 25)
     tally = _kernel_spy(monkeypatch)
     lifshitz._term_integrals(0.0, lifshitz._Table(np.stack((a, 0.0 * a)),
-                                                  model), 1e-9)
+                                                  model), 1e-9, _work())
     assert tally["calls"] == 1
 
 
@@ -119,7 +126,7 @@ def test_high_index_terms_exponentially_suppressed():
     pref, _ = lifshitz._scales(a, CTX)
     xi = matsubara_xi(l_big, CTX)
     (t_l,), _ = lifshitz._term_integrals(
-        xi, lifshitz._Table(np.array([[a], [xi]]), model), 1e-9)
+        xi, lifshitz._Table(np.array([[a], [xi]]), model), 1e-9, _work())
     assert abs(pref * t_l) < 1e-17 * abs(res.pressure)
 
 
@@ -131,7 +138,7 @@ def test_subnormal_terms_integrate(l):
     xi = matsubara_xi(l, CTX)
     (t_l,), _ = lifshitz._term_integrals(
         xi, lifshitz._Table(np.array([[1e-6], [xi]]), nickel("plasma")),
-        1e-9)
+        1e-9, _work())
     assert -1e-300 < pref * t_l <= 0.0
 
 
@@ -197,11 +204,11 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     kernel = lifshitz.lifshitz_summand
     seen, rows = [], set()
 
-    def spy(y, xi, a, model):
+    def spy(y, xi, a, model, *work):
         seen.append(xi)
         rows.update(model.cols[1].tolist()
                     if isinstance(model, lifshitz._Table) else [xi])
-        return kernel(y, xi, a, model)
+        return kernel(y, xi, a, model, *work)
 
     monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
     model = nickel("drude")
@@ -324,6 +331,8 @@ def _record_integrand(monkeypatch, outputs):
 
 # 10 nm to 20 um: the extremes of the separations the model is used at
 WIDE = (10e-9, 30e-9, 100e-9, 1e-6, 5e-6, 20e-6)
+# a NODE_CAP above every round of the runs that set it: no call is split
+UNSPLIT = 100_000
 VARIANTS = ("nonlocal", "plasma", "drude")
 
 
@@ -414,12 +423,13 @@ class TestPressureCurves:
         table = table[keep.ravel()]
         assert table.a.ravel().tolist() == a.tolist()
         xi = matsubara_xi(7, CTX)
-        t, err = lifshitz._term_integrals(xi, table.block([xi]), 1e-9)
+        work = _work()
+        t, err = lifshitz._term_integrals(xi, table.block([xi]), 1e-9, work)
         start, t_each, err_each = 0, [], []
         for model, n in runs:
             part = a[start:start + n]
             one = lifshitz._Table(np.stack((part, 0.0 * part + xi)), model)
-            t_m, err_m = lifshitz._term_integrals(xi, one, 1e-9)
+            t_m, err_m = lifshitz._term_integrals(xi, one, 1e-9, work)
             t_each += t_m
             err_each += err_m
             start += n
@@ -451,10 +461,10 @@ class TestPressureCurves:
     def test_readme_run_takes_whole_first_rounds_under_the_node_cap(
             self, monkeypatch, ni_models):
         # one quadrature per block of indices l >= 1 for all three models,
-        # plus one static quadrature per model.  No term refines, and only
-        # l = 1 (45 x 84 nodes) is split: every other kernel call is one
-        # whole 63-node first round of the pairs still summing, at each
-        # index of its block, within the cap
+        # plus one static quadrature per model.  No term refines and no
+        # round is split: l = 1 is one 45 x 84-node call, and every other
+        # kernel call is one whole 63-node first round of the pairs still
+        # summing, at each index of its block, within the cap
         grid = np.geomspace(100e-9, 800e-9, 15)
         kernel, quad = lifshitz.lifshitz_summand, lifshitz.adaptive_quad
         sizes, xis, quads = [], [], []
@@ -472,16 +482,17 @@ class TestPressureCurves:
         monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
         curves = pressure_curves(grid, list(ni_models.values()), CTX)
         terms = max(res.terms_used for curve in curves for res in curve)
-        assert len(quads) <= 0.6 * (terms + 3)
-        assert len(sizes) == len(quads) + 1
+        assert len(quads) <= 0.2 * (terms + 3)
+        assert len(sizes) == len(quads)
         assert max(sizes) <= lifshitz.NODE_CAP
         first, _, _ = lifshitz._FIRST[lifshitz.BREAKPOINTS]
         static, _, _ = lifshitz._FIRST[lifshitz.STATIC_BREAKPOINTS]
         assert sizes[:3] == [len(grid) * static.size] * 3
-        assert sum(sizes[3:5]) == 3 * len(grid) * static.size  # l = 1
-        assert all(size % first.size == 0 for size in sizes[5:])
-        # a block fills the cap: the largest takes 54 of its 57 components
-        assert max(sizes) == 54 * first.size
+        assert sizes[3] == 3 * len(grid) * static.size  # l = 1
+        assert all(size % first.size == 0 for size in sizes[4:])
+        # a block fills the cap: the largest takes 225 of its 228
+        # components, 5 indices of the 45 pairs
+        assert max(sizes) == 225 * first.size
         assert all(type(xi) is float for xi in xis)
 
     # components split evenly (240), unevenly (300), panels split (50:
@@ -495,11 +506,6 @@ class TestPressureCurves:
         models = list(ni_models.values())
         outputs = []
         _record_integrand(monkeypatch, outputs)
-        monkeypatch.setattr(lifshitz, "BLOCK", 1)
-        monkeypatch.setattr(lifshitz, "NODE_CAP", 10**9)
-        expected = pressure_curves(grid, models, CTX, keep_terms=True)
-        whole = len(outputs)
-
         kernel = lifshitz.lifshitz_summand
         sizes = []
 
@@ -508,22 +514,72 @@ class TestPressureCurves:
             return kernel(y, xi, *args)
 
         monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        monkeypatch.setattr(lifshitz, "NODE_CAP", UNSPLIT)
+        expected = pressure_curves(grid, models, CTX, keep_terms=True)
+        whole = len(outputs)
+        assert len(sizes) == whole  # one kernel call per round
+
         monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
         assert pressure_curves(grid, models, CTX, keep_terms=True) == \
             expected
-        assert max(sizes) <= cap
-        assert len(sizes) > len(outputs) - whole  # the rounds were split
+        assert max(sizes[whole:]) <= cap
+        assert len(sizes) - whole > whole  # the rounds were split
         assert len(outputs) == 2 * whole
         assert all(np.array_equal(a, b)
                    for a, b in zip(outputs[:whole], outputs[whole:]))
-        # blocks of indices under the same cap, and unsplit
+        # blocks of indices: at NODE_CAP, under the same cap, and unsplit
         monkeypatch.undo()
-        monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
-        assert pressure_curves(grid, models, CTX, keep_terms=True) == \
-            expected
-        monkeypatch.setattr(lifshitz, "NODE_CAP", 10**9)
-        assert pressure_curves(grid, models, CTX, keep_terms=True) == \
-            expected
+        for node_cap in (lifshitz.NODE_CAP, cap, UNSPLIT):
+            monkeypatch.setattr(lifshitz, "NODE_CAP", node_cap)
+            assert pressure_curves(grid, models, CTX, keep_terms=True) == \
+                expected
+
+    @pytest.mark.parametrize("temperature", [10.0, 300.0])
+    def test_node_cap_changes_no_bit_over_a_wide_grid(
+            self, monkeypatch, temperature, ni_models):
+        # a kernel call's values live in the run's work array, which the
+        # next call overwrites, until the quadrature has reduced them.  At
+        # quad_tol = 1e-13 blocks refine; at NODE_CAP their rounds are one
+        # call each, at the old cap of 3,600 nodes they split into
+        # several, so a round reduced after a later call would show here
+        models = [ni_models[v] for v in VARIANTS]
+        ctx = MatsubaraContext(temperature=temperature)
+        quad, kernel = lifshitz.adaptive_quad, lifshitz.lifshitz_summand
+        rounds, starts = [], []  # per round: [kernel calls, frequencies]
+
+        def spy(y, xi, a, model, *work):
+            rounds[-1][0] += 1
+            rounds[-1][1].update(model.cols[1].tolist()
+                                 if isinstance(model, lifshitz._Table)
+                                 else [xi])
+            return kernel(y, xi, a, model, *work)
+
+        def counting(f, *args, **kwargs):
+            starts.append(len(rounds))
+
+            def g(s):
+                rounds.append([0, set()])
+                return f(s)
+            return quad(g, *args, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
+        curves = {}
+        for node_cap in (lifshitz.NODE_CAP, 3600):
+            monkeypatch.setattr(lifshitz, "NODE_CAP", node_cap)
+            rounds.clear()
+            starts.clear()
+            curves[node_cap] = pressure_curves(WIDE, models, ctx,
+                                               quad_tol=1e-13,
+                                               keep_terms=True)
+            blocks = [len(rounds[i][1]) > 1 for i in starts]
+            refined = [j - i > 1 for i, j in
+                       zip(starts, starts[1:] + [len(rounds)])]
+            split = [calls > 1 and len(xis) > 1 for calls, xis in rounds]
+            assert any(b and r for b, r in zip(blocks, refined)), node_cap
+            assert any(split) == (node_cap == 3600)
+        assert curves[lifshitz.NODE_CAP] == curves[3600]
 
 
 def _outcome(*args, **kwargs):
@@ -573,16 +629,17 @@ class TestBlocks:
     @pytest.mark.parametrize("last", [15, 16])
     def test_quadrature_error_in_a_block_reruns_it_one_index_each(
             self, monkeypatch, last):
-        # at 1 um the drude sum takes l <= 15 in one block of 16 indices;
-        # a quadrature that fails at l = 16 must not fail the sum, and one
-        # that fails at l = 15 fails it as one index per quadrature does
+        # at 1 um the drude sum takes l <= 15, the last in the block of
+        # l = 9, ..., 16; a quadrature that fails at l = 16 must not fail
+        # the sum, and one that fails at l = 15 fails it as one index per
+        # quadrature does
         xi_bad = matsubara_xi(last, CTX)
         term_integrals = lifshitz._term_integrals
 
-        def failing(xi, table, quad_tol):
+        def failing(xi, table, *args):
             if table.cols[1].max() >= xi_bad:
                 raise lifshitz.QuadratureError("fails", 1.0)
-            return term_integrals(xi, table, quad_tol)
+            return term_integrals(xi, table, *args)
 
         monkeypatch.setattr(lifshitz, "_term_integrals", failing)
         if last == 15:
@@ -595,6 +652,72 @@ class TestBlocks:
         monkeypatch.setattr(lifshitz, "BLOCK", 1)
         assert pressure(1e-6, nickel("drude"), CTX,
                         keep_terms=True) == blocked
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
+@pytest.mark.parametrize("block", [0, 1, 3],
+                         ids=["static", "float-xi", "column-xi"])
+def test_kernel_work_array_changes_no_bit(table, block, ni_models,
+                                          ni_models_ib):
+    # the same ufuncs in the same order write into the caller's rows:
+    # every bit of the result is that of a call that allocates its own
+    models = list((ni_models_ib if table else ni_models).values())
+    a = np.geomspace(10e-9, 20e-6, 7)
+    if block:
+        xis = [matsubara_xi(l, CTX) for l in range(5, 5 + block)]
+        calls = [lifshitz._Table.of(models, a).block(xis)]
+        assert (type(calls[0].xi) is float) == (block == 1)
+    else:  # the static term: one model per call
+        calls = [lifshitz._Table(np.stack((a, 0.0 * a)), m) for m in models]
+    s = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
+    for tab in calls:
+        xi = float(tab.cols[1, 0])
+        y = tab.a * (2.0 * tab.xi / C_LIGHT) + s * s
+        fresh = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
+        again = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
+        assert not np.shares_memory(fresh, again)  # each a new array
+        work = np.full((lifshitz.WORK_ROWS,) + y.shape, np.nan)
+        got = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view, work)
+        assert got.tobytes() == fresh.tobytes()
+        if block:  # in the caller's rows, which the next call reuses
+            assert np.shares_memory(got, work)
+            lifshitz.lifshitz_summand(2.0 * y, xi, tab.a, tab.view, work)
+            assert got.tobytes() != fresh.tobytes()
+        assert fresh.tobytes() == again.tobytes()
+
+
+def test_concurrent_runs_get_their_serial_results(ni_models, ni_models_ib):
+    # each pressure_curves call has its own work array: three threads,
+    # more than the cores of a small machine, running the README loops at
+    # once (without and with the optical table, and at 1000 K) with a
+    # short switch interval, each get the bits of a serial run
+    grid = np.geomspace(100e-9, 800e-9, 15)
+    jobs = [([m[v] for v in VARIANTS], MatsubaraContext(temperature=t))
+            for m, t in ((ni_models, 300.0), (ni_models_ib, 300.0),
+                         (ni_models, 1000.0))]
+    serial = [pressure_curves(grid, *job, keep_terms=True) for job in jobs]
+    start = threading.Barrier(len(jobs))
+    results = [[] for _ in jobs]
+
+    def loop(job, out):
+        start.wait(timeout=60)
+        for _ in range(6):
+            out.append(pressure_curves(grid, *job, keep_terms=True))
+
+    threads = [threading.Thread(target=loop, args=pair)
+               for pair in zip(jobs, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for expected, got in zip(serial, results):
+        assert got == [expected] * 6
 
 
 @pytest.mark.parametrize("a", [100e-9, 800e-9])
