@@ -12,8 +12,13 @@ at 20 nm and 300 K the first blocks of Matsubara indices start where the
 graded first round ends.  The three runs that take all three models on
 the config's grid (``pressure`` and ``gradient`` with ``--model all``, and
 ``ratio``) also run on 100 log-spaced separations over 100-800 nm at
-300 K: there the first round of one index, 300 pairs x 63 = 18,900 nodes,
-exceeds ``lifshitz.NODE_CAP``, so its kernel calls are split.  Every run
+300 K: there the first round of the static term, 300 pairs x 84 = 25,200
+nodes, and of one index, 300 x 63 = 18,900, exceed ``lifshitz.NODE_CAP``,
+so their kernel calls are split.  Where a few pairs sum long tails alone,
+the Matsubara indices go in tail blocks as long as the tail rule predicts:
+``pressure --model all`` and ``ratio`` run on five separations over
+1-5 um at 4 K, and those two and ``gradient --model all`` on the one
+separation 100 nm at 10 K.  Every run
 writes its CSV to a file and, once more, to stdout.  In every case but
 the 100-separation one, ``--help`` runs once, and three runs take the
 error paths (``impedance-dump --model all``, ``compare`` without
@@ -27,7 +32,7 @@ checkout, so two checkouts compare with
     python3 scripts/cli_outputs.py .      out-change
     diff -r out-parent out-change
 
-A checkout runs the 220 commands in about 3 minutes on two cores.
+A checkout runs the 240 commands in about half a minute on two cores.
 """
 
 from __future__ import annotations
@@ -105,13 +110,18 @@ ONCE = (
 # the runs of all three models on the config's grid, in one Matsubara loop
 ALL_MODELS = tuple(run for run in RUNS
                    if run[0] in ("pressure-all", "ratio", "gradient-all"))
-# (case, temperature in K, a_min_nm, a_max_nm, points, runs, runs once)
+# the runs of all three models whose pressures need no PFA table
+PRESSURES = tuple(run for run in ALL_MODELS if run[0] != "gradient-all")
+# (case, temperature in K, a_min_nm, a_max_nm, points, runs, runs once);
+# one point is the separation a_min_nm
 CASES = (
     ("300K", 300, 100, 800, 15, RUNS, ONCE),
     ("10K", 10, 100, 800, 15, RUNS, ONCE),
     ("1K", 1, 100, 800, 15, RUNS, ONCE),
     ("sweep-300K", 300, 20, 2000, 2, RUNS, ONCE),
     ("split-300K", 300, 100, 800, 100, ALL_MODELS, ()),
+    ("tails-4K", 4, 1000, 5000, 5, PRESSURES, ()),
+    ("one-10K", 10, 100, 800, 1, ALL_MODELS, ()),
 )
 
 

@@ -8,9 +8,10 @@ log-spaced separations, 100-800 nm, nonlocal, plasma and drude, no
 optical table) at 300 K and at 10 K.  Each of PAIRS pairs (default 15)
 times both checkouts once, in alternating order (parent first in even
 pairs, change first in odd ones), after one untimed warm-up loop each.
-Prints, per temperature, each side's median time and the median and
-range of the paired ratios change/parent.  The machine's speed drifts,
-so compare checkouts only within one run of this script.
+Prints, per temperature, each side's median time with the quadratures
+and kernel calls of one loop (counted in one more, untimed loop), and the
+median and range of the paired ratios change/parent.  The machine's
+speed drifts, so compare checkouts only within one run of this script.
 """
 
 from __future__ import annotations
@@ -48,6 +49,31 @@ def loop(casimag, temperature: float):
     return lambda: casimag.pressure_curves(GRID, models, ctx)
 
 
+def work(casimag, run) -> str:
+    """The quadratures and kernel calls of one call of ``run``, counted
+    by wrapping the two functions in the checkout's lifshitz module."""
+    lifshitz = casimag.lifshitz
+    names = ("adaptive_quad", "lifshitz_summand")
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    saved = [getattr(lifshitz, name) for name in names]
+    for name, fn in zip(names, saved):
+        setattr(lifshitz, name, counting(name, fn))
+    try:
+        run()
+    finally:
+        for name, fn in zip(names, saved):
+            setattr(lifshitz, name, fn)
+    return (f"{counts['adaptive_quad']} quadratures, "
+            f"{counts['lifshitz_summand']} kernel calls")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -65,10 +91,12 @@ def main(argv: list[str]) -> int:
                 runs[side]()
                 times[side].append(time.perf_counter() - t0)
         ratios = sorted(c / p for p, c in zip(*times))
-        print(f"{temperature:g} K, {pairs} pairs: parent "
-              f"{statistics.median(times[0]) * 1e3:.2f} ms, change "
-              f"{statistics.median(times[1]) * 1e3:.2f} ms, change/parent "
-              f"median {statistics.median(ratios):.3f} "
+        parent, change = (f"{statistics.median(t) * 1e3:.2f} ms "
+                          f"({work(casimag, run)})"
+                          for t, casimag, run in zip(times, sides, runs))
+        print(f"{temperature:g} K, {pairs} pairs: parent {parent}, change "
+              f"{change}, change/parent median "
+              f"{statistics.median(ratios):.3f} "
               f"(range {ratios[0]:.3f}-{ratios[-1]:.3f})")
     return 0
 

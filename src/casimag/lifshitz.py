@@ -17,28 +17,32 @@ on its first round of panels (graded finer while y_lo < 0.25).
 
 ``pressure_curves`` holds the one Matsubara loop, for every model and
 separation of a run, and is the one entry for pressures; ``pressure`` is
-its one-point form.  The static term is one quadrature per model, since
-its coefficients depend on the variant.  The pairs still summing at
-l >= 1 form one component table (``_Table``), built once per run and
-compressed as pairs converge.  A block of consecutive indices
-l, ..., l + B - 1 is one vector-valued quadrature over B copies of it,
-one kernel call per round: the kernel reads the separations, each
-component's frequency, omega_p and effective (gamma, v_t, v_l) as
-columns, and ``_Table.core``, one interband core per core group and
-frequency (one float for the variants of a material at one frequency),
-the groups fixed when the table is built.  B is 1 while the block's first
-index takes the graded first round, and otherwise the most indices whose
-first round of every pair fits in ``NODE_CAP`` nodes, up to ``BLOCK``.
-Each pair takes its terms in ascending l and ignores those past the index
-where its sum stops, so every result carries the bits of one index per
-quadrature.  On the README grid (15 separations, 100-800 nm, three
-models) a run takes 19 quadratures and 19 kernel calls: 101 with one
-index each, and 297 with one loop per model.  A round's kernel calls
-split the components so that none exceeds ``NODE_CAP`` nodes.  Each
-``pressure_curves`` call owns one work array of NODE_CAP columns, and
-every node-sized array of an l >= 1 kernel call is one of its rows, so
-such a call allocates nothing node-sized.  A ``reflection.FixedReflection``
-(re-exported here) runs alone.
+its one-point form.  Every (model, separation) pair of a run is a
+component of one table (``_Table``), built once per run and compressed
+as pairs converge.  The static term of every pair is one vector-valued
+quadrature over it: the kernel gives each component the zero-frequency
+coefficients of its own model (``_Table.static``).  Above it, a block of
+consecutive indices l, ..., l + B - 1 is one vector-valued quadrature
+over B copies of the table, one kernel call per round: the kernel reads
+the separations, each component's frequency, omega_p and effective
+(gamma, v_t, v_l) as columns, and ``_Table.core``, one interband core per
+core group and frequency (one float for the variants of a material at
+one frequency), the groups fixed when the table is built.  B is 1 while
+the block's first index takes the graded first round.  Otherwise it is
+the most indices whose first round of every pair fits in ``NODE_CAP``
+nodes, up to ``BLOCK``; once that cap admits more than ``BLOCK``, a tail
+block takes as many as the slowest pair's tail rule predicts it still
+needs (``_MatsubaraSum.needs``), up to the cap.  Each pair takes its
+terms in ascending l and ignores those past the index where its sum
+stops, so every result carries the bits of one index per quadrature.  On
+the README grid (15 separations, 100-800 nm, three models) a run takes
+13 quadratures and 13 kernel calls: 101 with one index each, and 297
+with one loop per model.  A round's kernel calls split the components so
+that none exceeds ``NODE_CAP`` nodes.  Each ``pressure_curves`` call
+owns one work array of NODE_CAP columns, and every node-sized array of an
+l >= 1 kernel call is one of its rows, so such a call allocates nothing
+node-sized.  A ``reflection.FixedReflection`` (re-exported here) runs
+alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency coefficients of the variant
@@ -61,7 +65,8 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import QuadratureError, _first_round, adaptive_quad
-from .reflection import WORK_ROWS, FixedReflection, lifshitz_summand
+from .reflection import WORK_ROWS, FixedReflection, lifshitz_summand, \
+    static_coefficients
 from .response import MatsubaraContext, matsubara_xi
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
@@ -95,13 +100,15 @@ Y_LO_STATIC = 0.25
 # next call to fault back in, the cost that held the cap at 3,600 before;
 # README gives the per-node costs.
 NODE_CAP = 14400
-# Most consecutive Matsubara indices one quadrature takes.  Timed
-# in-process against the allocating kernel at 3,600 nodes and blocks of
-# 16 (medians of interleaved loops on a shared 2-core VM), NODE_CAP with
-# 8 took 0.93x on the micron grid and with 16 1.00x: its last blocks
-# overshoot sums of about 8 terms.  The README loop took 0.77x with 8 and
-# 0.75x with 16 at 300 K, 0.71x and 0.66x at 10 K.  A block of one index
-# runs the same code.
+# Most consecutive Matsubara indices one quadrature takes while more pairs
+# are summing than NODE_CAP admits at BLOCK + 1 indices (29 on the 63-node
+# round); past that, a tail block takes as many as the slowest pair's
+# tail rule predicts.  Timed in-process against the allocating kernel at
+# 3,600 nodes and blocks of 16 (medians of interleaved loops on a shared
+# 2-core VM), NODE_CAP with 8 took 0.93x on the micron grid and with 16
+# 1.00x: its last blocks overshoot sums of about 8 terms.  The README loop
+# took 0.77x with 8 and 0.75x with 16 at 300 K, 0.71x and 0.66x at 10 K.
+# A block of one index runs the same code.
 BLOCK = 8
 # each first round's nodes in s, one read-only array shared by every
 # term's quadrature, with their s^2 and 2 s
@@ -131,26 +138,36 @@ class SeriesConvergenceError(RuntimeError):
         self.partial = partial
 
 
+def _runs(row: np.ndarray) -> list[int]:
+    """Edges of the runs of equal entries of ``row``: entries
+    cut[r]:cut[r + 1] share one value."""
+    return [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(),
+            len(row)]
+
+
 class _Table:
     """Components of one vector-valued quadrature: column i of ``cols``
-    holds component i's a, frequency xi, omega_p, gamma, v_t, v_l and core
-    group (as rows, every field is contiguous).  ``view`` is the kernel's
-    model: one model shared by every component (a static term, a
-    FixedReflection; their ``cols`` hold a and xi alone), or the table
-    itself, whose ``a``, ``xi``, omega_p and effective (gamma, v_t, v_l)
-    are fields shaped (C, 1, 1) and whose ``core`` gives each group's
-    interband core from ``cores``, one model per group.  ``xi`` is a float
-    when every component has one frequency; the rows ascend in xi, so the
-    first and last tell.  Every component, local or not, takes the one
-    formula of ``free_electron_eps``.  Indexing with a slice or a list of
-    indices takes those components, and ``block`` repeats the table at
-    each frequency of a block.  A plain class: a frozen dataclass would
-    add about 0.8 ms to every CLI start."""
+    holds component i's a, frequency xi, omega_p, gamma, v_t, v_l, core
+    group and model (as rows, every field is contiguous).  ``view`` is the
+    kernel's model: one model shared by every component (a FixedReflection,
+    or one MaterialModel; their ``cols`` hold a and xi alone), or the
+    table itself, whose ``a``, ``xi``, omega_p and effective (gamma, v_t,
+    v_l) are fields shaped (C, 1, 1), whose ``core`` gives each group's
+    interband core from ``cores``, one model per group, and whose
+    ``static`` gives each component the static coefficients of its model
+    in ``models``.  ``xi`` is a float when every component has one
+    frequency; the rows ascend in xi, so the first and last tell.  Every
+    component, local or not, takes the one formula of
+    ``free_electron_eps``.  Indexing with a slice or a list of indices
+    takes those components, and ``block`` repeats the table at each
+    frequency of a block.  A plain class: a frozen dataclass would add
+    about 0.8 ms to every CLI start."""
 
-    __slots__ = ("cols", "cores", "a", "xi", "view", "omega_p", "effective")
+    __slots__ = ("cols", "cores", "models", "a", "xi", "view", "omega_p",
+                 "effective")
 
-    def __init__(self, cols: np.ndarray, view=None, cores=()):
-        self.cols, self.cores = cols, cores
+    def __init__(self, cols: np.ndarray, view=None, cores=(), models=()):
+        self.cols, self.cores, self.models = cols, cores, models
         self.a = cols[0, :, None, None]
         xi = cols[1]
         self.xi = float(xi[0]) if xi[0] == xi[-1] else xi[:, None, None]
@@ -162,25 +179,26 @@ class _Table:
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
         """The table of every (model, separation) pair, model-major, at
-        xi = 0 until ``block`` sets the frequencies; a FixedReflection,
-        which runs alone, is its own view.  Models without a table form one
-        core group, the others one per (table, omega_p, gamma)."""
+        xi = 0 (the static term) until ``block`` sets the frequencies; a
+        FixedReflection, which runs alone, is its own view.  Models without
+        a table form one core group, the others one per (table, omega_p,
+        gamma)."""
         pairs = np.stack((a, np.zeros(len(a))))
         if isinstance(models[0], FixedReflection):
             return cls(pairs, models[0])
         groups, fields = {}, []  # core key -> (group, its first model)
-        for m in models:  # the key is None for every model without a table
+        for i, m in enumerate(models):  # key None: every model without one
             key = m.interband and (m.interband, m.omega_p, m.gamma)
             g, _ = groups.setdefault(key, (len(groups), m))
-            fields.append((m.omega_p, *m.effective, g))
+            fields.append((m.omega_p, *m.effective, g, i))
         fields = np.array(fields).T
         return cls(np.vstack((np.tile(pairs, len(models)),
                               fields.repeat(len(a), axis=1))), None,
-                   tuple(m for _, m in groups.values()))
+                   tuple(m for _, m in groups.values()), tuple(models))
 
     def _with(self, cols: np.ndarray) -> "_Table":
         return _Table(cols, None if self.view is self else self.view,
-                      self.cores)
+                      self.cores, self.models)
 
     def __getitem__(self, j) -> "_Table":
         return self._with(self.cols[:, j])
@@ -210,9 +228,7 @@ class _Table:
             if cores[0].interband is None:
                 return 1.0
         freq = self.cols[1]
-        # the rows ascend in xi: columns cut[r]:cut[r + 1] share one
-        cut = [0, *(np.flatnonzero(freq[1:] != freq[:-1]) + 1).tolist(),
-               len(freq)]
+        cut = _runs(freq)  # the rows ascend in xi
         if len(cores) == 1:
             return np.repeat([cores[0].core(float(freq[i])) for i in cut[:-1]],
                              np.diff(cut))[:, None, None]
@@ -224,6 +240,19 @@ class _Table:
                 out[i:j][g == k] = cores[k].core(float(freq[i]))
         return out[:, None, None]
 
+    def static(self, k: np.ndarray) -> np.ndarray:
+        """(r_TM, r_TE) of the static term at wavevectors ``k``, shaped
+        (2, *k.shape): each component's model's exact zero-frequency
+        coefficients (``static_coefficients`` with its mu0).  The models
+        are model-major, so each run of one model is one call."""
+        r = np.empty((2,) + k.shape)
+        model = self.cols[7]
+        cut = _runs(model)
+        for i, j in zip(cut, cut[1:]):
+            m = self.models[int(model[i])]
+            r[0, i:j], r[1, i:j] = static_coefficients(k[i:j], m, m.mu0)
+        return r
+
 
 def _term_integrals(xi: float, table: _Table, quad_tol: float,
                     work: np.ndarray) -> tuple[list, list]:
@@ -231,7 +260,8 @@ def _term_integrals(xi: float, table: _Table, quad_tol: float,
     ``table`` in one vector-valued quadrature, with one kernel call per
     round (more past ``NODE_CAP``).  ``xi``, the kernel's float, is the
     table's first frequency: ``xi = 0.0`` is the static term, whose table
-    holds one model at xi = 0 (``_Table(np.stack((a, 0.0 * a)), model)``).
+    is a run's table at xi = 0 (``_Table.of``) or holds one model at xi = 0
+    (``_Table(np.stack((a, 0.0 * a)), model)``).
     ``work``, the run's (1 + WORK_ROWS, NODE_CAP) array, holds every
     node-sized array of a kernel call: y in row 0, the kernel's own rows
     after it.  An unsplit round's integrand returns its values in those
@@ -332,6 +362,7 @@ class _MatsubaraSum:
         self.tail = math.inf
         self.consecutive = 0
         self.prev_t = None
+        self.ratio = None
         self.result = None
 
     def add(self, l: int, t_l: float, err_l: float) -> bool:
@@ -357,7 +388,7 @@ class _MatsubaraSum:
             if t_l == 0.0:
                 self.tail = 0.0
             elif self.prev_t is not None and 0.0 < t_l < self.prev_t:
-                ratio = t_l / self.prev_t
+                self.ratio = ratio = t_l / self.prev_t
                 self.tail = t_l * ratio / (1.0 - ratio)
             else:
                 self.tail = math.inf
@@ -376,6 +407,21 @@ class _MatsubaraSum:
                 f"{self.a:.6e} m not converged within {self.cap} terms",
                 self._result(self.cap))
         return True
+
+    def needs(self, l: int) -> int:
+        """How many indices from l on the tail rule predicts this sum
+        takes, if its tail keeps falling by the last term ratio: until
+        three consecutive estimates meet the rule, and at most up to the
+        cap.  BLOCK while the last estimate has no ratio, or the rule's
+        bound is not positive."""
+        tail, bound = self.tail, self.series_tol * self.accum
+        if tail <= bound:
+            k = 3 - self.consecutive
+        elif tail == math.inf or not bound > 0.0:
+            k = BLOCK
+        else:  # the first i >= 1 with tail ratio^i <= bound, and two more
+            k = math.ceil(math.log(bound / tail) / math.log(self.ratio)) + 2
+        return min(k, self.cap - l)
 
     def _result(self, terms_used: int) -> PressureResult:
         tail = self.tail
@@ -396,9 +442,11 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
 
     The one Matsubara loop.  The tolerances, every separation and every
     pair's prefactor and term cap are checked before any term.  The static
-    term is one quadrature per model; above it every pair still summing
-    is one component of a single vector-valued quadrature at each index of
-    a block of consecutive l (see the module docstring).  Each pair's sum
+    term of every pair is one quadrature, rerun one model at a time if it
+    raises QuadratureError, so that what it raises is what one static
+    quadrature per model raises; above it every pair still summing is one
+    component of a single vector-valued quadrature at each index of a
+    block of consecutive l (see the module docstring).  Each pair's sum
     stops once the geometric tail estimate has stayed below
     series_tol * |partial sum| for three consecutive indices, and then
     leaves the set evaluated at later blocks; the final tail estimate is
@@ -424,13 +472,17 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     a = np.array(seps)
     # every node-sized array of the run's kernel calls, this call's own
     work = np.empty((1 + WORK_ROWS, NODE_CAP))
-    static = np.stack((a, 0.0 * a))  # every separation at xi = 0
-    for model, curve in zip(models, curves):  # variant-dependent static
-        for s, t_0, err_0 in zip(curve, *_term_integrals(
-                0.0, _Table(static, model), quad_tol, work)):
-            s.add(0, t_0, err_0)
     active = [s for curve in curves for s in curve]
-    table = _Table.of(models, a)
+    table = _Table.of(models, a)  # at xi = 0
+    try:  # the static term of every pair in one quadrature
+        static = [(active, _term_integrals(0.0, table, quad_tol, work))]
+    except QuadratureError:  # one per model fails where those sums would
+        static = ((curve, _term_integrals(
+            0.0, table[i * len(a):(i + 1) * len(a)], quad_tol, work))
+            for i, curve in enumerate(curves))
+    for pairs, (t, err) in static:
+        for s, t_0, err_0 in zip(pairs, t, err):
+            s.add(0, t_0, err_0)
     fit = NODE_CAP // _FIRST[BREAKPOINTS][0].size  # pairs x indices
     l, single, coarse = 1, 0, False  # below ``single``, one index each
     while active:
@@ -439,7 +491,10 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
         # only grows, as xi grows and pairs only leave the table
         coarse = coarse or (table.a.min() * (2.0 * xi / C_LIGHT)
                             >= Y_LO_STATIC)
-        b = (min(BLOCK, fit // n) or 1) if coarse and l >= single else 1
+        b, most = 1, fit // n
+        if coarse and l >= single:  # past BLOCK, what the tail rule predicts
+            b = (min(most, max(s.needs(l) for s in active)) if most > BLOCK
+                 else min(BLOCK, most) or 1)
         xis = [xi] if b == 1 else [matsubara_xi(l + i, ctx)
                                    for i in range(b)]
         try:

@@ -158,10 +158,13 @@ def lifshitz_summand(y, xi, a, model, work=None):
     ``y`` is an array of quadrature nodes (all > 0); ``xi`` is the
     Matsubara frequency (0.0 selects the static-term coefficients, with
     permeability ``model.mu0``); ``model`` is a MaterialModel or a
-    FixedReflection.  Above the static term the permeability is 1, the
-    interband core is ``model.core(xi)``, wavevectors are in units of xi/c
-    (q = y/y_lo, y_lo = 2 a xi/c) and r = N/D is never formed: x/(1-x) is
-    N^2 d/(D^2 - N^2 d), d = exp(-y).  There ``model`` may be anything
+    FixedReflection.  In the static term a model with a ``static(k)``
+    method, such as a component table, gives the (r_TM, r_TE) pair itself:
+    each component's own model's coefficients.  Above the static term the
+    permeability is 1, the interband core is ``model.core(xi)``,
+    wavevectors are in units of xi/c (q = y/y_lo, y_lo = 2 a xi/c) and
+    r = N/D is never formed: x/(1-x) is N^2 d/(D^2 - N^2 d),
+    d = exp(-y).  There ``model`` may be anything
     with the ``omega_p``, ``effective`` and ``core`` that this reads, and
     those may be arrays that broadcast like ``a``: one entry per component
     of a multi-model pressure loop.  Such a model may also carry ``xi``,
@@ -185,8 +188,12 @@ def lifshitz_summand(y, xi, a, model, work=None):
         shape = np.broadcast(y, a).shape
         if y.shape != shape:
             y = np.broadcast_to(y, shape)
-        n_tm, n_te = ((model.r_tm, model.r_te) if fixed else
-                      static_coefficients(y / (2.0 * a), model, model.mu0))
+        if fixed:
+            n_tm, n_te = model.r_tm, model.r_te
+        elif hasattr(model, "static"):  # each component's own model
+            n_tm, n_te = model.static(y / (2.0 * a))
+        else:
+            n_tm, n_te = static_coefficients(y / (2.0 * a), model, model.mu0)
         damp = None
     else:
         if work is None:

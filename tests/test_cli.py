@@ -360,24 +360,26 @@ class TestWorkCounts:
         monkeypatch.setattr(casimag.InterbandTable, "__eq__", eq_spy)
         assert run(args) == 0
         work = len(quads), calls[0], nodes[0], len(freqs)
-        # each model's static term converges on its first round: one call
-        assert static[0] == 3
+        # the static term of the three models is one quadrature, which
+        # converges on its first round: one call
+        assert static[0] == 1
         # every frequency is a Matsubara frequency of the run, from l = 0
-        # on; the last blocks run past the last index a sum takes (98
-        # without the table, 119 with it)
+        # on, up to the last index a sum takes (98 without the table, 119
+        # with it): the tail blocks end where the tail rule predicts
         ctx = casimag.MatsubaraContext(300.0)
         assert freqs == {casimag.matsubara_xi(l, ctx)
                          for l in range(len(freqs))}
         # no term refines and no round is split: one kernel call per
-        # quadrature, l = 1's 45 x 84-node first round included; blocks of
-        # up to 8 indices take 19 quadratures instead of 101 (21 instead
-        # of 122), and evaluate 5 indices past the last one a sum takes
-        # (none with the table)
+        # quadrature, the static and l = 1 45 x 84-node first rounds
+        # included; blocks of up to 8 indices, and past 28 pairs the tail
+        # blocks, take 13 quadratures instead of 101 (15 instead of 122).
+        # The long tail blocks evaluate pairs whose sums have stopped:
+        # 156,051 nodes against 140,868 at one index per quadrature
         if not tabled:
-            assert work == (19, 19, 148_617, 104)
+            assert work == (13, 13, 156_051, 99)
             assert kk_calls == builds == []
             return
-        assert work == (21, 21, 168_399, 120)
+        assert work == (15, 15, 174_069, 120)
         # the models are grouped by core once, when the run's component
         # table is built: one hash of the table per model, no comparison
         assert len(hashed) <= 3

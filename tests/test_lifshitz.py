@@ -199,15 +199,19 @@ def test_non_convergence_reports_partial_sum(grid):
 def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     # the kernel's float xi and each component's frequency, read from the
     # table's frequency row, are Matsubara frequencies of the context,
-    # from l = 0 on; a block may run past the last index the sum takes
+    # from l = 0 on; only the last block may run past the last index the
+    # sum takes.  At 4 K the lone pair's tail blocks are as long as the
+    # tail rule predicts, up to a first round of NODE_CAP nodes
     ctx = MatsubaraContext(temperature=temperature)
     kernel = lifshitz.lifshitz_summand
-    seen, rows = [], set()
+    seen, rows, blocks = [], set(), []
 
     def spy(y, xi, a, model, *work):
         seen.append(xi)
-        rows.update(model.cols[1].tolist()
-                    if isinstance(model, lifshitz._Table) else [xi])
+        freqs = (model.cols[1].tolist() if isinstance(model, lifshitz._Table)
+                 else [xi])
+        rows.update(freqs)
+        blocks.append(len(set(freqs)))
         return kernel(y, xi, a, model, *work)
 
     monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
@@ -217,7 +221,10 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     assert [l for l, _ in res.per_term] == list(range(res.terms_used))
     assert rows == {matsubara_xi(l, ctx) for l in range(len(rows))}
     assert used <= rows
-    assert len(rows) < res.terms_used + lifshitz.BLOCK
+    assert len(rows) < res.terms_used + blocks[-1]
+    first = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
+    assert max(blocks) <= lifshitz.NODE_CAP // first.size
+    assert (max(blocks) > lifshitz.BLOCK) == (temperature == 4.0)
     assert set(seen) <= rows
     assert all(type(xi) is float for xi in seen)
 
@@ -314,6 +321,13 @@ class TestPressureCurve:
         with pytest.raises(ValueError, match="at least one separation"):
             pressure_curves([], [nickel("drude")], CTX)
         assert tally["calls"] == 0
+
+
+def _one_index_per_quadrature(monkeypatch):
+    """BLOCK = 1 with the tail prediction off: every quadrature takes one
+    Matsubara index, the reference of every block."""
+    monkeypatch.setattr(lifshitz, "BLOCK", 1)
+    monkeypatch.setattr(lifshitz._MatsubaraSum, "needs", lambda self, l: 1)
 
 
 def _record_integrand(monkeypatch, outputs):
@@ -461,10 +475,11 @@ class TestPressureCurves:
     def test_readme_run_takes_whole_first_rounds_under_the_node_cap(
             self, monkeypatch, ni_models):
         # one quadrature per block of indices l >= 1 for all three models,
-        # plus one static quadrature per model.  No term refines and no
-        # round is split: l = 1 is one 45 x 84-node call, and every other
-        # kernel call is one whole 63-node first round of the pairs still
-        # summing, at each index of its block, within the cap
+        # plus one static quadrature for all three.  No term refines and
+        # no round is split: the static term and l = 1 are one 45 x
+        # 84-node call each, and every other kernel call is one whole
+        # 63-node first round of the pairs still summing, at each index of
+        # its block, within the cap
         grid = np.geomspace(100e-9, 800e-9, 15)
         kernel, quad = lifshitz.lifshitz_summand, lifshitz.adaptive_quad
         sizes, xis, quads = [], [], []
@@ -487,9 +502,8 @@ class TestPressureCurves:
         assert max(sizes) <= lifshitz.NODE_CAP
         first, _, _ = lifshitz._FIRST[lifshitz.BREAKPOINTS]
         static, _, _ = lifshitz._FIRST[lifshitz.STATIC_BREAKPOINTS]
-        assert sizes[:3] == [len(grid) * static.size] * 3
-        assert sizes[3] == 3 * len(grid) * static.size  # l = 1
-        assert all(size % first.size == 0 for size in sizes[4:])
+        assert sizes[:2] == [3 * len(grid) * static.size] * 2  # l = 0, 1
+        assert all(size % first.size == 0 for size in sizes[2:])
         # a block fills the cap: the largest takes 225 of its 228
         # components, 5 indices of the 45 pairs
         assert max(sizes) == 225 * first.size
@@ -500,8 +514,10 @@ class TestPressureCurves:
     @pytest.mark.parametrize("cap", [240, 300, 50])
     def test_chunked_evaluation_equals_unchunked(self, monkeypatch,
                                                  ni_models, cap):
-        # the caps fit no block, so both runs take one index per
-        # quadrature and the same rounds; blocks are checked after
+        # one index per quadrature in both runs, so they take the same
+        # rounds; blocks, tail blocks included, are checked after.  At 300
+        # nodes a call of the three models' static round takes components
+        # of two models
         grid = (100e-9, 180e-9, 420e-9, 800e-9)
         models = list(ni_models.values())
         outputs = []
@@ -514,7 +530,7 @@ class TestPressureCurves:
             return kernel(y, xi, *args)
 
         monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
-        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        _one_index_per_quadrature(monkeypatch)
         monkeypatch.setattr(lifshitz, "NODE_CAP", UNSPLIT)
         expected = pressure_curves(grid, models, CTX, keep_terms=True)
         whole = len(outputs)
@@ -540,9 +556,11 @@ class TestPressureCurves:
             self, monkeypatch, temperature, ni_models):
         # a kernel call's values live in the run's work array, which the
         # next call overwrites, until the quadrature has reduced them.  At
-        # quad_tol = 1e-13 blocks refine; at NODE_CAP their rounds are one
-        # call each, at the old cap of 3,600 nodes they split into
-        # several, so a round reduced after a later call would show here
+        # quad_tol = 1e-13 blocks refine.  At NODE_CAP a block of at most
+        # BLOCK indices takes one call per round, and only the refinement
+        # rounds of a tail block, whose first round may fill the cap, split;
+        # at the old cap of 3,600 nodes rounds of the shorter blocks split
+        # too, so a round reduced after a later call would show here
         models = [ni_models[v] for v in VARIANTS]
         ctx = MatsubaraContext(temperature=temperature)
         quad, kernel = lifshitz.adaptive_quad, lifshitz.lifshitz_summand
@@ -576,9 +594,11 @@ class TestPressureCurves:
             blocks = [len(rounds[i][1]) > 1 for i in starts]
             refined = [j - i > 1 for i, j in
                        zip(starts, starts[1:] + [len(rounds)])]
-            split = [calls > 1 and len(xis) > 1 for calls, xis in rounds]
+            split = [len(xis) for calls, xis in rounds
+                     if calls > 1 and len(xis) > 1]  # their block sizes
             assert any(b and r for b, r in zip(blocks, refined)), node_cap
-            assert any(split) == (node_cap == 3600)
+            assert split, node_cap
+            assert (min(split) <= lifshitz.BLOCK) == (node_cap == 3600)
         assert curves[lifshitz.NODE_CAP] == curves[3600]
 
 
@@ -591,10 +611,25 @@ def _outcome(*args, **kwargs):
         return str(err), err.partial
 
 
+def _block_sizes(monkeypatch):
+    """The number of Matsubara indices of each quadrature, as a list
+    filled while the spy is installed."""
+    term_integrals, sizes = lifshitz._term_integrals, []
+
+    def spy(xi, table, *args):
+        sizes.append(len(set(table.cols[1].tolist())))
+        return term_integrals(xi, table, *args)
+
+    monkeypatch.setattr(lifshitz, "_term_integrals", spy)
+    return sizes
+
+
 class TestBlocks:
     # a block evaluates consecutive indices of the pairs still summing in
-    # one quadrature; every number must be that of one index per
-    # quadrature (BLOCK = 1)
+    # one quadrature, and once fewer pairs than NODE_CAP admits at BLOCK
+    # indices remain, as many as the slowest pair's tail rule predicts;
+    # every number must be that of one index per quadrature (BLOCK = 1,
+    # the prediction off)
 
     @pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
     @pytest.mark.parametrize("temperature", [10.0, 300.0])
@@ -603,36 +638,45 @@ class TestBlocks:
             wide_curves):
         blocked = wide_curves(temperature, table)
         models = ni_models_ib if table else ni_models
-        monkeypatch.setattr(lifshitz, "BLOCK", 1)
-        assert pressure_curves(
-            WIDE, [models[v] for v in VARIANTS],
-            MatsubaraContext(temperature=temperature),
-            keep_terms=True) == blocked
+        args = (WIDE, [models[v] for v in VARIANTS],
+                MatsubaraContext(temperature=temperature))
+        sizes = _block_sizes(monkeypatch)
+        assert pressure_curves(*args, keep_terms=True) == blocked
+        assert max(sizes) > lifshitz.BLOCK  # tail blocks ran
+        _one_index_per_quadrature(monkeypatch)
+        sizes.clear()
+        assert pressure_curves(*args, keep_terms=True) == blocked
+        assert max(sizes) == 1
 
     @pytest.mark.parametrize("case", ["ideal-1K", "cap-10"])
     def test_blocks_raise_what_one_index_per_quadrature_raises(
             self, monkeypatch, case, ni_models):
-        # the ideal metal reaches its cap at 1 K (a term inside a block);
-        # with l_max_cap = 10 the plasma pair at 50 nm does, in a block
-        # of two pairs
+        # the ideal metal reaches its cap at 1 K, at a term inside a tail
+        # block; with l_max_cap = 10 the plasma pair at 50 nm does, in a
+        # block of four pairs that ends at the cap
         args = {"ideal-1K": ([200e-9, 1e-6], [FixedReflection(1.0, -1.0)],
                              MatsubaraContext(temperature=1.0)),
                 "cap-10": ([5e-6, 50e-9], [ni_models["plasma"],
                                            ni_models["drude"]],
                            MatsubaraContext(temperature=300.0,
                                             l_max_cap=10))}[case]
+        sizes = _block_sizes(monkeypatch)
         blocked = _outcome(*args)
         assert isinstance(blocked[0], str)
-        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        assert (max(sizes) > lifshitz.BLOCK) == (case == "ideal-1K")
+        _one_index_per_quadrature(monkeypatch)
         assert _outcome(*args) == blocked
 
     @pytest.mark.parametrize("last", [15, 16])
     def test_quadrature_error_in_a_block_reruns_it_one_index_each(
             self, monkeypatch, last):
         # at 1 um the drude sum takes l <= 15, the last in the block of
-        # l = 9, ..., 16; a quadrature that fails at l = 16 must not fail
-        # the sum, and one that fails at l = 15 fails it as one index per
+        # l = 9, ..., 16 (the prediction pinned to BLOCK; it would end the
+        # block at 15); a quadrature that fails at l = 16 must not fail the
+        # sum, and one that fails at l = 15 fails it as one index per
         # quadrature does
+        monkeypatch.setattr(lifshitz._MatsubaraSum, "needs",
+                            lambda self, l: lifshitz.BLOCK)
         xi_bad = matsubara_xi(last, CTX)
         term_integrals = lifshitz._term_integrals
 
@@ -649,9 +693,89 @@ class TestBlocks:
         blocked = pressure(1e-6, nickel("drude"), CTX, keep_terms=True)
         assert blocked.terms_used == 16
         monkeypatch.setattr(lifshitz, "_term_integrals", term_integrals)
-        monkeypatch.setattr(lifshitz, "BLOCK", 1)
+        _one_index_per_quadrature(monkeypatch)
         assert pressure(1e-6, nickel("drude"), CTX,
                         keep_terms=True) == blocked
+
+
+class TestStaticTerm:
+    # the static term of every model of a run is one quadrature over the
+    # run's component table, in which the kernel gives each component its
+    # own model's zero-frequency coefficients
+    GRID = TestPressureCurves.GRID[:4]
+
+    @pytest.fixture
+    def models(self, ni_models, ni_models_ib):
+        """The three variants, a second material with another mu0 and
+        omega_p, and a model with the optical table."""
+        other = replace(ni_models["nonlocal"], mu0=2.0,
+                        omega_p=1.3 * ni_models["nonlocal"].omega_p)
+        return [*(ni_models[v] for v in VARIANTS), other,
+                ni_models_ib["plasma"]]
+
+    # unsplit, and split as in test_chunked_evaluation_equals_unchunked
+    @pytest.mark.parametrize("cap", [None, 240, 300, 50])
+    def test_each_model_keeps_its_own_static_term(self, monkeypatch, cap,
+                                                  models):
+        alone = [pressure_curves(self.GRID, [m], CTX, keep_terms=True)[0]
+                 for m in models]
+        if cap is not None:
+            monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
+        tally = _kernel_spy(monkeypatch)
+        assert pressure_curves(self.GRID, models, CTX,
+                               keep_terms=True) == alone
+        # one static kernel call, 20 x 84 nodes, unless the cap splits it
+        assert (tally["xi"].count(0.0) == 1) == (cap is None)
+
+    @pytest.mark.parametrize("first", ["nonlocal", "plasma"])
+    def test_non_finite_static_term_names_the_first_model(self, ni_models,
+                                                          first):
+        # mu0 = 1e300 makes the static r_TE of the nonlocal and the plasma
+        # variants NaN; the run stops at the pair that one static
+        # quadrature per model stops at: the first such model's first
+        # separation, which that model run alone names too
+        bad = {v: replace(ni_models[v], mu0=1e300)
+               for v in ("nonlocal", "plasma")}
+        second = "plasma" if first == "nonlocal" else "nonlocal"
+        models = [ni_models["drude"], bad[first], bad[second]]
+        with np.errstate(all="ignore"):
+            got = _outcome(self.GRID, models, CTX)
+            alone = _outcome(self.GRID, [bad[first]], CTX)
+        assert isinstance(got[0], str)
+        assert f"term l=0 of model {first} at separation" in got[0]
+        assert got == alone
+
+    @pytest.mark.parametrize("case", ["merged-only", "after-non-finite",
+                                      "second-model"])
+    def test_quadrature_error_reruns_the_static_term_one_model_each(
+            self, monkeypatch, ni_models, case):
+        # a static quadrature that raises QuadratureError is run again one
+        # model at a time, so what it raises is what one quadrature per
+        # model raises: nothing when only the merged one fails, the first
+        # model's non-finite term before the drude model's failure, and
+        # else the failure
+        bad = replace(ni_models["nonlocal"], mu0=1e300)
+        models = [bad if case == "after-non-finite"
+                  else ni_models["nonlocal"], ni_models["drude"]]
+        term_integrals = lifshitz._term_integrals
+
+        def failing(xi, table, *args):
+            kinds = set(table.cols[7].tolist())
+            if xi == 0.0 and (len(kinds) > 1 if case == "merged-only"
+                              else 1.0 in kinds):
+                raise lifshitz.QuadratureError("fails", 1.0)
+            return term_integrals(xi, table, *args)
+
+        with np.errstate(all="ignore"):
+            expected = _outcome(self.GRID, models, CTX)
+            monkeypatch.setattr(lifshitz, "_term_integrals", failing)
+            if case == "second-model":
+                with pytest.raises(lifshitz.QuadratureError):
+                    pressure_curves(self.GRID, models, CTX)
+                return
+            got = _outcome(self.GRID, models, CTX)
+        assert isinstance(got[0], str) == (case == "after-non-finite")
+        assert got == expected
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
@@ -667,8 +791,9 @@ def test_kernel_work_array_changes_no_bit(table, block, ni_models,
         xis = [matsubara_xi(l, CTX) for l in range(5, 5 + block)]
         calls = [lifshitz._Table.of(models, a).block(xis)]
         assert (type(calls[0].xi) is float) == (block == 1)
-    else:  # the static term: one model per call
+    else:  # the static term: one model per call, and all in one
         calls = [lifshitz._Table(np.stack((a, 0.0 * a)), m) for m in models]
+        calls.append(lifshitz._Table.of(models, a))
     s = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
     for tab in calls:
         xi = float(tab.cols[1, 0])
