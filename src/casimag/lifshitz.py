@@ -19,11 +19,11 @@ on its first round of panels (graded finer while y_lo < 0.25).
 separation of a run, and is the one entry for pressures; ``pressure`` is
 its one-point form.  Every (model, separation) pair of a run is a
 component of one table (``_Table``), built once per run and compressed
-as pairs converge.  The static term of every pair is one vector-valued
-quadrature over it: the kernel gives each component the zero-frequency
-coefficients of its own model (``_Table.static``).  Above it, a block of
-consecutive indices l, ..., l + B - 1 is one vector-valued quadrature
-over B copies of the table, one kernel call per round: the kernel reads
+as pairs converge.  The loop starts at the static term, l = 0, where the
+kernel gives each component the zero-frequency coefficients of its own
+model (``_Table.static``).  A block of consecutive indices l, ...,
+l + B - 1 is one vector-valued quadrature over B copies of the table,
+one kernel call per round; above l = 0 the kernel reads
 the separations, each component's frequency, omega_p and effective
 (gamma, v_t, v_l) as columns, and ``_Table.core``, one interband core per
 core group and frequency (one float for the variants of a material at
@@ -179,7 +179,7 @@ class _Table:
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
         """The table of every (model, separation) pair, model-major, at
-        xi = 0 (the static term) until ``block`` sets the frequencies; a
+        xi = 0; ``block`` gives it the frequencies of a block.  A
         FixedReflection, which runs alone, is its own view.  Models without
         a table form one core group, the others one per (table, omega_p,
         gamma)."""
@@ -205,13 +205,8 @@ class _Table:
 
     def block(self, xis: list) -> "_Table":
         """Every component at each of the ascending frequencies ``xis``,
-        frequency-major: component i at xis[b] is column b C + i.  One
-        frequency is set in place, and the table is its own block: one
-        index per quadrature copies nothing."""
-        if len(xis) == 1:
-            self.cols[1].fill(xis[0])
-            self.xi = xis[0]
-            return self
+        frequency-major: component i at xis[b] is column b C + i, in a new
+        table; the block of the static term is xis = [0.0]."""
         cols = np.tile(self.cols, len(xis))
         cols[1] = np.repeat(xis, self.cols.shape[1])
         return self._with(cols)
@@ -254,14 +249,15 @@ class _Table:
         return r
 
 
-def _term_integrals(xi: float, table: _Table, quad_tol: float,
+def _term_integrals(table: _Table, quad_tol: float,
                     work: np.ndarray) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
     ``table`` in one vector-valued quadrature, with one kernel call per
-    round (more past ``NODE_CAP``).  ``xi``, the kernel's float, is the
-    table's first frequency: ``xi = 0.0`` is the static term, whose table
-    is a run's table at xi = 0 (``_Table.of``) or holds one model at xi = 0
-    (``_Table(np.stack((a, 0.0 * a)), model)``).
+    round (more past ``NODE_CAP``).  The kernel's float ``xi`` is the
+    table's first frequency: 0.0 is the static term, the first index of
+    the loop, whose table is a block at xi = 0 (``_Table.block([0.0])``)
+    or holds one model at xi = 0 (``_Table(np.stack((a, 0.0 * a)),
+    model)``).
     ``work``, the run's (1 + WORK_ROWS, NODE_CAP) array, holds every
     node-sized array of a kernel call: y in row 0, the kernel's own rows
     after it.  An unsplit round's integrand returns its values in those
@@ -271,6 +267,7 @@ def _term_integrals(xi: float, table: _Table, quad_tol: float,
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
     a, view = table.a, table.view  # components x (panels, nodes)
+    xi = float(table.cols[1, 0])
     y_lo = a * (2.0 * table.xi / C_LIGHT)
     n = len(a)
     breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
@@ -440,11 +437,9 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     """Casimir pressure of every model at every separation, in Pa: one
     curve per model, in the order of ``models``.
 
-    The one Matsubara loop.  The tolerances, every separation and every
-    pair's prefactor and term cap are checked before any term.  The static
-    term of every pair is one quadrature, rerun one model at a time if it
-    raises QuadratureError, so that what it raises is what one static
-    quadrature per model raises; above it every pair still summing is one
+    The one Matsubara loop, from the static term l = 0 on.  The
+    tolerances, every separation and every pair's prefactor and term cap
+    are checked before any term.  Every pair still summing is one
     component of a single vector-valued quadrature at each index of a
     block of consecutive l (see the module docstring).  Each pair's sum
     stops once the geometric tail estimate has stayed below
@@ -455,7 +450,8 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     reaches its cap on the number of terms first or meets a non-finite
     term, at the index and pair where one index per quadrature would.  A
     block whose quadrature raises QuadratureError is run again one index
-    at a time, so the error is raised only at an index the sum reaches.
+    at a time, so the error is raised only at an index the sum reaches;
+    the static term, a block of one index, raises it at once.
     A FixedReflection must be the only model of its call.  The kernel's
     work array belongs to the call, so calls may run on several threads.
     """
@@ -469,44 +465,32 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     seps = _checked(separations, quad_tol=quad_tol, series_tol=series_tol)
     curves = [[_MatsubaraSum(s, model, series_tol, ctx, keep_terms)
                for s in seps] for model in models]
-    a = np.array(seps)
     # every node-sized array of the run's kernel calls, this call's own
     work = np.empty((1 + WORK_ROWS, NODE_CAP))
     active = [s for curve in curves for s in curve]
-    table = _Table.of(models, a)  # at xi = 0
-    try:  # the static term of every pair in one quadrature
-        static = [(active, _term_integrals(0.0, table, quad_tol, work))]
-    except QuadratureError:  # one per model fails where those sums would
-        static = ((curve, _term_integrals(
-            0.0, table[i * len(a):(i + 1) * len(a)], quad_tol, work))
-            for i, curve in enumerate(curves))
-    for pairs, (t, err) in static:
-        for s, t_0, err_0 in zip(pairs, t, err):
-            s.add(0, t_0, err_0)
+    table = _Table.of(models, np.array(seps))
     fit = NODE_CAP // _FIRST[BREAKPOINTS][0].size  # pairs x indices
-    l, single, coarse = 1, 0, False  # below ``single``, one index each
+    l, single, coarse = 0, 0, False  # below ``single``, one index each
     while active:
-        n, xi = len(active), matsubara_xi(l, ctx)
+        n = len(active)
         # the smallest y_lo of index l, as _term_integrals forms it; it
         # only grows, as xi grows and pairs only leave the table
-        coarse = coarse or (table.a.min() * (2.0 * xi / C_LIGHT)
-                            >= Y_LO_STATIC)
+        coarse = coarse or (table.a.min() * (2.0 * matsubara_xi(l, ctx)
+                                             / C_LIGHT) >= Y_LO_STATIC)
         b, most = 1, fit // n
         if coarse and l >= single:  # past BLOCK, what the tail rule predicts
             b = (min(most, max(s.needs(l) for s in active)) if most > BLOCK
                  else min(BLOCK, most) or 1)
-        xis = [xi] if b == 1 else [matsubara_xi(l + i, ctx)
-                                   for i in range(b)]
+        xis = [matsubara_xi(l + i, ctx) for i in range(b)]
         try:
-            t, err = _term_integrals(xi, table.block(xis), quad_tol,
-                                    work)
+            t, err = _term_integrals(table.block(xis), quad_tol, work)
         except QuadratureError:
             if b == 1:
                 raise
             single = l + b  # an index of the block may not be reached
             continue
-        keep = [s.add(l, t_l, e_l) for s, t_l, e_l in zip(active, t, err)]
-        for i in range(1, b):  # each pair takes its terms in ascending l
+        keep = [True] * n
+        for i in range(b):  # each pair takes its terms in ascending l
             k = i * n
             keep = [go and s.add(l + i, t_l, e_l) for s, go, t_l, e_l
                     in zip(active, keep, t[k:k + n], err[k:k + n])]

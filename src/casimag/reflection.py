@@ -232,7 +232,7 @@ def eps_pair(xi: float, k_perp: float,
     with the model's interband core ``m.core(xi)``.
 
     See ``free_electron_eps``; zero velocities give equal entries.
-    Requires xi > 0 and k_perp >= 0.
+    Requires a finite xi > 0 and a finite k_perp >= 0.
     """
     _check_xi(xi)
     _check_k(k_perp)

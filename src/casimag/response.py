@@ -213,9 +213,10 @@ def matsubara_xi(l: int, ctx: MatsubaraContext) -> float:
 
 
 def _check_xi(xi: float) -> None:
-    if xi <= 0.0:
-        raise ValueError("xi must be > 0 (the static term is handled "
-                         "analytically by the reflection layer)")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be finite and > 0, got {xi!r} (the static "
+                         "term is handled analytically by the reflection "
+                         "layer)")
 
 
 def drude_im_eps(omega, omega_p: float, gamma: float):
@@ -252,7 +253,7 @@ def eps_core_kk(xi: float, table: InterbandTable, m: MaterialModel) -> float:
     relative error of that sum which holds at every xi (``_g4_bound``); no
     panel is refined and no error is estimated per xi.  A bound above
     ``KK_QUAD_TOL``, or a non-finite integral, raises ``QuadratureError``
-    naming xi.
+    naming xi; an xi that is not finite and > 0 raises ValueError.
 
     The result replaces the leading "1" of the free-electron
     permittivities at the same xi.

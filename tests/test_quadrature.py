@@ -184,3 +184,29 @@ def test_panel_budget_exhaustion_raises(monkeypatch):
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         adaptive_quad(lambda x: x, 1.0, 1.0)
+
+
+def test_one_failing_component_fails_a_vector_quadrature_as_alone(
+        monkeypatch):
+    # each component refines on its own panels against MAX_PANELS, so a
+    # vector-valued quadrature raises exactly when one of its components'
+    # own quadratures would, with that component's achieved error: the
+    # static term of a run needs no rerun one model at a time
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 16)
+    parts = [np.cos, lambda x: np.sin(1.0 / x), np.exp, lambda x: x * x]
+
+    def f(x, j=slice(None)):
+        return np.stack([g(x) for g in parts[j]])
+
+    def alone(i):
+        return adaptive_quad(lambda x: f(x, slice(i, i + 1)), 1e-6, 1.0,
+                             rel_tol=1e-12)
+
+    with pytest.raises(QuadratureError) as merged:
+        adaptive_quad(f, 1e-6, 1.0, rel_tol=1e-12)
+    with pytest.raises(QuadratureError) as bad:
+        alone(1)
+    assert merged.value.achieved_error == bad.value.achieved_error > 0.0
+    for i in (0, 2, 3):
+        res = alone(i)
+        assert res.error[0] <= 1e-12 * abs(res.value[0])

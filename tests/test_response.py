@@ -118,6 +118,13 @@ class TestWavevectorDependence:
         with pytest.raises(ValueError, match="k_perp must be finite"):
             refl_pair(1, k, nickel(variant), CTX)
 
+    @pytest.mark.parametrize("variant", ["drude", "plasma", "nonlocal"])
+    @pytest.mark.parametrize("xi", [math.inf, math.nan])
+    def test_non_finite_xi_rejected(self, variant, xi):
+        # a NaN xi would otherwise give (nan, nan) without an error
+        with pytest.raises(ValueError, match="xi must be finite"):
+            eps_pair(xi, 0.0, nickel(variant))
+
     @pytest.mark.parametrize("xi_fac", [0.3, 1.0, 3.0, 10.0, 100.0])
     @pytest.mark.parametrize("k", [0.0, 1e5, 1e6, 1e7, 1e8])
     def test_ordering_longitudinal_drude_transverse(self, xi_fac, k):
@@ -549,3 +556,9 @@ class TestKramersKronigCore:
     def test_static_rejected(self, ni_table):
         with pytest.raises(ValueError):
             eps_core_kk(0.0, ni_table, NI)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf])
+    def test_non_finite_xi_rejected(self, ni_table, xi):
+        # an input error, not the non-convergence of QuadratureError
+        with pytest.raises(ValueError, match="xi must be finite"):
+            eps_core_kk(xi, ni_table, NI)
