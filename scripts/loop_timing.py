@@ -8,7 +8,10 @@ on four loops, the in-process analogs of the benchmark's workloads: the
 README grid (15 log-spaced separations, 100-800 nm) at 300 K and at 10 K,
 the README grid at 300 K with the synthetic Ni optical table of
 ``tests/_ni_optical.py`` (``readme-interband``), and 16 linearly spaced
-separations over 1-6 um at 300 K (``micron-gradient``).  Each of PAIRS
+separations over 1-6 um at 300 K (``micron-gradient``).  The table is
+written to a temporary CSV file once, and every call of its loop reads
+it with ``InterbandTable.from_csv``, so each call builds its own KK node
+sets, as a CLI run does.  Each of PAIRS
 pairs (default 15) times both checkouts once, in alternating order
 (parent first in even pairs, change first in odd ones), after one untimed
 warm-up loop each.  Prints, per loop, each side's median time with the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,14 +59,16 @@ def load(root: str):
     return casimag
 
 
-def loop(casimag, grid, temperature: float, table: bool):
-    """One checkout's loop over ``grid`` at one temperature, with or
-    without the optical table, as a call."""
-    interband = (casimag.InterbandTable.from_rows_ev(_ni_optical.rows())
-                 if table else None)
-    models = [casimag.nickel(v, interband=interband) for v in VARIANTS]
+def loop(casimag, grid, temperature: float, csv: str | None):
+    """One checkout's loop over ``grid`` at one temperature, as a call
+    that reads the optical table from the file ``csv`` (None: no table)."""
     ctx = casimag.MatsubaraContext(temperature=temperature)
-    return lambda: casimag.pressure_curves(grid, models, ctx)
+
+    def run():
+        interband = casimag.InterbandTable.from_csv(csv) if csv else None
+        models = [casimag.nickel(v, interband=interband) for v in VARIANTS]
+        return casimag.pressure_curves(grid, models, ctx)
+    return run
 
 
 def work(casimag, run) -> str:
@@ -90,30 +96,41 @@ def work(casimag, run) -> str:
             f"{counts['lifshitz_summand']} kernel calls")
 
 
+def time_loop(sides, name: str, grid, temperature: float, csv: str | None,
+              pairs: int) -> None:
+    """Time one loop of both checkouts in ``pairs`` interleaved pairs and
+    print its line."""
+    runs = [loop(casimag, grid, temperature, csv) for casimag in sides]
+    for run in runs:
+        run()
+    times = ([], [])
+    for pair in range(pairs):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            runs[side]()
+            times[side].append(time.perf_counter() - t0)
+    ratios = sorted(c / p for p, c in zip(*times))
+    parent, change = (f"{statistics.median(t) * 1e3:.2f} ms "
+                      f"({work(casimag, run)})"
+                      for t, casimag, run in zip(times, sides, runs))
+    print(f"{name} at {temperature:g} K, {pairs} pairs: parent "
+          f"{parent}, change {change}, change/parent median "
+          f"{statistics.median(ratios):.3f} "
+          f"(range {ratios[0]:.3f}-{ratios[-1]:.3f})")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     sides = [load(root) for root in argv[:2]]
     pairs = int(argv[2]) if len(argv) == 3 else 15
-    for name, grid, temperature, table in LOOPS:
-        runs = [loop(casimag, grid, temperature, table) for casimag in sides]
-        for run in runs:
-            run()
-        times = ([], [])
-        for pair in range(pairs):
-            for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                t0 = time.perf_counter()
-                runs[side]()
-                times[side].append(time.perf_counter() - t0)
-        ratios = sorted(c / p for p, c in zip(*times))
-        parent, change = (f"{statistics.median(t) * 1e3:.2f} ms "
-                          f"({work(casimag, run)})"
-                          for t, casimag, run in zip(times, sides, runs))
-        print(f"{name} at {temperature:g} K, {pairs} pairs: parent "
-              f"{parent}, change {change}, change/parent median "
-              f"{statistics.median(ratios):.3f} "
-              f"(range {ratios[0]:.3f}-{ratios[-1]:.3f})")
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = str(Path(tmp) / "ni.csv")
+        _ni_optical.write_csv(csv)
+        for name, grid, temperature, table in LOOPS:
+            time_loop(sides, name, grid, temperature, csv if table else None,
+                      pairs)
     return 0
 
 

@@ -66,7 +66,7 @@ _INLINE_COMMENT = re.compile(r"\s#.*")
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the documented key = value format."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = _INLINE_COMMENT.sub("", raw).strip()
         if not line or line.startswith("#"):
             continue

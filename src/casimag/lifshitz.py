@@ -22,12 +22,13 @@ component of one table (``_Table``), built once per run and compressed
 as pairs converge.  The loop starts at the static term, l = 0, where the
 kernel gives each component the zero-frequency coefficients of its own
 model (``_Table.static``).  A block of consecutive indices l, ...,
-l + B - 1 is one vector-valued quadrature over B copies of the table,
-one kernel call per round; above l = 0 the kernel reads
-the separations, each component's frequency, omega_p and effective
-(gamma, v_t, v_l) as columns, and ``_Table.core``, one interband core per
-core group and frequency (one float for the variants of a material at
-one frequency), the groups fixed when the table is built.  B is 1 while
+l + B - 1 is one vector-valued quadrature over a view of the table, one
+kernel call per round; above l = 0 the kernel reads the separations,
+omega_p and effective (gamma, v_t, v_l) as (C, 1, 1) columns, the
+block's frequencies as a (B, 1, 1, 1) one, and ``_Table.core``, one
+interband core per core group and frequency (one float for the variants
+of a material at one frequency), the groups fixed when the table is
+built; row b of the results is index l + b.  B is 1 while
 the block's first index takes the graded first round.  Otherwise it is
 the most indices whose first round of every pair fits in ``NODE_CAP``
 nodes, up to ``BLOCK``; once that cap admits more than ``BLOCK``, a tail
@@ -37,12 +38,12 @@ terms in ascending l and ignores those past the index where its sum
 stops, so every result carries the bits of one index per quadrature.  On
 the README grid (15 separations, 100-800 nm, three models) a run takes
 13 quadratures and 13 kernel calls: 101 with one index each, and 297
-with one loop per model.  A round's kernel calls split the components so
-that none exceeds ``NODE_CAP`` nodes.  Each ``pressure_curves`` call
-owns one work array of NODE_CAP columns, and every node-sized array of an
-l >= 1 kernel call is one of its rows, so such a call allocates nothing
-node-sized.  A ``reflection.FixedReflection`` (re-exported here) runs
-alone.
+with one loop per model.  A round's kernel calls split the pairs, each
+call keeping every frequency of the block, so that none exceeds
+``NODE_CAP`` nodes.  Each ``pressure_curves`` call owns one work array of
+NODE_CAP columns, and every node-sized array of an l >= 1 kernel call is
+one of its rows, so such a call allocates nothing node-sized.  A
+``reflection.FixedReflection`` (re-exported here) runs alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency coefficients of the variant
@@ -97,8 +98,8 @@ Y_LO_STATIC = 0.25
 # 63-node first round, 171 of the 84-node one, so a README block (45 pairs
 # at 5 indices) is one call.  The kernel writes into the work array, so no
 # call frees node-sized temporaries for glibc to return to the OS and the
-# next call to fault back in, the cost that held the cap at 3,600 before;
-# README gives the per-node costs.
+# next call to fault back in, the cost that held the cap at 3,600 before
+# (CHANGES.md has the measurements).
 NODE_CAP = 14400
 # Most consecutive Matsubara indices one quadrature takes while more pairs
 # are summing than NODE_CAP admits at BLOCK + 1 indices (29 on the 63-node
@@ -147,34 +148,35 @@ def _runs(row: np.ndarray) -> list[int]:
 
 class _Table:
     """Components of one vector-valued quadrature: column i of ``cols``
-    holds component i's a, frequency xi, omega_p, gamma, v_t, v_l, core
-    group and model (as rows, every field is contiguous).  ``view`` is the
+    holds pair i's a, omega_p, gamma, v_t, v_l, core group and model (as
+    rows, every field is contiguous), and ``xis`` the ascending
+    frequencies at which every pair is evaluated.  ``view`` is the
     kernel's model: one model shared by every component (a FixedReflection,
-    or one MaterialModel; their ``cols`` hold a and xi alone), or the
-    table itself, whose ``a``, ``xi``, omega_p and effective (gamma, v_t,
-    v_l) are fields shaped (C, 1, 1), whose ``core`` gives each group's
-    interband core from ``cores``, one model per group, and whose
-    ``static`` gives each component the static coefficients of its model
-    in ``models``.  ``xi`` is a float when every component has one
-    frequency; the rows ascend in xi, so the first and last tell.  Every
-    component, local or not, takes the one formula of
+    or one MaterialModel; their ``cols`` hold a alone), or the table
+    itself, whose ``a``, omega_p and effective (gamma, v_t, v_l) are fields
+    shaped (C, 1, 1), whose ``core`` gives each group's interband core from
+    ``cores``, one model per group, and whose ``static`` gives each
+    component the static coefficients of its model in ``models``.  ``xi``
+    is the one frequency as a float, or a (B, 1, 1, 1) column that
+    broadcasts against the pairs, so component (b, i) is pair i at xis[b].
+    Every component, local or not, takes the one formula of
     ``free_electron_eps``.  Indexing with a slice or a list of indices
-    takes those components, and ``block`` repeats the table at each
-    frequency of a block.  A plain class: a frozen dataclass would add
-    about 0.8 ms to every CLI start."""
+    takes those pairs, and ``block`` sets the frequencies; a slice and a
+    block are views of the table.  A plain class: a frozen dataclass would
+    add about 0.8 ms to every CLI start."""
 
-    __slots__ = ("cols", "cores", "models", "a", "xi", "view", "omega_p",
-                 "effective")
+    __slots__ = ("cols", "cores", "models", "xis", "a", "xi", "view",
+                 "omega_p", "effective")
 
-    def __init__(self, cols: np.ndarray, view=None, cores=(), models=()):
-        self.cols, self.cores, self.models = cols, cores, models
+    def __init__(self, cols: np.ndarray, view=None, cores=(), models=(),
+                 xis=(0.0,)):
+        self.cols, self.cores, self.models, self.xis = cols, cores, models, xis
         self.a = cols[0, :, None, None]
-        xi = cols[1]
-        self.xi = float(xi[0]) if xi[0] == xi[-1] else xi[:, None, None]
+        self.xi = xis[0] if len(xis) == 1 else np.reshape(xis, (-1, 1, 1, 1))
         self.view = self if view is None else view
         if view is None:
-            self.omega_p = cols[2, :, None, None]
-            self.effective = tuple(cols[3:6, :, None, None])
+            self.omega_p = cols[1, :, None, None]
+            self.effective = tuple(cols[2:5, :, None, None])
 
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
@@ -183,57 +185,48 @@ class _Table:
         FixedReflection, which runs alone, is its own view.  Models without
         a table form one core group, the others one per (table, omega_p,
         gamma)."""
-        pairs = np.stack((a, np.zeros(len(a))))
         if isinstance(models[0], FixedReflection):
-            return cls(pairs, models[0])
+            return cls(a[None], models[0])
         groups, fields = {}, []  # core key -> (group, its first model)
         for i, m in enumerate(models):  # key None: every model without one
             key = m.interband and (m.interband, m.omega_p, m.gamma)
             g, _ = groups.setdefault(key, (len(groups), m))
             fields.append((m.omega_p, *m.effective, g, i))
-        fields = np.array(fields).T
-        return cls(np.vstack((np.tile(pairs, len(models)),
-                              fields.repeat(len(a), axis=1))), None,
-                   tuple(m for _, m in groups.values()), tuple(models))
+        return cls(np.vstack((np.tile(a, len(models)),
+                              np.array(fields).T.repeat(len(a), axis=1))),
+                   None, tuple(m for _, m in groups.values()), tuple(models))
 
-    def _with(self, cols: np.ndarray) -> "_Table":
+    def _with(self, cols: np.ndarray, xis) -> "_Table":
         return _Table(cols, None if self.view is self else self.view,
-                      self.cores, self.models)
+                      self.cores, self.models, xis)
 
     def __getitem__(self, j) -> "_Table":
-        return self._with(self.cols[:, j])
+        return self._with(self.cols[:, j], self.xis)
 
     def block(self, xis: list) -> "_Table":
-        """Every component at each of the ascending frequencies ``xis``,
-        frequency-major: component i at xis[b] is column b C + i, in a new
-        table; the block of the static term is xis = [0.0]."""
-        cols = np.tile(self.cols, len(xis))
-        cols[1] = np.repeat(xis, self.cols.shape[1])
-        return self._with(cols)
+        """Every pair at each of the ascending frequencies ``xis``, in the
+        same columns; the block of the static term is xis = [0.0]."""
+        return self._with(self.cols, xis)
 
     def core(self, xi):
         """The interband core of every component (``xi`` is the table's
-        own): one ``core`` call per core group and frequency still in the
-        table, and a float when that is one call or no model has a
-        table."""
-        cores = self.cores
+        own): one ``core`` call per core group and frequency, and a float
+        when that is one call or no model has a table."""
+        cores, xis = self.cores, self.xis
         if len(cores) == 1:
             if type(xi) is float:
                 return cores[0].core(xi)
             if cores[0].interband is None:
                 return 1.0
-        freq = self.cols[1]
-        cut = _runs(freq)  # the rows ascend in xi
-        if len(cores) == 1:
-            return np.repeat([cores[0].core(float(freq[i])) for i in cut[:-1]],
-                             np.diff(cut))[:, None, None]
-        group = self.cols[6].astype(int)
-        out = np.empty(len(freq))
-        for i, j in zip(cut, cut[1:]):
-            g = group[i:j]
-            for k in set(g.tolist()):
-                out[i:j][g == k] = cores[k].core(float(freq[i]))
-        return out[:, None, None]
+            return np.reshape([cores[0].core(x) for x in xis], (-1, 1, 1, 1))
+        group = self.cols[5]
+        out = np.empty((len(xis), len(group)))
+        for k, m in enumerate(cores):
+            g = group == k
+            if g.any():  # a group may have left the table
+                for row, x in zip(out, xis):
+                    row[g] = m.core(x)
+        return out.reshape(np.shape(xi)[:1] + self.a.shape)
 
     def static(self, k: np.ndarray) -> np.ndarray:
         """(r_TM, r_TE) of the static term at wavevectors ``k``, shaped
@@ -241,7 +234,7 @@ class _Table:
         coefficients (``static_coefficients`` with its mu0).  The models
         are model-major, so each run of one model is one call."""
         r = np.empty((2,) + k.shape)
-        model = self.cols[7]
+        model = self.cols[6]
         cut = _runs(model)
         for i, j in zip(cut, cut[1:]):
             m = self.models[int(model[i])]
@@ -253,11 +246,11 @@ def _term_integrals(table: _Table, quad_tol: float,
                     work: np.ndarray) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
     ``table`` in one vector-valued quadrature, with one kernel call per
-    round (more past ``NODE_CAP``).  The kernel's float ``xi`` is the
-    table's first frequency: 0.0 is the static term, the first index of
-    the loop, whose table is a block at xi = 0 (``_Table.block([0.0])``)
-    or holds one model at xi = 0 (``_Table(np.stack((a, 0.0 * a)),
-    model)``).
+    round (more past ``NODE_CAP``, each with every frequency of the block
+    and a share of the pairs), as one row per frequency.  The kernel's
+    float ``xi`` is the table's first frequency: 0.0 is the static term,
+    the first index of the loop, whose table is a block at xi = 0, such as
+    ``_Table.of(models, a)`` or ``_Table(a[None], model)`` for one model.
     ``work``, the run's (1 + WORK_ROWS, NODE_CAP) array, holds every
     node-sized array of a kernel call: y in row 0, the kernel's own rows
     after it.  An unsplit round's integrand returns its values in those
@@ -266,46 +259,45 @@ def _term_integrals(table: _Table, quad_tol: float,
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
-    a, view = table.a, table.view  # components x (panels, nodes)
-    xi = float(table.cols[1, 0])
-    y_lo = a * (2.0 * table.xi / C_LIGHT)
-    n = len(a)
+    a, view, xis = table.a, table.view, table.xis  # pairs x (panels, nodes)
+    y_lo = a * (2.0 * table.xi / C_LIGHT)  # frequencies x pairs, if a block
+    n, b = len(a), len(xis)
     breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
                    else BREAKPOINTS)
     first, *first_s2 = _FIRST[breakpoints]
 
     def summand(y_lo, s2, a, view):
         """The kernel at y = y_lo + s2, in the rows of ``work``."""
-        shape = y_lo.shape[:1] + s2.shape
+        shape = y_lo.shape[:-2] + s2.shape
         rows = work[:, :y_lo.size * s2.size].reshape((len(work),) + shape)
         y = np.add(y_lo, s2, out=rows[0])
-        return lifshitz_summand(y, xi, a, view, rows[1:])
+        return lifshitz_summand(y, xis[0], a, view, rows[1:])
 
     def f(s):
-        most = NODE_CAP // s.size  # components one call may take
+        most = NODE_CAP // (b * s.size)  # pairs one call may take
         if n <= most:
             s2, two_s = first_s2 if s is first else (s * s, 2.0 * s)
             out = summand(y_lo, s2, a, view)
             out *= two_s
             return out
         # balanced calls under the cap; panels split past it
-        out = np.empty((n,) + s.shape)
+        out = np.empty(y_lo.shape[:-2] + s.shape)
         calls = -(-n // max(1, most))
         per = -(-n // calls)
-        rows = max(1, NODE_CAP // s.shape[-1])
+        rows = max(1, NODE_CAP // (b * s.shape[-1]))
         for i in range(0, n, per):
             c = slice(i, i + per)
             part = table[c]
             for r in range(0, len(s), rows):
                 p = s[r:r + rows]
-                out[c, r:r + rows] = summand(y_lo[c], p * p, part.a,
-                                             part.view)
+                out[..., c, r:r + rows, :] = summand(
+                    y_lo[..., c, :, :], p * p, part.a, part.view)
         out *= 2.0 * s
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
                         breakpoints=breakpoints)
-    return res.value.tolist(), res.error.tolist()
+    return res.value.reshape(b, n).tolist(), res.error.reshape(b, n).tolist()
 
 
 def _checked(separations, **tols: float) -> list[float]:
@@ -491,9 +483,8 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
             continue
         keep = [True] * n
         for i in range(b):  # each pair takes its terms in ascending l
-            k = i * n
             keep = [go and s.add(l + i, t_l, e_l) for s, go, t_l, e_l
-                    in zip(active, keep, t[k:k + n], err[k:k + n])]
+                    in zip(active, keep, t[i], err[i])]
         if not all(keep):
             active = [s for s, go in zip(active, keep) if go]
             if not active:

@@ -166,11 +166,12 @@ def lifshitz_summand(y, xi, a, model, work=None):
     r = N/D is never formed: x/(1-x) is N^2 d/(D^2 - N^2 d),
     d = exp(-y).  There ``model`` may be anything
     with the ``omega_p``, ``effective`` and ``core`` that this reads, and
-    those may be arrays that broadcast like ``a``: one entry per component
-    of a multi-model pressure loop.  Such a model may also carry ``xi``,
-    each component's frequency (a float or such an array), which then
-    replaces the argument above the static term: a block of Matsubara
-    indices is one call, with its first frequency as ``xi``.
+    those may be arrays that broadcast like ``a``: one entry per pair of a
+    multi-model pressure loop.  Such a model may also carry ``xi``, the
+    frequencies of a block of Matsubara indices (a float, or a (B, 1, 1, 1)
+    column that broadcasts against (C, 1, 1) pairs), which then replaces
+    the argument above the static term: a block is one call, with its
+    first frequency as ``xi``.
     Returns an array of the broadcast shape of ``y`` and ``a``.
 
     ``work`` is None or WORK_ROWS float arrays of that shape, such as the
@@ -198,7 +199,7 @@ def lifshitz_summand(y, xi, a, model, work=None):
     else:
         if work is None:
             work = np.empty((WORK_ROWS,) + np.broadcast(y, a).shape)
-        xi = getattr(model, "xi", xi)  # a component table's frequencies
+        xi = getattr(model, "xi", xi)  # a block's frequencies
         q, k2, k, eps_tr, eps_l, cross = work
         np.multiply(y, (0.5 * C_LIGHT / xi) / a, out=q)  # y/y_lo
         np.multiply(q, q, out=k2)

@@ -116,8 +116,8 @@ def test_criterion_3_ratio_crossover(ni_models_ib):
     else:
         ok = False
         detail = (f"{len(brackets)} sign changes of the ratio difference in "
-                  f"[400, 900] nm (want exactly 1); nl/p - 1 spans "
-                  f"[{min(values):+.4%}, {max(values):+.4%}]")
+                  f"[400, 900] nm (want exactly 1); (P_nl - P_p)/P_drude "
+                  f"spans [{min(values):+.4%}, {max(values):+.4%}]")
     check(3, ok, detail)
 
 

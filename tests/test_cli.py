@@ -326,8 +326,8 @@ class TestWorkCounts:
         def spy(y, xi, a, model, *work):
             calls[0] += 1
             nodes[0] += np.size(y)
-            # a component table carries each component's frequency
-            freqs.update(model.cols[1].tolist()
+            # a block carries the frequencies of its components
+            freqs.update(model.xis
                          if isinstance(model, lifshitz._Table) else [xi])
             static[0] += xi == 0.0
             return kernel(y, xi, a, model, *work)

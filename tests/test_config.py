@@ -39,6 +39,17 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.points == 5
 
 
+@pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "file-sep", "nel", "line-sep"])
+def test_only_newlines_end_lines(mark):
+    # str.splitlines also breaks at these, which would make " see below"
+    # a line of its own; an error names the line of the file
+    text = f"# heading\n# note{mark} see below\n" + MINIMAL
+    assert parse_config(text).points == 5
+    with pytest.raises(ConfigError, match="line 12: field 'points'"):
+        parse_config(text.replace("points = 5", "points = five"))
+
+
 def test_inline_comment_after_a_path(tmp_path):
     # the README's commented-out table line, uncommented as it invites
     import _ni_optical

@@ -89,8 +89,7 @@ def test_static_term_converges_on_its_first_round(monkeypatch, variant, mu0,
     model = replace(nickel(variant, v_over_vf=v_over_vf), mu0=mu0)
     a = np.geomspace(10e-9, 20e-6, 25)
     tally = _kernel_spy(monkeypatch)
-    lifshitz._term_integrals(lifshitz._Table(np.stack((a, 0.0 * a)), model),
-                             1e-9, _work())
+    lifshitz._term_integrals(lifshitz._Table(a[None], model), 1e-9, _work())
     assert tally["calls"] == 1
 
 
@@ -125,8 +124,8 @@ def test_high_index_terms_exponentially_suppressed():
     assert 2 * a * matsubara_xi(l_big, CTX) / C_LIGHT > 40.0
     pref, _ = lifshitz._scales(a, CTX)
     xi = matsubara_xi(l_big, CTX)
-    (t_l,), _ = lifshitz._term_integrals(
-        lifshitz._Table(np.array([[a], [xi]]), model), 1e-9, _work())
+    ((t_l,),), _ = lifshitz._term_integrals(
+        lifshitz._Table(np.array([[a]]), model).block([xi]), 1e-9, _work())
     assert abs(pref * t_l) < 1e-17 * abs(res.pressure)
 
 
@@ -136,9 +135,9 @@ def test_subnormal_terms_integrate(l):
     # to -0.0); a relative quadrature target alone would be unreachable
     pref, _ = lifshitz._scales(1e-6, CTX)
     xi = matsubara_xi(l, CTX)
-    (t_l,), _ = lifshitz._term_integrals(
-        lifshitz._Table(np.array([[1e-6], [xi]]), nickel("plasma")), 1e-9,
-        _work())
+    ((t_l,),), _ = lifshitz._term_integrals(
+        lifshitz._Table(np.array([[1e-6]]), nickel("plasma")).block([xi]),
+        1e-9, _work())
     assert -1e-300 < pref * t_l <= 0.0
 
 
@@ -198,7 +197,7 @@ def test_non_convergence_reports_partial_sum(grid):
 @pytest.mark.parametrize("temperature", [4.0, 300.0])
 def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     # the kernel's float xi and each component's frequency, read from the
-    # table's frequency row, are Matsubara frequencies of the context,
+    # block's frequency list, are Matsubara frequencies of the context,
     # from l = 0 on; only the last block may run past the last index the
     # sum takes.  At 4 K the lone pair's tail blocks are as long as the
     # tail rule predicts, up to a first round of NODE_CAP nodes
@@ -208,7 +207,7 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
 
     def spy(y, xi, a, model, *work):
         seen.append(xi)
-        freqs = (model.cols[1].tolist() if isinstance(model, lifshitz._Table)
+        freqs = (list(model.xis) if isinstance(model, lifshitz._Table)
                  else [xi])
         rows.update(freqs)
         blocks.append(len(set(freqs)))
@@ -438,12 +437,13 @@ class TestPressureCurves:
         assert table.a.ravel().tolist() == a.tolist()
         xi = matsubara_xi(7, CTX)
         work = _work()
-        t, err = lifshitz._term_integrals(table.block([xi]), 1e-9, work)
+        (t,), (err,) = lifshitz._term_integrals(table.block([xi]), 1e-9,
+                                                work)
         start, t_each, err_each = 0, [], []
         for model, n in runs:
             part = a[start:start + n]
-            one = lifshitz._Table(np.stack((part, 0.0 * part + xi)), model)
-            t_m, err_m = lifshitz._term_integrals(one, 1e-9, work)
+            one = lifshitz._Table(part[None], model).block([xi])
+            (t_m,), (err_m,) = lifshitz._term_integrals(one, 1e-9, work)
             t_each += t_m
             err_each += err_m
             start += n
@@ -568,7 +568,7 @@ class TestPressureCurves:
 
         def spy(y, xi, a, model, *work):
             rounds[-1][0] += 1
-            rounds[-1][1].update(model.cols[1].tolist()
+            rounds[-1][1].update(model.xis
                                  if isinstance(model, lifshitz._Table)
                                  else [xi])
             return kernel(y, xi, a, model, *work)
@@ -617,7 +617,7 @@ def _block_sizes(monkeypatch):
     term_integrals, sizes = lifshitz._term_integrals, []
 
     def spy(table, *args):
-        sizes.append(len(set(table.cols[1].tolist())))
+        sizes.append(len(table.xis))
         return term_integrals(table, *args)
 
     monkeypatch.setattr(lifshitz, "_term_integrals", spy)
@@ -630,6 +630,25 @@ class TestBlocks:
     # indices remain, as many as the slowest pair's tail rule predicts;
     # every number must be that of one index per quadrature (BLOCK = 1,
     # the prediction off)
+
+    @pytest.mark.parametrize("block", [1, 3], ids=["float-xi", "column-xi"])
+    def test_a_block_is_a_view_of_the_run_table(self, block, ni_models_ib):
+        # a block reads the run's pair columns in place: its frequencies
+        # are a float or a (B, 1, 1, 1) column that the kernel broadcasts
+        # against the (C, 1, 1) pairs, and row b of its results is index b
+        a = np.geomspace(100e-9, 800e-9, 5)
+        table = lifshitz._Table.of(list(ni_models_ib.values()), a)
+        xis = [matsubara_xi(l, CTX) for l in range(5, 5 + block)]
+        got = table.block(xis)
+        assert np.shares_memory(got.cols, table.cols)
+        assert list(got.xis) == xis
+        assert np.shape(got.xi) == ((block, 1, 1, 1) if block > 1 else ())
+        t, err = lifshitz._term_integrals(got, 1e-9, _work())
+        assert np.shape(t) == np.shape(err) == (block, 3 * len(a))
+        for row, xi in zip(zip(t, err), xis):
+            (t_1,), (err_1,) = lifshitz._term_integrals(table.block([xi]),
+                                                        1e-9, _work())
+            assert row == (t_1, err_1)
 
     @pytest.mark.parametrize("table", [False, True], ids=["free", "table"])
     @pytest.mark.parametrize("temperature", [10.0, 300.0])
@@ -681,7 +700,7 @@ class TestBlocks:
         term_integrals = lifshitz._term_integrals
 
         def failing(table, *args):
-            if table.cols[1].max() >= xi_bad:
+            if table.xis[-1] >= xi_bad:
                 raise lifshitz.QuadratureError("fails", 1.0)
             return term_integrals(table, *args)
 
@@ -760,8 +779,8 @@ class TestStaticTerm:
         term_integrals = lifshitz._term_integrals
 
         def failing(table, *args):
-            kinds = set(table.cols[7].tolist())
-            if table.cols[1, 0] == 0.0 and 1.0 in kinds:
+            kinds = set(table.cols[6].tolist())
+            if table.xis[0] == 0.0 and 1.0 in kinds:
                 raise lifshitz.QuadratureError("fails", 1.0)
             return term_integrals(table, *args)
 
@@ -785,11 +804,11 @@ def test_kernel_work_array_changes_no_bit(table, block, ni_models,
         calls = [lifshitz._Table.of(models, a).block(xis)]
         assert (type(calls[0].xi) is float) == (block == 1)
     else:  # the static term: one model per call, and all in one
-        calls = [lifshitz._Table(np.stack((a, 0.0 * a)), m) for m in models]
+        calls = [lifshitz._Table(a[None], m) for m in models]
         calls.append(lifshitz._Table.of(models, a))
     s = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
     for tab in calls:
-        xi = float(tab.cols[1, 0])
+        xi = tab.xis[0]
         y = tab.a * (2.0 * tab.xi / C_LIGHT) + s * s
         fresh = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
         again = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)

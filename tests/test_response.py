@@ -266,8 +266,10 @@ class TestInterbandTable:
          "row 6: non-numeric"),
         ("omega_ev,im_eps\n0.5,2.0,\n", "row 2: expected 2 columns"),
         ("omega_ev,im_eps\r\n0.5,2.0\r\n1.0\r\n", "row 3: expected 2 columns"),
+        ("omega_ev,im_eps\n# note\u2028 see\x0cbelow\n0.5,2.0\n1.0,two\n",
+         "row 4: non-numeric"),
     ], ids=["empty", "comments-only", "gaps-keep-line-numbers",
-            "trailing-comma", "crlf-short-row"])
+            "trailing-comma", "crlf-short-row", "only-newlines-end-rows"])
     def test_csv_errors(self, tmp_path, text, match):
         path = tmp_path / "opt.csv"
         path.write_bytes(text.encode("utf-8"))
