@@ -1,6 +1,7 @@
 """Record every command-line output of one casimag checkout.
 
 Usage: python3 scripts/cli_outputs.py ROOT OUTDIR
+       python3 scripts/cli_outputs.py --compare OUT_A OUT_B
 
 Runs each casimag command on the README config (100-800 nm, 15 log-spaced
 separations, the nickel parameters, a PFA-correction table) at 300 K, 10 K
@@ -30,13 +31,26 @@ checkout, so two checkouts compare with
 
     python3 scripts/cli_outputs.py PARENT out-parent
     python3 scripts/cli_outputs.py .      out-change
-    diff -r out-parent out-change
+    python3 scripts/cli_outputs.py --compare out-parent out-change
 
 A checkout runs the 240 commands in about half a minute on two cores.
+
+``--compare`` reads every file of both trees line by line, each line as
+comma-separated cells.  It prints, exactly, each file that only one tree
+has, each differing exit code, each file whose line count differs and
+each differing cell that is not a pair of finite numbers (headers,
+labels, messages, NaN and inf).  For every file and column whose numeric
+cells differ it prints the largest relative difference |x - y|/max(|x|,
+|y|), with the column named by the file's last header line (a line of
+text cells).  Files and columns it does not print are byte-identical.
+It exits 1 on any difference that is not numeric and 0 otherwise, so a
+change that moves numbers within a tolerance shows how far, where
+``diff -r`` would only list the files.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -143,7 +157,72 @@ def record(root: Path, work: Path, out: Path, name: str,
         csv.rename(out / f"{name}.csv")
 
 
+def _number(cell: str) -> float | None:
+    """The cell as a finite float, or None."""
+    try:
+        x = float(cell)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Print how the trees ``out_a`` and ``out_b`` of ``main`` differ (see
+    the module docstring); 1 if any difference is not numeric."""
+    files = [{p.relative_to(out).as_posix() for p in out.rglob("*")
+              if p.is_file()} for out in (out_a, out_b)]
+    text = numeric = same = 0
+    for name in sorted(files[0] ^ files[1]):
+        print(f"{name}: only in {out_a if name in files[0] else out_b}")
+        text += 1
+    for name in sorted(files[0] & files[1]):
+        a, b = ((out / name).read_text(encoding="utf-8").splitlines()
+                for out in (out_a, out_b))
+        if a == b:
+            same += 1
+            continue
+        if name.endswith(".exit"):
+            print(f"{name}: exit code {a[0]} vs {b[0]}")
+            text += 1
+            continue
+        if len(a) != len(b):
+            print(f"{name}: {len(a)} vs {len(b)} lines")
+            text += 1
+            continue
+        worst, header, cells = {}, [], 0  # column -> largest difference
+        for row, (la, lb) in enumerate(zip(a, b), 1):
+            ca, cb = la.split(","), lb.split(",")
+            if len(ca) != len(cb):
+                print(f"{name}:{row}: {la!r} vs {lb!r}")
+                cells += 1
+                continue
+            if all(_number(c) is None for c in ca):
+                header = ca
+            for col, (x, y) in enumerate(zip(ca, cb)):
+                if x == y:
+                    continue
+                fx, fy = _number(x), _number(y)
+                if fx is None or fy is None:
+                    print(f"{name}:{row}: cell {col + 1}: {x!r} vs {y!r}")
+                    cells += 1
+                    continue
+                key = header[col] if col < len(header) else f"#{col + 1}"
+                scale = max(abs(fx), abs(fy))
+                diff = abs(fx - fy) / scale if scale else 0.0
+                worst[key] = max(worst.get(key, 0.0), diff)
+        for key, diff in worst.items():
+            print(f"{name}: {key}: largest relative difference {diff:.3e}")
+        text += cells > 0
+        numeric += cells == 0
+    print(f"{len(files[0] | files[1])} files: {same} identical, {numeric} "
+          f"with only numeric differences, {text} with other differences",
+          file=sys.stderr)
+    return 1 if text else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1

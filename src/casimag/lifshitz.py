@@ -20,34 +20,35 @@ separation of a run, and is the one entry for pressures; ``pressure`` is
 its one-point form.  Every (model, separation) pair of a run is a
 component of one table (``_Table``), built once per run and compressed
 as pairs converge.  The loop starts at the static term, l = 0, where the
-kernel gives each component the zero-frequency coefficients of its own
-model (``_Table.static``).  A block of consecutive indices l, ...,
-l + B - 1 is one vector-valued quadrature over a view of the table, one
-kernel call per round; above l = 0 the kernel reads the separations,
-omega_p and effective (gamma, v_t, v_l) as (C, 1, 1) columns, the
-block's frequencies as a (B, 1, 1, 1) one, and ``_Table.core``, one
-interband core per core group and frequency (one float for the variants
-of a material at one frequency), the groups fixed when the table is
-built; row b of the results is index l + b.  B is 1 while
-the block's first index takes the graded first round.  Otherwise it is
-the most indices whose first round of every pair fits in ``NODE_CAP``
-nodes, up to ``BLOCK``; once that cap admits more than ``BLOCK``, a tail
-block takes as many as the slowest pair's tail rule predicts it still
-needs (``_MatsubaraSum.needs``), up to the cap.  Each pair takes its
-terms in ascending l and ignores those past the index where its sum
-stops, so every result carries the bits of one index per quadrature.  On
-the README grid (15 separations, 100-800 nm, three models) a run takes
-13 quadratures and 13 kernel calls: 101 with one index each, and 297
-with one loop per model.  A round's kernel calls split the pairs, each
-call keeping every frequency of the block, so that none exceeds
-``NODE_CAP`` nodes.  Each ``pressure_curves`` call owns one work array of
-NODE_CAP columns, and every node-sized array of an l >= 1 kernel call is
-one of its rows, so such a call allocates nothing node-sized.  A
-``reflection.FixedReflection`` (re-exported here) runs alone.
+kernel reads each component's static parameters and mu0 as (C, 1, 1)
+columns of the table, with one formula for every variant.  A block of
+consecutive indices l, ..., l + B - 1 is one vector-valued quadrature
+over a view of the table, one kernel call per round; above l = 0 the
+kernel reads the separations, omega_p and effective (gamma, v_t, v_l) as
+(C, 1, 1) columns, the block's frequencies as a (B, 1, 1, 1) one, and
+``_Table.core``, one interband core per core group and frequency (one
+float for the variants of a material at one frequency), the groups fixed
+when the table is built; row b of the results is index l + b.  B is 1
+while the block's first index takes the graded first round.  Otherwise
+it is the most indices whose first round of every pair fits in
+``NODE_CAP`` nodes, up to ``BLOCK``; once that cap admits more than
+``BLOCK``, a tail block takes as many as the slowest pair's tail rule
+predicts it still needs (``_MatsubaraSum.needs``), up to the cap.  Each
+pair takes its terms in ascending l and ignores those past the index
+where its sum stops, so every result carries the bits of one index per
+quadrature.  On the README grid (15 separations, 100-800 nm, three
+models) a run takes 13 quadratures and 13 kernel calls: 101 with one
+index each, and 297 with one loop per model.  A round's kernel calls
+split the pairs, each call keeping every frequency of the block, so that
+none exceeds ``NODE_CAP`` nodes.  Each ``pressure_curves`` call owns one
+work array of NODE_CAP columns, and every node-sized array of an l >= 1
+kernel call is one of its rows, so such a call allocates nothing
+node-sized.  A ``reflection.FixedReflection`` (re-exported here) runs
+alone.
 
 The kernel takes each term's permeability and core from its model: the
-static term uses the exact zero-frequency coefficients of the variant
-with mu0, and above it a model's interband table supplies the
+static term uses the exact zero-frequency pair on the model's static
+parameters and mu0, and above it a model's interband table supplies the
 bound-electron core that replaces the leading "1" of the permittivities.
 
 Every Matsubara frequency is ``matsubara_xi(l, ctx)`` and every prefactor
@@ -66,8 +67,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import QuadratureError, _first_round, adaptive_quad
-from .reflection import WORK_ROWS, FixedReflection, lifshitz_summand, \
-    static_coefficients
+from .reflection import WORK_ROWS, FixedReflection, lifshitz_summand
 from .response import MatsubaraContext, matsubara_xi
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
@@ -111,6 +111,10 @@ NODE_CAP = 14400
 # took 0.77x with 8 and 0.75x with 16 at 300 K, 0.71x and 0.66x at 10 K.
 # A block of one index runs the same code.
 BLOCK = 8
+# The largest term cap a run accepts: a pair capped higher fails before any
+# term instead of summing for hours.  Every cap derived at T >= 1 K and
+# a >= 1 nm is below it (the largest, 3,644,565, at 1 nm and 1 K).
+MAX_TERMS = 2**22
 # each first round's nodes in s, one read-only array shared by every
 # term's quadrature, with their s^2 and 2 s
 _FIRST = {bp: (s, s * s, 2.0 * s) for bp in (BREAKPOINTS, STATIC_BREAKPOINTS)
@@ -139,44 +143,38 @@ class SeriesConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _runs(row: np.ndarray) -> list[int]:
-    """Edges of the runs of equal entries of ``row``: entries
-    cut[r]:cut[r + 1] share one value."""
-    return [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(),
-            len(row)]
-
-
 class _Table:
     """Components of one vector-valued quadrature: column i of ``cols``
-    holds pair i's a, omega_p, gamma, v_t, v_l, core group and model (as
-    rows, every field is contiguous), and ``xis`` the ascending
-    frequencies at which every pair is evaluated.  ``view`` is the
-    kernel's model: one model shared by every component (a FixedReflection,
-    or one MaterialModel; their ``cols`` hold a alone), or the table
-    itself, whose ``a``, omega_p and effective (gamma, v_t, v_l) are fields
-    shaped (C, 1, 1), whose ``core`` gives each group's interband core from
-    ``cores``, one model per group, and whose ``static`` gives each
-    component the static coefficients of its model in ``models``.  ``xi``
-    is the one frequency as a float, or a (B, 1, 1, 1) column that
-    broadcasts against the pairs, so component (b, i) is pair i at xis[b].
-    Every component, local or not, takes the one formula of
-    ``free_electron_eps``.  Indexing with a slice or a list of indices
-    takes those pairs, and ``block`` sets the frequencies; a slice and a
-    block are views of the table.  A plain class: a frozen dataclass would
-    add about 0.8 ms to every CLI start."""
+    holds pair i's a, omega_p, gamma, v_t, v_l, core group, static
+    parameters and mu0 (as rows, every field is contiguous), and ``xis``
+    the ascending frequencies at which every pair is evaluated.  ``view``
+    is the kernel's model: one model shared by every component (a
+    FixedReflection, or one MaterialModel; their ``cols`` hold a alone),
+    or the table itself, whose ``a``, omega_p, effective (gamma, v_t,
+    v_l), static_params and mu0 are fields shaped (C, 1, 1), and whose
+    ``core`` gives each group's interband core from ``cores``, one model
+    per group.  ``xi`` is the one frequency as a float, or a (B, 1, 1, 1)
+    column that broadcasts against the pairs, so component (b, i) is pair
+    i at xis[b].  The variant picks parameters at every l, not a formula:
+    every component takes the kernel's one static formula at l = 0 and
+    the one formula of ``free_electron_eps`` above it.  Indexing with a
+    slice or a list of indices takes those pairs, and ``block`` sets the
+    frequencies; a slice and a block are views of the table.  A plain
+    class: a frozen dataclass would add about 0.8 ms to every CLI start."""
 
-    __slots__ = ("cols", "cores", "models", "xis", "a", "xi", "view",
-                 "omega_p", "effective")
+    __slots__ = ("cols", "cores", "xis", "a", "xi", "view", "omega_p",
+                 "effective", "static_params", "mu0")
 
-    def __init__(self, cols: np.ndarray, view=None, cores=(), models=(),
-                 xis=(0.0,)):
-        self.cols, self.cores, self.models, self.xis = cols, cores, models, xis
+    def __init__(self, cols: np.ndarray, view=None, cores=(), xis=(0.0,)):
+        self.cols, self.cores, self.xis = cols, cores, xis
         self.a = cols[0, :, None, None]
         self.xi = xis[0] if len(xis) == 1 else np.reshape(xis, (-1, 1, 1, 1))
         self.view = self if view is None else view
         if view is None:
             self.omega_p = cols[1, :, None, None]
             self.effective = tuple(cols[2:5, :, None, None])
+            self.static_params = tuple(cols[6:9, :, None, None])
+            self.mu0 = cols[9, :, None, None]
 
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
@@ -188,17 +186,18 @@ class _Table:
         if isinstance(models[0], FixedReflection):
             return cls(a[None], models[0])
         groups, fields = {}, []  # core key -> (group, its first model)
-        for i, m in enumerate(models):  # key None: every model without one
+        for m in models:  # key None: every model without one
             key = m.interband and (m.interband, m.omega_p, m.gamma)
             g, _ = groups.setdefault(key, (len(groups), m))
-            fields.append((m.omega_p, *m.effective, g, i))
+            fields.append((m.omega_p, *m.effective, g, *m.static_params,
+                           m.mu0))
         return cls(np.vstack((np.tile(a, len(models)),
                               np.array(fields).T.repeat(len(a), axis=1))),
-                   None, tuple(m for _, m in groups.values()), tuple(models))
+                   None, tuple(m for _, m in groups.values()))
 
     def _with(self, cols: np.ndarray, xis) -> "_Table":
         return _Table(cols, None if self.view is self else self.view,
-                      self.cores, self.models, xis)
+                      self.cores, xis)
 
     def __getitem__(self, j) -> "_Table":
         return self._with(self.cols[:, j], self.xis)
@@ -227,19 +226,6 @@ class _Table:
                 for row, x in zip(out, xis):
                     row[g] = m.core(x)
         return out.reshape(np.shape(xi)[:1] + self.a.shape)
-
-    def static(self, k: np.ndarray) -> np.ndarray:
-        """(r_TM, r_TE) of the static term at wavevectors ``k``, shaped
-        (2, *k.shape): each component's model's exact zero-frequency
-        coefficients (``static_coefficients`` with its mu0).  The models
-        are model-major, so each run of one model is one call."""
-        r = np.empty((2,) + k.shape)
-        model = self.cols[6]
-        cut = _runs(model)
-        for i, j in zip(cut, cut[1:]):
-            m = self.models[int(model[i])]
-            r[0, i:j], r[1, i:j] = static_coefficients(k[i:j], m, m.mu0)
-        return r
 
 
 def _term_integrals(table: _Table, quad_tol: float,
@@ -353,6 +339,11 @@ class _MatsubaraSum:
         self.prev_t = None
         self.ratio = None
         self.result = None
+        if self.cap > MAX_TERMS:
+            raise SeriesConvergenceError(
+                f"Matsubara sum of model {self.name} at separation "
+                f"{a:.6e} m has a term cap of {self.cap}, above the limit "
+                f"of {MAX_TERMS} terms", self._result(0))
 
     def add(self, l: int, t_l: float, err_l: float) -> bool:
         """Add term l (the 1/2 weight of l = 0 included).
@@ -431,7 +422,8 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
 
     The one Matsubara loop, from the static term l = 0 on.  The
     tolerances, every separation and every pair's prefactor and term cap
-    are checked before any term.  Every pair still summing is one
+    are checked before any term; a cap above ``MAX_TERMS`` raises
+    SeriesConvergenceError.  Every pair still summing is one
     component of a single vector-valued quadrature at each index of a
     block of consecutive l (see the module docstring).  Each pair's sum
     stops once the geometric tail estimate has stayed below

@@ -2,13 +2,15 @@
 
 The one Python implementation of the physics on the imaginary frequency
 axis.  The NumPy kernel is ``free_electron_eps`` (the permittivity pair),
-``static_coefficients`` (exact l = 0 limits per variant, since the
-permittivities are singular at xi = 0), ``matsubara_coefficients``
-(l >= 1, as numerators and denominators) and ``lifshitz_summand`` built
-from them.  The kernel reads the MaterialModel, broadcasts over arrays or
-Python floats, and checks nothing; ``lifshitz_summand`` is the one
-integrand of the pressure quadrature, and takes each term's permeability
-and interband core from its model: mu0 in the static term, 1 and
+``static_coefficients`` (the exact l = 0 pair, since the permittivities
+are singular at xi = 0), ``matsubara_coefficients`` (l >= 1, as
+numerators and denominators) and ``lifshitz_summand`` built from them,
+each one formula for every variant on the parameters the variant picks
+(``MaterialModel.effective`` and ``static_params``).  The kernel
+broadcasts over arrays or Python floats and checks nothing but the
+static gamma = 0 singularity; ``lifshitz_summand`` is the one integrand
+of the pressure quadrature, and takes each term's permeability and
+interband core from its model: mu0 in the static term, 1 and
 ``model.core(xi)`` above it.
 The scalar API validates its inputs and computes through the kernel:
 ``eps_pair`` is the permittivity pair, with the model's core, and
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .response import DRUDE, PLASMA, MaterialModel, \
-    MatsubaraContext, _check_xi, matsubara_xi
+from .response import MaterialModel, MatsubaraContext, _check_xi, \
+    matsubara_xi
 
 
 @dataclass(frozen=True)
@@ -74,33 +76,24 @@ def free_electron_eps(xi, k, m, core, k_unit=1.0, out=(None, None)):
 
 
 def static_coefficients(k, m, mu):
-    """(r_TM, r_TE) of the static term of ``m`` at wavevector k > 0.
+    """(r_TM, r_TE) of the static term of ``m`` at wavevector k >= 0.
 
-    Dissipative: r_TM = 1, r_TE = (mu - 1)/(mu + 1).  Dissipationless:
-    r_TM = 1, r_TE = (mu k - sqrt(k^2 + mu wp^2/c^2))
-    / (mu k + sqrt(k^2 + mu wp^2/c^2)).  Wavevector-dependent:
-    r_TM = wp^2/(2 v_l gamma k + wp^2),
-    r_TE = (mu sqrt(k) - sqrt(k + B))/(mu sqrt(k) + sqrt(k + B)) with
-    B = mu wp^2 v_t/(gamma c^2), which is the dissipative (mu - 1)/(mu + 1)
-    at B = 0.  Only r_TE feels the permeability.  The wavevector-dependent
-    pair requires gamma > 0.
+    One formula for every variant, on the ``static_params`` (a, b, p) of
+    ``m`` (see MaterialModel): r_TM = 1/(1 + a k), r_TE = (mu k - R)/
+    (mu k + R), R = sqrt(k (k + mu b) + mu p).  ``m`` may hold arrays that
+    broadcast like k, as a pair table does.  At a float k = 0, r_TE is -1
+    if b or p is nonzero, else (mu - 1)/(mu + 1).  b = inf (the nonlocal
+    variant at gamma = 0) is a ValueError.
     """
-    if m.variant == DRUDE:
-        return 1.0, (mu - 1.0) / (mu + 1.0)
-    if m.variant == PLASMA:
-        root = np.sqrt(k * k + mu * (m.omega_p / C_LIGHT) ** 2)
-        return 1.0, (mu * k - root) / (mu * k + root)
-    if m.gamma <= 0.0:
+    a, b, p = m.static_params
+    if np.any(b == math.inf):
         raise ValueError("static nonlocal coefficients are singular at "
                          "gamma = 0; use the plasma variant instead")
-    wp2 = m.omega_p * m.omega_p
-    r_tm = wp2 / (2.0 * m.v_l * m.gamma * k + wp2)
-    b = mu * wp2 * m.v_t / (m.gamma * C_LIGHT * C_LIGHT)
-    if b == 0.0:  # the square-root form is 0/0 at k = 0
-        return r_tm, (mu - 1.0) / (mu + 1.0)
-    sk = np.sqrt(k)
-    skb = np.sqrt(k + b)
-    return r_tm, (mu * sk - skb) / (mu * sk + skb)
+    r_tm = 1.0 / (1.0 + a * k)
+    if not np.ndim(k) and k == 0.0:  # the ratio below is 0/0 at b, p = 0
+        return r_tm, -1.0 if b or p else (mu - 1.0) / (mu + 1.0)
+    root = np.sqrt(k * (k + mu * b) + mu * p)
+    return r_tm, (mu * k - root) / (mu * k + root)
 
 
 def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l, out=(None,) * 5):
@@ -158,16 +151,16 @@ def lifshitz_summand(y, xi, a, model, work=None):
     ``y`` is an array of quadrature nodes (all > 0); ``xi`` is the
     Matsubara frequency (0.0 selects the static-term coefficients, with
     permeability ``model.mu0``); ``model`` is a MaterialModel or a
-    FixedReflection.  In the static term a model with a ``static(k)``
-    method, such as a component table, gives the (r_TM, r_TE) pair itself:
-    each component's own model's coefficients.  Above the static term the
-    permeability is 1, the interband core is ``model.core(xi)``,
-    wavevectors are in units of xi/c (q = y/y_lo, y_lo = 2 a xi/c) and
-    r = N/D is never formed: x/(1-x) is N^2 d/(D^2 - N^2 d),
-    d = exp(-y).  There ``model`` may be anything
-    with the ``omega_p``, ``effective`` and ``core`` that this reads, and
-    those may be arrays that broadcast like ``a``: one entry per pair of a
-    multi-model pressure loop.  Such a model may also carry ``xi``, the
+    FixedReflection.  The variant enters only as parameters: in the static
+    term ``static_coefficients`` reads the model's ``static_params`` and
+    ``mu0``; above it the permeability is 1, the interband core is
+    ``model.core(xi)``, the permittivities read ``omega_p`` and
+    ``effective``, wavevectors are in units of xi/c (q = y/y_lo,
+    y_lo = 2 a xi/c) and r = N/D is never formed: x/(1-x) is
+    N^2 d/(D^2 - N^2 d), d = exp(-y).  ``model`` may be anything with the
+    fields that this reads, and those may be arrays that broadcast like
+    ``a``: one entry per pair of a multi-model pressure loop, whatever its
+    variant.  Such a model may also carry ``xi``, the
     frequencies of a block of Matsubara indices (a float, or a (B, 1, 1, 1)
     column that broadcasts against (C, 1, 1) pairs), which then replaces
     the argument above the static term: a block is one call, with its
@@ -191,8 +184,6 @@ def lifshitz_summand(y, xi, a, model, work=None):
             y = np.broadcast_to(y, shape)
         if fixed:
             n_tm, n_te = model.r_tm, model.r_te
-        elif hasattr(model, "static"):  # each component's own model
-            n_tm, n_te = model.static(y / (2.0 * a))
         else:
             n_tm, n_te = static_coefficients(y / (2.0 * a), model, model.mu0)
         damp = None
@@ -263,13 +254,13 @@ def refl_pair(l: int, k_perp: float, m: MaterialModel,
               mu_l: float | None = None) -> ReflectionPair:
     """Reflection coefficients of ``m`` at any l >= 0.
 
-    l = 0 uses the exact static limits (``static_coefficients``); l >= 1
+    l = 0 uses the exact static pair (``static_coefficients``); l >= 1
     the closed forms (``matsubara_coefficients``) on ``eps_pair``.
     ``mu_l`` (finite, >= 1) overrides the permeability: ``m.mu0`` in the
     static term, 1 above it.  The static nonlocal coefficients require
     gamma > 0 (for a dissipationless model use the plasma variant); at
-    k_perp = 0 their TE limit is -1 for B > 0, and the dissipative local
-    pair for v_t = 0.
+    k_perp = 0 the static TE limit is -1 for a nonzero b or p, and the
+    dissipative local pair for v_t = 0.
     """
     _check_k(k_perp)
     xi = matsubara_xi(l, ctx)

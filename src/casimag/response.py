@@ -120,13 +120,20 @@ class MaterialModel:
     the bound-electron core (``core``) is reconstructed; it replaces the
     leading "1" of the free-electron permittivities at nonzero Matsubara
     frequencies.  The permeability enters only the static term, as mu0:
-    mu(i xi) of a ferromagnet decays to 1 far below the first Matsubara
-    frequency, so it is 1 at every l >= 1.
+    mu(i xi_l) = 1 at every l >= 1 is the paper's assumption, and the
+    repository cites no source for Ni's magnetic relaxation.  A Debye
+    relaxation mu(i xi) = 1 + (mu0 - 1)/(1 + xi/omega_r) moves the README
+    pressures by -1.8e-4 (f_r = omega_r/2pi = 1 GHz) and -1.8e-3 (10 GHz)
+    at 300 K, and by -3.4e-4 to -6.4e-4 and -2.5e-3 to -5.8e-3 at 10 K.
 
-    ``effective`` is derived: the (gamma, v_t, v_l) of the l >= 1
-    permittivities, (gamma, 0, 0) for drude and (0, 0, 0) for plasma, so
-    the variant picks only the static pair.  ``gamma`` stays the physical
-    relaxation rate, with which the interband core subtracts the Drude part.
+    The variant picks parameters at every l, both derived: ``effective``,
+    the (gamma, v_t, v_l) of the l >= 1 permittivities, (gamma, 0, 0) for
+    drude and (0, 0, 0) for plasma; and ``static_params``, the (a, b, p)
+    of the static pair (``reflection.static_coefficients``), (0, 0, 0)
+    for drude, (0, 0, wp^2/c^2) for plasma and (2 v_l gamma/wp^2,
+    wp^2 v_t/(gamma c^2), 0) for nonlocal, with b = inf at gamma = 0.
+    ``gamma`` stays the physical relaxation rate, with which the interband
+    core subtracts the Drude part.
     """
 
     omega_p: float
@@ -138,6 +145,8 @@ class MaterialModel:
     variant: str = DRUDE
     effective: tuple[float, float, float] = field(init=False, repr=False,
                                                   compare=False)
+    static_params: tuple[float, float, float] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.omega_p < math.inf:
@@ -152,9 +161,15 @@ class MaterialModel:
                 raise ValueError(f"{name} must be in [0, c)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        effective = {DRUDE: (self.gamma, 0.0, 0.0), PLASMA: (0.0, 0.0, 0.0),
-                     NONLOCAL: (self.gamma, self.v_t, self.v_l)}
-        object.__setattr__(self, "effective", effective[self.variant])
+        g, wp2 = self.gamma, self.omega_p * self.omega_p
+        b = wp2 * self.v_t / (g * C_LIGHT**2) if g > 0.0 else math.inf
+        effective, static = {  # of the variant
+            DRUDE: ((g, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            PLASMA: ((0.0, 0.0, 0.0), (0.0, 0.0, (self.omega_p / C_LIGHT)**2)),
+            NONLOCAL: ((g, self.v_t, self.v_l),
+                       (2.0 * self.v_l * g / wp2, b, 0.0))}[self.variant]
+        object.__setattr__(self, "effective", effective)
+        object.__setattr__(self, "static_params", static)
 
     def core(self, xi: float) -> float:
         """Interband core at xi > 0, or 1.0 when no table is attached."""

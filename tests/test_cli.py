@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -549,6 +550,28 @@ class TestExitCodes:
                        + "l_max_cap = 10\n", encoding="utf-8")
         assert run(["pressure", "--config", str(cfg)]) == 2
         assert "not converged" in capsys.readouterr().err
+
+    def test_unreachable_term_cap_exits_2_at_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # at 1e-3 K the derived caps at 100 and 200 nm, 36,444,745 and
+        # 18,222,423 terms, exceed lifshitz.MAX_TERMS: the run exits 2
+        # before any kernel call instead of printing nothing for minutes
+        calls = []
+        monkeypatch.setattr(lifshitz, "lifshitz_summand",
+                            lambda *args: calls.append(args))
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text(BASE.replace("a_min_nm = 4000", "a_min_nm = 100")
+                           .replace("a_max_nm = 6000", "a_max_nm = 200")
+                           .replace("temperature_k = 300",
+                                    "temperature_k = 1e-3"),
+                       encoding="utf-8")
+        start = time.perf_counter()
+        assert run(["pressure", "--config", str(cfg), "--model", "all"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert not calls
+        assert ("model nonlocal at separation 1.000000e-07 m has a term cap "
+                "of 36444745, above the limit of 4194304 terms"
+                in capsys.readouterr().err)
 
     def test_non_convergence_names_model_and_separation(self, tmp_path,
                                                         capsys):

@@ -779,8 +779,8 @@ class TestStaticTerm:
         term_integrals = lifshitz._term_integrals
 
         def failing(table, *args):
-            kinds = set(table.cols[6].tolist())
-            if table.xis[0] == 0.0 and 1.0 in kinds:
+            static = table.cols[6:9]  # a, b and p, all zero in drude pairs
+            if table.xis[0] == 0.0 and (static == 0.0).all(axis=0).any():
                 raise lifshitz.QuadratureError("fails", 1.0)
             return term_integrals(table, *args)
 
@@ -923,6 +923,34 @@ def test_term_cap_out_of_range_rejected(monkeypatch):
     with pytest.raises(ValueError, match="temperature 1e-300 K is out of"):
         pressure(1e-7, nickel("drude"), MatsubaraContext(temperature=1e-300))
     assert tally["calls"] == 0
+
+
+@pytest.mark.parametrize("cap", [None, lifshitz.MAX_TERMS + 1])
+def test_unreachable_term_cap_rejected_before_any_kernel_call(monkeypatch,
+                                                              cap):
+    # at 1e-3 K the derived cap at 100 nm is 36,444,745 terms, which the
+    # loop would take hours to reach: every pair's cap, derived or from
+    # l_max_cap, is checked against MAX_TERMS before any term
+    tally = _kernel_spy(monkeypatch)
+    ctx = MatsubaraContext(temperature=300.0 if cap else 1e-3, l_max_cap=cap)
+    with pytest.raises(SeriesConvergenceError,
+                       match="model plasma at separation 1.000000e-07 m has "
+                             f"a term cap of {cap or 36444745}, above the "
+                             "limit of 4194304 terms") as err:
+        pressure_curves([1e-7, 2e-7], [nickel("plasma"), nickel("drude")],
+                        ctx)
+    assert err.value.partial.terms_used == 0
+    assert tally["calls"] == 0
+
+
+def test_term_caps_from_1_k_and_1_nm_up_are_reachable():
+    # the derived cap grows as 1/(a T), so its largest value at T >= 1 K
+    # and a >= 1 nm is the one at 1 K and 1 nm; a cap of MAX_TERMS passes
+    assert lifshitz._scales(1e-9, MatsubaraContext(1.0))[1] == 3644565
+    assert 3644565 < lifshitz.MAX_TERMS
+    ctx = MatsubaraContext(300.0, l_max_cap=lifshitz.MAX_TERMS)
+    assert pressure(1e-6, nickel("drude"), ctx) == \
+        pressure(1e-6, nickel("drude"), CTX)
 
 
 @pytest.mark.parametrize("a,mu0,temperature,l", [
