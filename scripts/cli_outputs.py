@@ -13,9 +13,10 @@ at 20 nm and 300 K the first blocks of Matsubara indices start where the
 graded first round ends.  The three runs that take all three models on
 the config's grid (``pressure`` and ``gradient`` with ``--model all``, and
 ``ratio``) also run on 100 log-spaced separations over 100-800 nm at
-300 K: there the first round of the static term, 300 pairs x 84 = 25,200
-nodes, and of one index, 300 x 63 = 18,900, exceed ``lifshitz.NODE_CAP``,
-so their kernel calls are split.  Where a few pairs sum long tails alone,
+300 K: there the first rounds of the static term and of l = 1, 100
+separations x 84 = 8,400 nodes per separation row, overfill the work
+array, which fits 6,300 for three models (``lifshitz.NODE_CAP``), so
+their kernel calls are split.  Where a few pairs sum long tails alone,
 the Matsubara indices go in tail blocks as long as the tail rule predicts:
 ``pressure --model all`` and ``ratio`` run on five separations over
 1-5 um at 4 K, and those two and ``gradient --model all`` on the one

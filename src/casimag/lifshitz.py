@@ -17,34 +17,34 @@ on its first round of panels (graded finer while y_lo < 0.25).
 
 ``pressure_curves`` holds the one Matsubara loop, for every model and
 separation of a run, and is the one entry for pressures; ``pressure`` is
-its one-point form.  Every (model, separation) pair of a run is a
-component of one table (``_Table``), built once per run and compressed
-as pairs converge.  The loop starts at the static term, l = 0, where the
-kernel reads each component's static parameters and mu0 as (C, 1, 1)
-columns of the table, with one formula for every variant.  A block of
-consecutive indices l, ..., l + B - 1 is one vector-valued quadrature
-over a view of the table, one kernel call per round; above l = 0 the
-kernel reads the separations, omega_p and effective (gamma, v_t, v_l) as
-(C, 1, 1) columns, the block's frequencies as a (B, 1, 1, 1) one, and
-``_Table.core``, one interband core per core group and frequency (one
-float for the variants of a material at one frequency), the groups fixed
-when the table is built; row b of the results is index l + b.  B is 1
-while the block's first index takes the graded first round.  Otherwise
-it is the most indices whose first round of every pair fits in
-``NODE_CAP`` nodes, up to ``BLOCK``; once that cap admits more than
-``BLOCK``, a tail block takes as many as the slowest pair's tail rule
-predicts it still needs (``_MatsubaraSum.needs``), up to the cap.  Each
-pair takes its terms in ascending l and ignores those past the index
-where its sum stops, so every result carries the bits of one index per
-quadrature.  On the README grid (15 separations, 100-800 nm, three
-models) a run takes 13 quadratures and 13 kernel calls: 101 with one
-index each, and 297 with one loop per model.  A round's kernel calls
-split the pairs, each call keeping every frequency of the block, so that
-none exceeds ``NODE_CAP`` nodes.  Each ``pressure_curves`` call owns one
-work array of NODE_CAP columns, and every node-sized array of an l >= 1
-kernel call is one of its rows, so such a call allocates nothing
-node-sized.  A ``reflection.FixedReflection`` (re-exported here) runs
-alone.
+its one-point form.  A run's pairs form one grid of models x separations
+(``_Table``), built once and compressed along the separations: one leaves
+once every model at it has stopped, and a pair that stops earlier keeps
+its place, its components integrating to exactly 0.  The loop starts at
+the static term, l = 0.  A block of consecutive indices l, ..., l + B - 1
+is one vector-valued quadrature over a view of the grid, one kernel call
+per round.  The kernel reads the separations as an (S, 1, 1) column, each
+model's parameters (the static ones and mu0 at l = 0, omega_p and
+effective (gamma, v_t, v_l) above it) as (M, 1, 1, 1, 1) ones, the
+block's frequencies as a (B, 1, 1, 1) one and ``_Table.core``, one
+interband core per core group and frequency; its result is (M, B, S,
+panels, nodes), and row b of the integrals is index l + b.  y, q, k and
+exp(-y) depend on the separation, the frequency and the node alone: each
+is formed once for every model.  B is 1 while the block's first index
+takes the graded first round.  Otherwise it is the most indices whose
+first round of the grid fits in the run's work array (``NODE_CAP``), up
+to ``BLOCK``; once it admits more than ``BLOCK``, a tail block takes as
+many as the slowest pair's tail rule predicts it still needs
+(``_MatsubaraSum.needs``), up to what fits.  Each pair takes its terms in
+ascending l and ignores those past the index where its sum stops, so
+every result carries the bits of one index per quadrature.  On the README
+grid (15 separations, 100-800 nm, three models) a run takes 11
+quadratures and 11 kernel calls: 101 with one index each, and 297 with
+one loop per model.  A round's kernel calls split the separations, each
+call keeping every model and frequency, so that the rows of none
+overfill the work array, which holds every node-sized array of an l >= 1
+kernel call: such a call allocates nothing node-sized.  A
+``reflection.FixedReflection`` (re-exported here) runs alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency pair on the model's static
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -93,23 +94,24 @@ BREAKPOINTS = (1.25, 3.25)
 # at 1000 K (93 k); the README grid takes 140,868 (141,813), none refined.
 STATIC_BREAKPOINTS = (0.5, 1.5, 3.25)
 Y_LO_STATIC = 0.25
-# Most quadrature nodes one kernel call evaluates, and the columns of each
-# run's work array (1 + WORK_ROWS rows, 806 KB): 228 components of the
-# 63-node first round, 171 of the 84-node one, so a README block (45 pairs
-# at 5 indices) is one call.  The kernel writes into the work array, so no
-# call frees node-sized temporaries for glibc to return to the OS and the
-# next call to fault back in, the cost that held the cap at 3,600 before
-# (CHANGES.md has the measurements).
+# Each run's work array holds WORK_ROWS x NODE_CAP floats (806 KB), and a
+# kernel call the most nodes whose rows fit, 4 per node of a separation and
+# 4 per model and node (3 for one model): 14,400 of one model (228 pairs of
+# the 63-node first round), 6,300 of three (100 separations), so a README
+# block (15 separations at 6 indices) is one call.  The kernel writes into
+# the work array, so no call frees node-sized temporaries for glibc to
+# return to the OS and the next call to fault back in, the cost that held
+# the cap at 3,600 before (CHANGES.md has the measurements).
 NODE_CAP = 14400
-# Most consecutive Matsubara indices one quadrature takes while more pairs
-# are summing than NODE_CAP admits at BLOCK + 1 indices (29 on the 63-node
-# round); past that, a tail block takes as many as the slowest pair's
-# tail rule predicts.  Timed in-process against the allocating kernel at
-# 3,600 nodes and blocks of 16 (medians of interleaved loops on a shared
-# 2-core VM), NODE_CAP with 8 took 0.93x on the micron grid and with 16
-# 1.00x: its last blocks overshoot sums of about 8 terms.  The README loop
-# took 0.77x with 8 and 0.75x with 16 at 300 K, 0.71x and 0.66x at 10 K.
-# A block of one index runs the same code.
+# Most consecutive Matsubara indices one quadrature takes while the work
+# array admits no more than BLOCK (while over 25 pairs of one model, or 11
+# separations of three, sum on the 63-node round); past that, a tail block
+# takes as many as the slowest pair's tail rule predicts.  Timed in-process
+# against the allocating kernel at 3,600 nodes and blocks of 16 (medians of
+# interleaved loops on a shared 2-core VM), NODE_CAP with 8 took 0.93x on
+# the micron grid and with 16 1.00x: its last blocks overshoot sums of
+# about 8 terms.  The README loop took 0.77x with 8 and 0.75x with 16 at
+# 300 K, 0.71x and 0.66x at 10 K.  A block of one index runs the same code.
 BLOCK = 8
 # The largest term cap a run accepts: a pair capped higher fails before any
 # term instead of summing for hours.  Every cap derived at T >= 1 K and
@@ -144,68 +146,67 @@ class SeriesConvergenceError(RuntimeError):
 
 
 class _Table:
-    """Components of one vector-valued quadrature: column i of ``cols``
-    holds pair i's a, omega_p, gamma, v_t, v_l, core group, static
-    parameters and mu0 (as rows, every field is contiguous), and ``xis``
-    the ascending frequencies at which every pair is evaluated.  ``view``
-    is the kernel's model: one model shared by every component (a
-    FixedReflection, or one MaterialModel; their ``cols`` hold a alone),
-    or the table itself, whose ``a``, omega_p, effective (gamma, v_t,
-    v_l), static_params and mu0 are fields shaped (C, 1, 1), and whose
-    ``core`` gives each group's interband core from ``cores``, one model
-    per group.  ``xi`` is the one frequency as a float, or a (B, 1, 1, 1)
-    column that broadcasts against the pairs, so component (b, i) is pair
-    i at xis[b].  The variant picks parameters at every l, not a formula:
-    every component takes the kernel's one static formula at l = 0 and
-    the one formula of ``free_electron_eps`` above it.  Indexing with a
-    slice or a list of indices takes those pairs, and ``block`` sets the
-    frequencies; a slice and a block are views of the table.  A plain
-    class: a frozen dataclass would add about 0.8 ms to every CLI start."""
+    """The grid of one vector-valued quadrature: every model of a run at
+    every separation still summing.  Column i of ``cols`` holds model i's
+    omega_p, gamma, v_t, v_l, core group, static parameters and mu0, ``a``
+    the (S, 1, 1) separations and ``xis`` the ascending frequencies at
+    which every pair is evaluated.  ``view`` is the kernel's model: a
+    FixedReflection, which runs alone, or the table itself, whose omega_p,
+    effective (gamma, v_t, v_l), static_params and mu0 are (M, 1, 1, 1, 1)
+    fields, and whose ``core`` gives each group's interband core from
+    ``cores``, one model per group.  ``xi`` is the one frequency as a
+    float, or a (B, 1, 1, 1) column, so component (i, b, j) is model i at
+    xis[b] and separation j.  ``dead`` lists the (model, separation)
+    indices of the pairs that have stopped while their separation still
+    sums.  The variant picks parameters at every l, not a formula: every
+    component takes the kernel's one static formula at l = 0 and the one
+    formula of ``free_electron_eps`` above it.  Indexing with a slice or a
+    mask takes those separations, and ``block`` sets the frequencies; both
+    share the table's columns.  A plain class: a frozen dataclass would
+    add about 0.8 ms to every CLI start."""
 
-    __slots__ = ("cols", "cores", "xis", "a", "xi", "view", "omega_p",
-                 "effective", "static_params", "mu0")
+    __slots__ = ("cols", "cores", "xis", "a", "xi", "dead", "view",
+                 "omega_p", "effective", "static_params", "mu0")
 
-    def __init__(self, cols: np.ndarray, view=None, cores=(), xis=(0.0,)):
-        self.cols, self.cores, self.xis = cols, cores, xis
-        self.a = cols[0, :, None, None]
+    def __init__(self, cols: np.ndarray, a: np.ndarray, view=None,
+                 cores=(), xis=(0.0,), dead=()):
+        self.cols, self.a, self.cores, self.xis = cols, a, cores, xis
         self.xi = xis[0] if len(xis) == 1 else np.reshape(xis, (-1, 1, 1, 1))
-        self.view = self if view is None else view
-        if view is None:
-            self.omega_p = cols[1, :, None, None]
-            self.effective = tuple(cols[2:5, :, None, None])
-            self.static_params = tuple(cols[6:9, :, None, None])
-            self.mu0 = cols[9, :, None, None]
+        self.view, self.dead = self if view is None else view, dead
+        if view is None:  # each field a model axis before y's four
+            c = cols[:, :, None, None, None, None]
+            self.omega_p, self.mu0 = c[0], c[8]
+            self.effective, self.static_params = tuple(c[1:4]), tuple(c[5:8])
 
     @classmethod
     def of(cls, models: list, a: np.ndarray) -> "_Table":
-        """The table of every (model, separation) pair, model-major, at
-        xi = 0; ``block`` gives it the frequencies of a block.  A
-        FixedReflection, which runs alone, is its own view.  Models without
-        a table form one core group, the others one per (table, omega_p,
-        gamma)."""
+        """The grid of every model at the separations ``a``, at xi = 0;
+        ``block`` gives it the frequencies of a block.  A FixedReflection,
+        which runs alone, is its own view.  Models without a table form
+        one core group, the others one per (table, omega_p, gamma)."""
+        a = a[:, None, None]
         if isinstance(models[0], FixedReflection):
-            return cls(a[None], models[0])
+            return cls(np.empty((0, 1)), a, models[0])
         groups, fields = {}, []  # core key -> (group, its first model)
         for m in models:  # key None: every model without one
             key = m.interband and (m.interband, m.omega_p, m.gamma)
             g, _ = groups.setdefault(key, (len(groups), m))
             fields.append((m.omega_p, *m.effective, g, *m.static_params,
                            m.mu0))
-        return cls(np.vstack((np.tile(a, len(models)),
-                              np.array(fields).T.repeat(len(a), axis=1))),
-                   None, tuple(m for _, m in groups.values()))
+        return cls(np.array(fields).T, a, None,
+                   tuple(m for _, m in groups.values()))
 
-    def _with(self, cols: np.ndarray, xis) -> "_Table":
-        return _Table(cols, None if self.view is self else self.view,
-                      self.cores, xis)
+    def _with(self, a: np.ndarray, xis, dead=()) -> "_Table":
+        return _Table(self.cols, a, None if self.view is self else self.view,
+                      self.cores, xis, dead)
 
     def __getitem__(self, j) -> "_Table":
-        return self._with(self.cols[:, j], self.xis)
+        return self._with(self.a[j], self.xis)
 
     def block(self, xis: list) -> "_Table":
         """Every pair at each of the ascending frequencies ``xis``, in the
         same columns; the block of the static term is xis = [0.0]."""
-        return self._with(self.cols, xis)
+        return self._with(self.a, xis, self.dead)
 
     def core(self, xi):
         """The interband core of every component (``xi`` is the table's
@@ -218,72 +219,81 @@ class _Table:
             if cores[0].interband is None:
                 return 1.0
             return np.reshape([cores[0].core(x) for x in xis], (-1, 1, 1, 1))
-        group = self.cols[5]
+        group = self.cols[4]
         out = np.empty((len(xis), len(group)))
         for k, m in enumerate(cores):
-            g = group == k
-            if g.any():  # a group may have left the table
-                for row, x in zip(out, xis):
-                    row[g] = m.core(x)
-        return out.reshape(np.shape(xi)[:1] + self.a.shape)
+            for row, x in zip(out, xis):
+                row[group == k] = m.core(x)
+        return out.T.reshape(out.T.shape + (1, 1, 1))
 
 
 def _term_integrals(table: _Table, quad_tol: float,
                     work: np.ndarray) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
     ``table`` in one vector-valued quadrature, with one kernel call per
-    round (more past ``NODE_CAP``, each with every frequency of the block
-    and a share of the pairs), as one row per frequency.  The kernel's
-    float ``xi`` is the table's first frequency: 0.0 is the static term,
-    the first index of the loop, whose table is a block at xi = 0, such as
-    ``_Table.of(models, a)`` or ``_Table(a[None], model)`` for one model.
-    ``work``, the run's (1 + WORK_ROWS, NODE_CAP) array, holds every
-    node-sized array of a kernel call: y in row 0, the kernel's own rows
-    after it.  An unsplit round's integrand returns its values in those
-    rows, which the quadrature reduces before its next call.
+    round (more when its rows overfill ``work``, each with every model and
+    frequency of the block and a share of the separations), as one
+    model-major list per frequency.  The kernel's float ``xi`` is the
+    table's first frequency: 0.0 is the static term, the first index of
+    the loop, whose table is a block at xi = 0, such as
+    ``_Table.of(models, a)``.  ``work``, the run's flat array, holds every
+    node-sized array of a kernel call: y, q, k^2 and k of y's shape, then
+    the kernel's rows of the result's (D_TE in k^2's row for one model).
+    An unsplit round's integrand returns its values in those rows, which
+    the quadrature reduces before its next call.  The components of
+    ``table.dead`` are 0 at every node.
     """
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
     # sqrt(k) cusp of the static TE coefficient at small wavevectors
-    a, view, xis = table.a, table.view, table.xis  # pairs x (panels, nodes)
-    y_lo = a * (2.0 * table.xi / C_LIGHT)  # frequencies x pairs, if a block
-    n, b = len(a), len(xis)
+    a, view, xis, dead = table.a, table.view, table.xis, table.dead
+    m, n, b = table.cols.shape[1], len(a), len(xis)
+    # 1 x frequencies x separations: the model axis, then the block's
+    y_lo = (a * (2.0 * table.xi / C_LIGHT)).reshape((1, b) + a.shape)
     breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
                    else BREAKPOINTS)
     first, *first_s2 = _FIRST[breakpoints]
+    own = 3 + (m > 1)  # the kernel's rows per model
+    cap = len(work) // (4 + own * m)  # nodes of a separation one call takes
 
     def summand(y_lo, s2, a, view):
         """The kernel at y = y_lo + s2, in the rows of ``work``."""
-        shape = y_lo.shape[:-2] + s2.shape
-        rows = work[:, :y_lo.size * s2.size].reshape((len(work),) + shape)
-        y = np.add(y_lo, s2, out=rows[0])
-        return lifshitz_summand(y, xis[0], a, view, rows[1:])
+        shape = y_lo.shape[:-2] + s2.shape  # 1, B, S, panels, nodes
+        size = y_lo.size * s2.size
+        y, q, k2, k = work[:4 * size].reshape((4,) + shape)
+        eps = work[4 * size:(4 + own * m) * size].reshape((own, m) + shape[1:])
+        y = np.add(y_lo, s2, out=y)
+        return lifshitz_summand(y, xis[0], a, view, (q, k2, k, *eps, k2)[:7])
 
     def f(s):
-        most = NODE_CAP // (b * s.size)  # pairs one call may take
+        most = cap // (b * s.size)  # separations one call takes
         if n <= most:
             s2, two_s = first_s2 if s is first else (s * s, 2.0 * s)
             out = summand(y_lo, s2, a, view)
             out *= two_s
-            return out
-        # balanced calls under the cap; panels split past it
-        out = np.empty(y_lo.shape[:-2] + s.shape)
-        calls = -(-n // max(1, most))
-        per = -(-n // calls)
-        rows = max(1, NODE_CAP // (b * s.shape[-1]))
-        for i in range(0, n, per):
-            c = slice(i, i + per)
-            part = table[c]
-            for r in range(0, len(s), rows):
-                p = s[r:r + rows]
-                out[..., c, r:r + rows, :] = summand(
-                    y_lo[..., c, :, :], p * p, part.a, part.view)
-        out *= 2.0 * s
+        else:  # balanced calls under the cap; panels split past it
+            out = np.empty((m, b, n) + s.shape)
+            calls = -(-n // max(1, most))
+            per = -(-n // calls)
+            rows = max(1, cap // (b * s.shape[-1]))
+            for i in range(0, n, per):
+                c = slice(i, i + per)
+                part = table[c]
+                for r in range(0, len(s), rows):
+                    p = s[r:r + rows]
+                    out[..., c, r:r + rows, :] = summand(
+                        y_lo[..., c, :, :], p * p, part.a, part.view)
+            out *= 2.0 * s
+        for i, j in dead:  # assigned, so no NaN of a stopped pair stays
+            out[i, :, j] = 0.0
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
                         breakpoints=breakpoints)
-    return res.value.reshape(b, n).tolist(), res.error.reshape(b, n).tolist()
+    value, error = res.value.reshape(m, b, n), res.error.reshape(m, b, n)
+    if m > 1:  # each frequency's row, model-major
+        value, error = value.swapaxes(0, 1), error.swapaxes(0, 1)
+    return value.reshape(b, -1).tolist(), error.reshape(b, -1).tolist()
 
 
 def _checked(separations, **tols: float) -> list[float]:
@@ -423,21 +433,22 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     The one Matsubara loop, from the static term l = 0 on.  The
     tolerances, every separation and every pair's prefactor and term cap
     are checked before any term; a cap above ``MAX_TERMS`` raises
-    SeriesConvergenceError.  Every pair still summing is one
-    component of a single vector-valued quadrature at each index of a
-    block of consecutive l (see the module docstring).  Each pair's sum
-    stops once the geometric tail estimate has stayed below
+    SeriesConvergenceError.  Every model at every separation still summing
+    is one component of a single vector-valued quadrature at each index
+    of a block of consecutive l (see the module docstring).  Each pair's
+    sum stops once the geometric tail estimate has stayed below
     series_tol * |partial sum| for three consecutive indices, and then
-    leaves the set evaluated at later blocks; the final tail estimate is
-    reported in its result.  Raises SeriesConvergenceError, naming the
-    model and the separation and carrying the partial result, if a pair
-    reaches its cap on the number of terms first or meets a non-finite
-    term, at the index and pair where one index per quadrature would.  A
-    block whose quadrature raises QuadratureError is run again one index
-    at a time, so the error is raised only at an index the sum reaches;
-    the static term, a block of one index, raises it at once.
-    A FixedReflection must be the only model of its call.  The kernel's
-    work array belongs to the call, so calls may run on several threads.
+    ignores later terms; a separation leaves the grid once every model at
+    it has stopped.  The final tail estimate is reported in its result.
+    Raises SeriesConvergenceError, naming the model and the separation and
+    carrying the partial result, if a pair reaches its cap on the number
+    of terms first or meets a non-finite term, at the index and pair where
+    one index per quadrature would.  A block whose quadrature raises
+    QuadratureError is run again one index at a time, so the error is
+    raised only at an index the sum reaches; the static term, a block of
+    one index, raises it at once.  A FixedReflection must be the only
+    model of its call.  The kernel's work array belongs to the call, so
+    calls may run on several threads.
     """
     models = list(models)
     if not models:
@@ -449,22 +460,24 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     seps = _checked(separations, quad_tol=quad_tol, series_tol=series_tol)
     curves = [[_MatsubaraSum(s, model, series_tol, ctx, keep_terms)
                for s in seps] for model in models]
-    # every node-sized array of the run's kernel calls, this call's own
-    work = np.empty((1 + WORK_ROWS, NODE_CAP))
-    active = [s for curve in curves for s in curve]
+    # this call's own rows for every node-sized array of its kernel calls:
+    # 4 per separation, 4 per model (3 for one), one 21-node panel at least
+    rows = 4 + (3 + (len(models) > 1)) * len(models)
+    work = np.empty(rows * max(WORK_ROWS * NODE_CAP // rows, 21))
+    grid = [s for curve in curves for s in curve]  # the table's pairs
+    go = [True] * len(grid)  # whether each still sums
     table = _Table.of(models, np.array(seps))
-    fit = NODE_CAP // _FIRST[BREAKPOINTS][0].size  # pairs x indices
+    fit = len(work) // rows // _FIRST[BREAKPOINTS][0].size  # seps x indices
     l, single, coarse = 0, 0, False  # below ``single``, one index each
-    while active:
-        n = len(active)
+    while grid:
         # the smallest y_lo of index l, as _term_integrals forms it; it
-        # only grows, as xi grows and pairs only leave the table
+        # only grows, as xi grows and separations only leave the table
         coarse = coarse or (table.a.min() * (2.0 * matsubara_xi(l, ctx)
                                              / C_LIGHT) >= Y_LO_STATIC)
-        b, most = 1, fit // n
+        b, most = 1, fit // len(table.a)
         if coarse and l >= single:  # past BLOCK, what the tail rule predicts
-            b = (min(most, max(s.needs(l) for s in active)) if most > BLOCK
-                 else min(BLOCK, most) or 1)
+            b = (min(most, max(s.needs(l) for s, ok in zip(grid, go) if ok))
+                 if most > BLOCK else min(BLOCK, most) or 1)
         xis = [matsubara_xi(l + i, ctx) for i in range(b)]
         try:
             t, err = _term_integrals(table.block(xis), quad_tol, work)
@@ -473,15 +486,18 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
                 raise
             single = l + b  # an index of the block may not be reached
             continue
-        keep = [True] * n
         for i in range(b):  # each pair takes its terms in ascending l
-            keep = [go and s.add(l + i, t_l, e_l) for s, go, t_l, e_l
-                    in zip(active, keep, t[i], err[i])]
-        if not all(keep):
-            active = [s for s, go in zip(active, keep) if go]
-            if not active:
-                break
-            table = table[np.fromiter(keep, bool, n)]
+            go = [ok and s.add(l + i, t_l, e_l) for s, ok, t_l, e_l
+                  in zip(grid, go, t[i], err[i])]
+        if not all(go):  # a separation leaves once all its pairs stopped
+            n = len(go) // len(models)
+            live = [any(go[j::n]) for j in range(n)]
+            if not all(live):
+                keep = live * len(models)
+                grid, go = list(compress(grid, keep)), list(compress(go, keep))
+                table = table[np.array(live)]
+            table.dead = [divmod(i, len(table.a)) for i, ok in enumerate(go)
+                          if not ok]
         l += b
     return [[s.result for s in curve] for curve in curves]
 

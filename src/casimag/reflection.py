@@ -110,8 +110,8 @@ def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l, out=(None,) * 5):
     this is the Fresnel form, bit for bit.  mu = 1 skips its products, and
     q +- k_mu are formed in place; neither changes a bit.  ``out`` holds
     the arrays D_TE, the cross term, D_TM, N_TM and N_TE are written into
-    (None: new ones); they may be k2, any array, eps_tr, k and eps_l, each
-    of which is read for the last time before its array is written.
+    (None: new ones); they may be k2 if of their shape, any array, eps_tr,
+    eps_l and the cross term's, each read last before it is written.
     """
     o_kmu, o_cross, o_dtm, o_ntm, o_nte = out
     k_mu = np.add(k2, eps_tr if mu == 1.0 else mu * eps_tr, out=o_kmu)
@@ -130,9 +130,9 @@ def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l, out=(None,) * 5):
     return n_tm, d_tm, n_te, k_mu
 
 
-# rows of the work array of one l >= 1 kernel call: q, k^2, k, eps_tr,
-# eps_l and the cross term, reused for the coefficients and exp(-y)
-WORK_ROWS = 6
+# rows of an l >= 1 kernel call: q, k^2, k (y's shape; q then holds exp(-y)),
+# eps_tr, eps_l, the cross term and D_TE (the result's; D_TE may take k^2's)
+WORK_ROWS = 7
 
 
 def _occupation(n, d, damp):
@@ -158,21 +158,22 @@ def lifshitz_summand(y, xi, a, model, work=None):
     ``effective``, wavevectors are in units of xi/c (q = y/y_lo,
     y_lo = 2 a xi/c) and r = N/D is never formed: x/(1-x) is
     N^2 d/(D^2 - N^2 d), d = exp(-y).  ``model`` may be anything with the
-    fields that this reads, and those may be arrays that broadcast like
-    ``a``: one entry per pair of a multi-model pressure loop, whatever its
-    variant.  Such a model may also carry ``xi``, the
-    frequencies of a block of Matsubara indices (a float, or a (B, 1, 1, 1)
-    column that broadcasts against (C, 1, 1) pairs), which then replaces
-    the argument above the static term: a block is one call, with its
-    first frequency as ``xi``.
-    Returns an array of the broadcast shape of ``y`` and ``a``.
+    fields that this reads, and those may be arrays with a model axis in
+    front of y's, as in a pressure loop's grid: (M, 1, 1, 1, 1) columns
+    against y of shape (1, B, S, panels, nodes) and (S, 1, 1) separations
+    ``a``.  Only what depends on the model then takes that axis; in
+    ``work``, q, k^2, k and exp(-y) keep y's shape.  Such a model may also
+    carry ``xi``, the frequencies of a block of Matsubara indices (a
+    float, or a (B, 1, 1, 1) column), which then replaces the argument
+    above the static term: a block is one call, with its first frequency
+    as ``xi``.
+    Returns an array of the broadcast shape of ``y``, ``a`` and the model.
 
-    ``work`` is None or WORK_ROWS float arrays of that shape, such as the
-    rows of one (WORK_ROWS, *shape) array.  Above the static term every
-    node-sized intermediate is then written into them, and the result is
-    one of them, valid until the next call with the same ``work``; without
-    it the call allocates its own rows, so the result is a new array.  The
-    same ufuncs run in the same order either way: the bits do not change.
+    ``work`` is None or the WORK_ROWS arrays above.  Above the static term
+    every node-sized intermediate is then written into them, and the
+    result is one of them, valid until the next call with the same
+    ``work``; without it the call allocates its own rows, so the result is
+    a new array.  The same ufuncs run in the same order, to the same bits.
     """
     y = np.asarray(y, dtype=float)
     d_tm = d_te = 1.0
@@ -189,9 +190,10 @@ def lifshitz_summand(y, xi, a, model, work=None):
         damp = None
     else:
         if work is None:
-            work = np.empty((WORK_ROWS,) + np.broadcast(y, a).shape)
+            work = np.empty((WORK_ROWS,)
+                            + np.broadcast(y, a, model.omega_p).shape)
         xi = getattr(model, "xi", xi)  # a block's frequencies
-        q, k2, k, eps_tr, eps_l, cross = work
+        q, k2, k, eps_tr, eps_l, cross, d_te = work
         np.multiply(y, (0.5 * C_LIGHT / xi) / a, out=q)  # y/y_lo
         np.multiply(q, q, out=k2)
         k2 -= 1.0
@@ -201,7 +203,7 @@ def lifshitz_summand(y, xi, a, model, work=None):
                           (eps_tr, eps_l))
         # each row is written once its last reader has run
         n_tm, d_tm, n_te, d_te = matsubara_coefficients(
-            q, k, k2, 1.0, eps_tr, eps_l, (k2, cross, eps_tr, k, eps_l))
+            q, k, k2, 1.0, eps_tr, eps_l, (d_te, cross, eps_tr, eps_l, cross))
         damp = q
 
     damp = np.negative(y, out=damp)

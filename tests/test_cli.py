@@ -326,12 +326,13 @@ class TestWorkCounts:
 
         def spy(y, xi, a, model, *work):
             calls[0] += 1
-            nodes[0] += np.size(y)
             # a block carries the frequencies of its components
             freqs.update(model.xis
                          if isinstance(model, lifshitz._Table) else [xi])
             static[0] += xi == 0.0
-            return kernel(y, xi, a, model, *work)
+            out = kernel(y, xi, a, model, *work)
+            nodes[0] += out.size  # components: every model at y's nodes
+            return out
 
         def quad_spy(*args, **kwargs):
             quads.append(1)
@@ -372,15 +373,20 @@ class TestWorkCounts:
                          for l in range(len(freqs))}
         # no term refines and no round is split: one kernel call per
         # quadrature, the static and l = 1 45 x 84-node first rounds
-        # included; blocks of up to 8 indices, and past 28 pairs the tail
-        # blocks, take 13 quadratures instead of 101 (15 instead of 122).
-        # The long tail blocks evaluate pairs whose sums have stopped:
-        # 156,051 nodes against 140,868 at one index per quadrature
+        # included; blocks of up to 8 indices, and from 11 separations on
+        # the tail blocks, take 11 quadratures instead of 101 (12 instead
+        # of 122).  The long tail blocks evaluate pairs whose sums have
+        # stopped, and the grid a stopped pair while its separation sums:
+        # 158,760 components (models x nodes) against 140,868 at one index
+        # per quadrature.  A table of summing pairs alone, whose calls took
+        # at most 14,400 components, took 13 quadratures and 156,051 (15
+        # and 174,069); the grid's calls fit 6,300 nodes of a separation,
+        # 18,900 components, in the same work array
         if not tabled:
-            assert work == (13, 13, 156_051, 99)
+            assert work == (11, 11, 158_760, 99)
             assert kk_calls == builds == []
             return
-        assert work == (15, 15, 174_069, 120)
+        assert work == (12, 12, 177_660, 120)
         # the models are grouped by core once, when the run's component
         # table is built: one hash of the table per model, no comparison
         assert len(hashed) <= 3

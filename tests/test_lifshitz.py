@@ -8,7 +8,8 @@ import pytest
 
 from casimag import (FixedReflection, MaterialModel, MatsubaraContext,
                      SeriesConvergenceError, lifshitz, matsubara_xi,
-                     nickel, pressure, pressure_curves, refl_pair)
+                     nickel, pressure, pressure_curves, quadrature,
+                     refl_pair)
 from casimag.constants import C_LIGHT, HBAR, K_BOLTZMANN
 
 CTX = MatsubaraContext(temperature=300.0)
@@ -77,7 +78,7 @@ def test_static_term_matches_polylog():
 
 def _work():
     """A work array of one pressure_curves call, for _term_integrals."""
-    return np.empty((1 + lifshitz.WORK_ROWS, lifshitz.NODE_CAP))
+    return np.empty(lifshitz.WORK_ROWS * lifshitz.NODE_CAP)
 
 
 @pytest.mark.parametrize("v_over_vf", [1.0, 7.0])
@@ -89,7 +90,7 @@ def test_static_term_converges_on_its_first_round(monkeypatch, variant, mu0,
     model = replace(nickel(variant, v_over_vf=v_over_vf), mu0=mu0)
     a = np.geomspace(10e-9, 20e-6, 25)
     tally = _kernel_spy(monkeypatch)
-    lifshitz._term_integrals(lifshitz._Table(a[None], model), 1e-9, _work())
+    lifshitz._term_integrals(lifshitz._Table.of([model], a), 1e-9, _work())
     assert tally["calls"] == 1
 
 
@@ -125,7 +126,8 @@ def test_high_index_terms_exponentially_suppressed():
     pref, _ = lifshitz._scales(a, CTX)
     xi = matsubara_xi(l_big, CTX)
     ((t_l,),), _ = lifshitz._term_integrals(
-        lifshitz._Table(np.array([[a]]), model).block([xi]), 1e-9, _work())
+        lifshitz._Table.of([model], np.array([a])).block([xi]), 1e-9,
+        _work())
     assert abs(pref * t_l) < 1e-17 * abs(res.pressure)
 
 
@@ -136,7 +138,7 @@ def test_subnormal_terms_integrate(l):
     pref, _ = lifshitz._scales(1e-6, CTX)
     xi = matsubara_xi(l, CTX)
     ((t_l,),), _ = lifshitz._term_integrals(
-        lifshitz._Table(np.array([[1e-6]]), nickel("plasma")).block([xi]),
+        lifshitz._Table.of([nickel("plasma")], np.array([1e-6])).block([xi]),
         1e-9, _work())
     assert -1e-300 < pref * t_l <= 0.0
 
@@ -421,34 +423,106 @@ class TestPressureCurves:
                 assert abs(lo.pressure - ti.pressure) <= lo.quad_error, \
                     (variant, a)
 
-    def test_unequal_runs_keep_their_models(self, ni_models):
-        # once some separations of a model have converged, the runs of
-        # components per model differ in length
+    def test_stopped_pairs_integrate_to_exactly_zero(self, monkeypatch,
+                                                     ni_models):
+        # a pair that has stopped while its separation still sums keeps
+        # its place in the grid: its components are assigned 0, so even a
+        # NaN of its kernel values integrates to 0 with a 0 error estimate,
+        # and every other component is that of its model alone
         a = np.array([100e-9, 200e-9, 300e-9, 500e-9, 700e-9, 900e-9])
-        runs = [(ni_models["nonlocal"], 1), (ni_models["plasma"], 3),
-                (ni_models["drude"], 2)]
-        table = lifshitz._Table.of([m for m, _ in runs], a)
-        keep = np.zeros((len(runs), len(a)), dtype=bool)
-        start = 0
-        for row, (_, n) in zip(keep, runs):
-            row[start:start + n] = True
-            start += n
-        table = table[keep.ravel()]
-        assert table.a.ravel().tolist() == a.tolist()
+        models = [ni_models[v] for v in VARIANTS]
+        table = lifshitz._Table.of(models, a)
+        table.dead = [(0, 1), (2, 1), (1, 4)]
+        kernel = lifshitz.lifshitz_summand
+
+        def nan_for_the_dead(y, xi, a_, model, *work):
+            out = kernel(y, xi, a_, model, *work)
+            for i, j in table.dead:
+                out[i, :, j] = np.nan
+            return out
+
         xi = matsubara_xi(7, CTX)
         work = _work()
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", nan_for_the_dead)
         (t,), (err,) = lifshitz._term_integrals(table.block([xi]), 1e-9,
                                                 work)
-        start, t_each, err_each = 0, [], []
-        for model, n in runs:
-            part = a[start:start + n]
-            one = lifshitz._Table(part[None], model).block([xi])
-            (t_m,), (err_m,) = lifshitz._term_integrals(one, 1e-9, work)
-            t_each += t_m
-            err_each += err_m
-            start += n
-        assert t == t_each
-        assert err == err_each
+        monkeypatch.undo()
+        for i, model in enumerate(models):
+            (t_m,), (err_m,) = lifshitz._term_integrals(
+                lifshitz._Table.of([model], a).block([xi]), 1e-9, work)
+            for j in range(len(a)):
+                got = t[i * len(a) + j], err[i * len(a) + j]
+                assert got == ((0.0, 0.0) if (i, j) in table.dead
+                               else (t_m[j], err_m[j])), (i, j)
+
+    def test_models_share_each_separations_rows(self, monkeypatch,
+                                                ni_models):
+        # y, q, k and exp(-y) depend on the separation, the frequency and
+        # the node alone: every l >= 1 kernel call of a three-model run
+        # gets y with a model axis of length 1 and returns one row per
+        # model
+        kernel, shapes = lifshitz.lifshitz_summand, []
+
+        def spy(y, xi, *args):
+            out = kernel(y, xi, *args)
+            if xi > 0.0:
+                shapes.append((np.shape(y), out.shape))
+            return out
+
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+        pressure_curves(np.geomspace(100e-9, 800e-9, 15),
+                        [ni_models[v] for v in VARIANTS], CTX)
+        assert shapes
+        for y, out in shapes:
+            assert len(y) == len(out)
+            assert (y[0], out[0]) == (1, 3)
+            assert y[1:] == out[1:]
+
+    def test_pairs_that_stop_early_keep_their_own_bits(self, monkeypatch):
+        # at 100 and 180 nm plasma Ni at 1.3 omega_p sums two or more
+        # indices longer than at omega_p, so with one index per quadrature
+        # the blocks between have a stopped pair whose separation still
+        # sums; at quad_tol = 1e-13 they refine.  Each pair keeps the bits
+        # of its own one-model run, and no refinement round opens, and so
+        # splits a panel of, a stopped component
+        plasma = nickel("plasma")
+        models = [plasma, replace(plasma, omega_p=1.3 * plasma.omega_p)]
+        grid = self.GRID[:4]
+        _one_index_per_quadrature(monkeypatch)
+        alone = [pressure_curves(grid, [m], CTX, quad_tol=1e-13,
+                                 keep_terms=True)[0] for m in models]
+        fast, slow = ([r.terms_used for r in curve[:2]] for curve in alone)
+        assert min(s - f for s, f in zip(slow, fast)) >= 2
+        term_integrals = lifshitz._term_integrals
+        refine, is_open = quadrature._refine, quadrature._open
+        dead, rounds = [], []  # stopped components; per round, any open
+
+        def spy(table, *args):
+            # one index per quadrature: component i * S + j is model i
+            # at separation j
+            dead[:] = [i * len(table.a) + j for i, j in table.dead]
+            return term_integrals(table, *args)
+
+        def opening(sums, rel_tol):
+            open_, target = is_open(sums, rel_tol)
+            rounds.append(bool(open_[dead].any()))
+            return open_, target
+
+        def refining(*args):
+            if not dead:
+                return refine(*args)
+            quadrature._open = opening
+            try:
+                return refine(*args)
+            finally:
+                quadrature._open = is_open
+
+        monkeypatch.setattr(lifshitz, "_term_integrals", spy)
+        monkeypatch.setattr(quadrature, "_refine", refining)
+        assert pressure_curves(grid, models, CTX, quad_tol=1e-13,
+                               keep_terms=True) == alone
+        assert rounds
+        assert not any(rounds)
 
     @pytest.mark.parametrize("models", [
         [nickel("drude"), FixedReflection(1.0, -1.0)],
@@ -478,16 +552,18 @@ class TestPressureCurves:
         # plus one static quadrature for all three.  No term refines and
         # no round is split: the static term and l = 1 are one 45 x
         # 84-node call each, and every other kernel call is one whole
-        # 63-node first round of the pairs still summing, at each index of
-        # its block, within the cap
+        # 63-node first round of the separations still summing, at each
+        # index of its block, whose rows fit the work array: 16 per node of
+        # a separation, 4 of them shared by the three models
         grid = np.geomspace(100e-9, 800e-9, 15)
         kernel, quad = lifshitz.lifshitz_summand, lifshitz.adaptive_quad
         sizes, xis, quads = [], [], []
 
         def spy(y, xi, *args):
-            sizes.append(np.size(y))
+            out = kernel(y, xi, *args)
+            sizes.append(out.size)  # components: models x nodes of y
             xis.append(xi)
-            return kernel(y, xi, *args)
+            return out
 
         def counting(*args, **kwargs):
             quads.append(1)
@@ -499,25 +575,27 @@ class TestPressureCurves:
         terms = max(res.terms_used for curve in curves for res in curve)
         assert len(quads) <= 0.2 * (terms + 3)
         assert len(sizes) == len(quads)
-        assert max(sizes) <= lifshitz.NODE_CAP
+        fit = lifshitz.WORK_ROWS * lifshitz.NODE_CAP // 16
+        assert max(sizes) <= 3 * fit
         first, _, _ = lifshitz._FIRST[lifshitz.BREAKPOINTS]
         static, _, _ = lifshitz._FIRST[lifshitz.STATIC_BREAKPOINTS]
         assert sizes[:2] == [3 * len(grid) * static.size] * 2  # l = 0, 1
         assert all(size % first.size == 0 for size in sizes[2:])
-        # a block fills the cap: the largest takes 225 of its 228
-        # components, 5 indices of the 45 pairs
-        assert max(sizes) == 225 * first.size
+        # a block fills the work array: the largest, 20 indices of 5
+        # separations, takes all 6,300 nodes of a separation's rows
+        assert max(sizes) == 3 * fit == 3 * 100 * first.size
         assert all(type(xi) is float for xi in xis)
 
-    # components split evenly (240), unevenly (300), panels split (50:
-    # two of the three first-round panels per call)
+    # a call keeps every model and takes the separations whose rows fit
+    # the WORK_ROWS x cap floats of the work array, 16 rows per node of a
+    # separation: one each (240); two of the 63-node round, one of the
+    # static 84-node one (300); one 21-node panel of the three models, the
+    # least a call takes (50)
     @pytest.mark.parametrize("cap", [240, 300, 50])
     def test_chunked_evaluation_equals_unchunked(self, monkeypatch,
                                                  ni_models, cap):
         # one index per quadrature in both runs, so they take the same
-        # rounds; blocks, tail blocks included, are checked after.  At 300
-        # nodes a call of the three models' static round takes components
-        # of two models
+        # rounds; blocks, tail blocks included, are checked after
         grid = (100e-9, 180e-9, 420e-9, 800e-9)
         models = list(ni_models.values())
         outputs = []
@@ -526,8 +604,9 @@ class TestPressureCurves:
         sizes = []
 
         def spy(y, xi, *args):
-            sizes.append(np.size(y))
-            return kernel(y, xi, *args)
+            out = kernel(y, xi, *args)
+            sizes.append(out.size)
+            return out
 
         monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
         _one_index_per_quadrature(monkeypatch)
@@ -539,7 +618,8 @@ class TestPressureCurves:
         monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
         assert pressure_curves(grid, models, CTX, keep_terms=True) == \
             expected
-        assert max(sizes[whole:]) <= cap
+        fit = max(lifshitz.WORK_ROWS * cap // 16, 21)
+        assert max(sizes[whole:]) <= 3 * fit
         assert len(sizes) - whole > whole  # the rounds were split
         assert len(outputs) == 2 * whole
         assert all(np.array_equal(a, b)
@@ -558,9 +638,10 @@ class TestPressureCurves:
         # next call overwrites, until the quadrature has reduced them.  At
         # quad_tol = 1e-13 blocks refine.  At NODE_CAP a block of at most
         # BLOCK indices takes one call per round, and only the refinement
-        # rounds of a tail block, whose first round may fill the cap, split;
-        # at the old cap of 3,600 nodes rounds of the shorter blocks split
-        # too, so a round reduced after a later call would show here
+        # rounds of a tail block, whose first round may fill the work
+        # array, split; at the old cap of 3,600 nodes rounds of the shorter
+        # blocks split too, so a round reduced after a later call would
+        # show here
         models = [ni_models[v] for v in VARIANTS]
         ctx = MatsubaraContext(temperature=temperature)
         quad, kernel = lifshitz.adaptive_quad, lifshitz.lifshitz_summand
@@ -626,8 +707,8 @@ def _block_sizes(monkeypatch):
 
 class TestBlocks:
     # a block evaluates consecutive indices of the pairs still summing in
-    # one quadrature, and once fewer pairs than NODE_CAP admits at BLOCK
-    # indices remain, as many as the slowest pair's tail rule predicts;
+    # one quadrature, and once the work array admits more than BLOCK
+    # indices, as many as the slowest pair's tail rule predicts;
     # every number must be that of one index per quadrature (BLOCK = 1,
     # the prediction off)
 
@@ -744,6 +825,7 @@ class TestStaticTerm:
         assert pressure_curves(self.GRID, models, CTX,
                                keep_terms=True) == alone
         # one static kernel call, 20 x 84 nodes, unless the cap splits it
+        # (24 rows per node of a separation)
         assert (tally["xi"].count(0.0) == 1) == (cap is None)
 
     @pytest.mark.parametrize("first", ["nonlocal", "plasma"])
@@ -779,7 +861,7 @@ class TestStaticTerm:
         term_integrals = lifshitz._term_integrals
 
         def failing(table, *args):
-            static = table.cols[6:9]  # a, b and p, all zero in drude pairs
+            static = table.cols[5:8]  # a, b and p, all zero in drude models
             if table.xis[0] == 0.0 and (static == 0.0).all(axis=0).any():
                 raise lifshitz.QuadratureError("fails", 1.0)
             return term_integrals(table, *args)
@@ -796,28 +878,31 @@ class TestStaticTerm:
 def test_kernel_work_array_changes_no_bit(table, block, ni_models,
                                           ni_models_ib):
     # the same ufuncs in the same order write into the caller's rows:
-    # every bit of the result is that of a call that allocates its own
+    # every bit of the result is that of a call that allocates its own.
+    # One model writes D_TE into k^2's row, several into a row of their own
     models = list((ni_models_ib if table else ni_models).values())
     a = np.geomspace(10e-9, 20e-6, 7)
-    if block:
-        xis = [matsubara_xi(l, CTX) for l in range(5, 5 + block)]
-        calls = [lifshitz._Table.of(models, a).block(xis)]
-        assert (type(calls[0].xi) is float) == (block == 1)
-    else:  # the static term: one model per call, and all in one
-        calls = [lifshitz._Table(a[None], m) for m in models]
-        calls.append(lifshitz._Table.of(models, a))
+    xis = [matsubara_xi(l, CTX) for l in range(5, 5 + block)] or [0.0]
+    calls = [lifshitz._Table.of(ms, a).block(xis)
+             for ms in ([m] for m in models)]
+    calls.append(lifshitz._Table.of(models, a).block(xis))
+    assert (type(calls[0].xi) is float) == (block < 2)
     s = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
     for tab in calls:
-        xi = tab.xis[0]
-        y = tab.a * (2.0 * tab.xi / C_LIGHT) + s * s
+        xi, m = tab.xis[0], tab.cols.shape[1]
+        y = (tab.a * (2.0 * tab.xi / C_LIGHT)).reshape(
+            (1, len(xis)) + tab.a.shape) + s * s
         fresh = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
         again = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
         assert not np.shares_memory(fresh, again)  # each a new array
-        work = np.full((lifshitz.WORK_ROWS,) + y.shape, np.nan)
+        assert fresh.shape == (m,) + y.shape[1:]
+        rows = np.full((3,) + y.shape, np.nan)
+        full = np.full((4,) + fresh.shape, np.nan)
+        work = (*rows, *full[:3], full[3] if m > 1 else rows[1])
         got = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view, work)
         assert got.tobytes() == fresh.tobytes()
         if block:  # in the caller's rows, which the next call reuses
-            assert np.shares_memory(got, work)
+            assert np.shares_memory(got, full)
             lifshitz.lifshitz_summand(2.0 * y, xi, tab.a, tab.view, work)
             assert got.tobytes() != fresh.tobytes()
         assert fresh.tobytes() == again.tobytes()

@@ -1,5 +1,6 @@
 """The package against the textbook float reference of ``_textbook.py``:
-the static pair formula, and every Matsubara term of random points."""
+the static pair formula, every Matsubara term of random points, and every
+term of multi-model runs."""
 
 import math
 from dataclasses import replace
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from casimag import MatsubaraContext, SeriesConvergenceError, nickel, \
-    pressure, refl_pair
+from casimag import MatsubaraContext, SeriesConvergenceError, lifshitz, \
+    nickel, pressure, pressure_curves, refl_pair
 from casimag.reflection import static_coefficients
 
 import _textbook
@@ -62,8 +63,49 @@ def test_every_term_matches_the_textbook_reference(
                        quad_tol=QUAD_TOL, series_tol=1e-12, keep_terms=True)
     except SeriesConvergenceError as err:
         res = err.partial
+    _assert_terms_match(res, m, a, temperature)
+
+
+def _assert_terms_match(res, m, a, temperature):
+    """Every term of ``res`` within QUAD_TOL + REF_ACCURACY of itself."""
     ref = _textbook.terms(m, a, temperature, res.terms_used)
     assert [l for l, _ in res.per_term] == [l for l, _ in ref]
     for (l, got), (_, want) in zip(res.per_term, ref):
         assert abs(got - want) <= (QUAD_TOL + REF_ACCURACY) * abs(want), \
             (l, got, want)
+
+
+@pytest.mark.parametrize("case", ["free", "table", "table-split"])
+def test_every_term_of_a_multi_model_run_matches_the_reference(
+        monkeypatch, ni_table, case):
+    # one pressure_curves call of mixed variants and two materials, the
+    # second at 1.3 omega_p and mu0 = 2: every model at every separation is
+    # a component of one grid, whose rows shared by the models must carry
+    # each separation's own numbers.  With the optical table the models
+    # form three core groups (the table at each omega_p, and drude without
+    # it).  The split run keeps every model in each kernel call and takes
+    # one separation, or three of the static round's four panels of one,
+    # per call: 20 rows per node of a separation fit 70 nodes
+    table = None if case == "free" else ni_table
+    ni = {v: nickel(v, interband=table) for v in VARIANTS}
+    models = [ni["nonlocal"], ni["plasma"], nickel("drude"),
+              replace(ni["nonlocal"], omega_p=1.3 * ni["nonlocal"].omega_p,
+                      mu0=2.0)]
+    grid, temperature = (60e-9, 250e-9, 1.2e-6), 300.0
+    sizes, kernel = [], lifshitz.lifshitz_summand
+    if case.endswith("split"):
+        def spy(y, xi, *args):
+            out = kernel(y, xi, *args)
+            sizes.append(out.shape[-3])  # separations of the call
+            return out
+
+        monkeypatch.setattr(lifshitz, "NODE_CAP", 200)
+        monkeypatch.setattr(lifshitz, "lifshitz_summand", spy)
+    curves = pressure_curves(grid, models, MatsubaraContext(temperature),
+                             quad_tol=QUAD_TOL, series_tol=1e-12,
+                             keep_terms=True)
+    if case.endswith("split"):
+        assert max(sizes) == 1
+    for m, curve in zip(models, curves):
+        for a, res in zip(grid, curve):
+            _assert_terms_match(res, m, a, temperature)
