@@ -1,4 +1,4 @@
-"""Time the three-model pressure loops of two casimag checkouts, interleaved.
+"""Time the pressure loops of two casimag checkouts, interleaved.
 
 Usage: python3 scripts/loop_timing.py PARENT CHANGE [PAIRS]
 
@@ -8,11 +8,14 @@ on four loops, the in-process analogs of the benchmark's workloads: the
 README grid (15 log-spaced separations, 100-800 nm) at 300 K and at 10 K,
 the README grid at 300 K with the synthetic Ni optical table of
 ``tests/_ni_optical.py`` (``readme-interband``), and 16 linearly spaced
-separations over 1-6 um at 300 K (``micron-gradient``).  The table is
+separations over 1-6 um at 300 K (``micron-gradient``).  Two more loops
+take the nonlocal model alone on the README grid, at 300 K and at 10 K:
+the traffic of ``pressure``, ``gradient`` and ``compare`` without
+``--model all``, which no benchmark workload runs.  The table is
 written to a temporary CSV file once, and every call of its loop reads
 it with ``InterbandTable.from_csv``, so each call builds its own KK node
-sets, as a CLI run does.  Each of PAIRS
-pairs (default 15) times both checkouts once, in alternating order
+sets, as a CLI run does.  Each of PAIRS pairs (default 15) times both
+checkouts once, in alternating order
 (parent first in even pairs, change first in odd ones), after one untimed
 warm-up loop each.  Prints, per loop, each side's median time with the
 quadratures and kernel calls of one loop (counted in one more, untimed
@@ -38,10 +41,13 @@ import _ni_optical  # noqa: E402  (the test table, from this checkout)
 GRID = np.geomspace(100e-9, 800e-9, 15)
 MICRON = np.linspace(1e-6, 6e-6, 16)
 VARIANTS = ("nonlocal", "plasma", "drude")
-# (name, separations, temperature in K, with the optical table)
-LOOPS = (("README", GRID, 300.0, False), ("README", GRID, 10.0, False),
-         ("README with the table", GRID, 300.0, True),
-         ("1-6 um", MICRON, 300.0, False))
+# (name, separations, temperature in K, with the optical table, variants)
+LOOPS = (("README", GRID, 300.0, False, VARIANTS),
+         ("README", GRID, 10.0, False, VARIANTS),
+         ("README with the table", GRID, 300.0, True, VARIANTS),
+         ("1-6 um", MICRON, 300.0, False, VARIANTS),
+         ("one-model README", GRID, 300.0, False, VARIANTS[:1]),
+         ("one-model README", GRID, 10.0, False, VARIANTS[:1]))
 
 
 def load(root: str):
@@ -59,14 +65,15 @@ def load(root: str):
     return casimag
 
 
-def loop(casimag, grid, temperature: float, csv: str | None):
-    """One checkout's loop over ``grid`` at one temperature, as a call
-    that reads the optical table from the file ``csv`` (None: no table)."""
+def loop(casimag, grid, temperature: float, csv: str | None, variants):
+    """One checkout's loop of the Ni ``variants`` over ``grid`` at one
+    temperature, as a call that reads the optical table from the file
+    ``csv`` (None: no table)."""
     ctx = casimag.MatsubaraContext(temperature=temperature)
 
     def run():
         interband = casimag.InterbandTable.from_csv(csv) if csv else None
-        models = [casimag.nickel(v, interband=interband) for v in VARIANTS]
+        models = [casimag.nickel(v, interband=interband) for v in variants]
         return casimag.pressure_curves(grid, models, ctx)
     return run
 
@@ -97,10 +104,11 @@ def work(casimag, run) -> str:
 
 
 def time_loop(sides, name: str, grid, temperature: float, csv: str | None,
-              pairs: int) -> None:
+              variants, pairs: int) -> None:
     """Time one loop of both checkouts in ``pairs`` interleaved pairs and
     print its line."""
-    runs = [loop(casimag, grid, temperature, csv) for casimag in sides]
+    runs = [loop(casimag, grid, temperature, csv, variants)
+            for casimag in sides]
     for run in runs:
         run()
     times = ([], [])
@@ -128,9 +136,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv = str(Path(tmp) / "ni.csv")
         _ni_optical.write_csv(csv)
-        for name, grid, temperature, table in LOOPS:
+        for name, grid, temperature, table, variants in LOOPS:
             time_loop(sides, name, grid, temperature, csv if table else None,
-                      pairs)
+                      variants, pairs)
     return 0
 
 

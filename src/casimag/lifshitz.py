@@ -26,8 +26,9 @@ is one vector-valued quadrature over a view of the grid, one kernel call
 per round.  The kernel reads the separations as an (S, 1, 1) column, each
 model's parameters (the static ones and mu0 at l = 0, omega_p and
 effective (gamma, v_t, v_l) above it) as (M, 1, 1, 1, 1) ones, the
-block's frequencies as a (B, 1, 1, 1) one and ``_Table.core``, one
-interband core per core group and frequency; its result is (M, B, S,
+block's frequencies as a (B, 1, 1, 1) one (a float for one index) and
+``_Table.core``'s (M, B, 1, 1, 1) cores, one per core group and
+frequency (1.0 when no model has a table); its result is (M, B, S,
 panels, nodes), and row b of the integrals is index l + b.  y, q, k and
 exp(-y) depend on the separation, the frequency and the node alone: each
 is formed once for every model.  B is 1 while the block's first index
@@ -41,10 +42,12 @@ every result carries the bits of one index per quadrature.  On the README
 grid (15 separations, 100-800 nm, three models) a run takes 11
 quadratures and 11 kernel calls: 101 with one index each, and 297 with
 one loop per model.  A round's kernel calls split the separations, each
-call keeping every model and frequency, so that the rows of none
-overfill the work array, which holds every node-sized array of an l >= 1
-kernel call: such a call allocates nothing node-sized.  A
-``reflection.FixedReflection`` (re-exported here) runs alone.
+call keeping every model and frequency and taking as many separations as
+the work array holds rows for (``_rows`` per node of one), and panels of
+one when it holds none whole.  The work array holds every node-sized
+array of an l >= 1 kernel call: such a call allocates nothing
+node-sized.  A ``reflection.FixedReflection`` (re-exported here) runs
+alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency pair on the model's static
@@ -94,14 +97,17 @@ BREAKPOINTS = (1.25, 3.25)
 # at 1000 K (93 k); the README grid takes 140,868 (141,813), none refined.
 STATIC_BREAKPOINTS = (0.5, 1.5, 3.25)
 Y_LO_STATIC = 0.25
+# built at import: in a run's first quadratures they cost 0.1-0.2 ms
+_first_round(0.0, S_CUT, BREAKPOINTS)
+_first_round(0.0, S_CUT, STATIC_BREAKPOINTS)
 # Each run's work array holds WORK_ROWS x NODE_CAP floats (806 KB), and a
-# kernel call the most nodes whose rows fit, 4 per node of a separation and
-# 4 per model and node (3 for one model): 14,400 of one model (228 pairs of
-# the 63-node first round), 6,300 of three (100 separations), so a README
-# block (15 separations at 6 indices) is one call.  The kernel writes into
-# the work array, so no call frees node-sized temporaries for glibc to
-# return to the OS and the next call to fault back in, the cost that held
-# the cap at 3,600 before (CHANGES.md has the measurements).
+# kernel call the most nodes whose rows fit, ``_rows`` per node of a
+# separation: 14,400 of one model (228 pairs of the 63-node first round),
+# 6,300 of three (100 separations), so a README block (15 separations at 6
+# indices) is one call.  The kernel writes into the work array, so no call
+# frees node-sized temporaries for glibc to return to the OS and the next
+# call to fault back in, the cost that held the cap at 3,600 before
+# (CHANGES.md has the measurements).
 NODE_CAP = 14400
 # Most consecutive Matsubara indices one quadrature takes while the work
 # array admits no more than BLOCK (while over 25 pairs of one model, or 11
@@ -117,10 +123,6 @@ BLOCK = 8
 # term instead of summing for hours.  Every cap derived at T >= 1 K and
 # a >= 1 nm is below it (the largest, 3,644,565, at 1 nm and 1 K).
 MAX_TERMS = 2**22
-# each first round's nodes in s, one read-only array shared by every
-# term's quadrature, with their s^2 and 2 s
-_FIRST = {bp: (s, s * s, 2.0 * s) for bp in (BREAKPOINTS, STATIC_BREAKPOINTS)
-          for s in (_first_round(0.0, S_CUT, bp)[2],)}
 
 
 @dataclass(frozen=True)
@@ -153,17 +155,18 @@ class _Table:
     which every pair is evaluated.  ``view`` is the kernel's model: a
     FixedReflection, which runs alone, or the table itself, whose omega_p,
     effective (gamma, v_t, v_l), static_params and mu0 are (M, 1, 1, 1, 1)
-    fields, and whose ``core`` gives each group's interband core from
-    ``cores``, one model per group.  ``xi`` is the one frequency as a
-    float, or a (B, 1, 1, 1) column, so component (i, b, j) is model i at
-    xis[b] and separation j.  ``dead`` lists the (model, separation)
-    indices of the pairs that have stopped while their separation still
-    sums.  The variant picks parameters at every l, not a formula: every
-    component takes the kernel's one static formula at l = 0 and the one
-    formula of ``free_electron_eps`` above it.  Indexing with a slice or a
-    mask takes those separations, and ``block`` sets the frequencies; both
-    share the table's columns.  A plain class: a frozen dataclass would
-    add about 0.8 ms to every CLI start."""
+    fields, and whose ``core`` gives every component's interband core,
+    the same for every model of a core group (``cores`` holds one model
+    per group, and the group column indexes it).  ``xi`` is the one
+    frequency as a float, or a (B, 1, 1, 1) column, so component (i, b, j)
+    is model i at xis[b] and separation j.  ``dead`` lists the (model,
+    separation) indices of the pairs that have stopped while their
+    separation still sums.  The variant picks parameters at every l, not
+    a formula: every component takes the kernel's one static formula at
+    l = 0 and the one formula of ``free_electron_eps`` above it.  ``_with``
+    sets the separations, and ``block`` the frequencies; both share the
+    table's columns.  A plain class: a frozen dataclass would add about
+    0.8 ms to every CLI start."""
 
     __slots__ = ("cols", "cores", "xis", "a", "xi", "dead", "view",
                  "omega_p", "effective", "static_params", "mu0")
@@ -200,48 +203,44 @@ class _Table:
         return _Table(self.cols, a, None if self.view is self else self.view,
                       self.cores, xis, dead)
 
-    def __getitem__(self, j) -> "_Table":
-        return self._with(self.a[j], self.xis)
-
     def block(self, xis: list) -> "_Table":
         """Every pair at each of the ascending frequencies ``xis``, in the
         same columns; the block of the static term is xis = [0.0]."""
         return self._with(self.a, xis, self.dead)
 
     def core(self, xi):
-        """The interband core of every component (``xi`` is the table's
-        own): one ``core`` call per core group and frequency, and a float
-        when that is one call or no model has a table."""
-        cores, xis = self.cores, self.xis
-        if len(cores) == 1:
-            if type(xi) is float:
-                return cores[0].core(xi)
-            if cores[0].interband is None:
-                return 1.0
-            return np.reshape([cores[0].core(x) for x in xis], (-1, 1, 1, 1))
-        group = self.cols[4]
-        out = np.empty((len(xis), len(group)))
-        for k, m in enumerate(cores):
-            for row, x in zip(out, xis):
-                row[group == k] = m.core(x)
-        return out.T.reshape(out.T.shape + (1, 1, 1))
+        """The interband core of every component at the table's ``xis``
+        (``xi`` is the table's own): 1.0 when no model has a table, else
+        one ``core`` call per core group and frequency, indexed by the
+        group column into (M, B, 1, 1, 1)."""
+        if all(m.interband is None for m in self.cores):
+            return 1.0
+        cores = np.array([[m.core(x) for x in self.xis] for m in self.cores])
+        return cores[self.cols[4].astype(int), :, None, None, None]
+
+
+def _rows(m: int) -> int:
+    """The work array's rows per node of a separation in a kernel call of
+    m models: y, q, k^2 and k, then 4 per model, or 3 for one model, whose
+    D_TE takes k^2's row (the result's shape is then y's)."""
+    return 4 + (3 + (m > 1)) * m
 
 
 def _term_integrals(table: _Table, quad_tol: float,
                     work: np.ndarray) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
     ``table`` in one vector-valued quadrature, with one kernel call per
-    round (more when its rows overfill ``work``, each with every model and
-    frequency of the block and a share of the separations), as one
-    model-major list per frequency.  The kernel's float ``xi`` is the
-    table's first frequency: 0.0 is the static term, the first index of
-    the loop, whose table is a block at xi = 0, such as
-    ``_Table.of(models, a)``.  ``work``, the run's flat array, holds every
-    node-sized array of a kernel call: y, q, k^2 and k of y's shape, then
-    the kernel's rows of the result's (D_TE in k^2's row for one model).
-    An unsplit round's integrand returns its values in those rows, which
-    the quadrature reduces before its next call.  The components of
-    ``table.dead`` are 0 at every node.
+    round (more when its rows overfill ``work``: each call keeps every
+    model and frequency of the block and takes as many separations as fit,
+    or panels of one when none does), as one model-major list per
+    frequency.  The kernel's float ``xi`` is the table's first frequency:
+    0.0 is the static term, the first index of the loop, whose table is a
+    block at xi = 0, such as ``_Table.of(models, a)``.  ``work``, the
+    run's flat array, holds every node-sized array of a kernel call in
+    ``_rows`` rows: y, q, k^2 and k of y's shape, then the kernel's rows of
+    the result's.  An unsplit round's integrand returns its values in
+    those rows, which the quadrature reduces before its next call.  The
+    components of ``table.dead`` are 0 at every node.
     """
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
@@ -252,48 +251,41 @@ def _term_integrals(table: _Table, quad_tol: float,
     y_lo = (a * (2.0 * table.xi / C_LIGHT)).reshape((1, b) + a.shape)
     breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
                    else BREAKPOINTS)
-    first, *first_s2 = _FIRST[breakpoints]
-    own = 3 + (m > 1)  # the kernel's rows per model
-    cap = len(work) // (4 + own * m)  # nodes of a separation one call takes
+    rows = _rows(m)
+    cap = len(work) // rows  # nodes of a separation one call takes
 
-    def summand(y_lo, s2, a, view):
+    def summand(y_lo, s2, a):
         """The kernel at y = y_lo + s2, in the rows of ``work``."""
         shape = y_lo.shape[:-2] + s2.shape  # 1, B, S, panels, nodes
         size = y_lo.size * s2.size
         y, q, k2, k = work[:4 * size].reshape((4,) + shape)
-        eps = work[4 * size:(4 + own * m) * size].reshape((own, m) + shape[1:])
+        own = work[4 * size:rows * size].reshape((-1, m) + shape[1:])
         y = np.add(y_lo, s2, out=y)
-        return lifshitz_summand(y, xis[0], a, view, (q, k2, k, *eps, k2)[:7])
+        return lifshitz_summand(y, xis[0], a, view, (q, k2, k, *own, k2)[:7])
 
     def f(s):
         most = cap // (b * s.size)  # separations one call takes
         if n <= most:
-            s2, two_s = first_s2 if s is first else (s * s, 2.0 * s)
-            out = summand(y_lo, s2, a, view)
-            out *= two_s
-        else:  # balanced calls under the cap; panels split past it
+            out = summand(y_lo, s * s, a)
+        else:  # calls of ``most`` separations; panels split past the cap
             out = np.empty((m, b, n) + s.shape)
-            calls = -(-n // max(1, most))
-            per = -(-n // calls)
-            rows = max(1, cap // (b * s.shape[-1]))
-            for i in range(0, n, per):
-                c = slice(i, i + per)
-                part = table[c]
-                for r in range(0, len(s), rows):
-                    p = s[r:r + rows]
-                    out[..., c, r:r + rows, :] = summand(
-                        y_lo[..., c, :, :], p * p, part.a, part.view)
-            out *= 2.0 * s
+            step, panels = max(1, most), max(1, cap // (b * s.shape[-1]))
+            for i in range(0, n, step):
+                c = slice(i, i + step)
+                for r in range(0, len(s), panels):
+                    p = s[r:r + panels]
+                    out[..., c, r:r + panels, :] = summand(
+                        y_lo[..., c, :, :], p * p, a[c])
+        out *= 2.0 * s
         for i, j in dead:  # assigned, so no NaN of a stopped pair stays
             out[i, :, j] = 0.0
         return out
 
     res = adaptive_quad(f, 0.0, S_CUT, rel_tol=quad_tol,
                         breakpoints=breakpoints)
-    value, error = res.value.reshape(m, b, n), res.error.reshape(m, b, n)
-    if m > 1:  # each frequency's row, model-major
-        value, error = value.swapaxes(0, 1), error.swapaxes(0, 1)
-    return value.reshape(b, -1).tolist(), error.reshape(b, -1).tolist()
+    # each frequency's row, model-major
+    return tuple(r.reshape(m, b, n).swapaxes(0, 1).reshape(b, -1).tolist()
+                 for r in (res.value, res.error))
 
 
 def _checked(separations, **tols: float) -> list[float]:
@@ -460,14 +452,15 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
     seps = _checked(separations, quad_tol=quad_tol, series_tol=series_tol)
     curves = [[_MatsubaraSum(s, model, series_tol, ctx, keep_terms)
                for s in seps] for model in models]
-    # this call's own rows for every node-sized array of its kernel calls:
-    # 4 per separation, 4 per model (3 for one), one 21-node panel at least
-    rows = 4 + (3 + (len(models) > 1)) * len(models)
+    # this call's own rows for every node-sized array of its kernel calls,
+    # one 21-node panel at least
+    rows = _rows(len(models))
     work = np.empty(rows * max(WORK_ROWS * NODE_CAP // rows, 21))
     grid = [s for curve in curves for s in curve]  # the table's pairs
     go = [True] * len(grid)  # whether each still sums
     table = _Table.of(models, np.array(seps))
-    fit = len(work) // rows // _FIRST[BREAKPOINTS][0].size  # seps x indices
+    # separations x indices whose first round fits the work array
+    fit = len(work) // rows // _first_round(0.0, S_CUT, BREAKPOINTS)[2].size
     l, single, coarse = 0, 0, False  # below ``single``, one index each
     while grid:
         # the smallest y_lo of index l, as _term_integrals forms it; it
@@ -495,7 +488,7 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
             if not all(live):
                 keep = live * len(models)
                 grid, go = list(compress(grid, keep)), list(compress(go, keep))
-                table = table[np.array(live)]
+                table = table._with(table.a[np.array(live)], table.xis)
             table.dead = [divmod(i, len(table.a)) for i, ok in enumerate(go)
                           if not ok]
         l += b

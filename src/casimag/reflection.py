@@ -166,7 +166,8 @@ def lifshitz_summand(y, xi, a, model, work=None):
     carry ``xi``, the frequencies of a block of Matsubara indices (a
     float, or a (B, 1, 1, 1) column), which then replaces the argument
     above the static term: a block is one call, with its first frequency
-    as ``xi``.
+    as ``xi``.  Its ``core`` may then return a float or an array of the
+    fields' shape with the block's axis, such as (M, B, 1, 1, 1).
     Returns an array of the broadcast shape of ``y``, ``a`` and the model.
 
     ``work`` is None or the WORK_ROWS arrays above.  Above the static term

@@ -123,8 +123,11 @@ class MaterialModel:
     mu(i xi_l) = 1 at every l >= 1 is the paper's assumption, and the
     repository cites no source for Ni's magnetic relaxation.  A Debye
     relaxation mu(i xi) = 1 + (mu0 - 1)/(1 + xi/omega_r) moves the README
-    pressures by -1.8e-4 (f_r = omega_r/2pi = 1 GHz) and -1.8e-3 (10 GHz)
-    at 300 K, and by -3.4e-4 to -6.4e-4 and -2.5e-3 to -5.8e-3 at 10 K.
+    pressures of the local variants by -1.7e-4 to -2.2e-4 (f_r =
+    omega_r/2pi = 1 GHz) and -1.7e-3 to -2.2e-3 (10 GHz) at 300 K, by
+    -2.9e-4 to -6.4e-4 and -2.5e-3 to -5.8e-3 at 10 K, and at 1 K, where
+    the sums converge (100-512 nm), by -2.7e-4 to -7.1e-4 and -2.1e-3 to
+    -5.5e-3.
 
     The variant picks parameters at every l, both derived: ``effective``,
     the (gamma, v_t, v_l) of the l >= 1 permittivities, (gamma, 0, 0) for

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .csvio import read_numeric_csv
@@ -136,17 +137,17 @@ def theta_at(a: float, geom: GeometryParams) -> float:
     """
     if geom.theta_table is None:
         return 0.0
-    xs = [row[0] for row in geom.theta_table]
-    ys = [row[1] for row in geom.theta_table]
-    if a < xs[0] or a > xs[-1]:
+    xs, ys = zip(*geom.theta_table)
+    if not xs[0] <= a <= xs[-1]:
         warnings.warn(f"separation {a:.3e} m outside theta table range "
                       f"[{xs[0]:.3e}, {xs[-1]:.3e}]; using nearest endpoint",
                       stacklevel=2)
         return ys[0] if a < xs[0] else ys[-1]
-    for (x1, y1), (x2, y2) in zip(geom.theta_table, geom.theta_table[1:]):
-        if x1 <= a <= x2:
-            return y1 + (y2 - y1) * (a - x1) / (x2 - x1)
-    return ys[-1]
+    i = bisect_left(xs, a)  # xs[i - 1] < a <= xs[i]
+    if xs[i] == a:
+        return ys[i]
+    x1, y1, x2, y2 = xs[i - 1], ys[i - 1], xs[i], ys[i]
+    return y1 + (y2 - y1) * (a - x1) / (x2 - x1)
 
 
 def apply_pfa_correction(grad: float, a: float, geom: GeometryParams) -> float:

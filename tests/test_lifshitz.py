@@ -223,8 +223,10 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     assert rows == {matsubara_xi(l, ctx) for l in range(len(rows))}
     assert used <= rows
     assert len(rows) < res.terms_used + blocks[-1]
-    first = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
-    assert max(blocks) <= lifshitz.NODE_CAP // first.size
+    first = quadrature._first_round(0.0, lifshitz.S_CUT,
+                                    lifshitz.BREAKPOINTS)[2]
+    fit = lifshitz.WORK_ROWS * lifshitz.NODE_CAP // lifshitz._rows(1)
+    assert max(blocks) <= fit // first.size
     assert (max(blocks) > lifshitz.BLOCK) == (temperature == 4.0)
     assert set(seen) <= rows
     assert all(type(xi) is float for xi in seen)
@@ -575,10 +577,11 @@ class TestPressureCurves:
         terms = max(res.terms_used for curve in curves for res in curve)
         assert len(quads) <= 0.2 * (terms + 3)
         assert len(sizes) == len(quads)
-        fit = lifshitz.WORK_ROWS * lifshitz.NODE_CAP // 16
+        fit = lifshitz.WORK_ROWS * lifshitz.NODE_CAP // lifshitz._rows(3)
         assert max(sizes) <= 3 * fit
-        first, _, _ = lifshitz._FIRST[lifshitz.BREAKPOINTS]
-        static, _, _ = lifshitz._FIRST[lifshitz.STATIC_BREAKPOINTS]
+        first, static = (quadrature._first_round(0.0, lifshitz.S_CUT, bp)[2]
+                         for bp in (lifshitz.BREAKPOINTS,
+                                    lifshitz.STATIC_BREAKPOINTS))
         assert sizes[:2] == [3 * len(grid) * static.size] * 2  # l = 0, 1
         assert all(size % first.size == 0 for size in sizes[2:])
         # a block fills the work array: the largest, 20 indices of 5
@@ -618,7 +621,7 @@ class TestPressureCurves:
         monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
         assert pressure_curves(grid, models, CTX, keep_terms=True) == \
             expected
-        fit = max(lifshitz.WORK_ROWS * cap // 16, 21)
+        fit = max(lifshitz.WORK_ROWS * cap // lifshitz._rows(3), 21)
         assert max(sizes[whole:]) <= 3 * fit
         assert len(sizes) - whole > whole  # the rounds were split
         assert len(outputs) == 2 * whole
@@ -887,7 +890,7 @@ def test_kernel_work_array_changes_no_bit(table, block, ni_models,
              for ms in ([m] for m in models)]
     calls.append(lifshitz._Table.of(models, a).block(xis))
     assert (type(calls[0].xi) is float) == (block < 2)
-    s = lifshitz._FIRST[lifshitz.BREAKPOINTS][0]
+    s = quadrature._first_round(0.0, lifshitz.S_CUT, lifshitz.BREAKPOINTS)[2]
     for tab in calls:
         xi, m = tab.xis[0], tab.cols.shape[1]
         y = (tab.a * (2.0 * tab.xi / C_LIGHT)).reshape(
@@ -896,9 +899,11 @@ def test_kernel_work_array_changes_no_bit(table, block, ni_models,
         again = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
         assert not np.shares_memory(fresh, again)  # each a new array
         assert fresh.shape == (m,) + y.shape[1:]
+        # y's rows and the kernel's own: 4 per model, or 3 and k^2's
+        own = (lifshitz._rows(m) - 4) // m
         rows = np.full((3,) + y.shape, np.nan)
-        full = np.full((4,) + fresh.shape, np.nan)
-        work = (*rows, *full[:3], full[3] if m > 1 else rows[1])
+        full = np.full((own,) + fresh.shape, np.nan)
+        work = (*rows, *full, rows[1])[:lifshitz.WORK_ROWS]
         got = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view, work)
         assert got.tobytes() == fresh.tobytes()
         if block:  # in the caller's rows, which the next call reuses

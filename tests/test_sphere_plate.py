@@ -99,6 +99,13 @@ class TestPfaCorrection:
         assert theta_at(150e-9, geom) == pytest.approx(-0.4, rel=1e-12)
         assert theta_at(125e-9, geom) == pytest.approx(-0.3, rel=1e-12)
 
+    def test_nodes_and_a_single_row_give_their_theta_exactly(self):
+        rows = ((100e-9, 0.1), (200e-9, 0.7), (300e-9, -0.3))
+        for table in (rows, rows[:1]):
+            geom = GeometryParams(radius=61.71e-6, theta_table=table)
+            assert [theta_at(a, geom) for a, _ in table] == \
+                [theta for _, theta in table]
+
     def test_out_of_range_uses_endpoint_with_warning(self):
         geom = GeometryParams(radius=61.71e-6,
                               theta_table=((100e-9, -0.2), (200e-9, -0.6)))

@@ -43,6 +43,12 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
+def _scaled(ni, omega_p, gamma, mu0, v_t, v_l):
+    """Ni's model ``ni`` with its parameters scaled by the draws."""
+    return replace(ni, omega_p=omega_p * ni.omega_p, gamma=gamma * ni.gamma,
+                   mu0=mu0, v_t=v_t * ni.v_t, v_l=v_l * ni.v_l)
+
+
 @seed(20261020)
 @settings(max_examples=25, deadline=None, database=None)
 @given(variant=st.sampled_from(VARIANTS), omega_p=_log_uniform(0.3, 3.0),
@@ -55,15 +61,47 @@ def test_every_term_matches_the_textbook_reference(
     # every term l >= 0 of one point, parameters scaled from Ni's; at
     # series_tol = 1e-12 some points end at their term cap, and then the
     # terms of the partial result are compared
-    ni = nickel(variant)
-    m = replace(ni, omega_p=omega_p * ni.omega_p, gamma=gamma * ni.gamma,
-                mu0=mu0, v_t=v_t * ni.v_t, v_l=v_l * ni.v_l)
+    m = _scaled(nickel(variant), omega_p, gamma, mu0, v_t, v_l)
     try:
         res = pressure(a, m, MatsubaraContext(temperature),
                        quad_tol=QUAD_TOL, series_tol=1e-12, keep_terms=True)
     except SeriesConvergenceError as err:
         res = err.partial
     _assert_terms_match(res, m, a, temperature)
+
+
+_MODEL = st.tuples(st.sampled_from(VARIANTS), _log_uniform(0.5, 2.0),
+                   _log_uniform(0.3, 3.0),
+                   st.sampled_from([1.0, 2.0, 110.0]), st.floats(0.0, 1.5),
+                   st.floats(0.0, 1.5), st.booleans())
+
+
+@seed(20261021)
+@settings(max_examples=12, deadline=None, database=None)
+@given(draws=st.lists(_MODEL, min_size=2, max_size=3),
+       grid=st.lists(_log_uniform(50e-9, 3e-6), min_size=1, max_size=3,
+                     unique=True),
+       temperature=_log_uniform(100.0, 1000.0))
+def test_every_term_of_random_multi_model_runs_matches_the_reference(
+        ni_table, draws, grid, temperature):
+    # 2-3 models of their own variants and scaled parameters in one
+    # pressure_curves call over 1-3 separations; a model with the optical
+    # table is a core group of its own, so runs mixing them span several
+    # groups.  Every term of every pair matches the reference, and each
+    # curve is its model's one-model run, bit for bit, stopping where that
+    # run stops.  At 100 K and above and from 50 nm on a pair takes at
+    # most about 1,100 terms, which keeps the reference's loop short.
+    models = [_scaled(nickel(v, interband=ni_table if table else None),
+                      *scales) for v, *scales, table in draws]
+    ctx = MatsubaraContext(temperature)
+    curves = pressure_curves(grid, models, ctx, quad_tol=QUAD_TOL,
+                             series_tol=1e-10, keep_terms=True)
+    for m, curve in zip(models, curves):
+        assert curve == pressure_curves(grid, [m], ctx, quad_tol=QUAD_TOL,
+                                        series_tol=1e-10,
+                                        keep_terms=True)[0]
+        for a, res in zip(grid, curve):
+            _assert_terms_match(res, m, a, temperature)
 
 
 def _assert_terms_match(res, m, a, temperature):
