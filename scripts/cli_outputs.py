@@ -40,13 +40,34 @@ A checkout runs the 240 commands in about half a minute on two cores.
 comma-separated cells.  It prints, exactly, each file that only one tree
 has, each differing exit code, each file whose line count differs and
 each differing cell that is not a pair of finite numbers (headers,
-labels, messages, NaN and inf).  For every file and column whose numeric
-cells differ it prints the largest relative difference |x - y|/max(|x|,
-|y|), with the column named by the file's last header line (a line of
-text cells).  Files and columns it does not print are byte-identical.
-It exits 1 on any difference that is not numeric and 0 otherwise, so a
-change that moves numbers within a tolerance shows how far, where
-``diff -r`` would only list the files.
+labels, messages, a flipped ``inside_ci``, NaN and inf).  Every other
+differing cell is checked against a budget, named by the column of the
+file's last header line (a line of text cells):
+
+* ``pressure_pa``: the row's own quad_error + tail_bound in one tree plus
+  the same in the other;
+* cells computed from pressures, relative to themselves: ``p_<model>``
+  the model's relative budget, ``ratio_<m1>_over_<m2>`` the sum of both
+  models' and ``grad_n_per_m`` the row model's; ``grad_theory``,
+  ``delta`` and ``ci_halfwidth`` of a compare row that of its model times
+  |grad_theory| (a row without a model column is the config's variant,
+  nonlocal).  A model's relative budget is, per tree, the largest
+  (quad_error + tail_bound)/|pressure_pa| of its rows in the same case's
+  ``pressure --model all`` CSV, summed over the two trees: a first-order
+  bound, and 0 where the case has no such CSV;
+* ``terms_used``, ``tail_bound`` and ``quad_error``, the budgets
+  themselves: no budget, so they are printed but never fail;
+* every other cell (the reflection and impedance dumps, separations,
+  indices and wavevectors): a fixed 1e-10 of the larger magnitude, ten
+  units of the last of the 12 significant digits a CSV cell carries.
+
+For every file and column whose numeric cells differ it prints the
+largest difference/budget and the largest relative difference |x - y|/
+max(|x|, |y|).  Files and columns it does not print are byte-identical.
+It exits 1 on any difference that is not numeric or that exceeds its
+budget, and 0 otherwise, so a change that moves numbers passes when they
+stay within the reported error budgets, where ``diff -r`` would only list
+the files.
 """
 
 from __future__ import annotations
@@ -167,12 +188,54 @@ def _number(cell: str) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _relative_budgets(out: Path) -> dict:
+    """{(case, model): the largest (quad_error + tail_bound)/|pressure_pa|
+    of the model's rows in the case's ``pressure --model all`` CSV} of the
+    tree ``out``."""
+    worst = {}
+    for path in out.glob("*/pressure-all-file.csv"):
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            rel = ((float(row["quad_error"]) + float(row["tail_bound"]))
+                   / abs(float(row["pressure_pa"])))
+            key = (path.parent.name, row["model"])
+            worst[key] = max(worst.get(key, 0.0), rel)
+    return worst
+
+
+def _budget(col: str, row_a: dict, row_b: dict, rel, x: float,
+            y: float) -> float:
+    """The budget of the differing numeric cells x and y of column ``col``
+    (see the module docstring); ``rel(model)`` is a model's relative
+    budget in their case."""
+    if col == "pressure_pa":
+        return sum(float(r["quad_error"]) + float(r["tail_bound"])
+                   for r in (row_a, row_b))
+    if col in ("terms_used", "tail_bound", "quad_error"):
+        return math.inf
+    scale = max(abs(x), abs(y))
+    model = row_a.get("model", "nonlocal")
+    if col.startswith("p_"):
+        return rel(col[2:]) * scale
+    if col.startswith("ratio_"):
+        return sum(map(rel, col[6:].split("_over_"))) * scale
+    if col == "grad_n_per_m":
+        return rel(model) * scale
+    if col in ("grad_theory", "delta", "ci_halfwidth"):
+        return rel(model) * max(abs(float(r["grad_theory"]))
+                                for r in (row_a, row_b))
+    return 1e-10 * scale
+
+
 def compare(out_a: Path, out_b: Path) -> int:
     """Print how the trees ``out_a`` and ``out_b`` of ``main`` differ (see
-    the module docstring); 1 if any difference is not numeric."""
+    the module docstring); 1 if any difference is not numeric or exceeds
+    its budget."""
     files = [{p.relative_to(out).as_posix() for p in out.rglob("*")
               if p.is_file()} for out in (out_a, out_b)]
-    text = numeric = same = 0
+    budgets = [_relative_budgets(out) for out in (out_a, out_b)]
+    text = numeric = over = same = 0
     for name in sorted(files[0] ^ files[1]):
         print(f"{name}: only in {out_a if name in files[0] else out_b}")
         text += 1
@@ -190,7 +253,13 @@ def compare(out_a: Path, out_b: Path) -> int:
             print(f"{name}: {len(a)} vs {len(b)} lines")
             text += 1
             continue
-        worst, header, cells = {}, [], 0  # column -> largest difference
+        case = name.split("/")[0]
+
+        def rel(model):
+            return sum(tree.get((case, model), 0.0) for tree in budgets)
+
+        # column -> (largest difference/budget, largest relative one)
+        worst, header, cells = {}, [], 0
         for row, (la, lb) in enumerate(zip(a, b), 1):
             ca, cb = la.split(","), lb.split(",")
             if len(ca) != len(cb):
@@ -199,6 +268,7 @@ def compare(out_a: Path, out_b: Path) -> int:
                 continue
             if all(_number(c) is None for c in ca):
                 header = ca
+            row_a, row_b = dict(zip(header, ca)), dict(zip(header, cb))
             for col, (x, y) in enumerate(zip(ca, cb)):
                 if x == y:
                     continue
@@ -208,17 +278,23 @@ def compare(out_a: Path, out_b: Path) -> int:
                     cells += 1
                     continue
                 key = header[col] if col < len(header) else f"#{col + 1}"
-                scale = max(abs(fx), abs(fy))
-                diff = abs(fx - fy) / scale if scale else 0.0
-                worst[key] = max(worst.get(key, 0.0), diff)
-        for key, diff in worst.items():
-            print(f"{name}: {key}: largest relative difference {diff:.3e}")
+                diff = abs(fx - fy)  # 0 for 0.0 and -0.0
+                budget = _budget(key, row_a, row_b, rel, fx, fy)
+                score = diff / budget if budget else math.inf if diff else 0.0
+                relative = diff / max(abs(fx), abs(fy)) if diff else 0.0
+                old = worst.get(key, (0.0, 0.0))
+                worst[key] = (max(old[0], score), max(old[1], relative))
+        for key, (score, relative) in worst.items():
+            print(f"{name}: {key}: largest difference/budget {score:.3e}, "
+                  f"largest relative difference {relative:.3e}")
+        exceeds = any(score > 1.0 for score, _ in worst.values())
         text += cells > 0
-        numeric += cells == 0
+        over += cells == 0 and exceeds
+        numeric += cells == 0 and not exceeds
     print(f"{len(files[0] | files[1])} files: {same} identical, {numeric} "
-          f"with only numeric differences, {text} with other differences",
-          file=sys.stderr)
-    return 1 if text else 0
+          f"with numeric differences within budget, {over} with one over "
+          f"budget, {text} with other differences", file=sys.stderr)
+    return 1 if text or over else 0
 
 
 def main(argv: list[str]) -> int:

@@ -43,11 +43,11 @@ grid (15 separations, 100-800 nm, three models) a run takes 11
 quadratures and 11 kernel calls: 101 with one index each, and 297 with
 one loop per model.  A round's kernel calls split the separations, each
 call keeping every model and frequency and taking as many separations as
-the work array holds rows for (``_rows`` per node of one), and panels of
-one when it holds none whole.  The work array holds every node-sized
-array of an l >= 1 kernel call: such a call allocates nothing
-node-sized.  A ``reflection.FixedReflection`` (re-exported here) runs
-alone.
+the run's flat work array holds (``work_rows`` floats per node of one),
+and panels of one when it holds none whole.  An l >= 1 call allocates
+nothing node-sized: the kernel lays out its rows in that array
+(``reflection.lifshitz_summand``).  A ``reflection.FixedReflection``
+(re-exported here) runs alone.
 
 The kernel takes each term's permeability and core from its model: the
 static term uses the exact zero-frequency pair on the model's static
@@ -71,7 +71,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .quadrature import QuadratureError, _first_round, adaptive_quad
-from .reflection import WORK_ROWS, FixedReflection, lifshitz_summand
+from .reflection import FixedReflection, lifshitz_summand, work_rows
 from .response import MatsubaraContext, matsubara_xi
 
 # exp(-45) ~ 3e-20: relative truncation error of the y integral
@@ -100,8 +100,8 @@ Y_LO_STATIC = 0.25
 # built at import: in a run's first quadratures they cost 0.1-0.2 ms
 _first_round(0.0, S_CUT, BREAKPOINTS)
 _first_round(0.0, S_CUT, STATIC_BREAKPOINTS)
-# Each run's work array holds WORK_ROWS x NODE_CAP floats (806 KB), and a
-# kernel call the most nodes whose rows fit, ``_rows`` per node of a
+# Each run's work array holds work_rows(1) x NODE_CAP floats (806 KB), and
+# a kernel call the most nodes whose rows fit, work_rows(m) per node of a
 # separation: 14,400 of one model (228 pairs of the 63-node first round),
 # 6,300 of three (100 separations), so a README block (15 separations at 6
 # indices) is one call.  The kernel writes into the work array, so no call
@@ -219,13 +219,6 @@ class _Table:
         return cores[self.cols[4].astype(int), :, None, None, None]
 
 
-def _rows(m: int) -> int:
-    """The work array's rows per node of a separation in a kernel call of
-    m models: y, q, k^2 and k, then 4 per model, or 3 for one model, whose
-    D_TE takes k^2's row (the result's shape is then y's)."""
-    return 4 + (3 + (m > 1)) * m
-
-
 def _term_integrals(table: _Table, quad_tol: float,
                     work: np.ndarray) -> tuple[list, list]:
     """(t_l, error estimates) of the y integral of every component of
@@ -235,12 +228,12 @@ def _term_integrals(table: _Table, quad_tol: float,
     or panels of one when none does), as one model-major list per
     frequency.  The kernel's float ``xi`` is the table's first frequency:
     0.0 is the static term, the first index of the loop, whose table is a
-    block at xi = 0, such as ``_Table.of(models, a)``.  ``work``, the
-    run's flat array, holds every node-sized array of a kernel call in
-    ``_rows`` rows: y, q, k^2 and k of y's shape, then the kernel's rows of
-    the result's.  An unsplit round's integrand returns its values in
-    those rows, which the quadrature reduces before its next call.  The
-    components of ``table.dead`` are 0 at every node.
+    block at xi = 0, such as ``_Table.of(models, a)``.  ``work`` is the
+    run's flat array: the integrand writes y into its first floats and the
+    kernel lays out its rows after it (``reflection.lifshitz_summand``).
+    An unsplit round's integrand returns its values in ``work``, which the
+    quadrature reduces before its next call.  The components of
+    ``table.dead`` are 0 at every node.
     """
     # substitute y = y_lo + s^2: removes the sqrt(y - y_lo) cusp of
     # k = sqrt(q^2 - xi^2/c^2) at the lower endpoint for l >= 1, and the
@@ -251,17 +244,13 @@ def _term_integrals(table: _Table, quad_tol: float,
     y_lo = (a * (2.0 * table.xi / C_LIGHT)).reshape((1, b) + a.shape)
     breakpoints = (STATIC_BREAKPOINTS if y_lo.min() < Y_LO_STATIC
                    else BREAKPOINTS)
-    rows = _rows(m)
-    cap = len(work) // rows  # nodes of a separation one call takes
+    cap = len(work) // work_rows(m)  # nodes of a separation one call takes
 
     def summand(y_lo, s2, a):
-        """The kernel at y = y_lo + s2, in the rows of ``work``."""
-        shape = y_lo.shape[:-2] + s2.shape  # 1, B, S, panels, nodes
-        size = y_lo.size * s2.size
-        y, q, k2, k = work[:4 * size].reshape((4,) + shape)
-        own = work[4 * size:rows * size].reshape((-1, m) + shape[1:])
-        y = np.add(y_lo, s2, out=y)
-        return lifshitz_summand(y, xis[0], a, view, (q, k2, k, *own, k2)[:7])
+        """The kernel at y = y_lo + s2, written into ``work``'s start."""
+        y = work[:y_lo.size * s2.size].reshape(y_lo.shape[:-2] + s2.shape)
+        np.add(y_lo, s2, out=y)
+        return lifshitz_summand(y, xis[0], a, view, work)
 
     def f(s):
         most = cap // (b * s.size)  # separations one call takes
@@ -393,16 +382,16 @@ class _MatsubaraSum:
     def needs(self, l: int) -> int:
         """How many indices from l on the tail rule predicts this sum
         takes, if its tail keeps falling by the last term ratio: until
-        three consecutive estimates meet the rule, and at most up to the
-        cap.  BLOCK while the last estimate has no ratio, or the rule's
-        bound is not positive."""
+        three consecutive estimates meet the rule, and one more, as the
+        ratio creeps towards 1; at most up to the cap.  BLOCK while the
+        last estimate has no ratio, or the rule's bound is not positive."""
         tail, bound = self.tail, self.series_tol * self.accum
         if tail <= bound:
             k = 3 - self.consecutive
         elif tail == math.inf or not bound > 0.0:
             k = BLOCK
-        else:  # the first i >= 1 with tail ratio^i <= bound, and two more
-            k = math.ceil(math.log(bound / tail) / math.log(self.ratio)) + 2
+        else:  # the first i >= 1 with tail ratio^i <= bound, and three more
+            k = math.ceil(math.log(bound / tail) / math.log(self.ratio)) + 3
         return min(k, self.cap - l)
 
     def _result(self, terms_used: int) -> PressureResult:
@@ -454,8 +443,8 @@ def pressure_curves(separations, models, ctx: MatsubaraContext,
                for s in seps] for model in models]
     # this call's own rows for every node-sized array of its kernel calls,
     # one 21-node panel at least
-    rows = _rows(len(models))
-    work = np.empty(rows * max(WORK_ROWS * NODE_CAP // rows, 21))
+    rows = work_rows(len(models))
+    work = np.empty(rows * max(work_rows(1) * NODE_CAP // rows, 21))
     grid = [s for curve in curves for s in curve]  # the table's pairs
     go = [True] * len(grid)  # whether each still sums
     table = _Table.of(models, np.array(seps))

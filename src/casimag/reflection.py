@@ -130,9 +130,10 @@ def matsubara_coefficients(q, k, k2, mu, eps_tr, eps_l, out=(None,) * 5):
     return n_tm, d_tm, n_te, k_mu
 
 
-# rows of an l >= 1 kernel call: q, k^2, k (y's shape; q then holds exp(-y)),
-# eps_tr, eps_l, the cross term and D_TE (the result's; D_TE may take k^2's)
-WORK_ROWS = 7
+def work_rows(m: int) -> int:
+    """Floats per node of y that a ``lifshitz_summand`` call of m models
+    takes of its work buffer, y's included; its docstring has the rows."""
+    return 7 if m == 1 else 4 + 4 * m
 
 
 def _occupation(n, d, damp):
@@ -161,27 +162,32 @@ def lifshitz_summand(y, xi, a, model, work=None):
     fields that this reads, and those may be arrays with a model axis in
     front of y's, as in a pressure loop's grid: (M, 1, 1, 1, 1) columns
     against y of shape (1, B, S, panels, nodes) and (S, 1, 1) separations
-    ``a``.  Only what depends on the model then takes that axis; in
-    ``work``, q, k^2, k and exp(-y) keep y's shape.  Such a model may also
-    carry ``xi``, the frequencies of a block of Matsubara indices (a
-    float, or a (B, 1, 1, 1) column), which then replaces the argument
-    above the static term: a block is one call, with its first frequency
-    as ``xi``.  Its ``core`` may then return a float or an array of the
-    fields' shape with the block's axis, such as (M, B, 1, 1, 1).
+    ``a``.  Only what depends on the model then takes that axis (see
+    ``work``).  Such a model may also carry ``xi``, the frequencies of a
+    block of Matsubara indices (a float, or a (B, 1, 1, 1) column), which
+    then replaces the argument above the static term: a block is one
+    call, with its first frequency as ``xi``.  Its ``core`` may then
+    return a float or an array of the fields' shape with the block's
+    axis, such as (M, B, 1, 1, 1).
     Returns an array of the broadcast shape of ``y``, ``a`` and the model.
 
-    ``work`` is None or the WORK_ROWS arrays above.  Above the static term
-    every node-sized intermediate is then written into them, and the
-    result is one of them, valid until the next call with the same
-    ``work``; without it the call allocates its own rows, so the result is
-    a new array.  The same ufuncs run in the same order, to the same bits.
+    ``work`` is None or a flat float buffer, whose first y.size floats the
+    caller may fill with y.  Above the static term the kernel writes every
+    node-sized intermediate after them (``work_rows`` floats per node in
+    all): q (later exp(-y)), k^2 and k of the shape of y broadcast with
+    ``a``, then eps_tr, eps_l, the cross term and D_TE of the full
+    broadcast shape; one model writes D_TE into k^2's row.  The result is
+    one of these rows, valid until the next call with the same ``work``;
+    with None the call allocates one such buffer, so the result is a new
+    array.  The same ufuncs run in the same order, to the same bits.
     """
     y = np.asarray(y, dtype=float)
     d_tm = d_te = 1.0
     fixed = isinstance(model, FixedReflection)
+    both = np.broadcast(y, a)
+    shape = both.shape
     if fixed or xi == 0.0:
         # a float coefficient carries no axis of a, so y takes them all
-        shape = np.broadcast(y, a).shape
         if y.shape != shape:
             y = np.broadcast_to(y, shape)
         if fixed:
@@ -190,11 +196,15 @@ def lifshitz_summand(y, xi, a, model, work=None):
             n_tm, n_te = static_coefficients(y / (2.0 * a), model, model.mu0)
         damp = None
     else:
-        if work is None:
-            work = np.empty((WORK_ROWS,)
-                            + np.broadcast(y, a, model.omega_p).shape)
+        full = np.broadcast(both, model.omega_p)
+        n, m = both.size, full.size // both.size
+        work = np.empty(work_rows(m) * n) if work is None else work
+        at, rows = y.size + 3 * n, (work_rows(m) - 4) // m
+        q, k2, k = work[y.size:at].reshape((3,) + shape)
+        own = work[at:at + rows * m * n].reshape((rows,) + full.shape)
+        eps_tr, eps_l, cross = own[:3]
+        d_te = own[3] if rows > 3 else k2.reshape(full.shape)
         xi = getattr(model, "xi", xi)  # a block's frequencies
-        q, k2, k, eps_tr, eps_l, cross, d_te = work
         np.multiply(y, (0.5 * C_LIGHT / xi) / a, out=q)  # y/y_lo
         np.multiply(q, q, out=k2)
         k2 -= 1.0

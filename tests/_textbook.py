@@ -82,36 +82,40 @@ def matsubara_pair(xi, k, m):
     gamma, v_t, v_l = m.effective
     core = m.core(xi)
     w = m.omega_p**2 / (xi * (xi + gamma))
-    eps_tr = core + w * (1.0 + v_t * k / xi)
-    eps_l = core + w / (1.0 + v_l * k / xi)
+    k_xi = k / xi
+    eps_tr = core + w * (1.0 + v_t * k_xi)
+    eps_l = core + w / (1.0 + v_l * k_xi)
     ck = C_LIGHT * k
-    root = np.sqrt(ck * ck + eps_tr * xi * xi)
+    ck2 = ck * ck
+    root = np.sqrt(ck2 + eps_tr * (xi * xi))
     z_tm = (ck / eps_l + (root - ck) / eps_tr) / xi
     z_te = xi / root
-    cq = np.sqrt(ck * ck + xi * xi)
-    return ((cq - xi * z_tm) / (cq + xi * z_tm),
-            (cq * z_te - xi) / (cq * z_te + xi))
+    cq = np.sqrt(ck2 + xi * xi)
+    xz, cz = xi * z_tm, cq * z_te
+    return (cq - xz) / (cq + xz), (cz - xi) / (cz + xi)
 
 
-def terms(m, a, temperature, n, edges=EDGES, points=NODES):
-    """[(l, term)] for l = 0, ..., n - 1: each term in Pa, the 1/2 of
+def terms(m, a, temperature, n, edges=EDGES, points=NODES, first=0):
+    """[(l, term)] for l = first, ..., n - 1: each term in Pa, the 1/2 of
     l = 0 included, as ``pressure(..., keep_terms=True).per_term`` lists
     them."""
     s, w = nodes(edges, points)
+    s2, dy = s * s, 2.0 * s * w  # y - y_lo, and the weights of dy
     pref = -K_BOLTZMANN * temperature / (8.0 * PI * a**3)
     out = []
-    for l in range(n):
+    for l in range(first, n):
         xi = 2.0 * PI * K_BOLTZMANN * temperature * l / HBAR
         y_lo = 2.0 * a * xi / C_LIGHT
-        y = y_lo + s * s
+        y = y_lo + s2
         if l == 0:
-            r_tm, r_te = static_pair(s * s / (2.0 * a), m, m.mu0)
+            r_tm, r_te = static_pair(s2 / (2.0 * a), m, m.mu0)
         else:
             # k = sqrt(q^2 - (xi/c)^2), with q - xi/c = s^2/(2 a)
             k = s * np.sqrt((y / (2.0 * a) + xi / C_LIGHT) / (2.0 * a))
             r_tm, r_te = matsubara_pair(xi, k, m)
         damp = np.exp(-y)
-        f = sum(x / (1.0 - x) for x in (r_tm**2 * damp, r_te**2 * damp))
-        t = float(np.sum(w * y * y * f * 2.0 * s))
+        x_tm, x_te = r_tm**2 * damp, r_te**2 * damp
+        f = x_tm / (1.0 - x_tm) + x_te / (1.0 - x_te)
+        t = float(np.sum(dy * y * y * f))
         out.append((l, pref * (0.5 if l == 0 else 1.0) * t))
     return out

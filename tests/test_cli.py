@@ -366,8 +366,9 @@ class TestWorkCounts:
         # converges on its first round: one call
         assert static[0] == 1
         # every frequency is a Matsubara frequency of the run, from l = 0
-        # on, up to the last index a sum takes (98 without the table, 119
-        # with it): the tail blocks end where the tail rule predicts
+        # on, up to one past the last index a sum takes (98 without the
+        # table, 119 with it): the tail blocks end where the tail rule
+        # predicts, with its one more index
         ctx = casimag.MatsubaraContext(300.0)
         assert freqs == {casimag.matsubara_xi(l, ctx)
                          for l in range(len(freqs))}
@@ -377,23 +378,23 @@ class TestWorkCounts:
         # the tail blocks, take 11 quadratures instead of 101 (12 instead
         # of 122).  The long tail blocks evaluate pairs whose sums have
         # stopped, and the grid a stopped pair while its separation sums:
-        # 158,760 components (models x nodes) against 140,868 at one index
+        # 159,138 components (models x nodes) against 140,868 at one index
         # per quadrature.  A table of summing pairs alone, whose calls took
         # at most 14,400 components, took 13 quadratures and 156,051 (15
         # and 174,069); the grid's calls fit 6,300 nodes of a separation,
         # 18,900 components, in the same work array
         if not tabled:
-            assert work == (11, 11, 158_760, 99)
+            assert work == (11, 11, 159_138, 100)
             assert kk_calls == builds == []
             return
-        assert work == (12, 12, 177_660, 120)
+        assert work == (12, 12, 178_038, 121)
         # the models are grouped by core once, when the run's component
         # table is built: one hash of the table per model, no comparison
         assert len(hashed) <= 3
         assert compared == []
         # one KK evaluation per frequency, shared by the three variants
-        assert len({xi for xi, _, _ in kk_calls}) == 119
-        assert len(kk_calls) == 119
+        assert len({xi for xi, _, _ in kk_calls}) == 120
+        assert len(kk_calls) == 120
         # on one KK node set, which the table keeps
         _, table, m = kk_calls[0]
         assert builds == [table]

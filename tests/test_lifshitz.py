@@ -78,7 +78,7 @@ def test_static_term_matches_polylog():
 
 def _work():
     """A work array of one pressure_curves call, for _term_integrals."""
-    return np.empty(lifshitz.WORK_ROWS * lifshitz.NODE_CAP)
+    return np.empty(lifshitz.work_rows(1) * lifshitz.NODE_CAP)
 
 
 @pytest.mark.parametrize("v_over_vf", [1.0, 7.0])
@@ -225,7 +225,7 @@ def test_every_frequency_comes_from_the_context(monkeypatch, temperature):
     assert len(rows) < res.terms_used + blocks[-1]
     first = quadrature._first_round(0.0, lifshitz.S_CUT,
                                     lifshitz.BREAKPOINTS)[2]
-    fit = lifshitz.WORK_ROWS * lifshitz.NODE_CAP // lifshitz._rows(1)
+    fit = lifshitz.NODE_CAP  # a work array of work_rows(1) floats per node
     assert max(blocks) <= fit // first.size
     assert (max(blocks) > lifshitz.BLOCK) == (temperature == 4.0)
     assert set(seen) <= rows
@@ -577,7 +577,8 @@ class TestPressureCurves:
         terms = max(res.terms_used for curve in curves for res in curve)
         assert len(quads) <= 0.2 * (terms + 3)
         assert len(sizes) == len(quads)
-        fit = lifshitz.WORK_ROWS * lifshitz.NODE_CAP // lifshitz._rows(3)
+        fit = (lifshitz.work_rows(1) * lifshitz.NODE_CAP
+               // lifshitz.work_rows(3))
         assert max(sizes) <= 3 * fit
         first, static = (quadrature._first_round(0.0, lifshitz.S_CUT, bp)[2]
                          for bp in (lifshitz.BREAKPOINTS,
@@ -590,7 +591,7 @@ class TestPressureCurves:
         assert all(type(xi) is float for xi in xis)
 
     # a call keeps every model and takes the separations whose rows fit
-    # the WORK_ROWS x cap floats of the work array, 16 rows per node of a
+    # the work_rows(1) x cap floats of the work array, 16 rows per node of a
     # separation: one each (240); two of the 63-node round, one of the
     # static 84-node one (300); one 21-node panel of the three models, the
     # least a call takes (50)
@@ -621,7 +622,7 @@ class TestPressureCurves:
         monkeypatch.setattr(lifshitz, "NODE_CAP", cap)
         assert pressure_curves(grid, models, CTX, keep_terms=True) == \
             expected
-        fit = max(lifshitz.WORK_ROWS * cap // lifshitz._rows(3), 21)
+        fit = max(lifshitz.work_rows(1) * cap // lifshitz.work_rows(3), 21)
         assert max(sizes[whole:]) <= 3 * fit
         assert len(sizes) - whole > whole  # the rounds were split
         assert len(outputs) == 2 * whole
@@ -746,6 +747,25 @@ class TestBlocks:
         sizes = _block_sizes(monkeypatch)
         assert pressure_curves(*args, keep_terms=True) == blocked
         assert max(sizes) > lifshitz.BLOCK  # tail blocks ran
+        _one_index_per_quadrature(monkeypatch)
+        sizes.clear()
+        assert pressure_curves(*args, keep_terms=True) == blocked
+        assert max(sizes) == 1
+
+    def test_the_last_tail_block_reaches_the_last_index(self, monkeypatch,
+                                                        ni_models):
+        # the README compare grid at 300 K: the nonlocal sum at 100 nm
+        # stops at l = 98, past where its last term ratio predicts, since
+        # the ratio creeps towards 1; the prediction's one more index keeps
+        # that index in the tail block instead of a one-index block after
+        # it, and every number is that of one index per quadrature
+        args = ([a * 1e-9 for a in (100, 150, 200, 300, 400, 500, 600, 700,
+                                    800)],
+                [ni_models[v] for v in VARIANTS], CTX)
+        sizes = _block_sizes(monkeypatch)
+        blocked = pressure_curves(*args, keep_terms=True)
+        assert blocked[0][0].terms_used == 99
+        assert sizes == [1, 1, 8, 11, 14, 25, 39]
         _one_index_per_quadrature(monkeypatch)
         sizes.clear()
         assert pressure_curves(*args, keep_terms=True) == blocked
@@ -880,9 +900,11 @@ class TestStaticTerm:
                          ids=["static", "float-xi", "column-xi"])
 def test_kernel_work_array_changes_no_bit(table, block, ni_models,
                                           ni_models_ib):
-    # the same ufuncs in the same order write into the caller's rows:
-    # every bit of the result is that of a call that allocates its own.
-    # One model writes D_TE into k^2's row, several into a row of their own
+    # the same ufuncs in the same order write into the caller's flat
+    # buffer, after y: every bit of the result is that of a call that
+    # allocates its own.  One model writes D_TE into k^2's row, several
+    # into a row of their own, so one model's call takes 7 floats per node
+    # of y and three models' 16
     models = list((ni_models_ib if table else ni_models).values())
     a = np.geomspace(10e-9, 20e-6, 7)
     xis = [matsubara_xi(l, CTX) for l in range(5, 5 + block)] or [0.0]
@@ -899,16 +921,16 @@ def test_kernel_work_array_changes_no_bit(table, block, ni_models,
         again = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view)
         assert not np.shares_memory(fresh, again)  # each a new array
         assert fresh.shape == (m,) + y.shape[1:]
-        # y's rows and the kernel's own: 4 per model, or 3 and k^2's
-        own = (lifshitz._rows(m) - 4) // m
-        rows = np.full((3,) + y.shape, np.nan)
-        full = np.full((own,) + fresh.shape, np.nan)
-        work = (*rows, *full, rows[1])[:lifshitz.WORK_ROWS]
-        got = lifshitz.lifshitz_summand(y, xi, tab.a, tab.view, work)
+        assert lifshitz.work_rows(m) == {1: 7, 3: 16}[m]
+        work = np.full(lifshitz.work_rows(m) * y.size, np.nan)
+        y_in = work[:y.size].reshape(y.shape)  # the caller's y, in place
+        y_in[...] = y
+        got = lifshitz.lifshitz_summand(y_in, xi, tab.a, tab.view, work)
         assert got.tobytes() == fresh.tobytes()
-        if block:  # in the caller's rows, which the next call reuses
-            assert np.shares_memory(got, full)
-            lifshitz.lifshitz_summand(2.0 * y, xi, tab.a, tab.view, work)
+        if block:  # in the caller's buffer, which the next call reuses
+            assert np.shares_memory(got, work[y.size:])
+            y_in *= 2.0
+            lifshitz.lifshitz_summand(y_in, xi, tab.a, tab.view, work)
             assert got.tobytes() != fresh.tobytes()
         assert fresh.tobytes() == again.tobytes()
 
